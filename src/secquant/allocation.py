@@ -98,10 +98,14 @@ def quality_ratio(site: SensorSite) -> float:
     Sensors whose unconstrained design leaks nothing to Eve get an
     infinite quality: they are funded first and cost no budget.
     """
-    d_fc_star, d_eve_star, _ = unconstrained_optimum(site)
-    if d_eve_star < 1e-12:
+    return _quality(unconstrained_design(site))
+
+
+def _quality(free: QuantizerDesign) -> float:
+    """:func:`quality_ratio` of the site whose unconstrained design this is."""
+    if free.d_eve < 1e-12:
         return QUALITY_DEAF_EVE
-    return d_fc_star / d_eve_star
+    return free.d_fc / free.d_eve
 
 
 def allocate(config: NetworkConfig) -> AllocationResult:
@@ -113,15 +117,24 @@ def allocate(config: NetworkConfig) -> AllocationResult:
     the entire remainder and designed against that; sensors reached after
     the budget is exhausted sleep as blind designs.
     """
-    optima = [unconstrained_optimum(site) for site in config.sites]
-    qualities = [quality_ratio(site) for site in config.sites]
+    return _allocate(
+        config, [unconstrained_design(site) for site in config.sites]
+    )
+
+
+def _allocate(
+    config: NetworkConfig, free_designs: Sequence[QuantizerDesign]
+) -> AllocationResult:
+    """:func:`allocate` given each site's unconstrained design, in site
+    order."""
+    qualities = [_quality(free) for free in free_designs]
     order = sorted(range(len(config.sites)), key=lambda i: (-qualities[i], i))
 
     remaining = config.alpha_total
     records: dict[int, SensorAllocation] = {}
     for i in order:
         site = config.sites[i]
-        d_fc_star, d_eve_star, _ = optima[i]
+        free = free_designs[i]
         if remaining <= BUDGET_FLOOR:
             records[i] = SensorAllocation(
                 index=i,
@@ -129,13 +142,13 @@ def allocate(config: NetworkConfig) -> AllocationResult:
                 design=blind_design(site),
                 active=False,
                 quality=qualities[i],
-                d_fc_star=d_fc_star,
-                d_eve_star=d_eve_star,
+                d_fc_star=free.d_fc,
+                d_eve_star=free.d_eve,
             )
             continue
-        if remaining >= d_eve_star:
-            share = d_eve_star
-            design = unconstrained_design(site)
+        if remaining >= free.d_eve:
+            share = free.d_eve
+            design = free
         else:
             share = remaining
             design = design_quantizer(site, share)
@@ -146,8 +159,8 @@ def allocate(config: NetworkConfig) -> AllocationResult:
             design=design,
             active=True,
             quality=qualities[i],
-            d_fc_star=d_fc_star,
-            d_eve_star=d_eve_star,
+            d_fc_star=free.d_fc,
+            d_eve_star=free.d_eve,
         )
 
     per_sensor = tuple(records[i] for i in range(len(config.sites)))
@@ -250,14 +263,19 @@ def growth_curve(
         raise ValueError(
             f"n_grid asks for {n_grid[-1]} sensors but only {len(sites)} sites given"
         )
+    # prefixes share their sites, so each site is solved once for all
+    free_designs = [
+        unconstrained_design(site) for site in sites[: max(n_grid, default=0)]
+    ]
     points = []
     for n in n_grid:
-        result = allocate(
+        result = _allocate(
             NetworkConfig(
                 sites=tuple(sites[:n]),
                 alpha_total=alpha_total,
                 benchmark_ideal_fc=benchmark_ideal_fc,
-            )
+            ),
+            free_designs[:n],
         )
         points.append(
             GrowthPoint(

@@ -24,10 +24,13 @@ from .roc import (
     CLAMP_EPS,
     BscChannel,
     OperatingPoint,
+    _bsc,
+    _check_probability,
     _clamp,
+    _kl,
     bsc_transform,
-    kl_divergence,
 )
+from .search import bisect_root
 
 #: Traced points satisfy |D_eve - budget| <= TRACE_TOL.
 TRACE_TOL = 1e-10
@@ -126,7 +129,10 @@ def slope_bounds(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
 
 def eve_divergence_at(x: float, y: float, eve: BscChannel) -> float:
     """Eve's per-symbol divergence for a sensor point given as raw floats."""
-    return kl_divergence(bsc_transform(OperatingPoint(x, y), eve))
+    _check_probability(x, "pfa")
+    _check_probability(y, "pd")
+    rho = eve.crossover
+    return _kl(_bsc(x, rho), _bsc(y, rho))
 
 
 def solve_boundary_pd(x: float, budget: float, eve: BscChannel) -> float | None:
@@ -140,21 +146,11 @@ def solve_boundary_pd(x: float, budget: float, eve: BscChannel) -> float | None:
     top = eve_divergence_at(x, 1.0, eve) - budget
     if top < 0.0:
         return None
-    if top == 0.0:
-        return 1.0
-    lo, hi = x, 1.0
-    f_lo = -budget
-    y = 1.0
-    for _ in range(_TRACE_MAX_ITER):
-        y = 0.5 * (lo + hi)
-        f_mid = eve_divergence_at(x, y, eve) - budget
-        if abs(f_mid) <= TRACE_TOL:
-            return y
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = y, f_mid
-        else:
-            hi = y
-    return y
+    return bisect_root(
+        lambda y: eve_divergence_at(x, y, eve) - budget,
+        x, 1.0, -budget, top,
+        f_tol=TRACE_TOL, x_tol=0.0, max_iter=_TRACE_MAX_ITER,
+    )
 
 
 def trace_constraint_curve(

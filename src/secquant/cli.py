@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -21,6 +20,7 @@ from .allocation import (
     AllocationResult,
     NetworkConfig,
     SensorAllocation,
+    _quality,
     allocate,
     growth_curve,
     sample_sites,
@@ -510,7 +510,7 @@ def _single_design_allocation(design: QuantizerDesign) -> AllocationResult:
         alpha_i=design.d_eve,
         design=design,
         active=True,
-        quality=math.inf if design.d_eve < 1e-12 else design.d_fc / design.d_eve,
+        quality=_quality(design),
         d_fc_star=design.d_fc,
         d_eve_star=design.d_eve,
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -28,16 +29,6 @@ def json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename into place."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def rows_as_json(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """The same table as a JSON array of row objects."""
     return json_text([dict(zip(header, row)) for row in rows])
@@ -45,17 +36,25 @@ def rows_as_json(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
 def write_all(files: Sequence[tuple[str | Path, str]]) -> None:
     """Write a set of artifacts together: all temps first, then all renames,
-    so an error while producing any file leaves none of them behind."""
+    so an error while producing any file leaves none of them behind.
+
+    Each temp gets a unique name in its target's directory, so concurrent
+    writers to the same path never rename each other's temp; the last
+    rename wins with one writer's whole file.
+    """
     staged = []
     try:
         for path, text in files:
             path = Path(path)
             if path.parent and not path.parent.exists():
                 path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(text)
-            staged.append((tmp, path))
-    except OSError:
+            tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+            # "x" refuses an existing name, so a writer only ever owns and
+            # unlinks its own temp; the mode is what a plain open() gives
+            with open(tmp, "x") as fh:
+                staged.append((tmp, path))
+                fh.write(text)
+    except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise

@@ -8,7 +8,8 @@ achievable ROC boundary
     pd = Q(Q^{-1}(pfa) - snr),        snr = theta / sigma.
 
 Other observation models can be plugged in by providing the same small
-surface (``operating_point``, ``lrt_curve``, ``threshold_bracket``); only
+surface (``operating_point``, ``lrt_curve``, ``threshold_bracket``) and
+their own post-channel divergence kernels for the threshold search; only
 the Gaussian model ships.
 """
 
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from scipy.special import log_ndtr, ndtri
+import numpy as np
+from scipy.special import erfc, log_ndtr, ndtri
 
-from .roc import BscChannel, OperatingPoint, bsc_transform, kl_divergence
+from .roc import BscChannel, OperatingPoint, _bsc, _kl, _kl_array
 from .search import assert_unimodal, golden_section_max
 
 #: Searches over the threshold are confined to where the false-alarm
@@ -35,6 +36,11 @@ _SQRT2 = math.sqrt(2.0)
 def q_function(z: float) -> float:
     """Upper-tail probability of the standard normal, via erfc."""
     return 0.5 * math.erfc(z / _SQRT2)
+
+
+def _q_array(z: np.ndarray) -> np.ndarray:
+    """:func:`q_function` elementwise; agrees with it to a few ulp."""
+    return 0.5 * erfc(z / _SQRT2)
 
 
 def log_q_function(z: float) -> float:
@@ -91,7 +97,6 @@ class GaussianSensorModel:
         )
 
 
-@lru_cache(maxsize=None)
 def max_channel_divergence(
     model: GaussianSensorModel, channel: BscChannel
 ) -> tuple[float, float]:
@@ -103,11 +108,33 @@ def max_channel_divergence(
     returning a possibly-wrong maximum if it fails.
     """
     lo, hi = model.threshold_bracket()
+    theta, sigma, rho = model.theta, model.sigma, channel.crossover
 
     def objective(threshold: float) -> float:
-        return kl_divergence(
-            bsc_transform(model.operating_point(threshold), channel)
-        )
+        return _channel_divergence(theta, sigma, rho, threshold)
 
-    assert_unimodal(objective, lo, hi, "post-channel divergence")
+    def objective_on_grid(thresholds: np.ndarray) -> np.ndarray:
+        return _channel_divergence_array(theta, sigma, rho, thresholds)
+
+    assert_unimodal(objective_on_grid, lo, hi, "post-channel divergence")
     return golden_section_max(objective, lo, hi, tol=1e-10, max_iter=300)
+
+
+def _channel_divergence(
+    theta: float, sigma: float, rho: float, threshold: float
+) -> float:
+    """``kl_divergence(bsc_transform(model.operating_point(threshold),
+    channel))`` on plain floats: the same operations in the same order, so
+    the same result bit for bit, without building operating points."""
+    x = _bsc(q_function(threshold / sigma), rho)
+    y = _bsc(q_function((threshold - theta) / sigma), rho)
+    return _kl(x, y)
+
+
+def _channel_divergence_array(
+    theta: float, sigma: float, rho: float, thresholds: np.ndarray
+) -> np.ndarray:
+    """:func:`_channel_divergence` at every threshold of an array."""
+    x = _bsc(_q_array(thresholds / sigma), rho)
+    y = _bsc(_q_array((thresholds - theta) / sigma), rho)
+    return _kl_array(x, y)

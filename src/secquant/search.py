@@ -1,11 +1,13 @@
-"""Scalar search primitives: golden-section maximization, bisection, and a
-unimodality pre-scan used to validate quasi-concavity assumptions before
-trusting a golden-section result."""
+"""Search primitives: scalar golden-section maximization and bisection, and
+a unimodality pre-scan, evaluated as one array, used to validate
+quasi-concavity assumptions before trusting a golden-section result."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import UnimodalityError
 
@@ -15,30 +17,27 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 PRESCAN_POINTS = 1024
 
 
-def count_direction_changes(values: list[float], noise_floor: float) -> int:
+def count_direction_changes(values: Sequence[float], noise_floor: float) -> int:
     """Sign alternations of the discrete differences, ignoring steps below
     ``noise_floor`` (flat tails produce float-level jitter)."""
-    changes = 0
-    last_sign = 0
-    for a, b in zip(values, values[1:]):
-        step = b - a
-        if abs(step) <= noise_floor:
-            continue
-        sign = 1 if step > 0 else -1
-        if last_sign != 0 and sign != last_sign:
-            changes += 1
-        last_sign = sign
-    return changes
+    steps = np.diff(np.asarray(values, dtype=float))
+    # a NaN step is kept and counts as falling, like any step that is not
+    # a rise
+    signs = np.where(steps > 0.0, 1, -1)[~(np.abs(steps) <= noise_floor)]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def assert_unimodal(
-    f: Callable[[float], float], lo: float, hi: float, label: str
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, label: str
 ) -> None:
     """Raise :class:`UnimodalityError` unless ``f`` looks single-peaked on a
-    PRESCAN_POINTS grid over ``[lo, hi]``."""
+    PRESCAN_POINTS grid over ``[lo, hi]``.
+
+    ``f`` maps the whole grid, as one array, to the array of its values.
+    """
     step = (hi - lo) / (PRESCAN_POINTS - 1)
-    values = [f(lo + k * step) for k in range(PRESCAN_POINTS)]
-    scale = max(1.0, max(abs(v) for v in values))
+    values = np.asarray(f(lo + np.arange(PRESCAN_POINTS) * step), dtype=float)
+    scale = max(1.0, float(np.max(np.abs(values))))
     if count_direction_changes(values, noise_floor=1e-12 * scale) > 2:
         raise UnimodalityError((
             f"{label} is not unimodal on [{lo!r}, {hi!r}]; "

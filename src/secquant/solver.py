@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache, partial
+from typing import Callable, Sequence
 
-from .gaussian import max_channel_divergence
+from .gaussian import _channel_divergence, max_channel_divergence
 from .roc import OperatingPoint, SensorSite, bsc_transform, kl_divergence
 from .search import bisect_root
 
@@ -60,8 +61,10 @@ def eve_divergence_gap(site: SensorSite, threshold: float, budget: float) -> flo
     ``-budget`` at both extremes of the threshold axis, where the
     operating point degenerates to a corner.
     """
-    op = site.model.operating_point(threshold)
-    return kl_divergence(bsc_transform(op, site.eve_channel)) - budget
+    model = site.model
+    return _channel_divergence(
+        model.theta, model.sigma, site.eve_channel.crossover, threshold
+    ) - budget
 
 
 def find_gap_peak(site: SensorSite, budget: float) -> tuple[float, float]:
@@ -92,7 +95,16 @@ def find_budget_thresholds(site: SensorSite, budget: float) -> list[float]:
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
-    peak, gap_peak = find_gap_peak(site, budget)
+    return _budget_thresholds(site, budget, max_eve_divergence(site))
+
+
+def _budget_thresholds(
+    site: SensorSite, budget: float, eve_peak: tuple[float, float]
+) -> list[float]:
+    """:func:`find_budget_thresholds` given Eve's peak, which does not
+    depend on the budget."""
+    peak, d_eve_max = eve_peak
+    gap_peak = d_eve_max - budget
     if gap_peak < -ROOT_F_TOL:
         return []
     if gap_peak <= ROOT_F_TOL:
@@ -165,36 +177,55 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
     * otherwise: the better of the two boundary crossings, ties broken
       toward the larger threshold (smaller false alarm).
     """
-    if budget < 0.0:
-        raise ValueError(f"budget must be nonnegative, got {budget!r}")
-    if budget == 0.0:
-        return blind_design(site)
-    free = unconstrained_design(site, budget)
-    if free.d_eve <= budget:
-        return free
-    roots = find_budget_thresholds(site, budget)
-    if len(roots) < 2:
-        # the gap peak clears the budget yet the free optimum leaks more:
-        # only reachable through float rounding at exact tangency
-        return free
-    lo_design = _design_at(site, roots[0], budget, binding=True)
-    hi_design = _design_at(site, roots[1], budget, binding=True)
-    if abs(lo_design.d_fc - hi_design.d_fc) <= 1e-12:
-        return hi_design
-    return hi_design if hi_design.d_fc > lo_design.d_fc else lo_design
+    return _site_designer(site)(budget)
+
+
+def _site_designer(site: SensorSite) -> Callable[[float], QuantizerDesign]:
+    """:func:`design_quantizer` for one site at any number of budgets.
+
+    The site's two threshold searches, for the free optimum and for Eve's
+    peak, run at most once each, when a budget first needs them.
+    """
+    free_threshold = cache(
+        lambda: max_channel_divergence(site.model, site.fc_channel)[0]
+    )
+    eve_peak = cache(partial(max_eve_divergence, site))
+
+    def design(budget: float) -> QuantizerDesign:
+        if budget < 0.0:
+            raise ValueError(f"budget must be nonnegative, got {budget!r}")
+        if budget == 0.0:
+            return blind_design(site)
+        free = _design_at(site, free_threshold(), budget, binding=False)
+        if free.d_eve <= budget:
+            return free
+        roots = _budget_thresholds(site, budget, eve_peak())
+        if len(roots) < 2:
+            # the gap peak clears the budget yet the free optimum leaks
+            # more: only reachable through float rounding at exact tangency
+            return free
+        lo_design = _design_at(site, roots[0], budget, binding=True)
+        hi_design = _design_at(site, roots[1], budget, binding=True)
+        if abs(lo_design.d_fc - hi_design.d_fc) <= 1e-12:
+            return hi_design
+        return hi_design if hi_design.d_fc > lo_design.d_fc else lo_design
+
+    return design
 
 
 def tradeoff_curve(
     site: SensorSite, budgets: Sequence[float]
 ) -> list[TradeoffPoint]:
-    """Sweep :func:`design_quantizer` over an ascending budget grid."""
+    """Sweep :func:`design_quantizer` over an ascending budget grid,
+    running the site's threshold searches once for the whole sweep."""
     if any(b < 0.0 for b in budgets):
         raise ValueError("budgets must be nonnegative")
     if any(b2 < b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be sorted ascending")
+    design_at = _site_designer(site)
     points = []
     for budget in budgets:
-        design = design_quantizer(site, budget)
+        design = design_at(budget)
         points.append(
             TradeoffPoint(budget=budget, d_fc_max=design.d_fc, design=design)
         )

@@ -26,6 +26,37 @@ def kld(x, y):
     return x * np.log(x / y) + (1.0 - x) * np.log((1.0 - x) / (1.0 - y))
 
 
+def kld_rounding_bound(x, y, ulps):
+    """First-order bound on how far ``kld(x, y)`` moves when ``x``, ``y``
+    and both logarithms each carry a relative error of ``ulps`` float64
+    units.  Near ``y = 1`` the ``1 - y`` cancellation makes this large."""
+    x = np.clip(x, EPS, 1.0 - EPS)
+    y = np.clip(y, EPS, 1.0 - EPS)
+    lo_term = x * np.log(x / y)
+    hi_term = (1.0 - x) * np.log((1.0 - x) / (1.0 - y))
+    grad_x = np.log(x / y) - np.log((1.0 - x) / (1.0 - y))
+    grad_y = (1.0 - x) / (1.0 - y) - x / y
+    return ulps * np.finfo(float).eps * (
+        np.abs(x * grad_x) + np.abs(y * grad_y)
+        + np.abs(lo_term) + np.abs(hi_term)
+    )
+
+
+def count_direction_changes(values, noise_floor):
+    """Loop reference for the library's array-based direction count."""
+    changes = 0
+    last_sign = 0
+    for a, b in zip(values, values[1:]):
+        step = b - a
+        if abs(step) <= noise_floor:
+            continue
+        sign = 1 if step > 0 else -1
+        if last_sign != 0 and sign != last_sign:
+            changes += 1
+        last_sign = sign
+    return changes
+
+
 def bsc(p, rho):
     return rho + (1.0 - 2.0 * rho) * np.asarray(p)
 

@@ -269,3 +269,37 @@ class TestSampledNetworks:
             growth_curve(sites, 1.0, [4, 2])
         with pytest.raises(ValueError):
             growth_curve(sites, 1.0, [2, 10])
+
+
+class TestSolveOnce:
+    def test_allocate_solves_each_fc_channel_once(self, solve_calls):
+        sites = sample_sites(200, seed=1)
+        result = allocate(NetworkConfig(sites=sites, alpha_total=20.0))
+        fc_solves = [(s.model, s.fc_channel) for s in sites]
+        assert solve_calls[:200] == fc_solves
+        # only the partially funded sensor is designed against a budget
+        assert 0 < result.active_count < 200
+        assert len(solve_calls) <= 200 + 2
+
+    def test_growth_curve_solves_its_largest_prefix_once(self, solve_calls):
+        sites = sample_sites(200, seed=1)
+        n_grid = list(range(20, 201, 20))
+        growth_curve(sites, 5.0, n_grid)
+        assert solve_calls[:200] == [(s.model, s.fc_channel) for s in sites]
+        assert len(solve_calls) <= 200 + 2 * len(n_grid)
+
+    def test_growth_points_equal_allocations_of_each_prefix(self):
+        sites = sample_sites(60, seed=2)
+        n_grid = [1, 5, 20, 21, 40, 60]
+        for alpha in (0.0, 0.7, 3.0, 100.0):
+            points = growth_curve(sites, alpha, n_grid, benchmark_ideal_fc=True)
+            for n, point in zip(n_grid, points):
+                result = allocate(NetworkConfig(
+                    sites=sites[:n], alpha_total=alpha, benchmark_ideal_fc=True
+                ))
+                assert point.n_sensors == n
+                assert point.total_d_fc == result.total_d_fc
+                assert point.total_d_eve == result.total_d_eve
+                assert point.active_count == result.active_count
+                assert point.benchmark_d_fc == result.benchmark_d_fc
+                assert point.benchmark_d_eve == result.benchmark_d_eve

@@ -19,7 +19,7 @@ from secquant import (
     slope_bounds,
     trace_constraint_curve,
 )
-from secquant.boundary import TRACE_TOL
+from secquant.boundary import TRACE_TOL, eve_divergence_at
 
 import oracles
 
@@ -272,3 +272,18 @@ class TestRegions:
     def test_below_diagonal_rejected(self):
         with pytest.raises(ValueError):
             roc_region(OperatingPoint(0.8, 0.2))
+
+
+class TestEveDivergenceAt:
+    def test_equals_the_operating_point_composition(self):
+        rng = np.random.default_rng(5)
+        for x, y, rho in zip(rng.random(500), rng.random(500), 0.5 * rng.random(500)):
+            eve = BscChannel(rho)
+            expected = kl_divergence(bsc_transform(OperatingPoint(x, y), eve))
+            assert eve_divergence_at(x, y, eve) == expected
+
+    def test_rejects_points_off_the_square(self):
+        with pytest.raises(ValueError):
+            eve_divergence_at(0.2, 1.5, BscChannel(0.1))
+        with pytest.raises(ValueError):
+            eve_divergence_at(math.nan, 0.5, BscChannel(0.1))

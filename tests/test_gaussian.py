@@ -5,16 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secquant import (
     BscChannel,
     GaussianSensorModel,
+    UnimodalityError,
+    bsc_transform,
+    kl_divergence,
     log_q_function,
     max_channel_divergence,
     q_function,
     q_inverse,
 )
-from secquant.search import count_direction_changes
+from secquant.gaussian import _channel_divergence, _channel_divergence_array
+from secquant.search import PRESCAN_POINTS, count_direction_changes
 
 import oracles
 
@@ -169,3 +175,46 @@ class TestMaxChannelDivergence:
         vals = oracles.kld(oracles.bsc(x, 0.05), oracles.bsc(y, 0.05))
         changes = count_direction_changes(list(vals), noise_floor=1e-13)
         assert changes <= 1
+
+
+def prescan_grid(model):
+    lo, hi = model.threshold_bracket()
+    return lo + np.arange(PRESCAN_POINTS) * ((hi - lo) / (PRESCAN_POINTS - 1))
+
+
+class TestObjectiveKernels:
+    """The solver's plain-float objective must equal the dataclass path bit
+    for bit (golden-section results depend on it), and its array form must
+    agree with it up to float64 rounding on the pre-scan grid."""
+
+    @given(
+        snr=st.floats(min_value=0.1, max_value=12.0),
+        sigma=st.floats(min_value=0.5, max_value=2.0),
+        rho=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.499)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_objective_and_prescan_match_scalar(self, snr, sigma, rho):
+        model = GaussianSensorModel(snr * sigma, sigma)
+        channel = BscChannel(rho)
+        grid = prescan_grid(model)
+        ops = [bsc_transform(model.operating_point(float(t)), channel) for t in grid]
+        scalar = [kl_divergence(op) for op in ops]
+        for t, v in zip(grid[::16], scalar[::16]):
+            assert _channel_divergence(model.theta, sigma, rho, float(t)) == v
+        array = _channel_divergence_array(model.theta, sigma, rho, grid)
+        # both paths compute 1 - pd by subtraction, so near pd = 1 an
+        # ulp-level difference between the two erfc implementations is
+        # amplified; the bound is that amplification, plus 1e-12
+        x = np.array([op.pfa for op in ops])
+        y = np.array([op.pd for op in ops])
+        tol = 1e-12 + oracles.kld_rounding_bound(x, y, ulps=8)
+        assert np.all(np.abs(array - np.array(scalar)) <= tol)
+
+        scale = max(1.0, max(abs(v) for v in scalar))
+        refuses = oracles.count_direction_changes(scalar, 1e-12 * scale) > 2
+        try:
+            max_channel_divergence(model, channel)
+        except UnimodalityError:
+            assert refuses
+        else:
+            assert not refuses

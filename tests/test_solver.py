@@ -216,6 +216,19 @@ class TestTradeoffCurve:
         for p in points[1:]:
             assert p.d_fc_max == pytest.approx(free.d_fc, abs=1e-9)
 
+    def test_solves_the_site_once_for_the_whole_sweep(self, solve_calls):
+        site = make_site(rho_fc=0.01)
+        budgets = list(np.geomspace(1e-3, 3.0, 300))
+        points = tradeoff_curve(site, budgets)
+        assert any(p.design.binding for p in points)
+        assert not all(p.design.binding for p in points)
+        assert solve_calls == [
+            (site.model, site.fc_channel), (site.model, site.eve_channel)
+        ]
+        # and each point is the design a lone call would return
+        for p in points[::37]:
+            assert p.design == design_quantizer(site, p.budget)
+
     def test_monotone_nondecreasing_sweep(self):
         site = make_site()
         _, ceiling = max_eve_divergence(site)
