@@ -21,8 +21,8 @@ from .gaussian import GaussianSensorModel
 from .roc import BscChannel, SensorSite, kl_divergence
 from .solver import (
     QuantizerDesign,
+    _site_designer,
     blind_design,
-    design_quantizer,
     unconstrained_design,
 )
 
@@ -151,7 +151,7 @@ def _allocate(
             design = free
         else:
             share = remaining
-            design = design_quantizer(site, share)
+            design = _site_designer(site, free)(share)
         remaining = max(remaining - share, 0.0)
         records[i] = SensorAllocation(
             index=i,
@@ -257,16 +257,34 @@ def growth_curve(
     ``n_grid`` must be ascending and bounded by the number of sites; using
     prefixes of one draw is what makes the totals comparable across sizes.
     """
-    if any(n2 < n1 for n1, n2 in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be sorted ascending")
-    if n_grid and n_grid[-1] > len(sites):
-        raise ValueError(
-            f"n_grid asks for {n_grid[-1]} sensors but only {len(sites)} sites given"
-        )
+    _check_grid(n_grid, len(sites))
     # prefixes share their sites, so each site is solved once for all
     free_designs = [
         unconstrained_design(site) for site in sites[: max(n_grid, default=0)]
     ]
+    return _growth_points(
+        sites, alpha_total, n_grid, benchmark_ideal_fc, free_designs
+    )
+
+
+def _check_grid(n_grid: Sequence[int], n_sites: int) -> None:
+    if any(n2 < n1 for n1, n2 in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid must be sorted ascending")
+    if n_grid and n_grid[-1] > n_sites:
+        raise ValueError(
+            f"n_grid asks for {n_grid[-1]} sensors but only {n_sites} sites given"
+        )
+
+
+def _growth_points(
+    sites: Sequence[SensorSite],
+    alpha_total: float,
+    n_grid: Sequence[int],
+    benchmark_ideal_fc: bool,
+    free_designs: Sequence[QuantizerDesign],
+) -> list[GrowthPoint]:
+    """:func:`growth_curve` on a checked grid, given the unconstrained
+    designs of at least its largest prefix, in site order."""
     points = []
     for n in n_grid:
         result = _allocate(

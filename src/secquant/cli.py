@@ -20,9 +20,10 @@ from .allocation import (
     AllocationResult,
     NetworkConfig,
     SensorAllocation,
+    _allocate,
+    _check_grid,
+    _growth_points,
     _quality,
-    allocate,
-    growth_curve,
     sample_sites,
 )
 from .boundary import trace_constraint_curve
@@ -30,7 +31,13 @@ from .errors import ArtifactError, UnimodalityError
 from .export import csv_text, json_text, rows_as_json, write_all
 from .gaussian import GaussianSensorModel
 from .roc import BscChannel, OperatingPoint, SensorSite, bsc_transform, kl_divergence
-from .solver import QuantizerDesign, design_quantizer, design_search_curve, tradeoff_curve
+from .solver import (
+    QuantizerDesign,
+    design_quantizer,
+    design_search_curve,
+    tradeoff_curve,
+    unconstrained_design,
+)
 from .detection import simulate_monte_carlo, stein_curve
 
 DEFAULT_WINDOWS = [50, 100, 200, 400]
@@ -249,15 +256,22 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     benchmark = bool(_optional(cfg, "benchmark", False))
     n_grid = _optional(cfg, "n_grid", None)
     out = _out_path(cfg)
+    if n_grid is not None:
+        n_grid = [int(n) for n in n_grid]
+        _check_grid(n_grid, n_sensors)
 
     sites = sample_sites(n_sensors, seed, snr, fc_high, eve_high)
-    result = allocate(
+    # the allocation and every growth prefix share these designs, so each
+    # site is solved once
+    free_designs = [unconstrained_design(site) for site in sites]
+    result = _allocate(
         NetworkConfig(
             sites=sites,
             alpha_total=alpha_total,
             benchmark_ideal_fc=benchmark,
             seed=seed,
-        )
+        ),
+        free_designs,
     )
     header = ["index", "k_i", "alpha_i", "active", "lambda", "d_fc_i", "d_eve_i"]
     rows = [
@@ -288,8 +302,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         ),
     ]
     if n_grid is not None:
-        n_grid = [int(n) for n in n_grid]
-        points = growth_curve(sites, alpha_total, n_grid, benchmark)
+        points = _growth_points(sites, alpha_total, n_grid, benchmark, free_designs)
         growth_header = ["n", "total_d_fc", "total_d_eve", "active_count"]
         if benchmark:
             growth_header += ["benchmark_d_fc", "benchmark_d_eve"]
@@ -499,7 +512,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         )
     write_all(files)
-    status = "pass" if report.get("passed") else "fail"
+    passed = report.get("passed")
+    status = "unchecked" if passed is None else "pass" if passed else "fail"
     print(f"verify: {status} (report at {out})")
     return 0
 
@@ -578,7 +592,8 @@ def _network_stein_report(
 ) -> tuple[dict[str, Any], list[tuple]]:
     # single-sensor networks get the exact per-sensor check; larger ones
     # only report the additive target (the exact ones-count test applies
-    # per i.i.d. stream, not across heterogeneous sensors)
+    # per i.i.d. stream, not across heterogeneous sensors), so nothing is
+    # checked and ``passed`` stays null
     active = [rec for rec in result.per_sensor if rec.active]
     if len(sites) == 1 and len(active) == 1:
         rec = active[0]
@@ -590,10 +605,11 @@ def _network_stein_report(
         "tolerance": tolerance,
         "windows": windows,
         "no_information": target < 1e-9,
-        "passed": True,
+        "passed": None,
         "note": (
-            "multi-sensor artifact: additive divergence target reported; "
-            "per-stream exponent checks apply to single-sensor artifacts"
+            "not checked: multi-sensor artifact, additive divergence target "
+            "reported; per-stream exponent checks apply to single-sensor "
+            "artifacts"
         ),
     }
     return report, []

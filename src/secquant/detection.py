@@ -12,17 +12,20 @@ under H0 (Strassen's second-order term), so it approaches D from below
 only as 1/sqrt(T).  The second is
 empirical: a seeded Monte Carlo of the whole pipeline (Gaussian sensing,
 quantization, channel flips, log-likelihood fusion), whose estimates are
-compared against the exact numbers.
+compared against the exact numbers.  The fusion statistics depend on the
+bits only through each sensor's FC and Eve ones-counts, so the simulation
+draws those counts from their exact joint law instead of individual bits;
+:func:`sample_trial_records` rebuilds bit streams with that law on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 from scipy.stats import binom
 
 from .allocation import AllocationResult, NetworkConfig
@@ -34,11 +37,16 @@ from .roc import CLAMP_EPS, OperatingPoint, bsc_transform
 DEFAULT_DELTA = 0.01
 
 #: Trials are simulated in fixed-size blocks, each with its own
-#: counter-derived substream, so results do not depend on how blocks are
-#: scheduled.
+#: counter-derived substreams (one per sampling stage), so results do not
+#: depend on how blocks are scheduled.
 _BLOCK_TRIALS = 65536
 
-_CAL_STREAM, _H0_STREAM, _H1_STREAM = 0, 1, 2
+#: Within a block, trials are drawn in row chunks of at most this many
+#: (trial, sensor) cells, which bounds the memory of a large network's
+#: block without changing its draws.
+_CHUNK_CELLS = 1 << 20
+
+_CAL_STREAM, _H0_STREAM, _H1_STREAM, _RECORD_STREAM = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -193,45 +201,102 @@ def _llr_weights(op: OperatingPoint, channel) -> tuple[np.ndarray, np.ndarray]:
     return math.log(y / x), math.log((1.0 - y) / (1.0 - x))
 
 
-def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
+def _block_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(stream, block))
+        np.random.SeedSequence(entropy=seed, spawn_key=key)
     )
 
 
-def _simulate_block(
-    rng: np.random.Generator,
-    config: NetworkConfig,
-    thresholds: np.ndarray,
-    hypothesis: int,
-    window: int,
-    n_trials: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sensor, FC, and Eve bit arrays of shape (n_trials, n_sensors, window).
+def _symbol_law(
+    config: NetworkConfig, thresholds: np.ndarray, hypothesis: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol law of the received (FC bit, Eve bit) pair at each sensor.
 
-    Draw order (observations, FC flips, Eve flips) is fixed so a block is
-    reproducible from its substream alone.
+    Returns ``(ones, zeros)`` of shape (n_sensors, 4): the joint
+    probability of each received pair, in the order (1, 1), (1, 0),
+    (0, 1), (0, 0), together with a sensor bit of one and of zero.  Their
+    sum is the pair's law; ``ones / (ones + zeros)`` is the chance the
+    sensor sent a one given what both receivers got.
     """
-    n = len(config.sites)
     thetas = np.array([site.model.theta for site in config.sites])
     sigmas = np.array([site.model.sigma for site in config.sites])
     fc_rho = np.array([site.fc_channel.crossover for site in config.sites])
     eve_rho = np.array([site.eve_channel.crossover for site in config.sites])
+    mean = thetas if hypothesis == 1 else 0.0
+    # P(observation >= threshold); an infinite threshold is the blind design
+    p = ndtr((mean - thresholds) / sigmas)
+    fc_keep, eve_keep = 1.0 - fc_rho, 1.0 - eve_rho
+    # P(received pair | sensor bit 1), and with the flips swapped for bit 0
+    given_one = np.stack(
+        [fc_keep * eve_keep, fc_keep * eve_rho, fc_rho * eve_keep, fc_rho * eve_rho],
+        axis=1,
+    )
+    given_zero = given_one[:, ::-1]
+    return p[:, None] * given_one, (1.0 - p)[:, None] * given_zero
 
-    shape = (n_trials, n, window)
-    mean = thetas[None, :, None] if hypothesis == 1 else 0.0
-    observations = mean + sigmas[None, :, None] * rng.standard_normal(shape)
-    sensor = observations >= thresholds[None, :, None]
-    fc = sensor ^ (rng.random(shape) < fc_rho[None, :, None])
-    eve = sensor ^ (rng.random(shape) < eve_rho[None, :, None])
-    return sensor, fc, eve
+
+def _conditional_shares(law: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Chained binomial probabilities of a 4-point law, per sensor:
+    P(11), P(10 | not 11) and P(01 | neither 11 nor 10), clipped to [0, 1]
+    and 0 where nothing is left to split."""
+    shares = []
+    for k in range(3):
+        rest = law[:, k:].sum(axis=1)
+        share = np.divide(law[:, k], rest, out=np.zeros(len(law)), where=rest > 0.0)
+        shares.append(np.clip(share, 0.0, 1.0))
+    return tuple(shares)
+
+
+def _simulate_block(
+    rngs: Sequence[np.random.Generator],
+    shares: tuple[np.ndarray, ...],
+    window: int,
+    n_trials: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Received-pair counts (n11, n10, n01) of shape (n_trials, n_sensors).
+
+    Over a window the pairs are i.i.d., so the counts are
+    Multinomial(window, law), drawn exactly as three chained binomials,
+    each from its own generator of ``rngs``.  A generator's draws run
+    trial by trial, so drawing a block in consecutive row chunks from the
+    same three generators gives the same counts as drawing it whole.
+    """
+    n11 = rngs[0].binomial(window, shares[0], size=(n_trials, len(shares[0])))
+    n10 = rngs[1].binomial(window - n11, shares[1])
+    n01 = rngs[2].binomial(window - n11 - n10, shares[2])
+    return n11, n10, n01
+
+
+def _stream_counts(
+    seed: int,
+    stream: int,
+    shares: tuple[np.ndarray, ...],
+    window: int,
+    count: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The first ``count`` trials of one stream, as ``(n11, n10, n01)``
+    row chunks in trial order.
+
+    Trials fall into blocks of ``_BLOCK_TRIALS``, each with its own
+    counter-derived generators, so results do not depend on how blocks
+    are scheduled; within a block, rows are drawn in chunks of at most
+    ``_CHUNK_CELLS`` (trial, sensor) cells to bound memory.
+    """
+    rows = max(1, min(_BLOCK_TRIALS, _CHUNK_CELLS // len(shares[0])))
+    for block_start in range(0, count, _BLOCK_TRIALS):
+        block = block_start // _BLOCK_TRIALS
+        rngs = [_block_rng(seed, stream, block, stage) for stage in range(3)]
+        block_end = min(block_start + _BLOCK_TRIALS, count)
+        for start in range(block_start, block_end, rows):
+            n_rows = min(rows, block_end - start)
+            yield _simulate_block(rngs, shares, window, n_rows)
 
 
 def _fusion_statistics(
-    bits: np.ndarray, w_one: np.ndarray, w_zero: np.ndarray, window: int
+    ones: np.ndarray, w_one: np.ndarray, w_zero: np.ndarray, window: int
 ) -> np.ndarray:
-    """Log-likelihood-ratio sums per trial for (trials, sensors, window) bits."""
-    ones = bits.sum(axis=2)
+    """Log-likelihood-ratio sums per trial for (trials, sensors) ones-counts
+    over a window."""
     return ones @ w_one + (window - ones) @ w_zero
 
 
@@ -270,15 +335,19 @@ def simulate_monte_carlo(
 ) -> MonteCarloResult:
     """Simulate the sensing-quantize-transmit-fuse pipeline end to end.
 
-    Every trial draws ``window`` Gaussian observations per sensor under
-    each hypothesis, quantizes them with the designed thresholds, flips
-    the bits through the FC and Eve channels independently, and fuses each
-    receiver's bits with its log-likelihood-ratio sum.  The fusion
-    thresholds are calibrated to false alarm ``delta`` on a separate H0
-    stream (4x the estimation size by default).  Identical
-    ``(seed, config)`` give bit-identical results regardless of execution
-    layout: trials are partitioned into fixed blocks with counter-derived
-    substreams.
+    Every trial sends ``window`` symbols per sensor under each
+    hypothesis: a Gaussian observation quantized with the designed
+    threshold, its bit flipped through the FC and Eve channels
+    independently, and each receiver's bits fused with their
+    log-likelihood-ratio sum.  That sum depends on the bits only through
+    each sensor's FC and Eve ones-counts, and the received (FC, Eve) pairs
+    are i.i.d. over the window, so the counts are drawn exactly from their
+    multinomial law (see :func:`_simulate_block`) and no observation is
+    materialised.  The fusion thresholds are calibrated to false alarm
+    ``delta`` on a separate H0 stream (4x the estimation size by default).
+    Identical ``(seed, config)`` give bit-identical results regardless of
+    execution layout: trials are partitioned into fixed blocks with
+    counter-derived substreams.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -307,24 +376,16 @@ def simulate_monte_carlo(
     eve_w0 = np.array([w[1] for w in eve_w])
 
     def collect(stream: int, hypothesis: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        ones, zeros = _symbol_law(config, thresholds, hypothesis)
+        shares = _conditional_shares(ones + zeros)
         fc_stats = np.empty(count)
         eve_stats = np.empty(count)
         done = 0
-        block = 0
-        while done < count:
-            n_block = min(_BLOCK_TRIALS, count - done)
-            rng = _block_rng(seed, stream, block)
-            _, fc_bits, eve_bits = _simulate_block(
-                rng, config, thresholds, hypothesis, window, n_block
-            )
-            fc_stats[done : done + n_block] = _fusion_statistics(
-                fc_bits, fc_w1, fc_w0, window
-            )
-            eve_stats[done : done + n_block] = _fusion_statistics(
-                eve_bits, eve_w1, eve_w0, window
-            )
-            done += n_block
-            block += 1
+        for n11, n10, n01 in _stream_counts(seed, stream, shares, window, count):
+            rows = slice(done, done + len(n11))
+            fc_stats[rows] = _fusion_statistics(n11 + n10, fc_w1, fc_w0, window)
+            eve_stats[rows] = _fusion_statistics(n11 + n01, eve_w1, eve_w0, window)
+            done += len(n11)
         return fc_stats, eve_stats
 
     cal_fc, cal_eve = collect(_CAL_STREAM, 0, calibration_trials)
@@ -381,8 +442,13 @@ def sample_trial_records(
 ) -> list[TrialRecord]:
     """First ``count`` trials of the estimation stream, as bit records.
 
-    Uses the same substream derivation as :func:`simulate_monte_carlo`, so
-    these records are exactly the bits behind its estimates.
+    Draws the same counts as :func:`simulate_monte_carlo` (for any
+    ``trials >= count``), so each record's FC and Eve ones-counts are
+    exactly those behind its estimates.  The bits are rebuilt from the
+    counts with their exact law: each sensor's received (FC, Eve) pairs
+    are placed at uniformly random positions of the window, and the
+    sensor bit behind each pair is drawn from its posterior given the
+    pair, both from a substream of their own.
     """
     if hypothesis not in (0, 1):
         raise ValueError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
@@ -392,10 +458,27 @@ def sample_trial_records(
         )
     thresholds = np.array([rec.design.threshold for rec in designs.per_sensor])
     stream = _H1_STREAM if hypothesis == 1 else _H0_STREAM
-    rng = _block_rng(seed, stream, 0)
-    sensor, fc, eve = _simulate_block(
-        rng, config, thresholds, hypothesis, window, count
+    ones, zeros = _symbol_law(config, thresholds, hypothesis)
+    law = ones + zeros
+    chunks = list(
+        _stream_counts(seed, stream, _conditional_shares(law), window, count)
     )
+    n11, n10, n01 = (np.concatenate(parts) for parts in zip(*chunks))
+    # place each trial's received pairs uniformly over its window, then
+    # draw the sensor bit behind each pair from its posterior
+    rng = _block_rng(seed, _RECORD_STREAM, stream, 0)
+    positions = np.arange(window)
+    kinds = (
+        (positions >= n11[..., None]).astype(np.intp)
+        + (positions >= (n11 + n10)[..., None])
+        + (positions >= (n11 + n10 + n01)[..., None])
+    )
+    kinds = rng.permuted(kinds, axis=2)
+    posterior = np.divide(ones, law, out=np.zeros_like(law), where=law > 0.0)
+    sensor_of = np.arange(len(config.sites))[None, :, None]
+    sensor = rng.random(kinds.shape) < posterior[sensor_of, kinds]
+    fc = kinds < 2
+    eve = kinds % 2 == 0
     records = []
     for k in range(count):
         records.append(

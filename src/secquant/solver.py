@@ -180,15 +180,23 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
     return _site_designer(site)(budget)
 
 
-def _site_designer(site: SensorSite) -> Callable[[float], QuantizerDesign]:
+def _site_designer(
+    site: SensorSite, free: QuantizerDesign | None = None
+) -> Callable[[float], QuantizerDesign]:
     """:func:`design_quantizer` for one site at any number of budgets.
 
     The site's two threshold searches, for the free optimum and for Eve's
-    peak, run at most once each, when a budget first needs them.
+    peak, run at most once each, when a budget first needs them; the
+    first not at all when the site's unconstrained design ``free`` is
+    passed in.
     """
-    free_threshold = cache(
-        lambda: max_channel_divergence(site.model, site.fc_channel)[0]
-    )
+    if free is None:
+        free_threshold = cache(
+            lambda: max_channel_divergence(site.model, site.fc_channel)[0]
+        )
+    else:
+        def free_threshold() -> float:
+            return free.threshold
     eve_peak = cache(partial(max_eve_divergence, site))
 
     def design(budget: float) -> QuantizerDesign:

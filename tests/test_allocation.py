@@ -2,11 +2,13 @@
 feasibility, and an exhaustive same-policy oracle at small network sizes."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from secquant import cli
 from secquant import (
     BscChannel,
     GaussianSensorModel,
@@ -287,6 +289,23 @@ class TestSolveOnce:
         growth_curve(sites, 5.0, n_grid)
         assert solve_calls[:200] == [(s.model, s.fc_channel) for s in sites]
         assert len(solve_calls) <= 200 + 2 * len(n_grid)
+
+    def test_greedy_command_solves_each_site_once(self, solve_calls, tmp_path):
+        n_grid = list(range(20, 201, 20))
+        config = tmp_path / "greedy.json"
+        config.write_text(json.dumps({"n_grid": n_grid}))
+        assert cli.main([
+            "greedy", "--config", str(config), "--n-sensors", "200",
+            "--alpha-total", "5.0", "--seed", "1",
+            "--out", str(tmp_path / "g.csv"),
+        ]) == 0
+        sites = sample_sites(200, seed=1)
+        assert solve_calls[:200] == [(s.model, s.fc_channel) for s in sites]
+        # past the free searches, only Eve-peak searches for the partly
+        # funded sensor of the allocation and of each growth prefix
+        eve_searches = {(s.model, s.eve_channel) for s in sites}
+        assert all(call in eve_searches for call in solve_calls[200:])
+        assert len(solve_calls) <= 200 + 1 + len(n_grid)
 
     def test_growth_points_equal_allocations_of_each_prefix(self):
         sites = sample_sites(60, seed=2)

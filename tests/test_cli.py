@@ -258,6 +258,26 @@ class TestVerifyCommand:
         assert report["no_information"] is True
         assert report["passed"] is True
 
+    def test_network_artifact_is_reported_unchecked(self, tmp_path, capsys):
+        out = tmp_path / "greedy.csv"
+        assert run(
+            "greedy", "--n-sensors", "3", "--alpha-total", "10.0",
+            "--seed", "4", "--out", str(out),
+        ) == 0
+        summary = tmp_path / "greedy.summary.json"
+        assert json.loads(summary.read_text())["active_count"] == 3
+        report_out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(
+            "verify", "--artifact", str(summary), "--out", str(report_out)
+        ) == 0
+        assert capsys.readouterr().out.startswith("verify: unchecked")
+        report = json.loads(report_out.read_text())
+        assert report["passed"] is None
+        assert report["note"].startswith("not checked")
+        assert "exponents" not in report
+        assert not (tmp_path / "report.stein.csv").exists()
+
     def test_missing_artifact_exits_4(self, tmp_path):
         assert run(
             "verify", "--artifact", str(tmp_path / "nope.json"),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, multinomial
 
 from secquant import (
     AllocationResult,
@@ -17,13 +17,23 @@ from secquant import (
     bsc_transform,
     exact_np_miss,
     kl_divergence,
+    sample_sites,
     sample_trial_records,
     simulate_monte_carlo,
     stein_curve,
     unconstrained_design,
     unconstrained_optimum,
 )
-from secquant.detection import _np_components
+from secquant import detection
+from secquant.detection import (
+    _H1_STREAM,
+    _conditional_shares,
+    _fusion_statistics,
+    _llr_weights,
+    _np_components,
+    _stream_counts,
+    _symbol_law,
+)
 
 import oracles
 
@@ -185,3 +195,211 @@ class TestMonteCarlo:
             simulate_monte_carlo(config, result, window=5, trials=0, seed=1)
         with pytest.raises(ValueError):
             sample_trial_records(config, result, 2, window=5, count=1, seed=1)
+
+
+def pair_law(p, rho_fc, rho_e):
+    """P(FC bit, Eve bit) in the order 11, 10, 01, 00, enumerated over the
+    sensor bit (one with probability p) and the two independent flips."""
+    law = []
+    for fc_bit, eve_bit in ((1, 1), (1, 0), (0, 1), (0, 0)):
+        total = 0.0
+        for bit, p_bit in ((1, p), (0, 1.0 - p)):
+            p_fc = 1.0 - rho_fc if fc_bit == bit else rho_fc
+            p_eve = 1.0 - rho_e if eve_bit == bit else rho_e
+            total += p_bit * p_fc * p_eve
+        law.append(total)
+    return law
+
+
+def assert_within_5se(observed, pmf, n):
+    """Every cell's count within 5 binomial standard errors of n * pmf; a
+    cell of probability 0 (or 1) must be empty (or full)."""
+    se = np.sqrt(n * pmf * (1.0 - pmf))
+    excess = np.abs(observed - n * pmf) - 5.0 * se
+    assert np.all(excess <= 1e-6), (observed, n * pmf)
+
+
+# (theta, sigma, rho_fc, rho_e, threshold): noiseless channels, a blind
+# design, a sensor bit that is almost always one, near-useless channels,
+# and a generic site
+EDGE_SITES = [
+    (1.0, 1.0, 0.0, 0.0, 0.5),
+    (1.0, 1.0, 0.05, 0.2, math.inf),
+    (1.0, 1.0, 0.0, 0.1, -3.5),
+    (1.0, 1.0, 0.49, 0.49, 0.4),
+    (2.0, 1.5, 0.3, 0.01, 1.2),
+]
+
+
+def edge_network():
+    sites = tuple(
+        SensorSite(
+            model=GaussianSensorModel(theta, sigma),
+            fc_channel=BscChannel(rho_fc),
+            eve_channel=BscChannel(rho_e),
+        )
+        for theta, sigma, rho_fc, rho_e, _ in EDGE_SITES
+    )
+    thresholds = np.array([spec[-1] for spec in EDGE_SITES])
+    return NetworkConfig(sites=sites, alpha_total=1.0), thresholds
+
+
+def exact_pair_laws(config, thresholds, hypothesis):
+    laws = []
+    for site, threshold in zip(config.sites, thresholds):
+        op = site.model.operating_point(float(threshold))
+        p = op.pd if hypothesis == 1 else op.pfa
+        laws.append(
+            pair_law(p, site.fc_channel.crossover, site.eve_channel.crossover)
+        )
+    return np.array(laws)
+
+
+def stream_counts(config, thresholds, hypothesis, window, count, seed):
+    ones, zeros = _symbol_law(config, thresholds, hypothesis)
+    chunks = _stream_counts(
+        seed, _H1_STREAM, _conditional_shares(ones + zeros), window, count
+    )
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+class TestCountSampler:
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    def test_receiver_counts_are_binomial(self, hypothesis):
+        config, thresholds = edge_network()
+        window, count = 12, 70_000  # spans two blocks
+        n11, n10, n01 = stream_counts(
+            config, thresholds, hypothesis, window, count, seed=31
+        )
+        laws = exact_pair_laws(config, thresholds, hypothesis)
+        ks = np.arange(window + 1)
+        for i, law in enumerate(laws):
+            for ones, p_one in ((n11 + n10, law[0] + law[1]), (n11 + n01, law[0] + law[2])):
+                observed = np.bincount(ones[:, i], minlength=window + 1)
+                assert_within_5se(observed, binom.pmf(ks, window, p_one), count)
+
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    def test_joint_counts_are_multinomial(self, hypothesis):
+        config, thresholds = edge_network()
+        window, count = 5, 40_000
+        n11, n10, n01 = stream_counts(
+            config, thresholds, hypothesis, window, count, seed=7
+        )
+        laws = exact_pair_laws(config, thresholds, hypothesis)
+        cells = [
+            (a, b, c, window - a - b - c)
+            for a in range(window + 1)
+            for b in range(window + 1 - a)
+            for c in range(window + 1 - a - b)
+        ]
+        for i, law in enumerate(laws):
+            drawn = np.stack([n11[:, i], n10[:, i], n01[:, i]], axis=1)
+            observed = np.array(
+                [np.count_nonzero(np.all(drawn == cell[:3], axis=1)) for cell in cells]
+            )
+            assert observed.sum() == count
+            pmf = np.array([multinomial.pmf(cell, window, law) for cell in cells])
+            assert_within_5se(observed, pmf, count)
+
+    def test_block_is_the_same_drawn_in_chunks(self, monkeypatch):
+        _, config, result = single_sensor_setup()
+        whole = simulate_monte_carlo(config, result, window=9, trials=3000, seed=2)
+        monkeypatch.setattr(detection, "_CHUNK_CELLS", 7)
+        assert simulate_monte_carlo(
+            config, result, window=9, trials=3000, seed=2
+        ) == whole
+
+
+def small_network():
+    sites = sample_sites(3, seed=5, fc_crossover_high=0.2, eve_crossover_high=0.4)
+    config = NetworkConfig(sites=sites, alpha_total=10.0)
+    return config, allocate(config)
+
+
+class TestTrialRecords:
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    def test_records_reproduce_the_estimation_statistics(
+        self, hypothesis, monkeypatch
+    ):
+        config, result = small_network()
+        window, count = 9, 40
+        fused = []
+
+        def recording(ones, w_one, w_zero, window):
+            stats = _fusion_statistics(ones, w_one, w_zero, window)
+            fused.append(stats)
+            return stats
+
+        monkeypatch.setattr(detection, "_fusion_statistics", recording)
+        simulate_monte_carlo(config, result, window=window, trials=3000, seed=21)
+        monkeypatch.undo()
+        # one (FC, Eve) pair per stream: calibration, H0, H1
+        assert len(fused) == 6
+        want_fc, want_eve = fused[2 + 2 * hypothesis : 4 + 2 * hypothesis]
+
+        records = sample_trial_records(
+            config, result, hypothesis, window=window, count=count, seed=21
+        )
+        n = len(config.sites)
+        for receiver, want in (("fc", want_fc), ("eve", want_eve)):
+            weights = [
+                _llr_weights(rec.design.op, getattr(site, f"{receiver}_channel"))
+                for rec, site in zip(result.per_sensor, config.sites)
+            ]
+            ones = np.array(
+                [
+                    np.reshape(getattr(rec, f"{receiver}_bits"), (n, window)).sum(axis=1)
+                    for rec in records
+                ]
+            )
+            got = _fusion_statistics(
+                ones,
+                np.array([w[0] for w in weights]),
+                np.array([w[1] for w in weights]),
+                window,
+            )
+            assert np.array_equal(got, want[:count])
+
+    def test_sensor_bits_flip_at_the_crossovers(self):
+        config, result = small_network()
+        window, count = 10, 4000
+        records = sample_trial_records(
+            config, result, 1, window=window, count=count, seed=8
+        )
+        n = len(config.sites)
+
+        def bits(field):
+            return np.array([getattr(rec, field) for rec in records]).reshape(
+                count, n, window
+            )
+
+        sensor, fc, eve = bits("sensor_bits"), bits("fc_bits"), bits("eve_bits")
+        cells = count * window
+        for i, (rec, site) in enumerate(zip(result.per_sensor, config.sites)):
+            rho_fc = site.fc_channel.crossover
+            rho_e = site.eve_channel.crossover
+            fc_flip = fc[:, i] != sensor[:, i]
+            eve_flip = eve[:, i] != sensor[:, i]
+            for observed, p in (
+                (sensor[:, i].mean(), rec.design.op.pd),
+                (fc_flip.mean(), rho_fc),
+                (eve_flip.mean(), rho_e),
+                ((fc_flip & eve_flip).mean(), rho_fc * rho_e),
+            ):
+                assert abs(observed - p) <= 5.0 * math.sqrt(p * (1.0 - p) / cells)
+            # pairs sit at uniform positions: the window's ends are typical
+            p_fc = bsc_transform(rec.design.op, site.fc_channel).pd
+            for position in (0, window - 1):
+                observed = fc[:, i, position].mean()
+                assert abs(observed - p_fc) <= 5.0 * math.sqrt(
+                    p_fc * (1.0 - p_fc) / count
+                )
+
+
+class TestLargeNetwork:
+    def test_500_sensor_monte_carlo_holds_its_false_alarm(self):
+        config = NetworkConfig(sites=sample_sites(500, seed=1), alpha_total=50.0)
+        result = allocate(config)
+        mc = simulate_monte_carlo(config, result, window=20, trials=500, seed=3)
+        assert abs(mc.fc_fa_estimate - mc.delta) <= 5.0 * mc.fc_fa_se
+        assert abs(mc.eve_fa_estimate - mc.delta) <= 5.0 * mc.eve_fa_se
