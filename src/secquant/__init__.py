@@ -20,7 +20,6 @@ from .allocation import (
     quality_ratio,
     sample_network,
     sample_sites,
-    unconstrained_optimum,
 )
 from .boundary import (
     BoundaryPoint,
@@ -66,7 +65,6 @@ from .solver import (
     design_quantizer,
     eve_divergence_gap,
     find_budget_thresholds,
-    find_gap_peak,
     max_eve_divergence,
     tradeoff_curve,
     unconstrained_design,
@@ -103,7 +101,6 @@ __all__ = [
     "eve_divergence_gap",
     "exact_np_miss",
     "find_budget_thresholds",
-    "find_gap_peak",
     "growth_curve",
     "kl_divergence",
     "kl_divergence_grad_pd",
@@ -125,5 +122,4 @@ __all__ = [
     "tradeoff_curve",
     "trace_constraint_curve",
     "unconstrained_design",
-    "unconstrained_optimum",
 ]

@@ -83,15 +83,6 @@ class AllocationResult:
     benchmark_d_eve: float | None = None
 
 
-def unconstrained_optimum(site: SensorSite) -> tuple[float, float, float]:
-    """Best fusion-center divergence at a site, and what Eve gets there.
-
-    Returns ``(d_fc_star, d_eve_star, threshold_star)``.
-    """
-    design = unconstrained_design(site)
-    return design.d_fc, design.d_eve, design.threshold
-
-
 def quality_ratio(site: SensorSite) -> float:
     """Detection-per-leakage quality ``d_fc_star / d_eve_star``.
 

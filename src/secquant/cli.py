@@ -4,7 +4,7 @@ Each subcommand reads an optional JSON config document, lets individual
 flags override fields, validates, computes through the library, and writes
 plot-ready CSV/JSON artifacts.  All divergences in artifacts are in nats.
 Exit codes: 0 ok, 2 validation failure, 3 solver structural error,
-4 artifact I/O failure.
+4 artifact I/O failure or a malformed or inconsistent artifact.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .allocation import (
     AllocationResult,
@@ -30,7 +31,14 @@ from .boundary import trace_constraint_curve
 from .errors import ArtifactError, UnimodalityError
 from .export import csv_text, json_text, rows_as_json, write_all
 from .gaussian import GaussianSensorModel
-from .roc import BscChannel, OperatingPoint, SensorSite, bsc_transform, kl_divergence
+from .roc import (
+    BscChannel,
+    OperatingPoint,
+    SensorSite,
+    bsc_transform,
+    kl_divergence,
+    site_divergences,
+)
 from .solver import (
     QuantizerDesign,
     design_quantizer,
@@ -43,34 +51,31 @@ from .detection import simulate_monte_carlo, stein_curve
 DEFAULT_WINDOWS = [50, 100, 200, 400]
 DEFAULT_SLOPE_TOLERANCE = 0.15
 
-
-class _Missing:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<missing>"
-
-
-_MISSING = _Missing()
+#: Exit code of each handled error, first match wins: 2 validation failure,
+#: 3 solver structural error, 4 artifact I/O failure or malformed artifact.
+_EXIT_CODES = {UnimodalityError: 3, ArtifactError: 4, ValueError: 2, OSError: 4}
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
+def _load_json(path: str, kind: str, error: type[Exception]) -> dict[str, Any]:
+    """The JSON object stored at ``path``; any failure raises ``error``."""
     p = Path(path)
     if not p.exists():
-        raise ValueError(f"config file not found: {path}")
+        raise error(f"{kind} not found: {path}")
     try:
         payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, json.JSONDecodeError) as exc:
+        raise error(f"{kind} unreadable: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise error(f"{kind} must hold a JSON object")
     return payload
 
 
 def _merged(args: argparse.Namespace, fields: list[str]) -> dict[str, Any]:
     """Config document values overridden by any explicitly-set flags."""
-    config = _load_config(args.config)
-    merged = {name: config.get(name, _MISSING) for name in fields}
+    config = {}
+    if args.config is not None:
+        config = _load_json(args.config, "config file", ValueError)
+    merged = {name: config.get(name) for name in fields}
     for name in fields:
         value = getattr(args, name, None)
         if value is not None:
@@ -79,13 +84,13 @@ def _merged(args: argparse.Namespace, fields: list[str]) -> dict[str, Any]:
 
 
 def _require(cfg: dict[str, Any], name: str) -> Any:
-    if cfg[name] is _MISSING or cfg[name] is None:
+    if cfg[name] is None:
         raise ValueError(f"missing required field: {name}")
     return cfg[name]
 
 
 def _optional(cfg: dict[str, Any], name: str, default: Any) -> Any:
-    return default if cfg[name] is _MISSING or cfg[name] is None else cfg[name]
+    return default if cfg[name] is None else cfg[name]
 
 
 def _site_from(cfg: dict[str, Any]) -> SensorSite:
@@ -99,24 +104,139 @@ def _site_from(cfg: dict[str, Any]) -> SensorSite:
     )
 
 
-def _design_payload(design: QuantizerDesign, site: SensorSite) -> dict[str, Any]:
+# The artifact codec.  A design artifact holds one design's fields plus its
+# budget and site; a greedy summary holds the same fields per sensor, with
+# ``_i`` on the divergences, and the network's totals.
+
+
+def _design_fields(design: QuantizerDesign, suffix: str) -> dict[str, Any]:
     return {
         "lambda": design.threshold,
         "pfa": design.op.pfa,
         "pd": design.op.pd,
         "d_sensor": design.d_sensor,
-        "d_fc": design.d_fc,
-        "d_eve": design.d_eve,
+        f"d_fc{suffix}": design.d_fc,
+        f"d_eve{suffix}": design.d_eve,
         "binding": design.binding,
+    }
+
+
+def _design_from(fields: dict[str, Any], suffix: str, budget: float) -> QuantizerDesign:
+    return QuantizerDesign(
+        threshold=float(fields["lambda"]),
+        op=OperatingPoint(float(fields["pfa"]), float(fields["pd"])),
+        d_sensor=float(fields["d_sensor"]),
+        d_fc=float(fields[f"d_fc{suffix}"]),
+        d_eve=float(fields[f"d_eve{suffix}"]),
+        binding=bool(fields["binding"]),
+        budget=budget,
+    )
+
+
+def _design_artifact(design: QuantizerDesign, site: SensorSite) -> dict[str, Any]:
+    return {
+        **_design_fields(design, ""),
         "alpha_tilde": design.budget,
-        "site": {
-            "theta": site.model.theta,
-            "sigma": site.model.sigma,
-            "rho_fc": site.fc_channel.crossover,
-            "rho_e": site.eve_channel.crossover,
-        },
+        "site": {"theta": site.model.theta, "sigma": site.model.sigma,
+                 "rho_fc": site.fc_channel.crossover,
+                 "rho_e": site.eve_channel.crossover},
         "units": "nats",
     }
+
+
+def _sensor_record(rec: SensorAllocation, site: SensorSite) -> dict[str, Any]:
+    return {
+        "index": rec.index,
+        "k_i": rec.quality,
+        "alpha_i": rec.alpha_i,
+        "active": rec.active,
+        **_design_fields(rec.design, "_i"),
+        "d_fc_star": rec.d_fc_star,
+        "d_eve_star": rec.d_eve_star,
+        "rho_fc": site.fc_channel.crossover,
+        "rho_e": site.eve_channel.crossover,
+    }
+
+
+def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationResult]:
+    """The network and allocation an artifact stores.  A design artifact
+    decodes as a network of one active sensor, funded at its own leakage.
+
+    Every stored divergence, total and count must match its recomputation
+    from the stored operating points and channels.
+    """
+    try:
+        if "per_sensor" in payload:
+            # greedy networks share one unit-noise model at the stored snr
+            model = {"theta": payload.get("snr", 1.0), "sigma": 1.0}
+            entries = payload["per_sensor"]
+            sites = tuple(_site_from({**entry, **model}) for entry in entries)
+            records = tuple(
+                SensorAllocation(
+                    index=int(entry["index"]),
+                    alpha_i=float(entry["alpha_i"]),
+                    design=_design_from(entry, "_i", float(entry["alpha_i"])),
+                    active=bool(entry["active"]),
+                    quality=float(entry["k_i"]),
+                    d_fc_star=float(entry["d_fc_star"]),
+                    d_eve_star=float(entry["d_eve_star"]),
+                )
+                for entry in entries
+            )
+            result = AllocationResult(
+                per_sensor=records,
+                total_d_fc=float(payload["total_d_fc"]),
+                total_d_eve=float(payload["total_d_eve"]),
+                active_count=int(payload["active_count"]),
+            )
+            alpha_total = float(payload["alpha_total"])
+        else:
+            sites = (_site_from(payload["site"]),)
+            design = _design_from(payload, "", float(payload["alpha_tilde"]))
+            record = SensorAllocation(
+                index=0,
+                alpha_i=design.d_eve,
+                design=design,
+                active=True,
+                quality=_quality(design),
+                d_fc_star=design.d_fc,
+                d_eve_star=design.d_eve,
+            )
+            result = AllocationResult(
+                per_sensor=(record,),
+                total_d_fc=design.d_fc,
+                total_d_eve=design.d_eve,
+                active_count=1,
+            )
+            alpha_total = max(design.budget, design.d_eve)
+        config = NetworkConfig(sites=sites, alpha_total=alpha_total)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"artifact is missing or corrupts fields: {exc}") from exc
+    _check_consistent(config, result)
+    return config, result
+
+
+def _check_consistent(config: NetworkConfig, result: AllocationResult) -> None:
+    active = [rec for rec in result.per_sensor if rec.active]
+    checks = [
+        ("total_d_fc", result.total_d_fc, math.fsum(r.design.d_fc for r in active)),
+        ("total_d_eve", result.total_d_eve, math.fsum(r.design.d_eve for r in active)),
+        ("active_count", result.active_count, len(active)),
+    ]
+    for site, rec in zip(config.sites, result.per_sensor):
+        op = rec.design.op
+        d_fc, d_eve = site_divergences(op, site)
+        checks += [
+            (f"sensor {rec.index} d_sensor", rec.design.d_sensor, kl_divergence(op)),
+            (f"sensor {rec.index} d_fc", rec.design.d_fc, d_fc),
+            (f"sensor {rec.index} d_eve", rec.design.d_eve, d_eve),
+        ]
+    for name, stored, value in checks:
+        if not abs(stored - value) <= 1e-12 * max(1.0, abs(stored)):
+            raise ArtifactError(
+                f"artifact is inconsistent: {name} is {stored!r} but "
+                f"recomputes to {value!r}"
+            )
 
 
 def _out_path(cfg: dict[str, Any]) -> Path:
@@ -125,6 +245,17 @@ def _out_path(cfg: dict[str, Any]) -> Path:
 
 def _sibling(out: Path, suffix: str) -> Path:
     return out.with_name(out.stem + suffix)
+
+
+def _columns(records: list[dict[str, Any]], header: list[str]) -> list[list[Any]]:
+    """Table rows that project each record onto the header's fields."""
+    return [[record[name] for name in header] for record in records]
+
+
+def _table_text(cfg: dict[str, Any], header: list[str], rows: list) -> str:
+    if _optional(cfg, "format", "csv") == "json":
+        return rows_as_json(header, rows)
+    return csv_text(header, rows)
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -146,8 +277,8 @@ def cmd_design(args: argparse.Namespace) -> int:
             "everywhere)",
             file=sys.stderr,
         )
-    files = [(out, json_text(_design_payload(design, site)))]
-    trace_out = _optional(cfg, "h_trace_out", None)
+    files = [(out, json_text(_design_artifact(design, site)))]
+    trace_out = cfg["h_trace_out"]
     if trace_out is not None:
         n_points = int(_optional(cfg, "h_trace_points", 512))
         if n_points < 2:
@@ -166,7 +297,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     )
     site = _site_from(cfg)
     out = _out_path(cfg)
-    alphas = _optional(cfg, "alphas", None)
+    alphas = cfg["alphas"]
     if alphas is None:
         lo = float(_require(cfg, "alpha_min"))
         hi = float(_require(cfg, "alpha_max"))
@@ -184,61 +315,13 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 
     points = tradeoff_curve(site, alphas)
     header = ["alpha_tilde", "d_fc_max", "lambda", "pfa", "pd", "d_eve", "binding"]
-    rows = [
-        (
-            p.budget,
-            p.d_fc_max,
-            p.design.threshold,
-            p.design.op.pfa,
-            p.design.op.pd,
-            p.design.d_eve,
-            p.design.binding,
-        )
+    records = [
+        {"alpha_tilde": p.budget, "d_fc_max": p.d_fc_max,
+         **_design_fields(p.design, "")}
         for p in points
     ]
-    text = (
-        rows_as_json(header, rows)
-        if _optional(cfg, "format", "csv") == "json"
-        else csv_text(header, rows)
-    )
-    write_all([(out, text)])
+    write_all([(out, _table_text(cfg, header, _columns(records, header)))])
     return 0
-
-
-def _greedy_summary(
-    result: AllocationResult, cfg_record: dict[str, Any], sites: tuple[SensorSite, ...]
-) -> dict[str, Any]:
-    per_sensor = []
-    for rec, site in zip(result.per_sensor, sites):
-        per_sensor.append(
-            {
-                "index": rec.index,
-                "k_i": rec.quality,
-                "alpha_i": rec.alpha_i,
-                "active": rec.active,
-                "lambda": rec.design.threshold,
-                "pfa": rec.design.op.pfa,
-                "pd": rec.design.op.pd,
-                "d_sensor": rec.design.d_sensor,
-                "d_fc_i": rec.design.d_fc,
-                "d_eve_i": rec.design.d_eve,
-                "binding": rec.design.binding,
-                "d_fc_star": rec.d_fc_star,
-                "d_eve_star": rec.d_eve_star,
-                "rho_fc": site.fc_channel.crossover,
-                "rho_e": site.eve_channel.crossover,
-            }
-        )
-    return {
-        **cfg_record,
-        "total_d_fc": result.total_d_fc,
-        "total_d_eve": result.total_d_eve,
-        "active_count": result.active_count,
-        "benchmark_d_fc": result.benchmark_d_fc,
-        "benchmark_d_eve": result.benchmark_d_eve,
-        "per_sensor": per_sensor,
-        "units": "nats",
-    }
 
 
 def cmd_greedy(args: argparse.Namespace) -> int:
@@ -254,7 +337,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     fc_high = float(_optional(cfg, "fc_crossover_high", 0.01))
     eve_high = float(_optional(cfg, "eve_crossover_high", 0.1))
     benchmark = bool(_optional(cfg, "benchmark", False))
-    n_grid = _optional(cfg, "n_grid", None)
+    n_grid = cfg["n_grid"]
     out = _out_path(cfg)
     if n_grid is not None:
         n_grid = [int(n) for n in n_grid]
@@ -264,54 +347,40 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     # the allocation and every growth prefix share these designs, so each
     # site is solved once
     free_designs = [unconstrained_design(site) for site in sites]
-    result = _allocate(
-        NetworkConfig(
-            sites=sites,
-            alpha_total=alpha_total,
-            benchmark_ideal_fc=benchmark,
-            seed=seed,
-        ),
-        free_designs,
-    )
+    config = NetworkConfig(sites=sites, alpha_total=alpha_total,
+                           benchmark_ideal_fc=benchmark, seed=seed)
+    result = _allocate(config, free_designs)
+    records = [_sensor_record(rec, site) for rec, site in zip(result.per_sensor, sites)]
     header = ["index", "k_i", "alpha_i", "active", "lambda", "d_fc_i", "d_eve_i"]
-    rows = [
-        (
-            rec.index,
-            rec.quality,
-            rec.alpha_i,
-            rec.active,
-            rec.design.threshold,
-            rec.design.d_fc,
-            rec.design.d_eve,
-        )
-        for rec in result.per_sensor
-    ]
-    cfg_record = {
+    summary = {
         "n_sensors": n_sensors,
         "alpha_total": alpha_total,
         "seed": seed,
         "snr": snr,
         "fc_crossover_high": fc_high,
         "eve_crossover_high": eve_high,
+        "total_d_fc": result.total_d_fc,
+        "total_d_eve": result.total_d_eve,
+        "active_count": result.active_count,
+        "benchmark_d_fc": result.benchmark_d_fc,
+        "benchmark_d_eve": result.benchmark_d_eve,
+        "per_sensor": records,
+        "units": "nats",
     }
     files = [
-        (out, csv_text(header, rows)),
-        (
-            _sibling(out, ".summary.json"),
-            json_text(_greedy_summary(result, cfg_record, sites)),
-        ),
+        (out, csv_text(header, _columns(records, header))),
+        (_sibling(out, ".summary.json"), json_text(summary)),
     ]
     if n_grid is not None:
         points = _growth_points(sites, alpha_total, n_grid, benchmark, free_designs)
         growth_header = ["n", "total_d_fc", "total_d_eve", "active_count"]
         if benchmark:
             growth_header += ["benchmark_d_fc", "benchmark_d_eve"]
-        growth_rows = []
-        for p in points:
-            row = [p.n_sensors, p.total_d_fc, p.total_d_eve, p.active_count]
-            if benchmark:
-                row += [p.benchmark_d_fc, p.benchmark_d_eve]
-            growth_rows.append(row)
+        growth_rows = [
+            (p.n_sensors, p.total_d_fc, p.total_d_eve, p.active_count,
+             p.benchmark_d_fc, p.benchmark_d_eve)[: len(growth_header)]
+            for p in points
+        ]
         files.append(
             (_sibling(out, ".growth.csv"), csv_text(growth_header, growth_rows))
         )
@@ -331,73 +400,31 @@ def cmd_trace_boundary(args: argparse.Namespace) -> int:
     points = trace_constraint_curve(budget, eve, n_points)
     header = ["x", "y", "x_e", "y_e", "slope", "curvature", "d_e"]
     rows = [
-        (
-            p.op.pfa,
-            p.op.pd,
-            p.eve_op.pfa,
-            p.eve_op.pd,
-            p.slope,
-            p.curvature,
-            kl_divergence(p.eve_op),
-        )
+        (p.op.pfa, p.op.pd, p.eve_op.pfa, p.eve_op.pd, p.slope, p.curvature,
+         kl_divergence(p.eve_op))
         for p in points
     ]
-    text = (
-        rows_as_json(header, rows)
-        if _optional(cfg, "format", "csv") == "json"
-        else csv_text(header, rows)
-    )
-    write_all([(out, text)])
+    write_all([(out, _table_text(cfg, header, rows))])
     return 0
 
 
-def _load_artifact(path: str) -> dict[str, Any]:
-    p = Path(path)
-    if not p.exists():
-        raise ArtifactError(f"artifact not found: {path}")
-    try:
-        payload = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"artifact unreadable: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ArtifactError("artifact must hold a JSON object")
-    return payload
-
-
-def _design_from_payload(payload: dict[str, Any]) -> tuple[SensorSite, QuantizerDesign]:
-    try:
-        site_spec = payload["site"]
-        model = GaussianSensorModel(
-            theta=float(site_spec["theta"]), sigma=float(site_spec["sigma"])
-        )
-        site = SensorSite(
-            model=model,
-            fc_channel=BscChannel(float(site_spec["rho_fc"])),
-            eve_channel=BscChannel(float(site_spec["rho_e"])),
-        )
-        design = QuantizerDesign(
-            threshold=float(payload["lambda"]),
-            op=OperatingPoint(float(payload["pfa"]), float(payload["pd"])),
-            d_sensor=float(payload["d_sensor"]),
-            d_fc=float(payload["d_fc"]),
-            d_eve=float(payload["d_eve"]),
-            binding=bool(payload["binding"]),
-            budget=float(payload["alpha_tilde"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"artifact is missing or corrupts fields: {exc}") from exc
-    return site, design
-
-
 def _stein_report(
-    fc_op: OperatingPoint,
-    target: float,
-    windows: list[int],
-    delta: float,
-    tolerance: float,
+    config: NetworkConfig, result: AllocationResult, windows: list[int],
+    delta: float, tolerance: float,
 ) -> tuple[dict[str, Any], list[tuple]]:
-    no_information = target < 1e-9 or fc_op.on_diagonal
-    curve_rows: list[tuple] = []
+    """Check the FC's miss exponent against the stored divergence.
+
+    Only a network of one active sensor is checked: the exact ones-count
+    test applies per i.i.d. stream, not across heterogeneous sensors, so a
+    larger network reports its additive target with ``passed`` null.
+    """
+    active = [rec for rec in result.per_sensor if rec.active]
+    if len(config.sites) == 1 and len(active) == 1:
+        target = active[0].design.d_fc
+        fc_op = bsc_transform(active[0].design.op, config.sites[0].fc_channel)
+    else:
+        target, fc_op = result.total_d_fc, None
+    no_information = target < 1e-9 or (fc_op is not None and fc_op.on_diagonal)
     report: dict[str, Any] = {
         "target_kld": target,
         "delta": delta,
@@ -405,13 +432,19 @@ def _stein_report(
         "windows": windows,
         "no_information": no_information,
     }
+    if fc_op is None:
+        report["passed"] = None
+        report["note"] = (
+            "not checked: multi-sensor artifact, additive divergence target "
+            "reported; per-stream exponent checks apply to single-sensor "
+            "artifacts"
+        )
+        return report, []
     if no_information:
         report["passed"] = True
         report["note"] = "no information: divergence is zero, exponents stay at zero"
-        return report, curve_rows
+        return report, []
     points = stein_curve(fc_op, windows, delta)
-    for p in points:
-        curve_rows.append((p.window, p.log_miss, p.exponent, p.local_slope, target))
     final = points[-1]
     rel_gap = abs(final.local_slope - target) / target
     report.update(
@@ -423,7 +456,8 @@ def _stein_report(
             "passed": rel_gap <= tolerance,
         }
     )
-    return report, curve_rows
+    curve = [(p.window, p.log_miss, p.exponent, p.local_slope, target) for p in points]
+    return report, curve
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -436,183 +470,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
     windows = [int(w) for w in _optional(cfg, "windows", DEFAULT_WINDOWS)]
     delta = float(_optional(cfg, "delta", 0.01))
     tolerance = float(_optional(cfg, "tolerance", DEFAULT_SLOPE_TOLERANCE))
-    trials = _optional(cfg, "trials", None)
+    trials = cfg["trials"]
     out = _out_path(cfg)
 
-    payload = _load_artifact(artifact_path)
-    if "per_sensor" in payload:
-        sites, result = _allocation_from_payload(payload)
-        fc_total = result.total_d_fc
-        # exponent check applies to the aggregate bit stream; per-symbol
-        # divergences add across sensors, so the target is the total
-        report, curve_rows = _network_stein_report(
-            sites, result, fc_total, windows, delta, tolerance
-        )
-        config = NetworkConfig(sites=sites, alpha_total=float(payload["alpha_total"]))
-    else:
-        site, design = _design_from_payload(payload)
-        fc_op = bsc_transform(design.op, site.fc_channel)
-        report, curve_rows = _stein_report(
-            fc_op, design.d_fc, windows, delta, tolerance
-        )
-        sites = (site,)
-        result = _single_design_allocation(design)
-        config = NetworkConfig(sites=sites, alpha_total=max(design.budget, design.d_eve))
-
+    payload = _load_json(artifact_path, "artifact", ArtifactError)
+    config, result = _network_from(payload)
+    report, curve_rows = _stein_report(config, result, windows, delta, tolerance)
     report["artifact"] = artifact_path
     report["units"] = "nats"
 
     if trials is not None:
         trials = int(trials)
-        seed = cfg["seed"]
-        if seed is _MISSING or seed is None:
+        if cfg["seed"] is None:
             raise ValueError("missing required field: seed (needed for trials)")
+        seed = int(cfg["seed"])
         window = int(_optional(cfg, "window", 20))
         mc = simulate_monte_carlo(
-            config, result, window=window, trials=trials, seed=int(seed), delta=delta
+            config, result, window=window, trials=trials, seed=seed, delta=delta
         )
-        config_digest = hashlib.sha256(
-            json.dumps(
-                {
-                    "artifact": payload,
-                    "window": window,
-                    "trials": trials,
-                    "delta": delta,
-                    "seed": int(seed),
-                },
-                sort_keys=True,
-                default=str,
-            ).encode()
+        provenance = {"artifact": payload, "window": window, "trials": trials,
+                      "delta": delta, "seed": seed}
+        digest = hashlib.sha256(
+            json.dumps(provenance, sort_keys=True, default=str).encode()
         ).hexdigest()
-        report["monte_carlo"] = {
-            "fc_fa_estimate": mc.fc_fa_estimate,
-            "fc_miss_estimate": mc.fc_miss_estimate,
-            "eve_fa_estimate": mc.eve_fa_estimate,
-            "eve_miss_estimate": mc.eve_miss_estimate,
-            "fc_fa_se": mc.fc_fa_se,
-            "fc_miss_se": mc.fc_miss_se,
-            "eve_fa_se": mc.eve_fa_se,
-            "eve_miss_se": mc.eve_miss_se,
-            "window": mc.window,
-            "trials": mc.trials,
-            "calibration_trials": mc.calibration_trials,
-            "seed": mc.seed,
-            "config_hash": config_digest,
-        }
+        # every field of the result but delta, which the report already holds
+        mc_fields = {k: v for k, v in vars(mc).items() if k != "delta"}
+        report["monte_carlo"] = {**mc_fields, "config_hash": digest}
 
     files = [(out, json_text(report))]
     if curve_rows:
-        files.append(
-            (
-                _sibling(out, ".stein.csv"),
-                csv_text(
-                    ["window", "log_miss", "exponent", "local_slope", "target_kld"],
-                    curve_rows,
-                ),
-            )
-        )
+        header = ["window", "log_miss", "exponent", "local_slope", "target_kld"]
+        files.append((_sibling(out, ".stein.csv"), csv_text(header, curve_rows)))
     write_all(files)
-    passed = report.get("passed")
+    passed = report["passed"]
     status = "unchecked" if passed is None else "pass" if passed else "fail"
     print(f"verify: {status} (report at {out})")
     return 0
-
-
-def _single_design_allocation(design: QuantizerDesign) -> AllocationResult:
-    record = SensorAllocation(
-        index=0,
-        alpha_i=design.d_eve,
-        design=design,
-        active=True,
-        quality=_quality(design),
-        d_fc_star=design.d_fc,
-        d_eve_star=design.d_eve,
-    )
-    return AllocationResult(
-        per_sensor=(record,),
-        total_d_fc=design.d_fc,
-        total_d_eve=design.d_eve,
-        active_count=1,
-    )
-
-
-def _allocation_from_payload(
-    payload: dict[str, Any],
-) -> tuple[tuple[SensorSite, ...], AllocationResult]:
-    try:
-        snr = float(payload.get("snr", 1.0))
-        model = GaussianSensorModel(theta=snr, sigma=1.0)
-        sites = []
-        records = []
-        for entry in payload["per_sensor"]:
-            site = SensorSite(
-                model=model,
-                fc_channel=BscChannel(float(entry["rho_fc"])),
-                eve_channel=BscChannel(float(entry["rho_e"])),
-            )
-            design = QuantizerDesign(
-                threshold=float(entry["lambda"]),
-                op=OperatingPoint(float(entry["pfa"]), float(entry["pd"])),
-                d_sensor=float(entry["d_sensor"]),
-                d_fc=float(entry["d_fc_i"]),
-                d_eve=float(entry["d_eve_i"]),
-                binding=bool(entry["binding"]),
-                budget=float(entry["alpha_i"]),
-            )
-            sites.append(site)
-            records.append(
-                SensorAllocation(
-                    index=int(entry["index"]),
-                    alpha_i=float(entry["alpha_i"]),
-                    design=design,
-                    active=bool(entry["active"]),
-                    quality=float(entry["k_i"]),
-                    d_fc_star=float(entry["d_fc_star"]),
-                    d_eve_star=float(entry["d_eve_star"]),
-                )
-            )
-        result = AllocationResult(
-            per_sensor=tuple(records),
-            total_d_fc=float(payload["total_d_fc"]),
-            total_d_eve=float(payload["total_d_eve"]),
-            active_count=int(payload["active_count"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"allocation artifact malformed: {exc}") from exc
-    return tuple(sites), result
-
-
-def _network_stein_report(
-    sites: tuple[SensorSite, ...],
-    result: AllocationResult,
-    target: float,
-    windows: list[int],
-    delta: float,
-    tolerance: float,
-) -> tuple[dict[str, Any], list[tuple]]:
-    # single-sensor networks get the exact per-sensor check; larger ones
-    # only report the additive target (the exact ones-count test applies
-    # per i.i.d. stream, not across heterogeneous sensors), so nothing is
-    # checked and ``passed`` stays null
-    active = [rec for rec in result.per_sensor if rec.active]
-    if len(sites) == 1 and len(active) == 1:
-        rec = active[0]
-        fc_op = bsc_transform(rec.design.op, sites[0].fc_channel)
-        return _stein_report(fc_op, rec.design.d_fc, windows, delta, tolerance)
-    report = {
-        "target_kld": target,
-        "delta": delta,
-        "tolerance": tolerance,
-        "windows": windows,
-        "no_information": target < 1e-9,
-        "passed": None,
-        "note": (
-            "not checked: multi-sensor artifact, additive divergence target "
-            "reported; per-stream exponent checks apply to single-sensor "
-            "artifacts"
-        ),
-    }
-    return report, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,59 +518,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(
+        name: str, help: str, handler: Callable, *shared: str
+    ) -> argparse.ArgumentParser:
+        """A subcommand with ``--config`` and ``--out``, plus those of
+        ``--seed`` and ``--format`` that it reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config document; flags override fields")
-        p.add_argument("--seed", type=int, help="seed for randomized commands")
         p.add_argument("--out", help="primary output artifact path")
-        p.add_argument("--format", choices=["csv", "json"], help="tabular output format")
+        if "seed" in shared:
+            p.add_argument("--seed", type=int, help="seed for randomized commands")
+        if "format" in shared:
+            p.add_argument(
+                "--format", choices=["csv", "json"], help="tabular output format"
+            )
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("design", help="solve one sensor's constrained threshold")
-    add_common(p)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--rho-fc", dest="rho_fc", type=float)
-    p.add_argument("--rho-e", dest="rho_e", type=float)
-    p.add_argument("--alpha-tilde", dest="alpha_tilde", type=float)
-    p.add_argument("--h-trace-out", dest="h_trace_out")
-    p.add_argument("--h-trace-points", dest="h_trace_points", type=int)
-    p.set_defaults(handler=cmd_design)
+    def add_flags(p: argparse.ArgumentParser, kind: type, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, type=kind)
 
-    p = sub.add_parser("tradeoff", help="sweep the secrecy budget")
-    add_common(p)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--rho-fc", dest="rho_fc", type=float)
-    p.add_argument("--rho-e", dest="rho_e", type=float)
-    p.add_argument("--alpha-min", dest="alpha_min", type=float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float)
-    p.add_argument("--alpha-count", dest="alpha_count", type=int)
-    p.set_defaults(handler=cmd_tradeoff)
+    site_flags = ("--theta", "--sigma", "--rho-fc", "--rho-e")
 
-    p = sub.add_parser("greedy", help="allocate a total budget across a network")
-    add_common(p)
-    p.add_argument("--n-sensors", dest="n_sensors", type=int)
-    p.add_argument("--alpha-total", dest="alpha_total", type=float)
-    p.add_argument("--snr", type=float)
-    p.add_argument("--fc-crossover-high", dest="fc_crossover_high", type=float)
-    p.add_argument("--eve-crossover-high", dest="eve_crossover_high", type=float)
+    p = add_command("design", "solve one sensor's constrained threshold", cmd_design)
+    add_flags(p, float, *site_flags, "--alpha-tilde")
+    add_flags(p, str, "--h-trace-out")
+    add_flags(p, int, "--h-trace-points")
+
+    p = add_command("tradeoff", "sweep the secrecy budget", cmd_tradeoff, "format")
+    add_flags(p, float, *site_flags, "--alpha-min", "--alpha-max")
+    add_flags(p, int, "--alpha-count")
+
+    p = add_command(
+        "greedy", "allocate a total budget across a network", cmd_greedy, "seed"
+    )
+    add_flags(p, int, "--n-sensors")
+    add_flags(
+        p, float, "--alpha-total", "--snr", "--fc-crossover-high",
+        "--eve-crossover-high",
+    )
     p.add_argument("--benchmark", action="store_const", const=True)
-    p.set_defaults(handler=cmd_greedy)
 
-    p = sub.add_parser("verify", help="check a stored design against exact baselines")
-    add_common(p)
-    p.add_argument("--artifact")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.set_defaults(handler=cmd_verify)
+    p = add_command(
+        "verify", "check a stored design against exact baselines", cmd_verify, "seed"
+    )
+    add_flags(p, str, "--artifact")
+    add_flags(p, int, "--trials", "--window")
+    add_flags(p, float, "--delta", "--tolerance")
 
-    p = sub.add_parser("trace-boundary", help="export the Eve constraint boundary")
-    add_common(p)
-    p.add_argument("--alpha-tilde", dest="alpha_tilde", type=float)
-    p.add_argument("--rho-e", dest="rho_e", type=float)
-    p.add_argument("--n-points", dest="n_points", type=int)
-    p.set_defaults(handler=cmd_trace_boundary)
+    p = add_command(
+        "trace-boundary", "export the Eve constraint boundary", cmd_trace_boundary,
+        "format",
+    )
+    add_flags(p, float, "--alpha-tilde", "--rho-e")
+    add_flags(p, int, "--n-points")
 
     return parser
 
@@ -687,18 +582,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UnimodalityError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":  # pragma: no cover

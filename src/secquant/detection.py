@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
-from scipy.stats import binom
+from scipy.special import gammaln, logsumexp, ndtr, xlog1py, xlogy
 
 from .allocation import AllocationResult, NetworkConfig
 from .roc import CLAMP_EPS, OperatingPoint, bsc_transform
@@ -132,9 +131,12 @@ def _np_components(
     The test rejects H0 when the ones-count exceeds ``t`` and with
     probability ``gamma`` when it equals ``t``.
     """
+    # binomial log pmf, in scipy.stats.binom.logpmf's operation order
+    # (importing scipy.stats would dominate the CLI's start-up)
     ks = np.arange(window + 1)
-    lp0 = binom.logpmf(ks, window, x)
-    lp1 = binom.logpmf(ks, window, y)
+    log_comb = gammaln(window + 1) - (gammaln(ks + 1) + gammaln(window - ks + 1))
+    lp0 = log_comb + xlogy(ks, x) + xlog1py(window - ks, -x)
+    lp1 = log_comb + xlogy(ks, y) + xlog1py(window - ks, -y)
     # suffix[k] = ln P(K >= k | H0); suffix[window + 1] = -inf
     suffix = np.full(window + 2, -np.inf)
     suffix[:-1] = np.logaddexp.accumulate(lp0[::-1])[::-1]

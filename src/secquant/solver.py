@@ -67,17 +67,6 @@ def eve_divergence_gap(site: SensorSite, threshold: float, budget: float) -> flo
     ) - budget
 
 
-def find_gap_peak(site: SensorSite, budget: float) -> tuple[float, float]:
-    """Threshold and value of the budget-gap maximum.
-
-    The peak location does not depend on the budget (the budget only
-    shifts the curve), so the underlying search maximizes Eve's divergence
-    itself and is shared with :func:`max_eve_divergence`.
-    """
-    threshold, d_eve_max = max_eve_divergence(site)
-    return threshold, d_eve_max - budget
-
-
 def max_eve_divergence(site: SensorSite) -> tuple[float, float]:
     """Largest Eve divergence reachable on the LRT curve: the budget level
     beyond which the secrecy constraint stops binding."""

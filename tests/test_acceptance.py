@@ -31,7 +31,6 @@ from secquant import (
     stein_curve,
     tradeoff_curve,
     unconstrained_design,
-    unconstrained_optimum,
 )
 from secquant.cli import main as cli_main
 
@@ -344,7 +343,7 @@ def test_criterion_09_greedy_small_network_oracle():
         make_site(0.8, 1.0, 0.0, 0.15),
         make_site(1.1, 1.0, 0.005, 0.05),
     )
-    alpha = 0.5 * sum(unconstrained_optimum(s)[1] for s in sites)
+    alpha = 0.5 * sum(unconstrained_design(s).d_eve for s in sites)
     result = allocate(NetworkConfig(sites=sites, alpha_total=alpha))
     feasible = result.total_d_eve <= alpha + 1e-9
 

@@ -22,7 +22,6 @@ from secquant import (
     sample_network,
     sample_sites,
     unconstrained_design,
-    unconstrained_optimum,
 )
 
 import oracles
@@ -46,19 +45,18 @@ HETERO_SITES = (
 
 class TestUnconstrainedOptimum:
     def test_identical_channels_leak_everything(self):
-        d_fc, d_eve, _ = unconstrained_optimum(site_of(0.1, 0.1))
-        assert d_fc == pytest.approx(d_eve, abs=1e-12)
+        design = unconstrained_design(site_of(0.1, 0.1))
+        assert design.d_fc == pytest.approx(design.d_eve, abs=1e-12)
 
     def test_blinded_eve_leaks_nothing(self):
-        _, d_eve, _ = unconstrained_optimum(site_of(0.0, 0.499))
-        assert d_eve < 1e-4
+        assert unconstrained_design(site_of(0.0, 0.499)).d_eve < 1e-4
 
     def test_matches_grid_oracle(self):
-        d_fc, d_eve, lam = unconstrained_optimum(site_of(0.0, 0.1))
+        design = unconstrained_design(site_of(0.0, 0.1))
         _, grid_fc = oracles.grid_max_channel_divergence(1.0, 1.0, 0.0)
-        assert d_fc == pytest.approx(grid_fc, abs=1e-8)
-        x, y = oracles.lrt_ops(1.0, 1.0, lam)
-        assert d_eve == pytest.approx(
+        assert design.d_fc == pytest.approx(grid_fc, abs=1e-8)
+        x, y = oracles.lrt_ops(1.0, 1.0, design.threshold)
+        assert design.d_eve == pytest.approx(
             float(oracles.kld(oracles.bsc(x, 0.1), oracles.bsc(y, 0.1))),
             abs=1e-10,
         )
@@ -90,14 +88,14 @@ class TestAllocate:
         assert all(rec.alpha_i == 0.0 for rec in result.per_sensor)
 
     def test_loose_budget_funds_everyone_fully(self):
-        stars = [unconstrained_optimum(s) for s in HETERO_SITES]
-        total_star_eve = sum(s[1] for s in stars)
+        stars = [unconstrained_design(s) for s in HETERO_SITES]
+        total_star_eve = sum(s.d_eve for s in stars)
         result = allocate(
             NetworkConfig(sites=HETERO_SITES, alpha_total=total_star_eve + 1.0)
         )
         assert result.active_count == len(HETERO_SITES)
         assert result.total_d_fc == pytest.approx(
-            sum(s[0] for s in stars), abs=1e-9
+            sum(s.d_fc for s in stars), abs=1e-9
         )
         assert all(not rec.design.binding for rec in result.per_sensor)
 
@@ -190,7 +188,7 @@ def same_policy_allocation(sites, order, alpha):
 class TestExhaustiveSmallNetworkOracle:
     def test_greedy_matches_its_ordering_branch_exactly(self):
         alpha = 0.5 * sum(
-            unconstrained_optimum(s)[1] for s in HETERO_SITES
+            unconstrained_design(s).d_eve for s in HETERO_SITES
         )
         result = allocate(NetworkConfig(sites=HETERO_SITES, alpha_total=alpha))
 

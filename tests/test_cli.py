@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from secquant import cli
 from secquant.cli import main
 
 
@@ -332,3 +337,111 @@ class TestVerifyCommand:
         first = report_out.read_bytes()
         assert run(*argv2) == 0
         assert report_out.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "field, value", [("d_fc", 5.0), ("d_eve", 0.0), ("d_sensor", 1.0), ("pd", 0.5)]
+    )
+    def test_inconsistent_design_artifact_exits_4(
+        self, tmp_path, capsys, field, value
+    ):
+        argv, design_out = design_args(tmp_path)
+        assert run(*argv) == 0
+        payload = json.loads(design_out.read_text())
+        payload[field] = value
+        design_out.write_text(json.dumps(payload))
+        report_out = tmp_path / "report.json"
+        assert run(
+            "verify", "--artifact", str(design_out), "--out", str(report_out)
+        ) == 4
+        assert "inconsistent" in capsys.readouterr().err
+        assert not report_out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s: s.pop("alpha_total"),
+            lambda s: s.update(per_sensor=[]),
+            lambda s: s.update(alpha_total=-1.0),
+            lambda s: s.update(total_d_fc=s["total_d_fc"] + 1.0),
+            lambda s: s.update(active_count=s["active_count"] - 1),
+            lambda s: s["per_sensor"][0].update(d_fc_i=5.0),
+        ],
+        ids=["no_alpha_total", "no_sensors", "negative_alpha_total",
+             "wrong_total", "wrong_active_count", "wrong_sensor_d_fc"],
+    )
+    def test_malformed_network_artifact_exits_4(self, tmp_path, corrupt):
+        out = tmp_path / "greedy.csv"
+        assert run(
+            "greedy", "--n-sensors", "1", "--alpha-total", "1.0",
+            "--seed", "4", "--out", str(out),
+        ) == 0
+        summary_path = tmp_path / "greedy.summary.json"
+        summary = json.loads(summary_path.read_text())
+        corrupt(summary)
+        summary_path.write_text(json.dumps(summary))
+        assert run(
+            "verify", "--artifact", str(summary_path),
+            "--out", str(tmp_path / "r.json"),
+        ) == 4
+
+
+class TestArtifactCodec:
+    """Decoding an artifact and encoding it again gives back its records."""
+
+    def test_design_artifact_round_trip(self, tmp_path):
+        for budget in ("0.0", "0.1", "5.0"):
+            argv, out = design_args(tmp_path, budget=budget)
+            assert run(*argv) == 0
+            payload = json.loads(out.read_text())
+            config, result = cli._network_from(payload)
+            (record,) = result.per_sensor
+            assert cli._design_artifact(record.design, config.sites[0]) == payload
+            assert result.total_d_fc == payload["d_fc"]
+            assert result.active_count == 1
+
+    def test_greedy_summary_round_trip(self, tmp_path):
+        out = tmp_path / "greedy.csv"
+        assert run(
+            "greedy", "--n-sensors", "30", "--alpha-total", "1.0",
+            "--seed", "5", "--snr", "1.5", "--out", str(out),
+        ) == 0
+        summary = json.loads((tmp_path / "greedy.summary.json").read_text())
+        config, result = cli._network_from(summary)
+        assert config.alpha_total == summary["alpha_total"]
+        assert {rec.active for rec in result.per_sensor} == {True, False}
+        encoded = [
+            cli._sensor_record(rec, site)
+            for rec, site in zip(result.per_sensor, config.sites)
+        ]
+        assert encoded == summary["per_sensor"]
+        assert all(site.model.theta == 1.5 for site in config.sites)
+        for name in ("total_d_fc", "total_d_eve", "active_count"):
+            assert getattr(result, name) == summary[name]
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("design", "--seed", "1"), ("design", "--format", "json"),
+         ("tradeoff", "--seed", "1"), ("trace-boundary", "--seed", "1"),
+         ("greedy", "--format", "json"), ("verify", "--format", "json")],
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, flag, value])
+        assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; the exact miss needs
+    # only scipy.special
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    probe = "import sys, secquant.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

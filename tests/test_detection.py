@@ -22,7 +22,6 @@ from secquant import (
     simulate_monte_carlo,
     stein_curve,
     unconstrained_design,
-    unconstrained_optimum,
 )
 from secquant import detection
 from secquant.detection import (

@@ -15,7 +15,6 @@ from secquant import (
     design_quantizer,
     eve_divergence_gap,
     find_budget_thresholds,
-    find_gap_peak,
     kl_divergence,
     max_eve_divergence,
     tradeoff_curve,
@@ -60,27 +59,23 @@ class TestDivergenceGap:
 
 
 class TestGapPeak:
-    def test_budget_only_shifts_the_peak_value(self):
-        site = make_site()
-        lam0, gap0 = find_gap_peak(site, 0.0)
-        lam1, gap1 = find_gap_peak(site, 0.3)
-        assert lam0 == lam1
-        assert gap0 - gap1 == pytest.approx(0.3, abs=1e-12)
+    """The budget-gap peak sits at Eve's divergence peak; the budget only
+    shifts its value."""
 
     def test_peak_matches_dense_grid(self):
         site = make_site()
-        lam, _ = find_gap_peak(site, 0.1)
+        lam, d_eve_max = max_eve_divergence(site)
         grid_lam, grid_val = oracles.grid_max_channel_divergence(1.0, 1.0, 0.1)
         # the grid argmax itself is only located to one grid step
         step = (site.model.threshold_bracket()[1] - site.model.threshold_bracket()[0]) / 1e6
         assert lam == pytest.approx(grid_lam, abs=2 * step)
-        _, d_eve_max = max_eve_divergence(site)
         assert d_eve_max == pytest.approx(grid_val, abs=1e-10)
 
     def test_blinded_eve_peak_sinks_to_minus_budget(self):
         site = make_site(rho_e=0.499)
-        _, gap = find_gap_peak(site, 0.2)
-        assert gap == pytest.approx(-0.2, abs=1e-5)
+        lam, d_eve_max = max_eve_divergence(site)
+        assert eve_divergence_gap(site, lam, 0.2) == pytest.approx(-0.2, abs=1e-5)
+        assert d_eve_max - 0.2 == pytest.approx(-0.2, abs=1e-5)
 
 
 class TestBudgetThresholds:
