@@ -54,6 +54,6 @@ print("tradeoff sweep (d_fc_max vs budget), saturating once the budget")
 print("covers the unconstrained design's leakage:")
 budgets = list(np.linspace(0.0, 1.3 * ceiling, 14))
 for point in tradeoff_curve(site, budgets):
-    bar = "#" * int(120 * point.d_fc_max)
-    tag = "binding" if point.design.binding else "slack  "
-    print(f"  budget {point.budget:.4f}  d_fc {point.d_fc_max:.4f}  {tag}  {bar}")
+    bar = "#" * int(120 * point.d_fc)
+    tag = "binding" if point.binding else "slack  "
+    print(f"  budget {point.budget:.4f}  d_fc {point.d_fc:.4f}  {tag}  {bar}")

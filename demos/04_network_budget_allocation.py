@@ -22,7 +22,7 @@ print(
 )
 print(
     f"ideal-channel benchmark of the same designs: "
-    f"d_fc {result.benchmark_d_fc:.3f}, d_eve {result.benchmark_d_eve:.3f}\n"
+    f"d_fc {result.benchmark_d_fc:.3f}, d_eve {result.total_d_eve:.3f}\n"
 )
 
 print("first sensors in funding order (quality = d_fc*/d_eve* ratio):")

@@ -18,7 +18,6 @@ from .allocation import (
     allocate,
     growth_curve,
     quality_ratio,
-    sample_network,
     sample_sites,
 )
 from .boundary import (
@@ -60,7 +59,6 @@ from .roc import (
 )
 from .solver import (
     QuantizerDesign,
-    TradeoffPoint,
     blind_design,
     design_quantizer,
     eve_divergence_gap,
@@ -88,7 +86,6 @@ __all__ = [
     "SensorAllocation",
     "SensorSite",
     "SingularPointError",
-    "TradeoffPoint",
     "TrialRecord",
     "UnimodalityError",
     "allocate",
@@ -112,7 +109,6 @@ __all__ = [
     "q_inverse",
     "quality_ratio",
     "roc_region",
-    "sample_network",
     "sample_sites",
     "sample_trial_records",
     "simulate_monte_carlo",

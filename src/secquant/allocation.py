@@ -70,9 +70,10 @@ class SensorAllocation:
 class AllocationResult:
     """Full network design: per-sensor records plus totals.
 
-    ``benchmark_d_fc``/``benchmark_d_eve`` re-evaluate the same designs as
-    if the fusion center's channels were noiseless; populated only when
-    the config asks for the benchmark.
+    ``benchmark_d_fc`` re-evaluates the same designs as if the fusion
+    center's channels were noiseless; populated only when the config asks
+    for the benchmark.  Eve's channels are unaffected, so her benchmark
+    total is ``total_d_eve``.
     """
 
     per_sensor: tuple[SensorAllocation, ...]
@@ -80,7 +81,6 @@ class AllocationResult:
     total_d_eve: float
     active_count: int
     benchmark_d_fc: float | None = None
-    benchmark_d_eve: float | None = None
 
 
 def quality_ratio(site: SensorSite) -> float:
@@ -158,19 +158,17 @@ def _allocate(
     active = [rec for rec in per_sensor if rec.active]
     total_d_fc = math.fsum(rec.design.d_fc for rec in active)
     total_d_eve = math.fsum(rec.design.d_eve for rec in active)
-    benchmark_d_fc = benchmark_d_eve = None
+    benchmark_d_fc = None
     if config.benchmark_ideal_fc:
         # same designs through noiseless FC channels: the FC then sees the
         # sensor-side divergence directly, while Eve is unaffected
         benchmark_d_fc = math.fsum(kl_divergence(rec.design.op) for rec in active)
-        benchmark_d_eve = total_d_eve
     return AllocationResult(
         per_sensor=per_sensor,
         total_d_fc=total_d_fc,
         total_d_eve=total_d_eve,
         active_count=len(active),
         benchmark_d_fc=benchmark_d_fc,
-        benchmark_d_eve=benchmark_d_eve,
     )
 
 
@@ -205,26 +203,6 @@ def sample_sites(
     )
 
 
-def sample_network(
-    n_sensors: int,
-    alpha_total: float,
-    seed: int,
-    snr: float = 1.0,
-    fc_crossover_high: float = 0.01,
-    eve_crossover_high: float = 0.1,
-    benchmark_ideal_fc: bool = False,
-) -> NetworkConfig:
-    """Random :class:`NetworkConfig` drawn as in :func:`sample_sites`."""
-    return NetworkConfig(
-        sites=sample_sites(
-            n_sensors, seed, snr, fc_crossover_high, eve_crossover_high
-        ),
-        alpha_total=alpha_total,
-        benchmark_ideal_fc=benchmark_ideal_fc,
-        seed=seed,
-    )
-
-
 @dataclass(frozen=True)
 class GrowthPoint:
     """Network totals when only the first ``n_sensors`` sites participate."""
@@ -234,7 +212,6 @@ class GrowthPoint:
     total_d_eve: float
     active_count: int
     benchmark_d_fc: float | None = None
-    benchmark_d_eve: float | None = None
 
 
 def growth_curve(
@@ -261,6 +238,8 @@ def growth_curve(
 def _check_grid(n_grid: Sequence[int], n_sites: int) -> None:
     if any(n2 < n1 for n1, n2 in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be sorted ascending")
+    if n_grid and n_grid[0] < 1:
+        raise ValueError(f"n_grid entries must be at least 1, got {n_grid[0]!r}")
     if n_grid and n_grid[-1] > n_sites:
         raise ValueError(
             f"n_grid asks for {n_grid[-1]} sensors but only {n_sites} sites given"
@@ -293,7 +272,6 @@ def _growth_points(
                 total_d_eve=result.total_d_eve,
                 active_count=result.active_count,
                 benchmark_d_fc=result.benchmark_d_fc,
-                benchmark_d_eve=result.benchmark_d_eve,
             )
         )
     return points

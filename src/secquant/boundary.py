@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .errors import SingularPointError
 from .roc import (
-    CLAMP_EPS,
     BscChannel,
     OperatingPoint,
     _bsc,

@@ -83,24 +83,35 @@ def _merged(args: argparse.Namespace, fields: list[str]) -> dict[str, Any]:
     return merged
 
 
-def _require(cfg: dict[str, Any], name: str) -> Any:
+def _require(cfg: dict[str, Any], name: str, kind: Callable) -> Any:
     if cfg[name] is None:
         raise ValueError(f"missing required field: {name}")
-    return cfg[name]
+    return _optional(cfg, name, kind, None)
 
 
-def _optional(cfg: dict[str, Any], name: str, default: Any) -> Any:
-    return default if cfg[name] is None else cfg[name]
+def _optional(cfg: dict[str, Any], name: str, kind: Callable, default: Any) -> Any:
+    """``cfg[name]`` converted by ``kind``, or ``default`` when unset; a
+    value of the wrong JSON type is a validation failure naming the field."""
+    if cfg[name] is None:
+        return default
+    try:
+        return kind(cfg[name])
+    except TypeError as exc:
+        raise ValueError(f"field {name} has the wrong type: {exc}") from exc
+
+
+def _list_of(kind: Callable) -> Callable[[Any], list]:
+    return lambda values: [kind(v) for v in values]
 
 
 def _site_from(cfg: dict[str, Any]) -> SensorSite:
     model = GaussianSensorModel(
-        theta=float(_require(cfg, "theta")), sigma=float(_require(cfg, "sigma"))
+        theta=_require(cfg, "theta", float), sigma=_require(cfg, "sigma", float)
     )
     return SensorSite(
         model=model,
-        fc_channel=BscChannel(float(_require(cfg, "rho_fc"))),
-        eve_channel=BscChannel(float(_require(cfg, "rho_e"))),
+        fc_channel=BscChannel(_require(cfg, "rho_fc", float)),
+        eve_channel=BscChannel(_require(cfg, "rho_e", float)),
     )
 
 
@@ -239,10 +250,6 @@ def _check_consistent(config: NetworkConfig, result: AllocationResult) -> None:
             )
 
 
-def _out_path(cfg: dict[str, Any]) -> Path:
-    return Path(_require(cfg, "out"))
-
-
 def _sibling(out: Path, suffix: str) -> Path:
     return out.with_name(out.stem + suffix)
 
@@ -253,7 +260,7 @@ def _columns(records: list[dict[str, Any]], header: list[str]) -> list[list[Any]
 
 
 def _table_text(cfg: dict[str, Any], header: list[str], rows: list) -> str:
-    if _optional(cfg, "format", "csv") == "json":
+    if _optional(cfg, "format", str, "csv") == "json":
         return rows_as_json(header, rows)
     return csv_text(header, rows)
 
@@ -265,10 +272,10 @@ def cmd_design(args: argparse.Namespace) -> int:
          "h_trace_out", "h_trace_points"],
     )
     site = _site_from(cfg)
-    budget = float(_require(cfg, "alpha_tilde"))
+    budget = _require(cfg, "alpha_tilde", float)
     if budget < 0.0:
         raise ValueError("alpha_tilde must be nonnegative")
-    out = _out_path(cfg)
+    out = _require(cfg, "out", Path)
 
     design = design_quantizer(site, budget)
     if budget == 0.0:
@@ -278,13 +285,13 @@ def cmd_design(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     files = [(out, json_text(_design_artifact(design, site)))]
-    trace_out = cfg["h_trace_out"]
+    trace_out = _optional(cfg, "h_trace_out", Path, None)
     if trace_out is not None:
-        n_points = int(_optional(cfg, "h_trace_points", 512))
+        n_points = _optional(cfg, "h_trace_points", int, 512)
         if n_points < 2:
             raise ValueError("h_trace_points must be at least 2")
         rows = design_search_curve(site, budget, n_points)
-        files.append((Path(trace_out), csv_text(["lambda", "h"], rows)))
+        files.append((trace_out, csv_text(["lambda", "h"], rows)))
     write_all(files)
     return 0
 
@@ -296,29 +303,25 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
          "alphas", "alpha_min", "alpha_max", "alpha_count"],
     )
     site = _site_from(cfg)
-    out = _out_path(cfg)
-    alphas = cfg["alphas"]
+    out = _require(cfg, "out", Path)
+    alphas = _optional(cfg, "alphas", _list_of(float), None)
     if alphas is None:
-        lo = float(_require(cfg, "alpha_min"))
-        hi = float(_require(cfg, "alpha_max"))
-        count = int(_require(cfg, "alpha_count"))
+        lo = _require(cfg, "alpha_min", float)
+        hi = _require(cfg, "alpha_max", float)
+        count = _require(cfg, "alpha_count", int)
         if count < 1:
             raise ValueError("alpha_count must be positive")
         if hi < lo:
             raise ValueError("alpha_max must not be below alpha_min")
         step = (hi - lo) / (count - 1) if count > 1 else 0.0
         alphas = [lo + k * step for k in range(count)]
-    else:
-        alphas = [float(a) for a in alphas]
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas grid must be sorted ascending")
 
-    points = tradeoff_curve(site, alphas)
     header = ["alpha_tilde", "d_fc_max", "lambda", "pfa", "pd", "d_eve", "binding"]
     records = [
-        {"alpha_tilde": p.budget, "d_fc_max": p.d_fc_max,
-         **_design_fields(p.design, "")}
-        for p in points
+        {"alpha_tilde": d.budget, "d_fc_max": d.d_fc, **_design_fields(d, "")}
+        for d in tradeoff_curve(site, alphas)
     ]
     write_all([(out, _table_text(cfg, header, _columns(records, header)))])
     return 0
@@ -330,17 +333,16 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         ["n_sensors", "alpha_total", "seed", "snr", "fc_crossover_high",
          "eve_crossover_high", "benchmark", "n_grid", "out"],
     )
-    n_sensors = int(_require(cfg, "n_sensors"))
-    alpha_total = float(_require(cfg, "alpha_total"))
-    seed = int(_require(cfg, "seed"))
-    snr = float(_optional(cfg, "snr", 1.0))
-    fc_high = float(_optional(cfg, "fc_crossover_high", 0.01))
-    eve_high = float(_optional(cfg, "eve_crossover_high", 0.1))
-    benchmark = bool(_optional(cfg, "benchmark", False))
-    n_grid = cfg["n_grid"]
-    out = _out_path(cfg)
+    n_sensors = _require(cfg, "n_sensors", int)
+    alpha_total = _require(cfg, "alpha_total", float)
+    seed = _require(cfg, "seed", int)
+    snr = _optional(cfg, "snr", float, 1.0)
+    fc_high = _optional(cfg, "fc_crossover_high", float, 0.01)
+    eve_high = _optional(cfg, "eve_crossover_high", float, 0.1)
+    benchmark = _optional(cfg, "benchmark", bool, False)
+    out = _require(cfg, "out", Path)
+    n_grid = _optional(cfg, "n_grid", _list_of(int), None)
     if n_grid is not None:
-        n_grid = [int(n) for n in n_grid]
         _check_grid(n_grid, n_sensors)
 
     sites = sample_sites(n_sensors, seed, snr, fc_high, eve_high)
@@ -363,7 +365,8 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         "total_d_eve": result.total_d_eve,
         "active_count": result.active_count,
         "benchmark_d_fc": result.benchmark_d_fc,
-        "benchmark_d_eve": result.benchmark_d_eve,
+        # Eve's channels are the same in the benchmark
+        "benchmark_d_eve": result.total_d_eve if benchmark else None,
         "per_sensor": records,
         "units": "nats",
     }
@@ -378,7 +381,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
             growth_header += ["benchmark_d_fc", "benchmark_d_eve"]
         growth_rows = [
             (p.n_sensors, p.total_d_fc, p.total_d_eve, p.active_count,
-             p.benchmark_d_fc, p.benchmark_d_eve)[: len(growth_header)]
+             p.benchmark_d_fc, p.total_d_eve)[: len(growth_header)]
             for p in points
         ]
         files.append(
@@ -390,12 +393,12 @@ def cmd_greedy(args: argparse.Namespace) -> int:
 
 def cmd_trace_boundary(args: argparse.Namespace) -> int:
     cfg = _merged(args, ["alpha_tilde", "rho_e", "n_points", "out", "format"])
-    budget = float(_require(cfg, "alpha_tilde"))
+    budget = _require(cfg, "alpha_tilde", float)
     if budget <= 0.0:
         raise ValueError("alpha_tilde must be positive for a boundary trace")
-    eve = BscChannel(float(_require(cfg, "rho_e")))
-    n_points = int(_optional(cfg, "n_points", 512))
-    out = _out_path(cfg)
+    eve = BscChannel(_require(cfg, "rho_e", float))
+    n_points = _optional(cfg, "n_points", int, 512)
+    out = _require(cfg, "out", Path)
 
     points = trace_constraint_curve(budget, eve, n_points)
     header = ["x", "y", "x_e", "y_e", "slope", "curvature", "d_e"]
@@ -466,12 +469,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ["artifact", "windows", "delta", "tolerance", "trials", "window",
          "seed", "out"],
     )
-    artifact_path = str(_require(cfg, "artifact"))
-    windows = [int(w) for w in _optional(cfg, "windows", DEFAULT_WINDOWS)]
-    delta = float(_optional(cfg, "delta", 0.01))
-    tolerance = float(_optional(cfg, "tolerance", DEFAULT_SLOPE_TOLERANCE))
+    artifact_path = _require(cfg, "artifact", str)
+    windows = _optional(cfg, "windows", _list_of(int), DEFAULT_WINDOWS)
+    delta = _optional(cfg, "delta", float, 0.01)
+    tolerance = _optional(cfg, "tolerance", float, DEFAULT_SLOPE_TOLERANCE)
     trials = cfg["trials"]
-    out = _out_path(cfg)
+    out = _require(cfg, "out", Path)
 
     payload = _load_json(artifact_path, "artifact", ArtifactError)
     config, result = _network_from(payload)
@@ -480,11 +483,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report["units"] = "nats"
 
     if trials is not None:
-        trials = int(trials)
+        trials = _optional(cfg, "trials", int, None)
         if cfg["seed"] is None:
             raise ValueError("missing required field: seed (needed for trials)")
-        seed = int(cfg["seed"])
-        window = int(_optional(cfg, "window", 20))
+        seed = _optional(cfg, "seed", int, None)
+        window = _optional(cfg, "window", int, 20)
         mc = simulate_monte_carlo(
             config, result, window=window, trials=trials, seed=seed, delta=delta
         )

@@ -10,12 +10,16 @@ by about sqrt(V) * Phi^-1(1 - delta) * (sqrt(2) - 1) / sqrt(T) for the
 doubling slope, with V the variance of the per-bit log-likelihood ratio
 under H0 (Strassen's second-order term), so it approaches D from below
 only as 1/sqrt(T).  The second is
-empirical: a seeded Monte Carlo of the whole pipeline (Gaussian sensing,
-quantization, channel flips, log-likelihood fusion), whose estimates are
-compared against the exact numbers.  The fusion statistics depend on the
-bits only through each sensor's FC and Eve ones-counts, so the simulation
-draws those counts from their exact joint law instead of individual bits;
+empirical: a seeded Monte Carlo of the whole pipeline (quantization,
+channel flips, log-likelihood fusion), whose estimates are compared
+against the exact numbers.  The fusion statistics depend on the bits only
+through each sensor's FC and Eve ones-counts, so the simulation draws
+those counts from their exact joint law instead of individual bits;
 :func:`sample_trial_records` rebuilds bit streams with that law on demand.
+
+Both checks read only each design's operating point and the two channel
+crossovers: the observation model and the threshold that reached the
+point play no further part.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr, xlog1py, xlogy
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .allocation import AllocationResult, NetworkConfig
-from .roc import CLAMP_EPS, OperatingPoint, bsc_transform
+from .roc import OperatingPoint, _clamp, bsc_transform
 
 #: Default false-alarm level for the exact miss computations: small enough
 #: for the exponent to dominate, large enough to keep the randomized
@@ -168,19 +172,7 @@ def exact_np_miss(
     ``sqrt(V) * Phi^-1(1 - delta) * (sqrt(2) - 1) / sqrt(window)`` where V
     is the H0 variance of the per-bit log-likelihood ratio.
     """
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window!r}")
-    if not (0.0 < delta < 0.5):
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
-    x, y = _validate_interior_op(fc_op)
-    log_miss, _, _ = _np_components(x, y, window, delta)
-    log_miss_doubled, _, _ = _np_components(x, y, 2 * window, delta)
-    return ExponentCurvePoint(
-        window=window,
-        log_miss=log_miss,
-        exponent=-log_miss / window,
-        local_slope=(log_miss - log_miss_doubled) / window,
-    )
+    return stein_curve(fc_op, [window], delta)[0]
 
 
 def stein_curve(
@@ -188,18 +180,35 @@ def stein_curve(
     windows: Sequence[int],
     delta: float = DEFAULT_DELTA,
 ) -> list[ExponentCurvePoint]:
-    """Exact miss exponents over an ascending sequence of windows."""
-    pairs = list(zip(windows, list(windows)[1:]))
-    if any(b <= a for a, b in pairs):
+    """:func:`exact_np_miss` over an ascending sequence of windows.
+
+    Each distinct window, given or doubled, is summed once, so a window
+    that is twice another costs nothing extra.
+    """
+    windows = list(windows)
+    if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError("windows must be strictly ascending")
-    return [exact_np_miss(fc_op, window, delta) for window in windows]
+    if not windows:
+        return []
+    if windows[0] < 1:
+        raise ValueError(f"window must be at least 1, got {windows[0]!r}")
+    if not (0.0 < delta < 0.5):
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
+    x, y = _validate_interior_op(fc_op)
+    distinct = {*windows, *(2 * w for w in windows)}
+    log_miss = {w: _np_components(x, y, w, delta)[0] for w in distinct}
+    return [
+        ExponentCurvePoint(
+            w, log_miss[w], -log_miss[w] / w, (log_miss[w] - log_miss[2 * w]) / w
+        )
+        for w in windows
+    ]
 
 
 def _llr_weights(op: OperatingPoint, channel) -> tuple[np.ndarray, np.ndarray]:
     """Per-bit log-likelihood increments for ones and zeros after a channel."""
     received = bsc_transform(op, channel)
-    x = min(max(received.pfa, CLAMP_EPS), 1.0 - CLAMP_EPS)
-    y = min(max(received.pd, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    x, y = _clamp(received.pfa), _clamp(received.pd)
     return math.log(y / x), math.log((1.0 - y) / (1.0 - x))
 
 
@@ -210,7 +219,7 @@ def _block_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _symbol_law(
-    config: NetworkConfig, thresholds: np.ndarray, hypothesis: int
+    config: NetworkConfig, designs: AllocationResult, hypothesis: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-symbol law of the received (FC bit, Eve bit) pair at each sensor.
 
@@ -220,13 +229,13 @@ def _symbol_law(
     sum is the pair's law; ``ones / (ones + zeros)`` is the chance the
     sensor sent a one given what both receivers got.
     """
-    thetas = np.array([site.model.theta for site in config.sites])
-    sigmas = np.array([site.model.sigma for site in config.sites])
+    # P(sensor bit 1): each design's detection or false-alarm probability
+    p = np.array([
+        rec.design.op.pd if hypothesis == 1 else rec.design.op.pfa
+        for rec in designs.per_sensor
+    ])
     fc_rho = np.array([site.fc_channel.crossover for site in config.sites])
     eve_rho = np.array([site.eve_channel.crossover for site in config.sites])
-    mean = thetas if hypothesis == 1 else 0.0
-    # P(observation >= threshold); an infinite threshold is the blind design
-    p = ndtr((mean - thresholds) / sigmas)
     fc_keep, eve_keep = 1.0 - fc_rho, 1.0 - eve_rho
     # P(received pair | sensor bit 1), and with the flips swapped for bit 0
     given_one = np.stack(
@@ -317,13 +326,11 @@ def _calibrate(values: np.ndarray, delta: float) -> tuple[float, float]:
     return tau, min(max(gamma, 0.0), 1.0)
 
 
-def _rejection_rate(
-    values: np.ndarray, tau: float, gamma: float
-) -> tuple[float, float]:
-    """Rejection frequency of the randomized test and its share of atoms."""
+def _rejection_rate(values: np.ndarray, tau: float, gamma: float) -> float:
+    """Rejection frequency of the randomized test."""
     frac_gt = float(np.mean(values > tau))
     frac_eq = float(np.mean(values == tau))
-    return frac_gt + gamma * frac_eq, frac_eq
+    return frac_gt + gamma * frac_eq
 
 
 def simulate_monte_carlo(
@@ -338,8 +345,8 @@ def simulate_monte_carlo(
     """Simulate the sensing-quantize-transmit-fuse pipeline end to end.
 
     Every trial sends ``window`` symbols per sensor under each
-    hypothesis: a Gaussian observation quantized with the designed
-    threshold, its bit flipped through the FC and Eve channels
+    hypothesis: a bit that is one with the design's detection (H1) or
+    false-alarm (H0) probability, flipped through the FC and Eve channels
     independently, and each receiver's bits fused with their
     log-likelihood-ratio sum.  That sum depends on the bits only through
     each sensor's FC and Eve ones-counts, and the received (FC, Eve) pairs
@@ -363,7 +370,6 @@ def simulate_monte_carlo(
     if calibration_trials is None:
         calibration_trials = 4 * trials
 
-    thresholds = np.array([rec.design.threshold for rec in designs.per_sensor])
     fc_w = [
         _llr_weights(rec.design.op, site.fc_channel)
         for rec, site in zip(designs.per_sensor, config.sites)
@@ -378,7 +384,7 @@ def simulate_monte_carlo(
     eve_w0 = np.array([w[1] for w in eve_w])
 
     def collect(stream: int, hypothesis: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        ones, zeros = _symbol_law(config, thresholds, hypothesis)
+        ones, zeros = _symbol_law(config, designs, hypothesis)
         shares = _conditional_shares(ones + zeros)
         fc_stats = np.empty(count)
         eve_stats = np.empty(count)
@@ -397,12 +403,10 @@ def simulate_monte_carlo(
     h0_fc, h0_eve = collect(_H0_STREAM, 0, trials)
     h1_fc, h1_eve = collect(_H1_STREAM, 1, trials)
 
-    fc_fa, _ = _rejection_rate(h0_fc, fc_tau, fc_gamma)
-    eve_fa, _ = _rejection_rate(h0_eve, eve_tau, eve_gamma)
-    fc_reject_h1, _ = _rejection_rate(h1_fc, fc_tau, fc_gamma)
-    eve_reject_h1, _ = _rejection_rate(h1_eve, eve_tau, eve_gamma)
-    fc_miss = 1.0 - fc_reject_h1
-    eve_miss = 1.0 - eve_reject_h1
+    fc_fa = _rejection_rate(h0_fc, fc_tau, fc_gamma)
+    eve_fa = _rejection_rate(h0_eve, eve_tau, eve_gamma)
+    fc_miss = 1.0 - _rejection_rate(h1_fc, fc_tau, fc_gamma)
+    eve_miss = 1.0 - _rejection_rate(h1_eve, eve_tau, eve_gamma)
 
     # calibration noise: the test's true false alarm deviates from delta
     # by ~ sqrt(delta(1-delta)/M); the induced miss deviation scales by
@@ -458,9 +462,8 @@ def sample_trial_records(
         raise ValueError(
             f"count must be in [1, {_BLOCK_TRIALS}], got {count!r}"
         )
-    thresholds = np.array([rec.design.threshold for rec in designs.per_sensor])
     stream = _H1_STREAM if hypothesis == 1 else _H0_STREAM
-    ones, zeros = _symbol_law(config, thresholds, hypothesis)
+    ones, zeros = _symbol_law(config, designs, hypothesis)
     law = ones + zeros
     chunks = list(
         _stream_counts(seed, stream, _conditional_shares(law), window, count)

@@ -7,10 +7,9 @@ achievable ROC boundary
 
     pd = Q(Q^{-1}(pfa) - snr),        snr = theta / sigma.
 
-Other observation models can be plugged in by providing the same small
-surface (``operating_point``, ``lrt_curve``, ``threshold_bracket``) and
-their own post-channel divergence kernels for the threshold search; only
-the Gaussian model ships.
+This is the only observation model: the threshold searches here and in
+``solver`` read ``theta`` and ``sigma`` directly, and so does the CLI.
+Everything downstream of a design reads only its operating point.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from functools import cache, partial
 from typing import Callable, Sequence
 
 from .gaussian import _channel_divergence, max_channel_divergence
-from .roc import OperatingPoint, SensorSite, bsc_transform, kl_divergence
+from .roc import OperatingPoint, SensorSite, kl_divergence, site_divergences
 from .search import bisect_root
 
 #: A root r of the budget equation is accepted when |gap(r)| <= ROOT_F_TOL
@@ -43,15 +43,6 @@ class QuantizerDesign:
     d_eve: float
     binding: bool
     budget: float
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """Best fusion-center divergence attainable at one Eve budget."""
-
-    budget: float
-    d_fc_max: float
-    design: QuantizerDesign
 
 
 def eve_divergence_gap(site: SensorSite, threshold: float, budget: float) -> float:
@@ -125,12 +116,13 @@ def _design_at(
     site: SensorSite, threshold: float, budget: float, binding: bool
 ) -> QuantizerDesign:
     op = site.model.operating_point(threshold)
+    d_fc, d_eve = site_divergences(op, site)
     return QuantizerDesign(
         threshold=threshold,
         op=op,
         d_sensor=kl_divergence(op),
-        d_fc=kl_divergence(bsc_transform(op, site.fc_channel)),
-        d_eve=kl_divergence(bsc_transform(op, site.eve_channel)),
+        d_fc=d_fc,
+        d_eve=d_eve,
         binding=binding,
         budget=budget,
     )
@@ -192,7 +184,7 @@ def _site_designer(
         if budget < 0.0:
             raise ValueError(f"budget must be nonnegative, got {budget!r}")
         if budget == 0.0:
-            return blind_design(site)
+            return blind_design(site, budget)
         free = _design_at(site, free_threshold(), budget, binding=False)
         if free.d_eve <= budget:
             return free
@@ -212,21 +204,14 @@ def _site_designer(
 
 def tradeoff_curve(
     site: SensorSite, budgets: Sequence[float]
-) -> list[TradeoffPoint]:
+) -> list[QuantizerDesign]:
     """Sweep :func:`design_quantizer` over an ascending budget grid,
     running the site's threshold searches once for the whole sweep."""
     if any(b < 0.0 for b in budgets):
         raise ValueError("budgets must be nonnegative")
     if any(b2 < b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be sorted ascending")
-    design_at = _site_designer(site)
-    points = []
-    for budget in budgets:
-        design = design_at(budget)
-        points.append(
-            TradeoffPoint(budget=budget, d_fc_max=design.d_fc, design=design)
-        )
-    return points
+    return list(map(_site_designer(site), budgets))
 
 
 def design_search_curve(

@@ -226,11 +226,11 @@ def test_criterion_05_tradeoff_curve_shape():
     _, ceiling = max_eve_divergence(site)
     budgets = list(np.linspace(0.0, 1.4 * ceiling, 50))
     points = tradeoff_curve(site, budgets)
-    values = [p.d_fc_max for p in points]
+    values = [p.d_fc for p in points]
     monotone = all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
     free_value = unconstrained_design(site).d_fc
     saturated = [
-        p.d_fc_max for p in points if p.budget >= ceiling
+        p.d_fc for p in points if p.budget >= ceiling
     ]
     saturation = all(abs(v - free_value) <= 1e-9 for v in saturated)
     ok = monotone and saturation

@@ -212,6 +212,22 @@ class TestGreedyCommand:
         assert run(*argv) == 0
         assert out.read_bytes() == first_csv
         assert (tmp_path / "greedy.summary.json").read_bytes() == first_json
+        summary = json.loads(first_json)
+        assert summary["benchmark_d_eve"] == summary["total_d_eve"]
+        assert run(*argv[:-1]) == 0
+        summary = json.loads((tmp_path / "greedy.summary.json").read_text())
+        assert summary["benchmark_d_eve"] is None
+
+    def test_grid_entry_below_one_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n_grid": [-5]}))
+        out = tmp_path / "g.csv"
+        assert run(
+            "greedy", "--config", str(config), "--n-sensors", "20",
+            "--alpha-total", "1.0", "--seed", "1", "--out", str(out),
+        ) == 2
+        assert "n_grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTraceBoundaryCommand:
@@ -417,6 +433,36 @@ class TestArtifactCodec:
         assert all(site.model.theta == 1.5 for site in config.sites)
         for name in ("total_d_fc", "total_d_eve", "active_count"):
             assert getattr(result, name) == summary[name]
+
+
+class TestConfigTypes:
+    SITE = ("--theta", "1", "--sigma", "1", "--rho-fc", "0", "--rho-e", "0.1")
+
+    @pytest.mark.parametrize(
+        "command, field, value, flags",
+        [
+            ("design", "theta", [1],
+             ("--sigma", "1", "--rho-fc", "0", "--rho-e", "0.1",
+              "--alpha-tilde", "0.1")),
+            ("tradeoff", "alphas", 0.1, SITE),
+            ("greedy", "n_grid", 5,
+             ("--n-sensors", "20", "--alpha-total", "1", "--seed", "1")),
+            ("verify", "windows", 5, ("--artifact", "{artifact}")),
+        ],
+    )
+    def test_wrong_json_type_exits_2(
+        self, tmp_path, capsys, command, field, value, flags
+    ):
+        artifact, _ = design_args(tmp_path)
+        artifact[artifact.index("--out") + 1] = str(tmp_path / "a.json")
+        assert run(*artifact) == 0
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({field: value}))
+        out = tmp_path / "out.csv"
+        flags = [f.format(artifact=tmp_path / "a.json") for f in flags]
+        assert run(command, "--config", str(config), *flags, "--out", str(out)) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

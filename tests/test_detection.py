@@ -12,6 +12,7 @@ from secquant import (
     GaussianSensorModel,
     NetworkConfig,
     OperatingPoint,
+    SensorAllocation,
     SensorSite,
     allocate,
     bsc_transform,
@@ -33,6 +34,7 @@ from secquant.detection import (
     _stream_counts,
     _symbol_law,
 )
+from secquant.solver import _design_at
 
 import oracles
 
@@ -254,8 +256,24 @@ def exact_pair_laws(config, thresholds, hypothesis):
     return np.array(laws)
 
 
+def designs_at(config, thresholds):
+    """Allocation records whose designs sit at the given thresholds."""
+    records = tuple(
+        SensorAllocation(
+            index=i, alpha_i=0.0, design=_design_at(site, float(t), 0.0, False),
+            active=True, quality=0.0, d_fc_star=0.0, d_eve_star=0.0,
+        )
+        for i, (site, t) in enumerate(zip(config.sites, thresholds))
+    )
+    return AllocationResult(
+        per_sensor=records, total_d_fc=0.0, total_d_eve=0.0,
+        active_count=len(records),
+    )
+
+
 def stream_counts(config, thresholds, hypothesis, window, count, seed):
-    ones, zeros = _symbol_law(config, thresholds, hypothesis)
+    designs = designs_at(config, thresholds)
+    ones, zeros = _symbol_law(config, designs, hypothesis)
     chunks = _stream_counts(
         seed, _H1_STREAM, _conditional_shares(ones + zeros), window, count
     )

@@ -199,7 +199,7 @@ class TestTradeoffCurve:
         points = tradeoff_curve(make_site(), [0.0])
         assert len(points) == 1
         assert points[0].budget == 0.0
-        assert points[0].d_fc_max == 0.0
+        assert points[0].d_fc == 0.0
 
     def test_saturates_at_unconstrained_value(self):
         site = make_site()
@@ -209,27 +209,27 @@ class TestTradeoffCurve:
             site, [0.5 * ceiling, ceiling + 0.1, ceiling + 0.5, ceiling + 2.0]
         )
         for p in points[1:]:
-            assert p.d_fc_max == pytest.approx(free.d_fc, abs=1e-9)
+            assert p.d_fc == pytest.approx(free.d_fc, abs=1e-9)
 
     def test_solves_the_site_once_for_the_whole_sweep(self, solve_calls):
         site = make_site(rho_fc=0.01)
         budgets = list(np.geomspace(1e-3, 3.0, 300))
         points = tradeoff_curve(site, budgets)
-        assert any(p.design.binding for p in points)
-        assert not all(p.design.binding for p in points)
+        assert any(p.binding for p in points)
+        assert not all(p.binding for p in points)
         assert solve_calls == [
             (site.model, site.fc_channel), (site.model, site.eve_channel)
         ]
         # and each point is the design a lone call would return
         for p in points[::37]:
-            assert p.design == design_quantizer(site, p.budget)
+            assert p == design_quantizer(site, p.budget)
 
     def test_monotone_nondecreasing_sweep(self):
         site = make_site()
         _, ceiling = max_eve_divergence(site)
         budgets = list(np.linspace(0.0, 1.5 * ceiling, 50))
         points = tradeoff_curve(site, budgets)
-        values = [p.d_fc_max for p in points]
+        values = [p.d_fc for p in points]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_descending_grid_rejected(self):
