@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import GaussianSensorModel
-from .roc import BscChannel, SensorSite, kl_divergence
+from .roc import BscChannel, SensorSite
 from .solver import (
     QuantizerDesign,
-    _site_designer,
+    _designs,
     blind_design,
     unconstrained_design,
 )
@@ -108,9 +108,8 @@ def allocate(config: NetworkConfig) -> AllocationResult:
     the entire remainder and designed against that; sensors reached after
     the budget is exhausted sleep as blind designs.
     """
-    return _allocate(
-        config, [unconstrained_design(site) for site in config.sites]
-    )
+    free_designs = _designs(config.sites, [math.inf] * len(config.sites))
+    return _allocate(config, free_designs)
 
 
 def _allocate(
@@ -118,57 +117,75 @@ def _allocate(
 ) -> AllocationResult:
     """:func:`allocate` given each site's unconstrained design, in site
     order."""
-    qualities = [_quality(free) for free in free_designs]
-    order = sorted(range(len(config.sites)), key=lambda i: (-qualities[i], i))
-
-    remaining = config.alpha_total
-    records: dict[int, SensorAllocation] = {}
-    for i in order:
-        site = config.sites[i]
-        free = free_designs[i]
-        if remaining <= BUDGET_FLOOR:
-            records[i] = SensorAllocation(
-                index=i,
-                alpha_i=0.0,
-                design=blind_design(site),
-                active=False,
-                quality=qualities[i],
-                d_fc_star=free.d_fc,
-                d_eve_star=free.d_eve,
-            )
-            continue
-        if remaining >= free.d_eve:
-            share = free.d_eve
-            design = free
-        else:
-            share = remaining
-            design = _site_designer(site, free)(share)
-        remaining = max(remaining - share, 0.0)
-        records[i] = SensorAllocation(
+    qualities, (funded,) = _splits(
+        config.sites, config.alpha_total, free_designs, [len(config.sites)]
+    )
+    per_sensor = tuple(
+        SensorAllocation(
             index=i,
-            alpha_i=share,
-            design=design,
-            active=True,
-            quality=qualities[i],
+            alpha_i=funded[i][0] if i in funded else 0.0,
+            design=funded[i][1] if i in funded else blind_design(site),
+            active=i in funded,
+            quality=quality,
             d_fc_star=free.d_fc,
             d_eve_star=free.d_eve,
         )
+        for i, (site, free, quality) in enumerate(
+            zip(config.sites, free_designs, qualities)
+        )
+    )
+    return AllocationResult(per_sensor, *_totals(funded, config.benchmark_ideal_fc))
 
-    per_sensor = tuple(records[i] for i in range(len(config.sites)))
-    active = [rec for rec in per_sensor if rec.active]
-    total_d_fc = math.fsum(rec.design.d_fc for rec in active)
-    total_d_eve = math.fsum(rec.design.d_eve for rec in active)
-    benchmark_d_fc = None
-    if config.benchmark_ideal_fc:
-        # same designs through noiseless FC channels: the FC then sees the
-        # sensor-side divergence directly, while Eve is unaffected
-        benchmark_d_fc = math.fsum(kl_divergence(rec.design.op) for rec in active)
-    return AllocationResult(
-        per_sensor=per_sensor,
-        total_d_fc=total_d_fc,
-        total_d_eve=total_d_eve,
-        active_count=len(active),
-        benchmark_d_fc=benchmark_d_fc,
+
+def _splits(
+    sites: Sequence[SensorSite],
+    alpha_total: float,
+    free_designs: Sequence[QuantizerDesign],
+    sizes: Sequence[int],
+) -> tuple[list[float], list[dict[int, tuple[float, QuantizerDesign]]]]:
+    """Each site's quality, and the greedy split of ``alpha_total`` over the
+    first ``n`` sites for each ``n`` in ``sizes``: every funded sensor's
+    index mapped to its share and design.  The partly funded sensors of
+    all the splits are designed in one batch."""
+    qualities = [_quality(free) for free in free_designs]
+    order = sorted(range(len(free_designs)), key=lambda i: (-qualities[i], i))
+    splits = []
+    for n in sizes:
+        remaining, split = alpha_total, {}
+        for i in order:
+            if remaining <= BUDGET_FLOOR:
+                break
+            if i < n:
+                split[i] = (min(free_designs[i].d_eve, remaining), free_designs[i])
+                remaining = max(remaining - split[i][0], 0.0)
+        splits.append(split)
+    partial = [
+        (split, i) for split in splits
+        for i, (share, free) in split.items() if share < free.d_eve
+    ]
+    designs = _designs(
+        [sites[i] for _, i in partial],
+        [split[i][0] for split, i in partial],
+        [free_designs[i].threshold for _, i in partial],
+    )
+    for (split, i), design in zip(partial, designs):
+        split[i] = (split[i][0], design)
+    return qualities, splits
+
+
+def _totals(
+    funded: dict[int, tuple[float, QuantizerDesign]], benchmark_ideal_fc: bool
+) -> tuple[float, float, int, float | None]:
+    """Total FC and Eve divergences, active count and benchmark total of
+    the funded sensors.  The benchmark runs the same designs through
+    noiseless FC channels: the FC then sees each sensor-side divergence
+    ``d_sensor`` directly, while Eve is unaffected."""
+    designs = [design for _, design in funded.values()]
+    return (
+        math.fsum(d.d_fc for d in designs),
+        math.fsum(d.d_eve for d in designs),
+        len(designs),
+        math.fsum(d.d_sensor for d in designs) if benchmark_ideal_fc else None,
     )
 
 
@@ -227,9 +244,8 @@ def growth_curve(
     """
     _check_grid(n_grid, len(sites))
     # prefixes share their sites, so each site is solved once for all
-    free_designs = [
-        unconstrained_design(site) for site in sites[: max(n_grid, default=0)]
-    ]
+    prefix = sites[: max(n_grid, default=0)]
+    free_designs = _designs(prefix, [math.inf] * len(prefix))
     return _growth_points(
         sites, alpha_total, n_grid, benchmark_ideal_fc, free_designs
     )
@@ -255,23 +271,8 @@ def _growth_points(
 ) -> list[GrowthPoint]:
     """:func:`growth_curve` on a checked grid, given the unconstrained
     designs of at least its largest prefix, in site order."""
-    points = []
-    for n in n_grid:
-        result = _allocate(
-            NetworkConfig(
-                sites=tuple(sites[:n]),
-                alpha_total=alpha_total,
-                benchmark_ideal_fc=benchmark_ideal_fc,
-            ),
-            free_designs[:n],
-        )
-        points.append(
-            GrowthPoint(
-                n_sensors=n,
-                total_d_fc=result.total_d_fc,
-                total_d_eve=result.total_d_eve,
-                active_count=result.active_count,
-                benchmark_d_fc=result.benchmark_d_fc,
-            )
-        )
-    return points
+    _, splits = _splits(sites, alpha_total, free_designs, n_grid)
+    return [
+        GrowthPoint(n, *_totals(funded, benchmark_ideal_fc))
+        for n, funded in zip(n_grid, splits)
+    ]

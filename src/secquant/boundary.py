@@ -19,15 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SingularPointError
 from .roc import (
     BscChannel,
     OperatingPoint,
-    _bsc,
-    _check_probability,
     _clamp,
-    _kl,
     bsc_transform,
+    received_divergence,
 )
 from .search import bisect_root
 
@@ -126,56 +126,38 @@ def slope_bounds(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
     return (1.0 - ye) / (1.0 - xe), ye / xe
 
 
-def eve_divergence_at(x: float, y: float, eve: BscChannel) -> float:
-    """Eve's per-symbol divergence for a sensor point given as raw floats."""
-    _check_probability(x, "pfa")
-    _check_probability(y, "pd")
-    rho = eve.crossover
-    return _kl(_bsc(x, rho), _bsc(y, rho))
-
-
-def solve_boundary_pd(x: float, budget: float, eve: BscChannel) -> float | None:
-    """Detection probability on the upper branch of the boundary at ``x``.
-
-    Solves ``D_eve(x, y) = budget`` for ``y`` in ``[x, 1]`` by bisection;
-    the divergence is strictly increasing in ``y`` there, so the root is
-    unique.  Returns ``None`` when the budget exceeds the divergence
-    achievable at this abscissa (no boundary point above ``x``).
-    """
-    top = eve_divergence_at(x, 1.0, eve) - budget
-    if top < 0.0:
-        return None
-    return bisect_root(
-        lambda y: eve_divergence_at(x, y, eve) - budget,
-        x, 1.0, -budget, top,
-        f_tol=TRACE_TOL, x_tol=0.0, max_iter=_TRACE_MAX_ITER,
-    )
-
-
 def trace_constraint_curve(
     budget: float, eve: BscChannel, n_points: int
 ) -> list[BoundaryPoint]:
     """Numerically trace the upper branch of ``D_eve = budget``.
 
     Lays an ``n_points`` grid over the false-alarm axis, discards abscissae
-    where the budget is unreachable, and bisects for the detection
-    coordinate at the rest.  Every returned point carries the closed-form
-    slope and curvature and satisfies ``|D_eve - budget| <= TRACE_TOL``.
-    Returns an empty list when the budget exceeds Eve's best achievable
-    divergence everywhere.
+    where the budget is unreachable, and bisects all the rest in one batch
+    for the detection coordinate, unique on ``[x, 1]`` where the divergence
+    rises.  Every returned point carries the closed-form slope and
+    curvature and satisfies ``|D_eve - budget| <= TRACE_TOL``.  Returns an
+    empty list when the budget exceeds Eve's best achievable divergence
+    everywhere.
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")
+    rho = eve.crossover
+    x = np.minimum(np.arange(n_points) * (1.0 / (n_points - 1)), 1.0)
+    top = received_divergence(x, 1.0, rho) - budget
+    reach = ~(top < 0.0)
+    x, top = x[reach], top[reach]
+
+    def gap(y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return received_divergence(x[lanes, None], y, rho) - budget
+
+    y = bisect_root(
+        gap, x, np.ones(x.size), np.full(x.size, -budget), top,
+        f_tol=TRACE_TOL, x_tol=0.0, max_iter=_TRACE_MAX_ITER,
+    )
     points: list[BoundaryPoint] = []
-    step = 1.0 / (n_points - 1)
-    for k in range(n_points):
-        x = min(k * step, 1.0)
-        y = solve_boundary_pd(x, budget, eve)
-        if y is None:
-            continue
-        op = OperatingPoint(x, y)
+    for op in map(OperatingPoint, x.tolist(), y.tolist()):
         slope = constraint_slope(op, eve)
         points.append(
             BoundaryPoint(

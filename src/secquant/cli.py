@@ -41,10 +41,10 @@ from .roc import (
 )
 from .solver import (
     QuantizerDesign,
+    _designs,
     design_quantizer,
     design_search_curve,
     tradeoff_curve,
-    unconstrained_design,
 )
 from .detection import simulate_monte_carlo, stein_curve
 
@@ -348,7 +348,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     sites = sample_sites(n_sensors, seed, snr, fc_high, eve_high)
     # the allocation and every growth prefix share these designs, so each
     # site is solved once
-    free_designs = [unconstrained_design(site) for site in sites]
+    free_designs = _designs(sites, [math.inf] * len(sites))
     config = NetworkConfig(sites=sites, alpha_total=alpha_total,
                            benchmark_ideal_fc=benchmark, seed=seed)
     result = _allocate(config, free_designs)
@@ -471,7 +471,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     artifact_path = _require(cfg, "artifact", str)
     windows = _optional(cfg, "windows", _list_of(int), DEFAULT_WINDOWS)
+    if not windows:
+        raise ValueError("windows must not be empty")
     delta = _optional(cfg, "delta", float, 0.01)
+    if not (0.0 < delta < 0.5):
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
     tolerance = _optional(cfg, "tolerance", float, DEFAULT_SLOPE_TOLERANCE)
     trials = cfg["trials"]
     out = _require(cfg, "out", Path)

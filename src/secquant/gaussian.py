@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc, log_ndtr, ndtri
 
-from .roc import BscChannel, OperatingPoint, _bsc, _kl, _kl_array
-from .search import assert_unimodal, golden_section_max
+from .roc import BscChannel, OperatingPoint, received_divergence
+from .search import unimodal_max
 
 #: Searches over the threshold are confined to where the false-alarm
 #: probability stays inside [PFA_FLOOR, 1 - PFA_FLOOR]; beyond that the
@@ -32,14 +33,13 @@ PFA_FLOOR = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
-def q_function(z: float) -> float:
-    """Upper-tail probability of the standard normal, via erfc."""
-    return 0.5 * math.erfc(z / _SQRT2)
-
-
-def _q_array(z: np.ndarray) -> np.ndarray:
-    """:func:`q_function` elementwise; agrees with it to a few ulp."""
-    return 0.5 * erfc(z / _SQRT2)
+def q_function(z):
+    """Upper-tail probability of the standard normal, via erfc: a float for
+    a float, and elementwise an array for an array.  The one Q kernel, read
+    by operating points and searches alike, so a design's stored operating
+    point is the point its search scored."""
+    q = 0.5 * erfc(z / _SQRT2)
+    return float(q) if np.ndim(q) == 0 else q
 
 
 def log_q_function(z: float) -> float:
@@ -106,34 +106,31 @@ def max_channel_divergence(
     pre-scan, and a :class:`UnimodalityError` is raised instead of
     returning a possibly-wrong maximum if it fails.
     """
-    lo, hi = model.threshold_bracket()
-    theta, sigma, rho = model.theta, model.sigma, channel.crossover
-
-    def objective(threshold: float) -> float:
-        return _channel_divergence(theta, sigma, rho, threshold)
-
-    def objective_on_grid(thresholds: np.ndarray) -> np.ndarray:
-        return _channel_divergence_array(theta, sigma, rho, thresholds)
-
-    assert_unimodal(objective_on_grid, lo, hi, "post-channel divergence")
-    return golden_section_max(objective, lo, hi, tol=1e-10, max_iter=300)
+    (threshold,), (divergence,) = _max_channel_divergences([model], [channel])
+    return float(threshold), float(divergence)
 
 
-def _channel_divergence(
-    theta: float, sigma: float, rho: float, threshold: float
-) -> float:
+def _max_channel_divergences(
+    models: Sequence[GaussianSensorModel], channels: Sequence[BscChannel]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`max_channel_divergence` for every (model, channel) lane, in one
+    search; returns the arrays of thresholds and divergences."""
+    theta, sigma, rho = np.array(
+        [(m.theta, m.sigma, c.crossover) for m, c in zip(models, channels)],
+        dtype=float,
+    ).reshape(-1, 3).T[:, :, None]
+    lo, hi = np.array([m.threshold_bracket() for m in models]).reshape(-1, 2).T
+
+    def objective(thresholds: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return _channel_divergence(theta[lanes], sigma[lanes], rho[lanes], thresholds)
+
+    return unimodal_max(objective, lo, hi, "post-channel divergence")
+
+
+def _channel_divergence(theta, sigma, rho, thresholds):
     """``kl_divergence(bsc_transform(model.operating_point(threshold),
-    channel))`` on plain floats: the same operations in the same order, so
-    the same result bit for bit, without building operating points."""
-    x = _bsc(q_function(threshold / sigma), rho)
-    y = _bsc(q_function((threshold - theta) / sigma), rho)
-    return _kl(x, y)
-
-
-def _channel_divergence_array(
-    theta: float, sigma: float, rho: float, thresholds: np.ndarray
-) -> np.ndarray:
-    """:func:`_channel_divergence` at every threshold of an array."""
-    x = _bsc(_q_array(thresholds / sigma), rho)
-    y = _bsc(_q_array((thresholds - theta) / sigma), rho)
-    return _kl_array(x, y)
+    channel))`` elementwise over arrays that broadcast together: the same
+    kernels as the dataclass path, without building operating points."""
+    return received_divergence(
+        q_function(thresholds / sigma), q_function((thresholds - theta) / sigma), rho
+    )

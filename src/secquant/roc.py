@@ -108,21 +108,15 @@ def kl_divergence(op: OperatingPoint) -> float:
     points (0, 0) and (1, 1) give exactly 0 and every input gives a finite,
     nonnegative result.
     """
-    return _kl(op.pfa, op.pd)
+    return float(_kl(op.pfa, op.pd))
 
 
-def _kl(x: float, y: float) -> float:
-    """:func:`kl_divergence` on plain floats, for hot scalar loops."""
-    x = _clamp(x)
-    y = _clamp(y)
-    d = x * math.log(x / y) + (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
-    return max(d, 0.0)
-
-
-def _kl_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`_kl` elementwise; agrees with it to a few ulp."""
-    x = np.clip(x, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    y = np.clip(y, CLAMP_EPS, 1.0 - CLAMP_EPS)
+def _kl(x, y):
+    """:func:`kl_divergence` elementwise on arrays (or floats) of
+    coordinates: the one KL kernel, behind every divergence here."""
+    # np.minimum/np.maximum: np.clip's values at half its cost on scalars
+    x = np.minimum(np.maximum(x, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    y = np.minimum(np.maximum(y, CLAMP_EPS), 1.0 - CLAMP_EPS)
     d = x * np.log(x / y) + (1.0 - x) * np.log((1.0 - x) / (1.0 - y))
     return np.maximum(d, 0.0)
 
@@ -149,6 +143,14 @@ def _bsc(p, rho: float):
     """One coordinate (a float or an array) through a channel of crossover
     ``rho``."""
     return rho + (1.0 - 2.0 * rho) * p
+
+
+def received_divergence(pfa, pd, crossover):
+    """``kl_divergence(bsc_transform(op, channel))`` elementwise on arrays
+    (or floats) of coordinates and crossovers that broadcast together,
+    without building or range-checking points: the post-channel divergence
+    that every threshold search and batch of designs evaluates."""
+    return _kl(_bsc(pfa, crossover), _bsc(pd, crossover))
 
 
 def site_divergences(op: OperatingPoint, site: SensorSite) -> tuple[float, float]:

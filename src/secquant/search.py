@@ -1,20 +1,25 @@
-"""Search primitives: scalar golden-section maximization and bisection, and
-a unimodality pre-scan, evaluated as one array, used to validate
-quasi-concavity assumptions before trusting a golden-section result."""
+"""Search primitives over lanes: a grid-zoom maximizer seeded by a
+unimodality pre-scan, and bisection.  Each solves many independent
+problems ("lanes") at once: its objective ``f(x, lanes)`` maps an array
+whose row ``j`` holds abscissae of lane ``lanes[j]`` to their values, and
+each lane stops on its own tests, whatever else is in the batch."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import UnimodalityError
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 #: Grid size for the unimodality pre-scan.
 PRESCAN_POINTS = 1024
+
+#: Grid size of each zoom step of :func:`unimodal_max`.
+ZOOM_POINTS = 64
+
+Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Lanes = Sequence[float]  # one value per lane
 
 
 def count_direction_changes(values: Sequence[float], noise_floor: float) -> int:
@@ -29,84 +34,97 @@ def count_direction_changes(values: Sequence[float], noise_floor: float) -> int:
 
 def assert_unimodal(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, label: str
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Raise :class:`UnimodalityError` unless ``f`` looks single-peaked on a
-    PRESCAN_POINTS grid over ``[lo, hi]``.
-
+    PRESCAN_POINTS grid over ``[lo, hi]``; return the grid and its values.
     ``f`` maps the whole grid, as one array, to the array of its values.
     """
     step = (hi - lo) / (PRESCAN_POINTS - 1)
-    values = np.asarray(f(lo + np.arange(PRESCAN_POINTS) * step), dtype=float)
+    grid = lo + np.arange(PRESCAN_POINTS) * step
+    values = np.asarray(f(grid), dtype=float)
     scale = max(1.0, float(np.max(np.abs(values))))
     if count_direction_changes(values, noise_floor=1e-12 * scale) > 2:
         raise UnimodalityError((
             f"{label} is not unimodal on [{lo!r}, {hi!r}]; "
-            "refusing to run a golden-section search"
+            "refusing to search it for a maximum"
         ))
+    return grid, values
 
 
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+def unimodal_max(
+    f: Objective,
+    lo: Lanes,
+    hi: Lanes,
+    label: str,
     tol: float = 1e-10,
-    max_iter: int = 300,
-) -> tuple[float, float]:
-    """Maximize a unimodal scalar function on ``[lo, hi]``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize each lane's unimodal objective on its ``[lo, hi]``.
 
-    Returns ``(x_star, f(x_star))`` with ``x_star`` located to within
-    ``tol`` absolute.  The caller is responsible for validating
-    unimodality (see :func:`assert_unimodal`).
+    Each lane is pre-scanned on its own (so a batch holds one pre-scan grid
+    at a time), and its argmax plus and minus one step brackets the peak.
+    All lanes then lay ZOOM_POINTS over their brackets in one call of ``f``
+    and narrow them the same way, until each is at most ``tol`` wide or
+    stops shrinking.  Returns the best abscissae sampled and their values.
     """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    a, b, best_x, best_f = (np.empty_like(lo) for _ in range(4))
+    for i in range(lo.size):
+        lane = np.array([i])
+        grid, values = assert_unimodal(
+            lambda x: f(x[None, :], lane)[0], lo[i], hi[i], label
+        )
+        k = int(np.argmax(values))
+        best_x[i], best_f[i] = grid[k], values[k]
+        a[i], b[i] = grid[max(k - 1, 0)], grid[min(k + 1, PRESCAN_POINTS - 1)]
+    lanes = np.flatnonzero(b - a > tol)
+    steps = np.arange(ZOOM_POINTS)
+    while lanes.size:
+        width = b[lanes] - a[lanes]
+        grid = a[lanes, None] + steps * (width / (ZOOM_POINTS - 1))[:, None]
+        values = f(grid, lanes)
+        rows = np.arange(lanes.size)
+        k = np.argmax(values, axis=1)
+        best_x[lanes], best_f[lanes] = grid[rows, k], values[rows, k]
+        a[lanes] = grid[rows, np.maximum(k - 1, 0)]
+        b[lanes] = grid[rows, np.minimum(k + 1, ZOOM_POINTS - 1)]
+        narrowed = b[lanes] - a[lanes]
+        lanes = lanes[(narrowed > tol) & (narrowed < width)]
+    return best_x, best_f
 
 
 def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
+    f: Objective,
+    lo: Lanes,
+    hi: Lanes,
+    f_lo: Lanes,
+    f_hi: Lanes,
     f_tol: float = 1e-12,
     x_tol: float = 1e-10,
     max_iter: int = 200,
-) -> float:
-    """Bisect for a sign change of ``f`` on ``[lo, hi]``.
+) -> np.ndarray:
+    """Bisect each lane for a sign change of its objective on ``[lo, hi]``.
 
-    ``f_lo`` and ``f_hi`` are the already-computed endpoint values; they
-    must have opposite signs (zero counts as either).  Stops when
-    ``|f| <= f_tol`` or the bracket is narrower than ``x_tol``.
+    ``f_lo`` and ``f_hi`` are the already-computed endpoint values, of
+    opposite signs in each lane (zero counts as either); ``f`` gets a
+    column of midpoints.  A lane stops when ``|f| <= f_tol`` or its bracket
+    is narrower than ``x_tol``, or returns its last midpoint after
+    ``max_iter`` steps.
     """
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
+    if np.any(((f_lo > 0.0) == (f_hi > 0.0)) & ~at_lo & ~at_hi):
         raise ValueError("bisect_root needs endpoints of opposite sign")
-    mid = 0.5 * (lo + hi)
+    root = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+    lanes = np.flatnonzero(~at_lo & ~at_hi)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) <= f_tol or (hi - lo) <= x_tol:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return mid
+        if not lanes.size:
+            break
+        mid = 0.5 * (lo[lanes] + hi[lanes])
+        f_mid = f(mid[:, None], lanes)[:, 0]
+        root[lanes] = mid
+        done = (np.abs(f_mid) <= f_tol) | (hi[lanes] - lo[lanes] <= x_tol)
+        # the sign at lo never changes, so f_lo needs no update
+        up = (f_mid > 0.0) == (f_lo[lanes] > 0.0)
+        lo[lanes[up]], hi[lanes[~up]] = mid[up], mid[~up]
+        lanes = lanes[~done]
+    return root

@@ -12,12 +12,13 @@ budget forces the blind corner design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
-from .gaussian import _channel_divergence, max_channel_divergence
-from .roc import OperatingPoint, SensorSite, kl_divergence, site_divergences
+import numpy as np
+
+from .gaussian import _channel_divergence, _max_channel_divergences, q_function
+from .roc import BscChannel, OperatingPoint, SensorSite
 from .search import bisect_root
 
 #: A root r of the budget equation is accepted when |gap(r)| <= ROOT_F_TOL
@@ -45,23 +46,49 @@ class QuantizerDesign:
     budget: float
 
 
+def _site_columns(sites: Sequence[SensorSite]) -> np.ndarray:
+    """Rows theta, sigma, FC and Eve crossover; one column per site."""
+    return np.array(
+        [(s.model.theta, s.model.sigma, s.fc_channel.crossover,
+          s.eve_channel.crossover) for s in sites],
+        dtype=float,
+    ).reshape(-1, 4).T
+
+
 def eve_divergence_gap(site: SensorSite, threshold: float, budget: float) -> float:
-    """Eve's divergence at this threshold minus the tolerated budget.
+    """Eve's divergence at this threshold minus the tolerated budget: a
+    float for a float threshold, and elementwise an array for an array.
 
     Positive where the threshold would leak more than allowed; tends to
     ``-budget`` at both extremes of the threshold axis, where the
     operating point degenerates to a corner.
     """
     model = site.model
-    return _channel_divergence(
+    gap = _channel_divergence(
         model.theta, model.sigma, site.eve_channel.crossover, threshold
     ) - budget
+    return float(gap) if np.ndim(gap) == 0 else gap
+
+
+def _site_peaks(
+    sites: Sequence[SensorSite], channels: Sequence[BscChannel]
+) -> list[tuple[float, float]]:
+    """Each lane's ``(threshold, divergence)`` maximizing the divergence of
+    ``sites[i]``'s model through ``channels[i]``; the distinct (model,
+    channel) pairs are searched in one batch, each once."""
+    lanes = [(site.model, channel) for site, channel in zip(sites, channels)]
+    distinct = list(dict.fromkeys(lanes))
+    if not distinct:
+        return []
+    thresholds, values = _max_channel_divergences(*zip(*distinct))
+    peaks = dict(zip(distinct, zip(thresholds.tolist(), values.tolist())))
+    return [peaks[lane] for lane in lanes]
 
 
 def max_eve_divergence(site: SensorSite) -> tuple[float, float]:
     """Largest Eve divergence reachable on the LRT curve: the budget level
     beyond which the secrecy constraint stops binding."""
-    return max_channel_divergence(site.model, site.eve_channel)
+    return _site_peaks([site], [site.eve_channel])[0]
 
 
 def find_budget_thresholds(site: SensorSite, budget: float) -> list[float]:
@@ -75,57 +102,66 @@ def find_budget_thresholds(site: SensorSite, budget: float) -> list[float]:
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
-    return _budget_thresholds(site, budget, max_eve_divergence(site))
+    return _budget_thresholds([site], [budget])[0]
 
 
 def _budget_thresholds(
-    site: SensorSite, budget: float, eve_peak: tuple[float, float]
-) -> list[float]:
-    """:func:`find_budget_thresholds` given Eve's peak, which does not
-    depend on the budget."""
-    peak, d_eve_max = eve_peak
-    gap_peak = d_eve_max - budget
-    if gap_peak < -ROOT_F_TOL:
-        return []
-    if gap_peak <= ROOT_F_TOL:
-        return [peak]
+    sites: Sequence[SensorSite], budgets: Sequence[float]
+) -> list[list[float]]:
+    """:func:`find_budget_thresholds` at every lane ``(sites[i], budgets[i])``:
+    Eve's peak is searched once per distinct model and channel, and every
+    crossing of every lane is bisected in one batch."""
+    eve_peaks = _site_peaks(sites, [site.eve_channel for site in sites])
+    gaps = [d_eve_max - budget for (_, d_eve_max), budget in zip(eve_peaks, budgets)]
+    roots = [[] if g < -ROOT_F_TOL else [p] for (p, _), g in zip(eve_peaks, gaps)]
+    crossing = [i for i, g in enumerate(gaps) if g > ROOT_F_TOL]
+    if not crossing:
+        return roots
+    # two intervals per crossing lane, (lo, peak) and (peak, hi)
+    lanes = np.repeat(crossing, 2)
+    theta, sigma, _, rho = _site_columns([sites[i] for i in lanes])[:, :, None]
+    budget = np.array([budgets[i] for i in lanes])[:, None]
 
-    def gap(threshold: float) -> float:
-        return eve_divergence_gap(site, threshold, budget)
+    def gap(t: np.ndarray, sub: np.ndarray) -> np.ndarray:
+        return _channel_divergence(theta[sub], sigma[sub], rho[sub], t) - budget[sub]
 
-    lo, hi = site.model.threshold_bracket()
-    roots = []
-    for a, b in ((lo, peak), (peak, hi)):
-        f_a, f_b = gap(a), gap(b)
-        if f_a > 0.0 and f_b > 0.0:
-            # budget below even the corner leakage; the crossing lies
-            # outside the numerically meaningful threshold range
-            roots.append(a if a != peak else b)
-            continue
-        roots.append(
-            bisect_root(
-                gap, a, b, f_a, f_b,
-                f_tol=ROOT_F_TOL, x_tol=ROOT_X_TOL, max_iter=200,
-            )
-        )
-    roots.sort()
+    edges = np.array([sites[i].model.threshold_bracket() for i in crossing]).ravel()
+    peaks = np.array([eve_peaks[i][0] for i in lanes])
+    a, b = np.minimum(edges, peaks), np.maximum(edges, peaks)
+    f_a, f_b = gap(np.stack([a, b], axis=1), np.arange(lanes.size)).T
+    # where both ends leak, the budget is below even the corner leakage and
+    # the crossing lies outside the numerically meaningful threshold range
+    inside = np.flatnonzero(~((f_a > 0.0) & (f_b > 0.0)))
+    edges[inside] = bisect_root(
+        lambda x, sub: gap(x, inside[sub]),
+        a[inside], b[inside], f_a[inside], f_b[inside],
+        f_tol=ROOT_F_TOL, x_tol=ROOT_X_TOL, max_iter=200,
+    )
+    for i, pair in zip(crossing, edges.reshape(-1, 2).tolist()):
+        roots[i] = pair
     return roots
 
 
-def _design_at(
-    site: SensorSite, threshold: float, budget: float, binding: bool
-) -> QuantizerDesign:
-    op = site.model.operating_point(threshold)
-    d_fc, d_eve = site_divergences(op, site)
-    return QuantizerDesign(
-        threshold=threshold,
-        op=op,
-        d_sensor=kl_divergence(op),
-        d_fc=d_fc,
-        d_eve=d_eve,
-        binding=binding,
-        budget=budget,
+def _designs_at(
+    sites: Sequence[SensorSite],
+    thresholds: Sequence[float],
+    budgets: Sequence[float],
+    binding: bool,
+) -> list[QuantizerDesign]:
+    """The design at each lane's threshold, each quantity computed for all
+    lanes in one kernel call; the sensor's own divergence is the one seen
+    through a noiseless channel."""
+    t = np.array(thresholds, dtype=float)
+    theta, sigma, rho_fc, rho_e = _site_columns(sites)
+    columns = (
+        t, q_function(t / sigma), q_function((t - theta) / sigma),
+        *(_channel_divergence(theta, sigma, rho, t) for rho in (0.0, rho_fc, rho_e)),
     )
+    lanes = zip(*(c.tolist() for c in columns), budgets)
+    return [
+        QuantizerDesign(t, OperatingPoint(x, y), *divergences, binding, budget)
+        for t, x, y, *divergences, budget in lanes
+    ]
 
 
 def blind_design(site: SensorSite, budget: float = 0.0) -> QuantizerDesign:
@@ -143,8 +179,7 @@ def blind_design(site: SensorSite, budget: float = 0.0) -> QuantizerDesign:
 
 def unconstrained_design(site: SensorSite, budget: float = math.inf) -> QuantizerDesign:
     """Divergence-maximizing design ignoring the eavesdropper."""
-    threshold, _ = max_channel_divergence(site.model, site.fc_channel)
-    return _design_at(site, threshold, budget, binding=False)
+    return replace(_designs([site], [math.inf])[0], budget=budget)
 
 
 def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
@@ -158,60 +193,55 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
     * otherwise: the better of the two boundary crossings, ties broken
       toward the larger threshold (smaller false alarm).
     """
-    return _site_designer(site)(budget)
+    return _designs([site], [budget])[0]
 
 
-def _site_designer(
-    site: SensorSite, free: QuantizerDesign | None = None
-) -> Callable[[float], QuantizerDesign]:
-    """:func:`design_quantizer` for one site at any number of budgets.
-
-    The site's two threshold searches, for the free optimum and for Eve's
-    peak, run at most once each, when a budget first needs them; the
-    first not at all when the site's unconstrained design ``free`` is
-    passed in.
-    """
-    if free is None:
-        free_threshold = cache(
-            lambda: max_channel_divergence(site.model, site.fc_channel)[0]
-        )
-    else:
-        def free_threshold() -> float:
-            return free.threshold
-    eve_peak = cache(partial(max_eve_divergence, site))
-
-    def design(budget: float) -> QuantizerDesign:
-        if budget < 0.0:
+def _designs(
+    sites: Sequence[SensorSite],
+    budgets: Sequence[float],
+    free_thresholds: Sequence[float] | None = None,
+) -> list[QuantizerDesign]:
+    """:func:`design_quantizer` at every lane ``(sites[i], budgets[i])``, each
+    search batched over the lanes that need it; an infinite budget gives the
+    unconstrained design, and ``free_thresholds`` stands in for its search."""
+    for budget in budgets:
+        if not budget >= 0.0:
             raise ValueError(f"budget must be nonnegative, got {budget!r}")
-        if budget == 0.0:
-            return blind_design(site, budget)
-        free = _design_at(site, free_threshold(), budget, binding=False)
-        if free.d_eve <= budget:
-            return free
-        roots = _budget_thresholds(site, budget, eve_peak())
-        if len(roots) < 2:
-            # the gap peak clears the budget yet the free optimum leaks
-            # more: only reachable through float rounding at exact tangency
-            return free
-        lo_design = _design_at(site, roots[0], budget, binding=True)
-        hi_design = _design_at(site, roots[1], budget, binding=True)
-        if abs(lo_design.d_fc - hi_design.d_fc) <= 1e-12:
-            return hi_design
-        return hi_design if hi_design.d_fc > lo_design.d_fc else lo_design
-
-    return design
+    designs = [blind_design(site, budget) for site, budget in zip(sites, budgets)]
+    live = [i for i, budget in enumerate(budgets) if budget > 0.0]
+    live_sites = [sites[i] for i in live]
+    free_at = (
+        [t for t, _ in _site_peaks(live_sites, [s.fc_channel for s in live_sites])]
+        if free_thresholds is None else [free_thresholds[i] for i in live]
+    )
+    free = _designs_at(live_sites, free_at, [budgets[i] for i in live], binding=False)
+    for i, design in zip(live, free):
+        designs[i] = design
+    bound = [i for i in live if not designs[i].d_eve <= budgets[i]]
+    roots = _budget_thresholds([sites[i] for i in bound], [budgets[i] for i in bound])
+    # with fewer than two roots the gap peak clears the budget yet the free
+    # optimum leaks more: only reachable through float rounding at exact
+    # tangency, and the free design stands
+    pairs = [(i, r) for i, r in zip(bound, roots) if len(r) == 2]
+    ends = _designs_at(
+        [sites[i] for i, r in pairs for _ in r], [t for _, r in pairs for t in r],
+        [budgets[i] for i, r in pairs for _ in r], binding=True,
+    )
+    for (i, _), lo, hi in zip(pairs, ends[::2], ends[1::2]):
+        tie = abs(lo.d_fc - hi.d_fc) <= 1e-12
+        designs[i] = hi if tie or hi.d_fc > lo.d_fc else lo
+    return designs
 
 
 def tradeoff_curve(
     site: SensorSite, budgets: Sequence[float]
 ) -> list[QuantizerDesign]:
     """Sweep :func:`design_quantizer` over an ascending budget grid,
-    running the site's threshold searches once for the whole sweep."""
-    if any(b < 0.0 for b in budgets):
-        raise ValueError("budgets must be nonnegative")
+    running the site's threshold searches once for the whole sweep and
+    every budget's bisections in one batch."""
     if any(b2 < b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be sorted ascending")
-    return list(map(_site_designer(site), budgets))
+    return _designs([site] * len(budgets), budgets)
 
 
 def design_search_curve(
@@ -219,8 +249,6 @@ def design_search_curve(
 ) -> list[tuple[float, float]]:
     """Sampled budget-gap curve, for diagnostic export and plotting."""
     lo, hi = site.model.threshold_bracket()
-    step = (hi - lo) / (n_points - 1)
-    return [
-        (lo + k * step, eve_divergence_gap(site, lo + k * step, budget))
-        for k in range(n_points)
-    ]
+    thresholds = lo + np.arange(n_points) * ((hi - lo) / (n_points - 1))
+    gaps = eve_divergence_gap(site, thresholds, budget)
+    return list(zip(thresholds.tolist(), gaps.tolist()))

@@ -5,14 +5,14 @@ import secquant.solver
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Record the (model, channel) of every threshold search the solver
-    runs.  Counts calls, not time."""
+    """Record the (model, channel) of every lane of every threshold search
+    the solver runs, in lane order.  Counts lanes, not calls or time."""
     calls = []
-    search = secquant.solver.max_channel_divergence
+    search = secquant.solver._max_channel_divergences
 
-    def counted(model, channel):
-        calls.append((model, channel))
-        return search(model, channel)
+    def counted(models, channels):
+        calls.extend(zip(models, channels))
+        return search(models, channels)
 
-    monkeypatch.setattr(secquant.solver, "max_channel_divergence", counted)
+    monkeypatch.setattr(secquant.solver, "_max_channel_divergences", counted)
     return calls

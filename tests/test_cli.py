@@ -341,6 +341,49 @@ class TestVerifyCommand:
             "--out", str(tmp_path / "r.json"), "--trials", "1000",
         ) == 2
 
+    def test_empty_window_list_exits_2(self, tmp_path, capsys):
+        argv, design_out = design_args(tmp_path, budget="5.0")
+        assert run(*argv) == 0
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"windows": []}))
+        report_out = tmp_path / "report.json"
+        # rejected before the artifact is read: a missing one changes nothing
+        for artifact in (design_out, tmp_path / "nope.json"):
+            assert run(
+                "verify", "--artifact", str(artifact), "--config", str(config),
+                "--out", str(report_out),
+            ) == 2
+            assert "windows must not be empty" in capsys.readouterr().err
+        assert not report_out.exists()
+
+    @pytest.mark.parametrize(
+        "artifact, delta",
+        [("network", "1.5"), ("blind", "0.7"), ("network", "0")],
+    )
+    @pytest.mark.parametrize(
+        "mc_args", [["--trials", "100", "--seed", "1"], []], ids=["mc", "exact"]
+    )
+    def test_delta_outside_range_exits_2(
+        self, tmp_path, capsys, artifact, delta, mc_args
+    ):
+        if artifact == "blind":
+            argv, path = design_args(tmp_path, budget="0.0")
+        else:
+            path = tmp_path / "greedy.summary.json"
+            argv = [
+                "greedy", "--n-sensors", "5", "--alpha-total", "1.0",
+                "--seed", "4", "--out", str(tmp_path / "greedy.csv"),
+            ]
+        assert run(*argv) == 0
+        capsys.readouterr()
+        report_out = tmp_path / "report.json"
+        assert run(
+            "verify", "--artifact", str(path), "--out", str(report_out),
+            "--delta", delta, *mc_args,
+        ) == 2
+        assert "delta must lie in (0, 0.5)" in capsys.readouterr().err
+        assert not report_out.exists()
+
     def test_verify_idempotent_bytes(self, tmp_path):
         argv, design_out = design_args(tmp_path, budget="5.0")
         assert run(*argv) == 0

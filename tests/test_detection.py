@@ -34,7 +34,7 @@ from secquant.detection import (
     _stream_counts,
     _symbol_law,
 )
-from secquant.solver import _design_at
+from secquant.solver import _designs_at
 
 import oracles
 
@@ -194,6 +194,11 @@ class TestMonteCarlo:
             simulate_monte_carlo(config, result, window=0, trials=10, seed=1)
         with pytest.raises(ValueError):
             simulate_monte_carlo(config, result, window=5, trials=0, seed=1)
+        for delta in (0.0, 0.5, 0.7, 1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"delta must lie in \(0, 0\.5\)"):
+                simulate_monte_carlo(
+                    config, result, window=5, trials=10, seed=1, delta=delta
+                )
         with pytest.raises(ValueError):
             sample_trial_records(config, result, 2, window=5, count=1, seed=1)
 
@@ -258,12 +263,15 @@ def exact_pair_laws(config, thresholds, hypothesis):
 
 def designs_at(config, thresholds):
     """Allocation records whose designs sit at the given thresholds."""
+    designs = _designs_at(
+        config.sites, thresholds, [0.0] * len(config.sites), binding=False
+    )
     records = tuple(
         SensorAllocation(
-            index=i, alpha_i=0.0, design=_design_at(site, float(t), 0.0, False),
-            active=True, quality=0.0, d_fc_star=0.0, d_eve_star=0.0,
+            index=i, alpha_i=0.0, design=design, active=True, quality=0.0,
+            d_fc_star=0.0, d_eve_star=0.0,
         )
-        for i, (site, t) in enumerate(zip(config.sites, thresholds))
+        for i, design in enumerate(designs)
     )
     return AllocationResult(
         per_sensor=records, total_d_fc=0.0, total_d_eve=0.0,

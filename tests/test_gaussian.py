@@ -19,7 +19,7 @@ from secquant import (
     q_function,
     q_inverse,
 )
-from secquant.gaussian import _channel_divergence, _channel_divergence_array
+from secquant.gaussian import _channel_divergence
 from secquant.search import PRESCAN_POINTS, count_direction_changes
 
 import oracles
@@ -48,6 +48,16 @@ class TestQFunction:
         zs = np.linspace(-7.5, 7.5, 500)
         vals = [q_function(z) for z in zs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_float_in_float_out_and_elementwise_on_arrays(self):
+        # a float stays a plain float, so repr-based CSV cells never read
+        # np.float64(...)
+        assert type(q_function(0.3)) is float
+        assert type(q_function(np.float64(0.3))) is float
+        zs = np.array([[-1.0, 0.0], [0.3, 2.0]])
+        got = q_function(zs)
+        assert isinstance(got, np.ndarray) and got.shape == zs.shape
+        assert got.tolist() == [[q_function(z) for z in row] for row in zs.tolist()]
 
     def test_log_variant_tracks_tail(self):
         for z in (1.0, 5.0, 10.0, 30.0):
@@ -166,7 +176,7 @@ class TestMaxChannelDivergence:
         assert d2 == pytest.approx(grid_d2, abs=1e-8)
 
     def test_objective_is_single_peaked_on_grid(self):
-        # quasi-concavity assumption behind the golden-section search
+        # quasi-concavity assumption behind the threshold maximizer
         model = GaussianSensorModel(1.0, 1.0)
         channel = BscChannel(0.05)
         lo, hi = model.threshold_bracket()
@@ -183,9 +193,9 @@ def prescan_grid(model):
 
 
 class TestObjectiveKernels:
-    """The solver's plain-float objective must equal the dataclass path bit
-    for bit (golden-section results depend on it), and its array form must
-    agree with it up to float64 rounding on the pre-scan grid."""
+    """The solver's array objective must agree with the dataclass path up
+    to float64 rounding on the pre-scan grid, and the pre-scan must refuse
+    exactly the curves that are not single-peaked there."""
 
     @given(
         snr=st.floats(min_value=0.1, max_value=12.0),
@@ -199,9 +209,7 @@ class TestObjectiveKernels:
         grid = prescan_grid(model)
         ops = [bsc_transform(model.operating_point(float(t)), channel) for t in grid]
         scalar = [kl_divergence(op) for op in ops]
-        for t, v in zip(grid[::16], scalar[::16]):
-            assert _channel_divergence(model.theta, sigma, rho, float(t)) == v
-        array = _channel_divergence_array(model.theta, sigma, rho, grid)
+        array = _channel_divergence(model.theta, sigma, rho, grid)
         # both paths compute 1 - pd by subtraction, so near pd = 1 an
         # ulp-level difference between the two erfc implementations is
         # amplified; the bound is that amplification, plus 1e-12

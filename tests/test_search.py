@@ -1,13 +1,18 @@
 """Search primitives: the array-based direction count against its loop
-reference."""
+reference, the maximizer and bisection against oracles, and the
+independence of a lane from the rest of its batch."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secquant.search import count_direction_changes
+from secquant import BscChannel, GaussianSensorModel, SensorSite, UnimodalityError
+from secquant.gaussian import _max_channel_divergences
+from secquant.search import bisect_root, count_direction_changes, unimodal_max
+from secquant.solver import _budget_thresholds
 
 import oracles
 
@@ -35,3 +40,156 @@ class TestCountDirectionChanges:
     def test_short_inputs(self):
         assert count_direction_changes([], 0.0) == 0
         assert count_direction_changes([1.0], 0.0) == 0
+
+
+def quadratic(center, scale):
+    """Lanes of ``-scale * (x - center)**2``: single-peaked, with the peak
+    at ``center`` or, when that lies outside the bracket, at its edge."""
+    center = np.asarray(center, dtype=float)[:, None]
+    scale = np.asarray(scale, dtype=float)[:, None]
+
+    def f(x, lanes):
+        return -scale[lanes] * (x - center[lanes]) ** 2
+
+    return f
+
+
+def channel_lanes(snr, sigma, rho):
+    models = [GaussianSensorModel(t * s, s) for t, s in zip(snr, sigma)]
+    return models, [BscChannel(r) for r in rho]
+
+
+lane_params = st.tuples(
+    st.floats(min_value=0.1, max_value=12.0),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.499)),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+
+
+class TestUnimodalMax:
+    def test_matches_dense_grid_oracle(self):
+        rng = np.random.default_rng(5)
+        n = 12
+        lo = rng.uniform(-5.0, 0.0, n)
+        hi = lo + rng.uniform(0.5, 8.0, n)
+        # the last three peaks lie beyond a bracket edge or exactly on one
+        center = rng.uniform(lo, hi)
+        center[-3:] = [lo[-3] - 1.0, hi[-2] + 2.0, hi[-1]]
+        scale = rng.uniform(0.1, 10.0, n)
+        f = quadratic(center, scale)
+        x_star, f_star = unimodal_max(f, lo, hi, "quadratic")
+        for i in range(n):
+            grid = np.linspace(lo[i], hi[i], 400_001)
+            values = f(grid[None, :], np.array([i]))[0]
+            k = int(np.argmax(values))
+            assert abs(x_star[i] - grid[k]) <= grid[1] - grid[0]
+            assert f_star[i] >= values[k]
+            assert abs(x_star[i] - np.clip(center[i], lo[i], hi[i])) <= 1e-9
+            assert f_star[i] == f(np.array([[x_star[i]]]), np.array([i]))[0, 0]
+
+    def test_bimodal_lane_raises(self):
+        center = np.array([0.0, 0.0])
+
+        def f(x, lanes):
+            # lane 1 has two peaks, at -1 and 1
+            single = -((x - center[lanes, None]) ** 2)
+            double = -np.minimum((x - 1.0) ** 2, (x + 1.0) ** 2)
+            return np.where(lanes[:, None] == 1, double, single)
+
+        with pytest.raises(UnimodalityError):
+            unimodal_max(f, [-3.0, -3.0], [3.0, 3.0], "two bumps")
+
+    def test_no_lanes(self):
+        x_star, f_star = unimodal_max(quadratic([], []), [], [], "none")
+        assert x_star.shape == f_star.shape == (0,)
+
+
+class TestBisectRoot:
+    def test_matches_analytic_roots(self):
+        rng = np.random.default_rng(9)
+        roots = rng.uniform(-2.0, 2.0, 40)
+        # monotone increasing in x with its only zero at the lane's root
+        def f(x, lanes):
+            return (x - roots[lanes, None]) * (1.0 + x**2)
+
+        lo, hi = np.full(40, -3.0), np.full(40, 3.0)
+        every = np.arange(40)
+        f_lo = f(lo[:, None], every)[:, 0]
+        f_hi = f(hi[:, None], every)[:, 0]
+        found = bisect_root(f, lo, hi, f_lo, f_hi, f_tol=0.0, x_tol=1e-12)
+        assert np.all(np.abs(found - roots) <= 1e-12)
+
+    def test_zero_endpoints_and_sign_check(self):
+        def f(x, lanes):
+            return x
+
+        found = bisect_root(f, [0.0, -1.0], [1.0, 0.0], [0.0, -1.0], [1.0, 0.0])
+        assert found.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="opposite sign"):
+            bisect_root(f, [0.0, 1.0], [1.0, 2.0], [-1.0, 1.0], [1.0, 2.0])
+
+    def test_stops_on_the_iteration_cap_at_the_last_midpoint(self):
+        def f(x, lanes):
+            return x - 0.3
+
+        found = bisect_root(f, [0.0], [1.0], [-0.3], [0.7], f_tol=0.0,
+                            x_tol=0.0, max_iter=2)
+        assert found.tolist() == [0.25]
+
+
+generic_lane = st.tuples(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.floats(min_value=-0.2, max_value=1.2),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+
+
+class TestLaneIndependence:
+    @given(lanes=st.lists(generic_lane, min_size=1, max_size=6),
+           pick=st.integers(min_value=0))
+    @settings(max_examples=60, deadline=None)
+    def test_generic_lane_in_a_batch_equals_the_lane_alone(self, lanes, pick):
+        # brackets spanning nine decades need different numbers of steps
+        lo, width, where, scale = (np.array(v) for v in zip(*lanes))
+        hi, center = lo + width, lo + where * width
+        i = pick % len(lanes)
+        one = slice(i, i + 1)
+        batch = unimodal_max(quadratic(center, scale), lo, hi, "quadratic")
+        alone = unimodal_max(
+            quadratic(center[one], scale[one]), lo[one], hi[one], "quadratic"
+        )
+        assert batch[0][i].tobytes() == alone[0][0].tobytes()
+        assert batch[1][i].tobytes() == alone[1][0].tobytes()
+
+        def line(x, sub):
+            return (x - center[sub, None]) * scale[sub, None]
+
+        a, b = center - width, center + 0.5 * width
+        every = np.arange(len(lanes))
+        f_a, f_b = line(a[:, None], every)[:, 0], line(b[:, None], every)[:, 0]
+        roots = bisect_root(line, a, b, f_a, f_b, f_tol=0.0, x_tol=1e-9)
+        root = bisect_root(
+            lambda x, sub: line(x, sub + i), a[one], b[one], f_a[one], f_b[one],
+            f_tol=0.0, x_tol=1e-9,
+        )
+        assert roots[i].tobytes() == root[0].tobytes()
+
+    @given(lanes=st.lists(lane_params, min_size=1, max_size=5),
+           pick=st.integers(min_value=0))
+    @settings(max_examples=40, deadline=None)
+    def test_lane_in_a_mixed_batch_equals_the_lane_alone(self, lanes, pick):
+        snr, sigma, rho, fraction = zip(*lanes)
+        models, channels = channel_lanes(snr, sigma, rho)
+        i = pick % len(lanes)
+        batch = _max_channel_divergences(models, channels)
+        alone = _max_channel_divergences([models[i]], [channels[i]])
+        assert batch[0][i].tobytes() == alone[0][0].tobytes()
+        assert batch[1][i].tobytes() == alone[1][0].tobytes()
+
+        # the budget crossings of each lane, bisected in one batch
+        sites = [SensorSite(m, BscChannel(0.0), c) for m, c in zip(models, channels)]
+        budgets = [f * d for f, d in zip(fraction, batch[1].tolist())]
+        together = _budget_thresholds(sites, budgets)
+        assert together[i] == _budget_thresholds([sites[i]], [budgets[i]])[0]

@@ -45,6 +45,15 @@ class TestDivergenceGap:
         assert eve_divergence_gap(site, hi, 0.1) == pytest.approx(-0.1, abs=1e-6)
         assert eve_divergence_gap(site, lo, 0.1) == pytest.approx(-0.1, abs=1e-6)
 
+    def test_float_in_float_out_and_elementwise_on_arrays(self):
+        site = make_site()
+        assert type(eve_divergence_gap(site, 0.3, 0.1)) is float
+        lams = np.linspace(-2.0, 3.0, 7)
+        got = eve_divergence_gap(site, lams, 0.1)
+        assert isinstance(got, np.ndarray) and got.shape == lams.shape
+        alone = [eve_divergence_gap(site, lam, 0.1) for lam in lams.tolist()]
+        assert got.tolist() == alone
+
     def test_matches_composition_on_grid(self):
         site = make_site()
         budget = 0.1
