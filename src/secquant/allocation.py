@@ -108,18 +108,23 @@ def allocate(config: NetworkConfig) -> AllocationResult:
     the entire remainder and designed against that; sensors reached after
     the budget is exhausted sleep as blind designs.
     """
-    free_designs = _designs(config.sites, [math.inf] * len(config.sites))
-    return _allocate(config, free_designs)
+    return _network(config.sites, config.alpha_total, config.benchmark_ideal_fc, [])[0]
 
 
-def _allocate(
-    config: NetworkConfig, free_designs: Sequence[QuantizerDesign]
-) -> AllocationResult:
-    """:func:`allocate` given each site's unconstrained design, in site
-    order."""
-    qualities, (funded,) = _splits(
-        config.sites, config.alpha_total, free_designs, [len(config.sites)]
-    )
+def _network(
+    sites: Sequence[SensorSite],
+    alpha_total: float,
+    benchmark_ideal_fc: bool,
+    n_grid: Sequence[int],
+) -> tuple[AllocationResult, list[GrowthPoint]]:
+    """:func:`allocate` over ``sites`` and :func:`growth_curve` on a checked
+    grid of their prefixes.  The allocation and every prefix share one
+    unconstrained design per site and one split per distinct size, so each
+    site is solved once and each partly funded sensor designed once."""
+    n = len(sites)
+    free_designs = _designs(sites, [math.inf] * n)
+    qualities, splits = _splits(sites, alpha_total, free_designs, {*n_grid, n})
+    funded = splits[n]
     per_sensor = tuple(
         SensorAllocation(
             index=i,
@@ -131,26 +136,31 @@ def _allocate(
             d_eve_star=free.d_eve,
         )
         for i, (site, free, quality) in enumerate(
-            zip(config.sites, free_designs, qualities)
+            zip(sites, free_designs, qualities)
         )
     )
-    return AllocationResult(per_sensor, *_totals(funded, config.benchmark_ideal_fc))
+    allocation = AllocationResult(per_sensor, *_totals(funded, benchmark_ideal_fc))
+    points = [
+        GrowthPoint(size, *_totals(splits[size], benchmark_ideal_fc))
+        for size in n_grid
+    ]
+    return allocation, points
 
 
 def _splits(
     sites: Sequence[SensorSite],
     alpha_total: float,
     free_designs: Sequence[QuantizerDesign],
-    sizes: Sequence[int],
-) -> tuple[list[float], list[dict[int, tuple[float, QuantizerDesign]]]]:
+    sizes: set[int],
+) -> tuple[list[float], dict[int, dict[int, tuple[float, QuantizerDesign]]]]:
     """Each site's quality, and the greedy split of ``alpha_total`` over the
-    first ``n`` sites for each ``n`` in ``sizes``: every funded sensor's
-    index mapped to its share and design.  The partly funded sensors of
-    all the splits are designed in one batch."""
+    first ``n`` sites keyed by each ``n`` in ``sizes``: every funded
+    sensor's index mapped to its share and design.  The partly funded
+    sensors of all the splits are designed in one batch."""
     qualities = [_quality(free) for free in free_designs]
     order = sorted(range(len(free_designs)), key=lambda i: (-qualities[i], i))
-    splits = []
-    for n in sizes:
+    splits = {}
+    for n in sorted(sizes):
         remaining, split = alpha_total, {}
         for i in order:
             if remaining <= BUDGET_FLOOR:
@@ -158,9 +168,9 @@ def _splits(
             if i < n:
                 split[i] = (min(free_designs[i].d_eve, remaining), free_designs[i])
                 remaining = max(remaining - split[i][0], 0.0)
-        splits.append(split)
+        splits[n] = split
     partial = [
-        (split, i) for split in splits
+        (split, i) for split in splits.values()
         for i, (share, free) in split.items() if share < free.d_eve
     ]
     designs = _designs(
@@ -243,12 +253,8 @@ def growth_curve(
     prefixes of one draw is what makes the totals comparable across sizes.
     """
     _check_grid(n_grid, len(sites))
-    # prefixes share their sites, so each site is solved once for all
     prefix = sites[: max(n_grid, default=0)]
-    free_designs = _designs(prefix, [math.inf] * len(prefix))
-    return _growth_points(
-        sites, alpha_total, n_grid, benchmark_ideal_fc, free_designs
-    )
+    return _network(prefix, alpha_total, benchmark_ideal_fc, n_grid)[1]
 
 
 def _check_grid(n_grid: Sequence[int], n_sites: int) -> None:
@@ -261,18 +267,3 @@ def _check_grid(n_grid: Sequence[int], n_sites: int) -> None:
             f"n_grid asks for {n_grid[-1]} sensors but only {n_sites} sites given"
         )
 
-
-def _growth_points(
-    sites: Sequence[SensorSite],
-    alpha_total: float,
-    n_grid: Sequence[int],
-    benchmark_ideal_fc: bool,
-    free_designs: Sequence[QuantizerDesign],
-) -> list[GrowthPoint]:
-    """:func:`growth_curve` on a checked grid, given the unconstrained
-    designs of at least its largest prefix, in site order."""
-    _, splits = _splits(sites, alpha_total, free_designs, n_grid)
-    return [
-        GrowthPoint(n, *_totals(funded, benchmark_ideal_fc))
-        for n, funded in zip(n_grid, splits)
-    ]

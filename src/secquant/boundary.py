@@ -16,17 +16,17 @@ whole proof in numeric form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularPointError
 from .roc import (
+    DIAGONAL_TOL,
     BscChannel,
     OperatingPoint,
+    _bsc,
     _clamp,
-    bsc_transform,
     received_divergence,
 )
 from .search import bisect_root
@@ -67,15 +67,38 @@ class ConvexityCertificate:
     second_derivative: float
 
 
-def _eve_coords(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
-    eve_op = bsc_transform(op, eve)
-    xe, ye = _clamp(eve_op.pfa), _clamp(eve_op.pd)
-    if abs(ye - xe) < 1e-12:
+def _eve_coords(x, y, rho):
+    """Clamped Eve-side images of sensor coordinates behind crossovers
+    ``rho``, elementwise on arrays (or floats) that broadcast together.
+    Raises :class:`SingularPointError` where any image is on the diagonal."""
+    xe, ye = _clamp(_bsc(x, rho)), _clamp(_bsc(y, rho))
+    if np.any(np.abs(ye - xe) < DIAGONAL_TOL):
         raise SingularPointError(
             "operating point maps onto the diagonal through Eve's channel; "
             "the constraint boundary has no defined slope there"
         )
     return xe, ye
+
+
+def _slope(x, y, rho):
+    """:func:`constraint_slope` elementwise on arrays of coordinates."""
+    xe, ye = _eve_coords(x, y, rho)
+    ratio_hi = (1.0 - xe) / (1.0 - ye)
+    ratio_lo = xe / ye
+    return (np.log(ratio_hi) - np.log(ratio_lo)) / (ratio_hi - ratio_lo)
+
+
+def _curvature(x, y, rho, slope):
+    """:func:`constraint_curvature` elementwise on arrays of coordinates
+    and slopes."""
+    xe, ye = _eve_coords(x, y, rho)
+    gap = (1.0 - xe) / (1.0 - ye) - xe / ye
+    # products, not ** 2: NumPy squares arrays but calls pow() on scalars
+    a = (1.0 - xe) / ((1.0 - ye) * (1.0 - ye)) + xe / (ye * ye)
+    b = 1.0 / ye + 1.0 / (1.0 - ye)
+    c = 1.0 / xe + 1.0 / (1.0 - xe)
+    scale = 1.0 - 2.0 * rho
+    return scale * (-a * slope * slope + 2.0 * b * slope - c) / gap
 
 
 def constraint_slope(op: OperatingPoint, eve: BscChannel) -> float:
@@ -88,10 +111,7 @@ def constraint_slope(op: OperatingPoint, eve: BscChannel) -> float:
 
     Raises :class:`SingularPointError` on the diagonal.
     """
-    xe, ye = _eve_coords(op, eve)
-    ratio_hi = (1.0 - xe) / (1.0 - ye)
-    ratio_lo = xe / ye
-    return (math.log(ratio_hi) - math.log(ratio_lo)) / (ratio_hi - ratio_lo)
+    return float(_slope(op.pfa, op.pd, eve.crossover))
 
 
 def constraint_curvature(
@@ -103,13 +123,7 @@ def constraint_curvature(
     ``1 - 2*rho`` factor carries the chain rule through the channel's
     affine map.
     """
-    xe, ye = _eve_coords(op, eve)
-    gap = (1.0 - xe) / (1.0 - ye) - xe / ye
-    a = (1.0 - xe) / (1.0 - ye) ** 2 + xe / ye**2
-    b = 1.0 / ye + 1.0 / (1.0 - ye)
-    c = 1.0 / xe + 1.0 / (1.0 - xe)
-    scale = 1.0 - 2.0 * eve.crossover
-    return scale * (-a * slope * slope + 2.0 * b * slope - c) / gap
+    return float(_curvature(op.pfa, op.pd, eve.crossover, slope))
 
 
 def slope_bounds(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
@@ -121,9 +135,9 @@ def slope_bounds(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
     reciprocals of those two ratios, whenever ``pd >= pfa``.  At symmetric
     points (``pfa + pd = 1``) the reciprocals equal the ratios themselves.
     """
-    eve_op = bsc_transform(op, eve)
-    xe, ye = _clamp(eve_op.pfa), _clamp(eve_op.pd)
-    return (1.0 - ye) / (1.0 - xe), ye / xe
+    rho = eve.crossover
+    xe, ye = _clamp(_bsc(op.pfa, rho)), _clamp(_bsc(op.pd, rho))
+    return float((1.0 - ye) / (1.0 - xe)), float(ye / xe)
 
 
 def trace_constraint_curve(
@@ -156,18 +170,13 @@ def trace_constraint_curve(
         gap, x, np.ones(x.size), np.full(x.size, -budget), top,
         f_tol=TRACE_TOL, x_tol=0.0, max_iter=_TRACE_MAX_ITER,
     )
-    points: list[BoundaryPoint] = []
-    for op in map(OperatingPoint, x.tolist(), y.tolist()):
-        slope = constraint_slope(op, eve)
-        points.append(
-            BoundaryPoint(
-                op=op,
-                eve_op=bsc_transform(op, eve),
-                slope=slope,
-                curvature=constraint_curvature(op, eve, slope),
-            )
-        )
-    return points
+    slope = _slope(x, y, rho)
+    curvature = _curvature(x, y, rho, slope)
+    columns = (x, y, _bsc(x, rho), _bsc(y, rho), slope, curvature)
+    return [
+        BoundaryPoint(OperatingPoint(px, py), OperatingPoint(ex, ey), s, c)
+        for px, py, ex, ey, s, c in zip(*(col.tolist() for col in columns))
+    ]
 
 
 def convexity_certificate(
@@ -196,9 +205,8 @@ def convexity_certificate(
             f"convexity certificate requires 0 < crossover < 0.5, got {rho!r}"
         )
     x, y = _clamp(op.pfa), _clamp(op.pd)
-    hat = bsc_transform(op, eve)
-    xh, yh = _clamp(hat.pfa), _clamp(hat.pd)
-    slope = constraint_slope(op, eve)
+    xh, yh = _eve_coords(op.pfa, op.pd, rho)
+    slope = _slope(op.pfa, op.pd, rho)
 
     hat_over = yh * (1.0 - yh) / (y * (1.0 - y))
     t1 = (
@@ -217,9 +225,7 @@ def convexity_certificate(
         1.0 - x - y
     ) / (x * xh * (1.0 - x) * (1.0 - xh))
     second = rho * (1.0 - rho) * (y - x) / (y * (1.0 - y)) * t4
-    return ConvexityCertificate(
-        t1=t1, t2=t2, t3=t3, t4=t4, second_derivative=second
-    )
+    return ConvexityCertificate(*map(float, (t1, t2, t3, t4, second)))
 
 
 def roc_region(op: OperatingPoint) -> str:

@@ -17,13 +17,14 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from .allocation import (
     AllocationResult,
     NetworkConfig,
     SensorAllocation,
-    _allocate,
     _check_grid,
-    _growth_points,
+    _network,
     _quality,
     sample_sites,
 )
@@ -37,11 +38,11 @@ from .roc import (
     SensorSite,
     bsc_transform,
     kl_divergence,
+    received_divergence,
     site_divergences,
 )
 from .solver import (
     QuantizerDesign,
-    _designs,
     design_quantizer,
     design_search_curve,
     tradeoff_curve,
@@ -276,6 +277,9 @@ def cmd_design(args: argparse.Namespace) -> int:
     if budget < 0.0:
         raise ValueError("alpha_tilde must be nonnegative")
     out = _require(cfg, "out", Path)
+    n_points = _optional(cfg, "h_trace_points", int, 512)
+    if n_points < 2:
+        raise ValueError("h_trace_points must be at least 2")
 
     design = design_quantizer(site, budget)
     if budget == 0.0:
@@ -287,9 +291,6 @@ def cmd_design(args: argparse.Namespace) -> int:
     files = [(out, json_text(_design_artifact(design, site)))]
     trace_out = _optional(cfg, "h_trace_out", Path, None)
     if trace_out is not None:
-        n_points = _optional(cfg, "h_trace_points", int, 512)
-        if n_points < 2:
-            raise ValueError("h_trace_points must be at least 2")
         rows = design_search_curve(site, budget, n_points)
         files.append((trace_out, csv_text(["lambda", "h"], rows)))
     write_all(files)
@@ -346,12 +347,8 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         _check_grid(n_grid, n_sensors)
 
     sites = sample_sites(n_sensors, seed, snr, fc_high, eve_high)
-    # the allocation and every growth prefix share these designs, so each
-    # site is solved once
-    free_designs = _designs(sites, [math.inf] * len(sites))
-    config = NetworkConfig(sites=sites, alpha_total=alpha_total,
-                           benchmark_ideal_fc=benchmark, seed=seed)
-    result = _allocate(config, free_designs)
+    NetworkConfig(sites=sites, alpha_total=alpha_total)  # validates the budget
+    result, points = _network(sites, alpha_total, benchmark, n_grid or [])
     records = [_sensor_record(rec, site) for rec, site in zip(result.per_sensor, sites)]
     header = ["index", "k_i", "alpha_i", "active", "lambda", "d_fc_i", "d_eve_i"]
     summary = {
@@ -375,7 +372,6 @@ def cmd_greedy(args: argparse.Namespace) -> int:
         (_sibling(out, ".summary.json"), json_text(summary)),
     ]
     if n_grid is not None:
-        points = _growth_points(sites, alpha_total, n_grid, benchmark, free_designs)
         growth_header = ["n", "total_d_fc", "total_d_eve", "active_count"]
         if benchmark:
             growth_header += ["benchmark_d_fc", "benchmark_d_eve"]
@@ -401,11 +397,12 @@ def cmd_trace_boundary(args: argparse.Namespace) -> int:
     out = _require(cfg, "out", Path)
 
     points = trace_constraint_curve(budget, eve, n_points)
+    x, y = np.array([(p.op.pfa, p.op.pd) for p in points]).reshape(-1, 2).T
+    d_e = received_divergence(x, y, eve.crossover).tolist()
     header = ["x", "y", "x_e", "y_e", "slope", "curvature", "d_e"]
     rows = [
-        (p.op.pfa, p.op.pd, p.eve_op.pfa, p.eve_op.pd, p.slope, p.curvature,
-         kl_divergence(p.eve_op))
-        for p in points
+        (p.op.pfa, p.op.pd, p.eve_op.pfa, p.eve_op.pd, p.slope, p.curvature, d)
+        for p, d in zip(points, d_e)
     ]
     write_all([(out, _table_text(cfg, header, rows))])
     return 0
@@ -477,6 +474,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
     tolerance = _optional(cfg, "tolerance", float, DEFAULT_SLOPE_TOLERANCE)
+    if not (0.0 <= tolerance < math.inf):  # also rejects NaN
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    window = _optional(cfg, "window", int, 20)
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window!r}")
     trials = cfg["trials"]
     out = _require(cfg, "out", Path)
 
@@ -491,7 +493,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if cfg["seed"] is None:
             raise ValueError("missing required field: seed (needed for trials)")
         seed = _optional(cfg, "seed", int, None)
-        window = _optional(cfg, "window", int, 20)
         mc = simulate_monte_carlo(
             config, result, window=window, trials=trials, seed=seed, delta=delta
         )

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .allocation import AllocationResult, NetworkConfig
-from .roc import OperatingPoint, _clamp, bsc_transform
+from .roc import OperatingPoint, _bsc, _clamp
 
 #: Default false-alarm level for the exact miss computations: small enough
 #: for the exponent to dominate, large enough to keep the randomized
@@ -205,17 +205,32 @@ def stein_curve(
     ]
 
 
-def _llr_weights(op: OperatingPoint, channel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bit log-likelihood increments for ones and zeros after a channel."""
-    received = bsc_transform(op, channel)
-    x, y = _clamp(received.pfa), _clamp(received.pd)
-    return math.log(y / x), math.log((1.0 - y) / (1.0 - x))
+def _llr_weights(pfa, pd, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bit log-likelihood increments for ones and zeros after channels
+    of crossover ``rho``, elementwise on arrays of each sensor's
+    coordinates and crossover."""
+    x, y = _clamp(_bsc(pfa, rho)), _clamp(_bsc(pd, rho))
+    return np.log(y / x), np.log((1.0 - y) / (1.0 - x))
 
 
 def _block_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=key)
     )
+
+
+def _network_arrays(
+    config: NetworkConfig, designs: AllocationResult
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each sensor's design coordinates (pfa, pd) and its FC and Eve
+    crossovers, as arrays in site order."""
+    pfa, pd = np.array(
+        [(rec.design.op.pfa, rec.design.op.pd) for rec in designs.per_sensor]
+    ).T
+    fc_rho, eve_rho = np.array(
+        [(site.fc_channel.crossover, site.eve_channel.crossover) for site in config.sites]
+    ).T
+    return pfa, pd, fc_rho, eve_rho
 
 
 def _symbol_law(
@@ -229,13 +244,9 @@ def _symbol_law(
     sum is the pair's law; ``ones / (ones + zeros)`` is the chance the
     sensor sent a one given what both receivers got.
     """
+    pfa, pd, fc_rho, eve_rho = _network_arrays(config, designs)
     # P(sensor bit 1): each design's detection or false-alarm probability
-    p = np.array([
-        rec.design.op.pd if hypothesis == 1 else rec.design.op.pfa
-        for rec in designs.per_sensor
-    ])
-    fc_rho = np.array([site.fc_channel.crossover for site in config.sites])
-    eve_rho = np.array([site.eve_channel.crossover for site in config.sites])
+    p = pd if hypothesis == 1 else pfa
     fc_keep, eve_keep = 1.0 - fc_rho, 1.0 - eve_rho
     # P(received pair | sensor bit 1), and with the flips swapped for bit 0
     given_one = np.stack(
@@ -311,26 +322,37 @@ def _fusion_statistics(
     return ones @ w_one + (window - ones) @ w_zero
 
 
-def _calibrate(values: np.ndarray, delta: float) -> tuple[float, float]:
-    """Randomized threshold with empirical false alarm exactly ``delta``.
+def _receiver_estimates(
+    cal: np.ndarray, h0: np.ndarray, h1: np.ndarray, delta: float
+) -> tuple[float, float, float, float]:
+    """False alarm, miss and their standard errors of one receiver's fused
+    test on its H0 and H1 statistics ``h0`` and ``h1``.
 
-    Returns ``(tau, gamma)``: reject when the statistic exceeds ``tau``,
-    and with probability ``gamma`` at ``tau`` itself.
+    The test rejects when the statistic exceeds ``tau``, and with
+    probability ``gamma`` at ``tau`` itself; ``(tau, gamma)`` give false
+    alarm exactly ``delta`` on the calibration statistics ``cal``.
     """
-    ordered = np.sort(values)[::-1]
-    target = delta * len(values)
+    ordered = np.sort(cal)[::-1]
+    target = delta * len(cal)
     tau = float(ordered[int(target)])
-    count_gt = float(np.count_nonzero(values > tau))
-    count_eq = float(np.count_nonzero(values == tau))
-    gamma = (target - count_gt) / count_eq
-    return tau, min(max(gamma, 0.0), 1.0)
+    count_gt = float(np.count_nonzero(cal > tau))
+    count_eq = float(np.count_nonzero(cal == tau))
+    gamma = min(max((target - count_gt) / count_eq, 0.0), 1.0)
 
+    def rejection_rate(values: np.ndarray) -> float:
+        return float(np.mean(values > tau)) + gamma * float(np.mean(values == tau))
 
-def _rejection_rate(values: np.ndarray, tau: float, gamma: float) -> float:
-    """Rejection frequency of the randomized test."""
-    frac_gt = float(np.mean(values > tau))
-    frac_eq = float(np.mean(values == tau))
-    return frac_gt + gamma * frac_eq
+    fa, miss = rejection_rate(h0), 1.0 - rejection_rate(h1)
+    # calibration noise: the test's true false alarm deviates from delta
+    # by ~ sqrt(delta(1-delta)/M); the induced miss deviation scales by
+    # the likelihood ratio at the fusion threshold, exp(tau)
+    cal_se = math.sqrt(delta * (1.0 - delta) / len(cal))
+
+    def se(p: float, calibration_se: float) -> float:
+        estimate_se = math.sqrt(max(p * (1.0 - p), 0.0) / len(h0))
+        return math.sqrt(estimate_se**2 + calibration_se**2)
+
+    return fa, miss, se(fa, cal_se), se(miss, math.exp(min(tau, 50.0)) * cal_se)
 
 
 def simulate_monte_carlo(
@@ -372,18 +394,9 @@ def simulate_monte_carlo(
     if calibration_trials is None:
         calibration_trials = 4 * trials
 
-    fc_w = [
-        _llr_weights(rec.design.op, site.fc_channel)
-        for rec, site in zip(designs.per_sensor, config.sites)
-    ]
-    eve_w = [
-        _llr_weights(rec.design.op, site.eve_channel)
-        for rec, site in zip(designs.per_sensor, config.sites)
-    ]
-    fc_w1 = np.array([w[0] for w in fc_w])
-    fc_w0 = np.array([w[1] for w in fc_w])
-    eve_w1 = np.array([w[0] for w in eve_w])
-    eve_w0 = np.array([w[1] for w in eve_w])
+    pfa, pd, fc_rho, eve_rho = _network_arrays(config, designs)
+    fc_w = _llr_weights(pfa, pd, fc_rho)
+    eve_w = _llr_weights(pfa, pd, eve_rho)
 
     def collect(stream: int, hypothesis: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         ones, zeros = _symbol_law(config, designs, hypothesis)
@@ -393,45 +406,29 @@ def simulate_monte_carlo(
         done = 0
         for n11, n10, n01 in _stream_counts(seed, stream, shares, window, count):
             rows = slice(done, done + len(n11))
-            fc_stats[rows] = _fusion_statistics(n11 + n10, fc_w1, fc_w0, window)
-            eve_stats[rows] = _fusion_statistics(n11 + n01, eve_w1, eve_w0, window)
+            fc_stats[rows] = _fusion_statistics(n11 + n10, *fc_w, window)
+            eve_stats[rows] = _fusion_statistics(n11 + n01, *eve_w, window)
             done += len(n11)
         return fc_stats, eve_stats
 
     cal_fc, cal_eve = collect(_CAL_STREAM, 0, calibration_trials)
-    fc_tau, fc_gamma = _calibrate(cal_fc, delta)
-    eve_tau, eve_gamma = _calibrate(cal_eve, delta)
-
     h0_fc, h0_eve = collect(_H0_STREAM, 0, trials)
     h1_fc, h1_eve = collect(_H1_STREAM, 1, trials)
-
-    fc_fa = _rejection_rate(h0_fc, fc_tau, fc_gamma)
-    eve_fa = _rejection_rate(h0_eve, eve_tau, eve_gamma)
-    fc_miss = 1.0 - _rejection_rate(h1_fc, fc_tau, fc_gamma)
-    eve_miss = 1.0 - _rejection_rate(h1_eve, eve_tau, eve_gamma)
-
-    # calibration noise: the test's true false alarm deviates from delta
-    # by ~ sqrt(delta(1-delta)/M); the induced miss deviation scales by
-    # the likelihood ratio at the fusion threshold, exp(tau)
-    cal_se = math.sqrt(delta * (1.0 - delta) / calibration_trials)
-
-    def estimate_se(p: float) -> float:
-        return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-
-    def miss_se(p: float, tau: float) -> float:
-        return math.sqrt(
-            estimate_se(p) ** 2 + (math.exp(min(tau, 50.0)) * cal_se) ** 2
-        )
-
+    fc_fa, fc_miss, fc_fa_se, fc_miss_se = _receiver_estimates(
+        cal_fc, h0_fc, h1_fc, delta
+    )
+    eve_fa, eve_miss, eve_fa_se, eve_miss_se = _receiver_estimates(
+        cal_eve, h0_eve, h1_eve, delta
+    )
     return MonteCarloResult(
         fc_fa_estimate=fc_fa,
         fc_miss_estimate=fc_miss,
         eve_fa_estimate=eve_fa,
         eve_miss_estimate=eve_miss,
-        fc_fa_se=math.sqrt(estimate_se(fc_fa) ** 2 + cal_se**2),
-        fc_miss_se=miss_se(fc_miss, fc_tau),
-        eve_fa_se=math.sqrt(estimate_se(eve_fa) ** 2 + cal_se**2),
-        eve_miss_se=miss_se(eve_miss, eve_tau),
+        fc_fa_se=fc_fa_se,
+        fc_miss_se=fc_miss_se,
+        eve_fa_se=eve_fa_se,
+        eve_miss_se=eve_miss_se,
         delta=delta,
         window=window,
         trials=trials,

@@ -32,8 +32,11 @@ CLAMP_EPS = 1e-12
 DIAGONAL_TOL = 1e-12
 
 
-def _clamp(p: float) -> float:
-    return min(max(p, CLAMP_EPS), 1.0 - CLAMP_EPS)
+def _clamp(p):
+    """Probabilities (a float or an array) clamped into ``[CLAMP_EPS,
+    1 - CLAMP_EPS]``: the one clamp in front of every logarithm here."""
+    # np.minimum/np.maximum: np.clip's values at half its cost on scalars
+    return np.minimum(np.maximum(p, CLAMP_EPS), 1.0 - CLAMP_EPS)
 
 
 def _check_probability(value: float, name: str) -> None:
@@ -114,9 +117,7 @@ def kl_divergence(op: OperatingPoint) -> float:
 def _kl(x, y):
     """:func:`kl_divergence` elementwise on arrays (or floats) of
     coordinates: the one KL kernel, behind every divergence here."""
-    # np.minimum/np.maximum: np.clip's values at half its cost on scalars
-    x = np.minimum(np.maximum(x, CLAMP_EPS), 1.0 - CLAMP_EPS)
-    y = np.minimum(np.maximum(y, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    x, y = _clamp(x), _clamp(y)
     d = x * np.log(x / y) + (1.0 - x) * np.log((1.0 - x) / (1.0 - y))
     return np.maximum(d, 0.0)
 
@@ -128,9 +129,8 @@ def kl_divergence_grad_pd(op: OperatingPoint) -> float:
     why optimal designs always sit on the upper boundary of the feasible
     region.
     """
-    x = _clamp(op.pfa)
-    y = _clamp(op.pd)
-    return (1.0 - x) / (1.0 - y) - x / y
+    x, y = _clamp(op.pfa), _clamp(op.pd)
+    return float((1.0 - x) / (1.0 - y) - x / y)
 
 
 def bsc_transform(op: OperatingPoint, channel: BscChannel) -> OperatingPoint:

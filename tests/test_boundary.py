@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secquant import (
     BscChannel,
@@ -15,6 +17,7 @@ from secquant import (
     constraint_slope,
     convexity_certificate,
     kl_divergence,
+    kl_divergence_grad_pd,
     roc_region,
     slope_bounds,
     trace_constraint_curve,
@@ -200,6 +203,40 @@ class TestTrace:
                 continue
             fd = (ys[k + 1] - ys[k - 1]) / (xs[k + 1] - xs[k - 1])
             assert points[k].slope == pytest.approx(fd, rel=1e-5)
+
+
+class TestOnePointCase:
+    """The public functions are the one-point case of the array kernels
+    that trace whole curves, bit for bit, and return Python floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        budget=st.floats(1e-6, 5.0),
+        rho=st.one_of(st.just(0.0), st.floats(0.0, 0.499)),
+        n_points=st.integers(2, 600),
+    )
+    def test_traced_points_equal_the_one_point_functions(self, budget, rho, n_points):
+        eve = BscChannel(rho)
+        for p in trace_constraint_curve(budget, eve, n_points):
+            slope = constraint_slope(p.op, eve)
+            assert p.slope == slope
+            assert p.curvature == constraint_curvature(p.op, eve, slope)
+            assert p.eve_op == bsc_transform(p.op, eve)
+
+    def test_python_float_returns(self):
+        op, eve = OperatingPoint(0.2, 0.7), BscChannel(0.1)
+        point = trace_constraint_curve(0.2, eve, n_points=5)[0]
+        cert = convexity_certificate(op, eve)
+        values = [
+            constraint_slope(op, eve),
+            constraint_curvature(op, eve, 1.0),
+            *slope_bounds(op, eve),
+            *vars(cert).values(),
+            point.slope,
+            point.curvature,
+            kl_divergence_grad_pd(op),
+        ]
+        assert all(type(v) is float for v in values)
 
 
 class TestConvexityCertificate:

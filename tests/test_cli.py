@@ -81,6 +81,14 @@ class TestDesignCommand:
         assert lines[0] == "lambda,h"
         assert len(lines) == 65
 
+    def test_h_trace_points_below_two_exits_2_without_trace_out(
+        self, tmp_path, capsys
+    ):
+        argv, out = design_args(tmp_path, h_trace_points=1)
+        assert run(*argv) == 2
+        assert "h_trace_points must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_document_with_flag_override(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
@@ -382,6 +390,31 @@ class TestVerifyCommand:
             "--delta", delta, *mc_args,
         ) == 2
         assert "delta must lie in (0, 0.5)" in capsys.readouterr().err
+        assert not report_out.exists()
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+    def test_tolerance_not_finite_and_nonnegative_exits_2(
+        self, tmp_path, capsys, tolerance
+    ):
+        argv, design_out = design_args(tmp_path, budget="5.0")
+        assert run(*argv) == 0
+        report_out = tmp_path / "report.json"
+        assert run(
+            "verify", "--artifact", str(design_out), "--out", str(report_out),
+            "--tolerance", tolerance,
+        ) == 2
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+        assert not report_out.exists()
+
+    def test_window_below_one_exits_2_without_trials(self, tmp_path, capsys):
+        argv, design_out = design_args(tmp_path, budget="5.0")
+        assert run(*argv) == 0
+        report_out = tmp_path / "report.json"
+        assert run(
+            "verify", "--artifact", str(design_out), "--out", str(report_out),
+            "--window", "0",
+        ) == 2
+        assert "window must be positive" in capsys.readouterr().err
         assert not report_out.exists()
 
     def test_verify_idempotent_bytes(self, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, multinomial
 
 from secquant import (
@@ -341,6 +343,28 @@ def small_network():
     return config, allocate(config)
 
 
+class TestLlrWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0),
+                st.one_of(st.just(0.0), st.floats(0.0, 0.499)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_batch_equals_one_sensor_calls(self, sensors):
+        pfa, pd, rho = (np.array(column) for column in zip(*sensors))
+        w_one, w_zero = _llr_weights(pfa, pd, rho)
+        for i, point in enumerate(sensors):
+            one, zero = _llr_weights(*point)
+            assert (one, zero) == (w_one[i], w_zero[i])
+            assert math.isfinite(one) and math.isfinite(zero)
+
+
 class TestTrialRecords:
     @pytest.mark.parametrize("hypothesis", [0, 1])
     def test_records_reproduce_the_estimation_statistics(
@@ -366,23 +390,19 @@ class TestTrialRecords:
             config, result, hypothesis, window=window, count=count, seed=21
         )
         n = len(config.sites)
+        pfa = np.array([rec.design.op.pfa for rec in result.per_sensor])
+        pd = np.array([rec.design.op.pd for rec in result.per_sensor])
         for receiver, want in (("fc", want_fc), ("eve", want_eve)):
-            weights = [
-                _llr_weights(rec.design.op, getattr(site, f"{receiver}_channel"))
-                for rec, site in zip(result.per_sensor, config.sites)
-            ]
+            rho = np.array(
+                [getattr(site, f"{receiver}_channel").crossover for site in config.sites]
+            )
             ones = np.array(
                 [
                     np.reshape(getattr(rec, f"{receiver}_bits"), (n, window)).sum(axis=1)
                     for rec in records
                 ]
             )
-            got = _fusion_statistics(
-                ones,
-                np.array([w[0] for w in weights]),
-                np.array([w[1] for w in weights]),
-                window,
-            )
+            got = _fusion_statistics(ones, *_llr_weights(pfa, pd, rho), window)
             assert np.array_equal(got, want[:count])
 
     def test_sensor_bits_flip_at_the_crossovers(self):
