@@ -47,10 +47,7 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if len(self.sites) == 0:
             raise ValueError("a network needs at least one sensor site")
-        if not self.alpha_total >= 0.0:
-            raise ValueError(
-                f"alpha_total must be nonnegative, got {self.alpha_total!r}"
-            )
+        _check_network(self.alpha_total, [], len(self.sites))
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,12 @@ def _network(
     benchmark_ideal_fc: bool,
     n_grid: Sequence[int],
 ) -> tuple[AllocationResult, list[GrowthPoint]]:
-    """:func:`allocate` over ``sites`` and :func:`growth_curve` on a checked
-    grid of their prefixes.  The allocation and every prefix share one
+    """:func:`allocate` over ``sites`` and :func:`growth_curve` on a grid of
+    their prefixes, both checked here.  The allocation and every prefix share one
     unconstrained design per site and one split per distinct size, so each
     site is solved once and each partly funded sensor designed once."""
     n = len(sites)
+    _check_network(alpha_total, n_grid, n)
     free_designs = _designs(sites, [math.inf] * n)
     qualities, splits = _splits(sites, alpha_total, free_designs, {*n_grid, n})
     funded = splits[n]
@@ -252,12 +250,13 @@ def growth_curve(
     ``n_grid`` must be ascending and bounded by the number of sites; using
     prefixes of one draw is what makes the totals comparable across sizes.
     """
-    _check_grid(n_grid, len(sites))
     prefix = sites[: max(n_grid, default=0)]
     return _network(prefix, alpha_total, benchmark_ideal_fc, n_grid)[1]
 
 
-def _check_grid(n_grid: Sequence[int], n_sites: int) -> None:
+def _check_network(alpha_total: float, n_grid: Sequence[int], n_sites: int) -> None:
+    if not alpha_total >= 0.0:
+        raise ValueError(f"alpha_total must be nonnegative, got {alpha_total!r}")
     if any(n2 < n1 for n1, n2 in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be sorted ascending")
     if n_grid and n_grid[0] < 1:

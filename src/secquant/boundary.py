@@ -33,7 +33,6 @@ from .search import bisect_root
 
 #: Traced points satisfy |D_eve - budget| <= TRACE_TOL.
 TRACE_TOL = 1e-10
-_TRACE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def trace_constraint_curve(
 
     y = bisect_root(
         gap, x, np.ones(x.size), np.full(x.size, -budget), top,
-        f_tol=TRACE_TOL, x_tol=0.0, max_iter=_TRACE_MAX_ITER,
+        f_tol=TRACE_TOL, x_tol=0.0,
     )
     slope = _slope(x, y, rho)
     curvature = _curvature(x, y, rho, slope)

@@ -23,7 +23,6 @@ from .allocation import (
     AllocationResult,
     NetworkConfig,
     SensorAllocation,
-    _check_grid,
     _network,
     _quality,
     sample_sites,
@@ -343,11 +342,8 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     benchmark = _optional(cfg, "benchmark", bool, False)
     out = _require(cfg, "out", Path)
     n_grid = _optional(cfg, "n_grid", _list_of(int), None)
-    if n_grid is not None:
-        _check_grid(n_grid, n_sensors)
 
     sites = sample_sites(n_sensors, seed, snr, fc_high, eve_high)
-    NetworkConfig(sites=sites, alpha_total=alpha_total)  # validates the budget
     result, points = _network(sites, alpha_total, benchmark, n_grid or [])
     records = [_sensor_record(rec, site) for rec, site in zip(result.per_sensor, sites)]
     header = ["index", "k_i", "alpha_i", "active", "lambda", "d_fc_i", "d_eve_i"]

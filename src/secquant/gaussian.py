@@ -24,10 +24,10 @@ from scipy.special import erfc, log_ndtr, ndtri
 from .roc import BscChannel, OperatingPoint, received_divergence
 from .search import unimodal_max
 
-#: Searches over the threshold are confined to where the false-alarm
-#: probability stays inside [PFA_FLOOR, 1 - PFA_FLOOR]; beyond that the
-#: operating point is numerically pinned to a corner and the divergence
-#: is flat.
+#: Threshold searches run from pfa = 1 - PFA_FLOOR up to pd = PFA_FLOOR, so
+#: at each edge both coordinates sit within PFA_FLOOR of the same corner:
+#: beyond it the operating point is numerically pinned to that corner and
+#: the divergence is flat.
 PFA_FLOOR = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
@@ -77,10 +77,7 @@ class GaussianSensorModel:
 
     def operating_point(self, threshold: float) -> OperatingPoint:
         """Operating point of the quantizer ``u = 1{r >= threshold}``."""
-        return OperatingPoint(
-            q_function(threshold / self.sigma),
-            q_function((threshold - self.theta) / self.sigma),
-        )
+        return OperatingPoint(*_operating_points(self.theta, self.sigma, threshold))
 
     def lrt_curve(self, pfa: float) -> float:
         """Detection probability on the LRT boundary at a given ``pfa``."""
@@ -89,11 +86,18 @@ class GaussianSensorModel:
         return q_function(q_inverse(pfa) - self.snr)
 
     def threshold_bracket(self) -> tuple[float, float]:
-        """Threshold interval where pfa spans [PFA_FLOOR, 1 - PFA_FLOOR]."""
-        return (
-            self.sigma * q_inverse(1.0 - PFA_FLOOR),
-            self.sigma * q_inverse(PFA_FLOOR),
-        )
+        """Threshold interval from pfa = 1 - PFA_FLOOR to pd = PFA_FLOOR."""
+        return _threshold_brackets(self.theta, self.sigma)
+
+
+def _operating_points(theta, sigma, thresholds):
+    """``(pfa, pd)`` of :meth:`GaussianSensorModel.operating_point`, elementwise."""
+    return q_function(thresholds / sigma), q_function((thresholds - theta) / sigma)
+
+
+def _threshold_brackets(theta, sigma):
+    """:meth:`GaussianSensorModel.threshold_bracket`, elementwise."""
+    return sigma * q_inverse(1.0 - PFA_FLOOR), theta + sigma * q_inverse(PFA_FLOOR)
 
 
 def max_channel_divergence(
@@ -119,7 +123,7 @@ def _max_channel_divergences(
         [(m.theta, m.sigma, c.crossover) for m, c in zip(models, channels)],
         dtype=float,
     ).reshape(-1, 3).T[:, :, None]
-    lo, hi = np.array([m.threshold_bracket() for m in models]).reshape(-1, 2).T
+    lo, hi = _threshold_brackets(theta[:, 0], sigma[:, 0])
 
     def objective(thresholds: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         return _channel_divergence(theta[lanes], sigma[lanes], rho[lanes], thresholds)
@@ -131,6 +135,4 @@ def _channel_divergence(theta, sigma, rho, thresholds):
     """``kl_divergence(bsc_transform(model.operating_point(threshold),
     channel))`` elementwise over arrays that broadcast together: the same
     kernels as the dataclass path, without building operating points."""
-    return received_divergence(
-        q_function(thresholds / sigma), q_function((thresholds - theta) / sigma), rho
-    )
+    return received_divergence(*_operating_points(theta, sigma, thresholds), rho)

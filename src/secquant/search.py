@@ -1,5 +1,5 @@
 """Search primitives over lanes: a grid-zoom maximizer seeded by a
-unimodality pre-scan, and bisection.  Each solves many independent
+batched unimodality pre-scan, and bisection.  Each solves many independent
 problems ("lanes") at once: its objective ``f(x, lanes)`` maps an array
 whose row ``j`` holds abscissae of lane ``lanes[j]`` to their values, and
 each lane stops on its own tests, whatever else is in the batch."""
@@ -15,80 +15,84 @@ from .errors import UnimodalityError
 #: Grid size for the unimodality pre-scan.
 PRESCAN_POINTS = 1024
 
+#: Lanes pre-scanned per call of the objective.
+PRESCAN_LANES = 32
+
 #: Grid size of each zoom step of :func:`unimodal_max`.
 ZOOM_POINTS = 64
+
+#: :func:`unimodal_max` stops narrowing a lane's bracket at this width.
+ZOOM_TOL = 1e-10
 
 Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Lanes = Sequence[float]  # one value per lane
 
 
-def count_direction_changes(values: Sequence[float], noise_floor: float) -> int:
+def count_direction_changes(values, noise_floor) -> int | np.ndarray:
     """Sign alternations of the discrete differences, ignoring steps below
-    ``noise_floor`` (flat tails produce float-level jitter)."""
-    steps = np.diff(np.asarray(values, dtype=float))
+    ``noise_floor`` (flat tails produce float-level jitter): an int for a
+    sequence, or each row's count, at its entry of an array floor, for 2-D."""
+    steps = np.diff(np.atleast_2d(np.asarray(values, dtype=float)), axis=1)
     # a NaN step is kept and counts as falling, like any step that is not
     # a rise
-    signs = np.where(steps > 0.0, 1, -1)[~(np.abs(steps) <= noise_floor)]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    row, col = np.nonzero(~(np.abs(steps) <= np.reshape(noise_floor, (-1, 1))))
+    rises = steps[row, col] > 0.0
+    turns = (rises[1:] != rises[:-1]) & (row[1:] == row[:-1])
+    counts = np.bincount(row[1:][turns], minlength=len(steps))
+    return int(counts[0]) if np.ndim(values) == 1 else counts
+
+
+def _narrow(f: Objective, a: np.ndarray, b: np.ndarray, lanes: np.ndarray,
+            points: int) -> tuple[np.ndarray, ...]:
+    """One grid step of the pre-scan or the zoom: ``points`` abscissae over
+    each lane's ``[a, b]`` in one call of ``f``.  Returns their values, each
+    lane's best abscissa and its value, and the bracket one step either side."""
+    grid = a[:, None] + np.arange(points) * ((b - a) / (points - 1))[:, None]
+    values = f(grid, lanes)
+    rows, k = np.arange(lanes.size), np.argmax(values, axis=1)
+    return (values, grid[rows, k], values[rows, k], grid[rows, np.maximum(k - 1, 0)],
+            grid[rows, np.minimum(k + 1, points - 1)])
 
 
 def assert_unimodal(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, label: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raise :class:`UnimodalityError` unless ``f`` looks single-peaked on a
-    PRESCAN_POINTS grid over ``[lo, hi]``; return the grid and its values.
-    ``f`` maps the whole grid, as one array, to the array of its values.
-    """
-    step = (hi - lo) / (PRESCAN_POINTS - 1)
-    grid = lo + np.arange(PRESCAN_POINTS) * step
-    values = np.asarray(f(grid), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if count_direction_changes(values, noise_floor=1e-12 * scale) > 2:
-        raise UnimodalityError((
-            f"{label} is not unimodal on [{lo!r}, {hi!r}]; "
-            "refusing to search it for a maximum"
-        ))
-    return grid, values
+    f: Objective, lo: Lanes, hi: Lanes, label: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raise :class:`UnimodalityError` unless each lane's objective looks
+    single-peaked on a PRESCAN_POINTS grid over its ``[lo, hi]``, scanning
+    PRESCAN_LANES lanes per call of ``f`` to bound memory.  Returns each
+    lane's best grid point, its value, and the bracket one step either side."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    found = np.empty((4, lo.size))
+    for start in range(0, lo.size, PRESCAN_LANES):
+        lanes = np.arange(start, min(start + PRESCAN_LANES, lo.size))
+        values, *found[:, lanes] = _narrow(f, lo[lanes], hi[lanes], lanes, PRESCAN_POINTS)
+        scale = np.fmax(1.0, np.max(np.abs(values), axis=1))
+        bad = lanes[count_direction_changes(values, 1e-12 * scale) > 2]
+        if bad.size:
+            raise UnimodalityError(f"{label} is not unimodal on [{lo[bad[0]]}, "
+                                   f"{hi[bad[0]]}]; refusing to search it for a maximum")
+    return tuple(found)
 
 
 def unimodal_max(
-    f: Objective,
-    lo: Lanes,
-    hi: Lanes,
-    label: str,
-    tol: float = 1e-10,
+    f: Objective, lo: Lanes, hi: Lanes, label: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize each lane's unimodal objective on its ``[lo, hi]``.
 
-    Each lane is pre-scanned on its own (so a batch holds one pre-scan grid
-    at a time), and its argmax plus and minus one step brackets the peak.
-    All lanes then lay ZOOM_POINTS over their brackets in one call of ``f``
-    and narrow them the same way, until each is at most ``tol`` wide or
-    stops shrinking.  Returns the best abscissae sampled and their values.
+    The pre-scan of :func:`assert_unimodal` brackets each lane's peak.  All
+    lanes then lay ZOOM_POINTS over their brackets in one call of ``f`` and
+    narrow them the same way, until each is at most ZOOM_TOL wide or stops
+    shrinking.  Returns the best abscissae sampled and their values.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    a, b, best_x, best_f = (np.empty_like(lo) for _ in range(4))
-    for i in range(lo.size):
-        lane = np.array([i])
-        grid, values = assert_unimodal(
-            lambda x: f(x[None, :], lane)[0], lo[i], hi[i], label
-        )
-        k = int(np.argmax(values))
-        best_x[i], best_f[i] = grid[k], values[k]
-        a[i], b[i] = grid[max(k - 1, 0)], grid[min(k + 1, PRESCAN_POINTS - 1)]
-    lanes = np.flatnonzero(b - a > tol)
-    steps = np.arange(ZOOM_POINTS)
+    best_x, best_f, a, b = assert_unimodal(f, lo, hi, label)
+    lanes = np.flatnonzero(b - a > ZOOM_TOL)
     while lanes.size:
         width = b[lanes] - a[lanes]
-        grid = a[lanes, None] + steps * (width / (ZOOM_POINTS - 1))[:, None]
-        values = f(grid, lanes)
-        rows = np.arange(lanes.size)
-        k = np.argmax(values, axis=1)
-        best_x[lanes], best_f[lanes] = grid[rows, k], values[rows, k]
-        a[lanes] = grid[rows, np.maximum(k - 1, 0)]
-        b[lanes] = grid[rows, np.minimum(k + 1, ZOOM_POINTS - 1)]
+        _, best_x[lanes], best_f[lanes], a[lanes], b[lanes] = _narrow(
+            f, a[lanes], b[lanes], lanes, ZOOM_POINTS
+        )
         narrowed = b[lanes] - a[lanes]
-        lanes = lanes[(narrowed > tol) & (narrowed < width)]
+        lanes = lanes[(narrowed > ZOOM_TOL) & (narrowed < width)]
     return best_x, best_f
 
 

@@ -4,21 +4,22 @@ The designable quantity is the LRT threshold.  Eve's divergence along the
 LRT curve, minus the tolerated budget, is a single-peaked function of the
 threshold whose tails sink to minus the budget; its at most two zeros
 bracket the thresholds at which the secrecy constraint is exactly met.
-The optimal design is one of those two crossings when the constraint
-binds, and the unconstrained divergence maximizer otherwise.  A zero
-budget forces the blind corner design.
+The optimal design is the better crossing inside the threshold bracket
+when the constraint binds (blind without one), and the unconstrained
+divergence maximizer otherwise.  A zero budget forces the blind design.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .gaussian import _channel_divergence, _max_channel_divergences, q_function
-from .roc import BscChannel, OperatingPoint, SensorSite
+from .gaussian import (_channel_divergence, _max_channel_divergences,
+                       _operating_points, _threshold_brackets)
+from .roc import BscChannel, OperatingPoint, SensorSite, received_divergence
 from .search import bisect_root
 
 #: A root r of the budget equation is accepted when |gap(r)| <= ROOT_F_TOL
@@ -96,9 +97,9 @@ def find_budget_thresholds(site: SensorSite, budget: float) -> list[float]:
 
     Returns zero, one, or two thresholds: none when the budget exceeds
     the achievable maximum (the gap stays negative), one at exact
-    tangency, and otherwise one root on each side of the peak, found by
-    bisection.  Budgets smaller than the corner leakage collapse to the
-    bracket edges.
+    tangency, and otherwise up to one root on each side of the peak, found
+    by bisection.  A crossing beyond the threshold bracket is not reported:
+    where the bracket edge still leaks, that side has no root.
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
@@ -113,32 +114,30 @@ def _budget_thresholds(
     crossing of every lane is bisected in one batch."""
     eve_peaks = _site_peaks(sites, [site.eve_channel for site in sites])
     gaps = [d_eve_max - budget for (_, d_eve_max), budget in zip(eve_peaks, budgets)]
-    roots = [[] if g < -ROOT_F_TOL else [p] for (p, _), g in zip(eve_peaks, gaps)]
-    crossing = [i for i, g in enumerate(gaps) if g > ROOT_F_TOL]
-    if not crossing:
-        return roots
+    roots = [[p] if abs(g) <= ROOT_F_TOL else [] for (p, _), g in zip(eve_peaks, gaps)]
     # two intervals per crossing lane, (lo, peak) and (peak, hi)
-    lanes = np.repeat(crossing, 2)
+    lanes = np.repeat(np.flatnonzero(np.array(gaps) > ROOT_F_TOL), 2)
+    if not lanes.size:
+        return roots
     theta, sigma, _, rho = _site_columns([sites[i] for i in lanes])[:, :, None]
-    budget = np.array([budgets[i] for i in lanes])[:, None]
+    budget = np.asarray(budgets, dtype=float)[lanes, None]
 
     def gap(t: np.ndarray, sub: np.ndarray) -> np.ndarray:
         return _channel_divergence(theta[sub], sigma[sub], rho[sub], t) - budget[sub]
 
-    edges = np.array([sites[i].model.threshold_bracket() for i in crossing]).ravel()
+    edges = np.stack(_threshold_brackets(theta[::2, 0], sigma[::2, 0]), axis=1).ravel()
     peaks = np.array([eve_peaks[i][0] for i in lanes])
     a, b = np.minimum(edges, peaks), np.maximum(edges, peaks)
     f_a, f_b = gap(np.stack([a, b], axis=1), np.arange(lanes.size)).T
-    # where both ends leak, the budget is below even the corner leakage and
-    # the crossing lies outside the numerically meaningful threshold range
+    # a side whose bracket edge still leaks has its crossing beyond the edge
     inside = np.flatnonzero(~((f_a > 0.0) & (f_b > 0.0)))
-    edges[inside] = bisect_root(
+    found = bisect_root(
         lambda x, sub: gap(x, inside[sub]),
         a[inside], b[inside], f_a[inside], f_b[inside],
-        f_tol=ROOT_F_TOL, x_tol=ROOT_X_TOL, max_iter=200,
+        f_tol=ROOT_F_TOL, x_tol=ROOT_X_TOL,
     )
-    for i, pair in zip(crossing, edges.reshape(-1, 2).tolist()):
-        roots[i] = pair
+    for i, root in zip(lanes[inside].tolist(), found.tolist()):
+        roots[i].append(root)
     return roots
 
 
@@ -153,9 +152,9 @@ def _designs_at(
     through a noiseless channel."""
     t = np.array(thresholds, dtype=float)
     theta, sigma, rho_fc, rho_e = _site_columns(sites)
+    pfa, pd = _operating_points(theta, sigma, t)
     columns = (
-        t, q_function(t / sigma), q_function((t - theta) / sigma),
-        *(_channel_divergence(theta, sigma, rho, t) for rho in (0.0, rho_fc, rho_e)),
+        t, pfa, pd, *(received_divergence(pfa, pd, rho) for rho in (0.0, rho_fc, rho_e))
     )
     lanes = zip(*(c.tolist() for c in columns), budgets)
     return [
@@ -177,9 +176,9 @@ def blind_design(site: SensorSite, budget: float = 0.0) -> QuantizerDesign:
     )
 
 
-def unconstrained_design(site: SensorSite, budget: float = math.inf) -> QuantizerDesign:
+def unconstrained_design(site: SensorSite) -> QuantizerDesign:
     """Divergence-maximizing design ignoring the eavesdropper."""
-    return replace(_designs([site], [math.inf])[0], budget=budget)
+    return _designs([site], [math.inf])[0]
 
 
 def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
@@ -190,8 +189,9 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
       optimum, constraint slack.  When the receivers' channels differ,
       their divergence peaks sit at different thresholds, so this can
       happen even while the budget level set still crosses the curve.
-    * otherwise: the better of the two boundary crossings, ties broken
-      toward the larger threshold (smaller false alarm).
+    * otherwise: the better boundary crossing inside the threshold
+      bracket, ties broken toward the larger threshold (smaller false
+      alarm), or the blind design when no crossing lies inside.
     """
     return _designs([site], [budget])[0]
 
@@ -215,21 +215,19 @@ def _designs(
         if free_thresholds is None else [free_thresholds[i] for i in live]
     )
     free = _designs_at(live_sites, free_at, [budgets[i] for i in live], binding=False)
+    bound = [i for i, design in zip(live, free) if not design.d_eve <= budgets[i]]
     for i, design in zip(live, free):
-        designs[i] = design
-    bound = [i for i in live if not designs[i].d_eve <= budgets[i]]
+        if design.d_eve <= budgets[i]:
+            designs[i] = design
     roots = _budget_thresholds([sites[i] for i in bound], [budgets[i] for i in bound])
-    # with fewer than two roots the gap peak clears the budget yet the free
-    # optimum leaks more: only reachable through float rounding at exact
-    # tangency, and the free design stands
-    pairs = [(i, r) for i, r in zip(bound, roots) if len(r) == 2]
-    ends = _designs_at(
-        [sites[i] for i, r in pairs for _ in r], [t for _, r in pairs for t in r],
-        [budgets[i] for i, r in pairs for _ in r], binding=True,
-    )
-    for (i, _), lo, hi in zip(pairs, ends[::2], ends[1::2]):
-        tie = abs(lo.d_fc - hi.d_fc) <= 1e-12
-        designs[i] = hi if tie or hi.d_fc > lo.d_fc else lo
+    lanes = [i for i, r in zip(bound, roots) for _ in r]
+    ends = _designs_at([sites[i] for i in lanes], [t for r in roots for t in r],
+                       [budgets[i] for i in lanes], binding=True)
+    # a bound lane stays blind unless an in-bracket root beats it; its roots
+    # ascend, so the better one wins with ties toward the larger threshold
+    for i, design in zip(lanes, ends):
+        if designs[i].d_fc - design.d_fc <= 1e-12:
+            designs[i] = design
     return designs
 
 
@@ -248,7 +246,7 @@ def design_search_curve(
     site: SensorSite, budget: float, n_points: int
 ) -> list[tuple[float, float]]:
     """Sampled budget-gap curve, for diagnostic export and plotting."""
-    lo, hi = site.model.threshold_bracket()
+    lo, hi = _threshold_brackets(site.model.theta, site.model.sigma)
     thresholds = lo + np.arange(n_points) * ((hi - lo) / (n_points - 1))
     gaps = eve_divergence_gap(site, thresholds, budget)
     return list(zip(thresholds.tolist(), gaps.tolist()))

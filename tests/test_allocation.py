@@ -263,6 +263,9 @@ class TestSampledNetworks:
         for below_one in ([-5], [0]):
             with pytest.raises(ValueError, match="at least 1"):
                 growth_curve(sites, 1.0, below_one)
+        for alpha_total in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="alpha_total"):
+                growth_curve(sites, alpha_total, [2, 5])
 
 
 class TestSolveOnce:

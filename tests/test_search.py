@@ -3,6 +3,7 @@ reference, the maximizer and bisection against oracles, and the
 independence of a lane from the rest of its batch."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ class TestUnimodalMax:
         with pytest.raises(UnimodalityError):
             unimodal_max(f, [-3.0, -3.0], [3.0, 3.0], "two bumps")
 
+    def test_bimodal_lane_past_the_first_prescan_batch_raises(self):
+        # 70 lanes span three pre-scan calls; lane 40 sits in the second
+        lo = -3.0 - 0.01 * np.arange(70)
+        hi = 3.0 + 0.01 * np.arange(70)
+
+        def f(x, lanes):
+            double = -np.minimum((x - 1.0) ** 2, (x + 1.0) ** 2)
+            return np.where(lanes[:, None] == 40, double, -(x**2))
+
+        bracket = re.escape(f"[{float(lo[40])!r}, {float(hi[40])!r}]")
+        with pytest.raises(UnimodalityError, match=bracket):
+            unimodal_max(f, lo, hi, "two bumps")
+
     def test_no_lanes(self):
         x_star, f_star = unimodal_max(quadratic([], []), [], [], "none")
         assert x_star.shape == f_star.shape == (0,)
@@ -147,7 +161,7 @@ generic_lane = st.tuples(
 
 
 class TestLaneIndependence:
-    @given(lanes=st.lists(generic_lane, min_size=1, max_size=6),
+    @given(lanes=st.lists(generic_lane, min_size=1, max_size=70),
            pick=st.integers(min_value=0))
     @settings(max_examples=60, deadline=None)
     def test_generic_lane_in_a_batch_equals_the_lane_alone(self, lanes, pick):

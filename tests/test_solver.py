@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secquant import (
     BscChannel,
@@ -201,6 +203,30 @@ class TestDesignQuantizer:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             design_quantizer(make_site(), -0.1)
+
+
+crossover = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.499))
+
+
+class TestBudgetIsKept:
+    @given(
+        snr=st.floats(min_value=0.1, max_value=12.0),
+        sigma=st.floats(min_value=0.5, max_value=2.0),
+        rho_fc=crossover,
+        rho_e=crossover,
+        log_budget=st.floats(min_value=math.log(1e-12), max_value=math.log(3.2)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_design_never_leaks_past_its_budget(
+        self, snr, sigma, rho_fc, rho_e, log_budget
+    ):
+        # at high SNR a crossing can lie where the false alarm alone is
+        # already pinned to its corner, and the tiniest budgets lie below
+        # the leakage at either bracket edge (the blind design's case)
+        budget = math.exp(log_budget)
+        site = make_site(snr * sigma, sigma, rho_fc, rho_e)
+        design = design_quantizer(site, budget)
+        assert design.d_eve <= budget + 1e-10 * max(1.0, budget)
 
 
 class TestTradeoffCurve:
