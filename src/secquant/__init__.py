@@ -36,6 +36,7 @@ from .detection import (
     TrialRecord,
     exact_np_miss,
     sample_trial_records,
+    second_order_slope,
     simulate_monte_carlo,
     stein_curve,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "roc_region",
     "sample_sites",
     "sample_trial_records",
+    "second_order_slope",
     "simulate_monte_carlo",
     "site_divergences",
     "slope_bounds",

@@ -46,7 +46,7 @@ from .solver import (
     design_search_curve,
     tradeoff_curve,
 )
-from .detection import simulate_monte_carlo, stein_curve
+from .detection import second_order_slope, simulate_monte_carlo, stein_curve
 
 DEFAULT_WINDOWS = [50, 100, 200, 400]
 DEFAULT_SLOPE_TOLERANCE = 0.15
@@ -410,6 +410,10 @@ def _stein_report(
 ) -> tuple[dict[str, Any], list[tuple]]:
     """Check the FC's miss exponent against the stored divergence.
 
+    The last window's local slope must meet Strassen's second-order value
+    (:func:`second_order_slope`, which tends to ``d_fc``) to within
+    ``tolerance`` times ``d_fc``.
+
     Only a network of one active sensor is checked: the exact ones-count
     test applies per i.i.d. stream, not across heterogeneous sensors, so a
     larger network reports its additive target with ``passed`` null.
@@ -442,12 +446,14 @@ def _stein_report(
         return report, []
     points = stein_curve(fc_op, windows, delta)
     final = points[-1]
-    rel_gap = abs(final.local_slope - target) / target
+    predicted = second_order_slope(fc_op, final.window, delta)
+    rel_gap = abs(final.local_slope - predicted) / target
     report.update(
         {
             "exponents": [p.exponent for p in points],
             "local_slopes": [p.local_slope for p in points],
             "final_local_slope": final.local_slope,
+            "predicted_slope": predicted,
             "relative_gap": rel_gap,
             "passed": rel_gap <= tolerance,
         }

@@ -32,7 +32,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .allocation import AllocationResult, NetworkConfig
-from .roc import OperatingPoint, _bsc, _clamp
+from .gaussian import q_inverse
+from .roc import OperatingPoint, _bsc, _clamp, kl_divergence
 
 #: Default false-alarm level for the exact miss computations: small enough
 #: for the exponent to dominate, large enough to keep the randomized
@@ -50,6 +51,11 @@ _BLOCK_TRIALS = 65536
 _CHUNK_CELLS = 1 << 20
 
 _CAL_STREAM, _H0_STREAM, _H1_STREAM, _RECORD_STREAM = 0, 1, 2, 3
+
+#: The exact miss sums each binomial law over a band of counts and drops
+#: less than exp(-_DROP_LOG) = 2**-60 of what it keeps (see
+#: :func:`_np_components`).
+_DROP_LOG = 60.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,14 @@ def _validate_interior_op(op: OperatingPoint) -> tuple[float, float]:
     return x, y
 
 
+def _binom_logpmf(ks: np.ndarray, window: int, p: float) -> np.ndarray:
+    """Binomial(``window``, ``p``) log pmf at the counts ``ks``, in
+    scipy.stats.binom.logpmf's operation order (importing scipy.stats would
+    dominate the CLI's start-up)."""
+    log_comb = gammaln(window + 1) - (gammaln(ks + 1) + gammaln(window - ks + 1))
+    return log_comb + xlogy(ks, p) + xlog1py(window - ks, -p)
+
+
 def _np_components(
     x: float, y: float, window: int, delta: float
 ) -> tuple[float, int, float]:
@@ -134,25 +148,46 @@ def _np_components(
 
     The test rejects H0 when the ones-count exceeds ``t`` and with
     probability ``gamma`` when it equals ``t``.
+
+    Each law is summed only over a band of O(sqrt(window)) counts, and
+    every sum drops less than 2**-60 of what it keeps, below what a
+    float64 sum resolves:
+
+    - H0 on ``window*x +- s``: by Hoeffding, P(|K - window*x| >= s) <=
+      2 exp(-2 s**2 / window), and ``s`` makes each side at most
+      ``delta * 2**-61``.  So ``t`` lies in the band (more than ``delta``
+      of the mass lies at or above its lower edge), and the mass above
+      it is under 2**-61 of P(K >= t) > delta.
+    - H1 on ``[peak - reach, t]``, with ``peak`` the count of the largest
+      term below ``t``.  The binomial log pmf is concave, its steps falling by at
+      least 4/(window + 2) per count, so the term ``j`` counts below
+      ``peak`` is at most exp(-2 j (j - 1) / (window + 2)) of it, and the
+      terms beyond ``reach`` sum to at most exp(-2 reach**2 /
+      (window + 2)) * (window + 4)/2 of it, which ``reach`` holds to
+      2**-60.
     """
-    # binomial log pmf, in scipy.stats.binom.logpmf's operation order
-    # (importing scipy.stats would dominate the CLI's start-up)
-    ks = np.arange(window + 1)
-    log_comb = gammaln(window + 1) - (gammaln(ks + 1) + gammaln(window - ks + 1))
-    lp0 = log_comb + xlogy(ks, x) + xlog1py(window - ks, -x)
-    lp1 = log_comb + xlogy(ks, y) + xlog1py(window - ks, -y)
-    # suffix[k] = ln P(K >= k | H0); suffix[window + 1] = -inf
-    suffix = np.full(window + 2, -np.inf)
-    suffix[:-1] = np.logaddexp.accumulate(lp0[::-1])[::-1]
-    log_delta = math.log(delta)
-    # smallest t with P(K > t | H0) <= delta; suffix is nonincreasing
-    t = int(np.argmax(suffix <= log_delta)) - 1
-    p_gt = math.exp(suffix[t + 1])
-    p_eq = math.exp(lp0[t])
+    s = math.sqrt(0.5 * window * (_DROP_LOG + math.log(2.0 / delta)))
+    lo = max(0, math.floor(window * x - s))
+    lp0 = _binom_logpmf(
+        np.arange(lo, min(window, math.ceil(window * x + s)) + 1), window, x
+    )
+    # tail[i] = ln P(lo + i <= K <= band top | H0); tail[-1] = -inf
+    tail = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -np.inf)
+    # smallest t with P(K > t | H0) <= delta; tail is nonincreasing
+    i = int(np.argmax(tail <= math.log(delta))) - 1
+    t = lo + i
+    p_gt = math.exp(tail[i + 1])
+    p_eq = math.exp(lp0[i])
     gamma = min(max((delta - p_gt) / p_eq, 0.0), 1.0)
-    log_accept_lt = logsumexp(lp1[:t]) if t > 0 else -math.inf
+    # the H1 pmf rises up to its mode floor((window + 1) * y)
+    peak = min(t - 1, math.floor((window + 1) * y))
+    reach = math.ceil(
+        math.sqrt(0.5 * (window + 2) * (_DROP_LOG + math.log(0.5 * (window + 4))))
+    )
+    lp1 = _binom_logpmf(np.arange(max(0, peak - reach), t + 1), window, y)
+    log_accept_lt = logsumexp(lp1[:-1]) if t > 0 else -math.inf
     if gamma < 1.0:
-        log_miss = np.logaddexp(log_accept_lt, math.log1p(-gamma) + lp1[t])
+        log_miss = np.logaddexp(log_accept_lt, math.log1p(-gamma) + lp1[-1])
     else:
         log_miss = log_accept_lt
     return float(log_miss), t, gamma
@@ -166,11 +201,16 @@ def exact_np_miss(
     The per-bit law is Bernoulli(``fc_op.pfa``) under H0 and
     Bernoulli(``fc_op.pd``) under H1; the randomized ones-count threshold
     achieves false alarm exactly ``delta``, and the miss is summed from
-    the binomial law entirely in log space (windows up to 10^4 stay
-    representable).  ``local_slope`` additionally evaluates the window
-    doubled; it approaches the divergence D(pfa || pd) from below, by about
+    the binomial law entirely in log space.  Each law is summed over a
+    band of O(sqrt(window * ln(1/delta))) counts only (Hoeffding's bound
+    places the H0 band, log-concavity the H1 band; see
+    :func:`_np_components`), which drops less than 2**-60 of every sum, so
+    the cost grows as sqrt(window) and windows of millions stay cheap.
+    ``local_slope`` additionally evaluates the window doubled; it
+    approaches the divergence D(pfa || pd) from below, by about
     ``sqrt(V) * Phi^-1(1 - delta) * (sqrt(2) - 1) / sqrt(window)`` where V
-    is the H0 variance of the per-bit log-likelihood ratio.
+    is the H0 variance of the per-bit log-likelihood ratio
+    (:func:`second_order_slope`).
     """
     return stein_curve(fc_op, [window], delta)[0]
 
@@ -203,6 +243,23 @@ def stein_curve(
         )
         for w in windows
     ]
+
+
+def second_order_slope(
+    fc_op: OperatingPoint, window: int, delta: float = DEFAULT_DELTA
+) -> float:
+    """Strassen's second-order value of ``local_slope`` at ``window``.
+
+    That is ``D - sqrt(V) * Q^-1(delta) * (sqrt(2) - 1) / sqrt(window)``,
+    with D the divergence of the received point ``fc_op`` and V the H0
+    variance of its per-bit log-likelihood ratio; the exact slope of
+    :func:`stein_curve` differs from it by O(1/window).
+    """
+    x, y = _validate_interior_op(fc_op)
+    w_one, w_zero = _llr_weights(x, y, 0.0)
+    sd = math.sqrt(x * (1.0 - x)) * abs(w_one - w_zero)
+    backoff = sd * q_inverse(delta) * (math.sqrt(2.0) - 1.0)
+    return kl_divergence(fc_op) - float(backoff) / math.sqrt(window)
 
 
 def _llr_weights(pfa, pd, rho) -> tuple[np.ndarray, np.ndarray]:

@@ -276,6 +276,31 @@ class TestVerifyCommand:
         assert stein[0] == "window,log_miss,exponent,local_slope,target_kld"
         assert len(stein) == 5
 
+    def test_readme_design_meets_the_second_order_slope(self, tmp_path, capsys):
+        argv, design_out = design_args(tmp_path)
+        assert run(*argv) == 0
+        report_out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(
+            "verify", "--artifact", str(design_out), "--out", str(report_out)
+        ) == 0
+        assert capsys.readouterr().out.startswith("verify: pass")
+        report = json.loads(report_out.read_text())
+        # the window-400 slope is 16% of d_fc short of d_fc, but within
+        # 0.3% of d_fc of the second-order value
+        d_fc, slope = report["target_kld"], report["final_local_slope"]
+        assert (d_fc - slope) / d_fc > 0.15
+        assert report["relative_gap"] == pytest.approx(
+            abs(slope - report["predicted_slope"]) / d_fc
+        )
+        assert report["relative_gap"] < 0.003
+        assert run(
+            "verify", "--artifact", str(design_out), "--out", str(report_out),
+            "--tolerance", "1e-4",
+        ) == 0
+        assert capsys.readouterr().out.startswith("verify: fail")
+        assert json.loads(report_out.read_text())["passed"] is False
+
     def test_blind_design_reports_no_information(self, tmp_path):
         argv, design_out = design_args(tmp_path, budget="0.0")
         assert run(*argv) == 0

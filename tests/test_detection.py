@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, multinomial
 
@@ -22,6 +22,7 @@ from secquant import (
     kl_divergence,
     sample_sites,
     sample_trial_records,
+    second_order_slope,
     simulate_monte_carlo,
     stein_curve,
     unconstrained_design,
@@ -63,13 +64,57 @@ class TestExactMissSingleSymbol:
 
 class TestFalseAlarmExactness:
     def test_randomization_pins_false_alarm(self):
-        for window in (1, 7, 50, 200):
-            for delta in (0.01, 0.05, 0.3):
-                _, t, gamma = _np_components(0.3, 0.7, window, delta)
-                ks = np.arange(window + 1)
-                pmf = binom.pmf(ks, window, 0.3)
+        # the H0 band spans the whole support at small windows; at 20 000
+        # it is cut to window*x +- O(sqrt(window)), clipped at 0 for
+        # x = 1e-3 and at the window for x = 0.999
+        points = [(0.3, 0.7, w) for w in (1, 7, 50, 200)]
+        points += [(1e-3, 0.2, 20_000), (0.999, 0.9999, 20_000)]
+        for x, y, window in points:
+            # the log pmf the kernel sums (scipy's logpmf order): binom.pmf
+            # is more accurate at window 20 000, where gammaln(20 001) ~
+            # 1.8e5 leaves the log pmf ~2e-11 off, and would test that
+            pmf = np.exp(binom.logpmf(np.arange(window + 1), window, x))
+            for delta in (0.01, 0.05, 0.3, 1e-30):
+                _, t, gamma = _np_components(x, y, window, delta)
                 fa = float(pmf[t + 1 :].sum() + gamma * pmf[t])
                 assert math.log(fa) == pytest.approx(math.log(delta), abs=1e-12)
+
+
+def full_support_threshold(x, y, window, delta):
+    """``t`` and ``gamma`` of the ones-count test from the H0 tail at
+    every count of the support, summed from the top."""
+    lp0 = binom.logpmf(np.arange(window + 1), window, x)
+    tail = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -np.inf)
+    t = int(np.argmax(tail <= math.log(delta))) - 1
+    gamma = (delta - math.exp(tail[t + 1])) / math.exp(lp0[t])
+    return t, min(max(gamma, 0.0), 1.0)
+
+
+@st.composite
+def kernel_cases(draw):
+    unit = st.floats(1e-12, 1.0 - 1e-12)
+    x, y = sorted((draw(unit), draw(unit)))
+    window = draw(st.integers(1, 20_000))
+    delta = math.exp(draw(st.floats(math.log(1e-100), math.log(0.49))))
+    return x, y, window, delta
+
+
+class TestBandedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    @example((0.9626, 1.0 - 1e-12, 20_000, 0.01))
+    @example((1e-9, 0.5, 20_000, 0.01))
+    @example((0.3, 0.3, 5_000, 1e-100))
+    @example((0.3, 0.7, 100_000, 1e-100))
+    def test_matches_full_support_and_oracle(self, case):
+        x, y, window, delta = case
+        log_miss, t, gamma = _np_components(x, y, window, delta)
+        assert (t, gamma) == full_support_threshold(x, y, window, delta)
+        # 1e-12 relative wherever |log_miss| >= 0.01; a miss within 1e-2 of
+        # 1 is a sum near 1 whose log float64 resolves only to ~1e-16 per
+        # term, so both sums agree there to an absolute 1e-14
+        want = oracles.np_log_miss(x, y, window, delta)
+        assert log_miss == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 class TestAgainstIndependentSummation:
@@ -88,6 +133,27 @@ class TestAgainstIndependentSummation:
         assert point.exponent == pytest.approx(
             kl_divergence(OperatingPoint(0.3, 0.7)), rel=0.08
         )
+
+
+class TestSecondOrderSlope:
+    @pytest.mark.parametrize(
+        "x, y", [(0.3, 0.7), (0.1, 0.55), (0.02, 0.9999), (1e-9, 0.5)]
+    )
+    @pytest.mark.parametrize("window", [50, 400, 4_000_000])
+    def test_matches_oracle(self, x, y, window):
+        got = second_order_slope(OperatingPoint(x, y), window, 0.01)
+        want = oracles.stein_second_order_slope(x, y, window, 0.01)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_deep_window_slope_meets_the_prediction(self):
+        # windows 4e6 and 8e6: the full support would be 12e6 counts
+        op = OperatingPoint(0.3, 0.7)
+        point = exact_np_miss(op, window=4_000_000, delta=0.01)
+        assert math.isfinite(point.log_miss)
+        assert point.log_miss < -1.3e6
+        # the remaining gap is O(1/window): ~2e-7 of D here
+        predicted = second_order_slope(op, 4_000_000, 0.01)
+        assert abs(point.local_slope - predicted) <= 1e-5 * kl_divergence(op)
 
 
 class TestExponentConvergence:
