@@ -11,7 +11,9 @@ rest sleep.  The split is heuristic; per-sensor designs are exact.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -185,15 +187,17 @@ def _totals(
     funded: dict[int, tuple[float, QuantizerDesign]], benchmark_ideal_fc: bool
 ) -> tuple[float, float, int, float | None]:
     """Total FC and Eve divergences, active count and benchmark total of
-    the funded sensors.  The benchmark runs the same designs through
-    noiseless FC channels: the FC then sees each sensor-side divergence
-    ``d_sensor`` directly, while Eve is unaffected."""
+    the funded sensors, each the running sum in funding order that the
+    greedy policy accumulates.  The benchmark runs the same designs
+    through noiseless FC channels: the FC then sees each sensor-side
+    divergence ``d_sensor`` directly, while Eve is unaffected."""
     designs = [design for _, design in funded.values()]
     return (
-        math.fsum(d.d_fc for d in designs),
-        math.fsum(d.d_eve for d in designs),
+        functools.reduce(operator.add, (d.d_fc for d in designs), 0.0),
+        functools.reduce(operator.add, (d.d_eve for d in designs), 0.0),
         len(designs),
-        math.fsum(d.d_sensor for d in designs) if benchmark_ideal_fc else None,
+        functools.reduce(operator.add, (d.d_sensor for d in designs), 0.0)
+        if benchmark_ideal_fc else None,
     )
 
 

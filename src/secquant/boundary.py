@@ -25,8 +25,8 @@ from .roc import (
     DIAGONAL_TOL,
     BscChannel,
     OperatingPoint,
-    _bsc,
-    _clamp,
+    _kl_partials,
+    _received,
     received_divergence,
 )
 from .search import bisect_root
@@ -66,38 +66,37 @@ class ConvexityCertificate:
     second_derivative: float
 
 
-def _eve_coords(x, y, rho):
-    """Clamped Eve-side images of sensor coordinates behind crossovers
-    ``rho``, elementwise on arrays (or floats) that broadcast together.
-    Raises :class:`SingularPointError` where any image is on the diagonal."""
-    xe, ye = _clamp(_bsc(x, rho)), _clamp(_bsc(y, rho))
-    if np.any(np.abs(ye - xe) < DIAGONAL_TOL):
+def _eve_tails(tails, rho):
+    """Eve-side tails ``[X, Y, 1 - X, 1 - Y]`` of sensor tails behind
+    crossovers ``rho``.  Raises :class:`SingularPointError` where any
+    image is on the diagonal."""
+    eve = _received(tails, rho)
+    if np.any(np.abs(eve[1] - eve[0]) < DIAGONAL_TOL):
         raise SingularPointError(
             "operating point maps onto the diagonal through Eve's channel; "
             "the constraint boundary has no defined slope there"
         )
-    return xe, ye
+    return eve
 
 
-def _slope(x, y, rho):
-    """:func:`constraint_slope` elementwise on arrays of coordinates."""
-    xe, ye = _eve_coords(x, y, rho)
-    ratio_hi = (1.0 - xe) / (1.0 - ye)
-    ratio_lo = xe / ye
-    return (np.log(ratio_hi) - np.log(ratio_lo)) / (ratio_hi - ratio_lo)
+def _slope(tails, rho):
+    """:func:`constraint_slope` for an array of sensor tails:
+    -(dD/dX) / (dD/dY) at the Eve-side point."""
+    d_x, d_y = _kl_partials(_eve_tails(tails, rho))
+    return -d_x / d_y
 
 
-def _curvature(x, y, rho, slope):
-    """:func:`constraint_curvature` elementwise on arrays of coordinates
-    and slopes."""
-    xe, ye = _eve_coords(x, y, rho)
-    gap = (1.0 - xe) / (1.0 - ye) - xe / ye
-    # products, not ** 2: NumPy squares arrays but calls pow() on scalars
-    a = (1.0 - xe) / ((1.0 - ye) * (1.0 - ye)) + xe / (ye * ye)
-    b = 1.0 / ye + 1.0 / (1.0 - ye)
-    c = 1.0 / xe + 1.0 / (1.0 - xe)
-    scale = 1.0 - 2.0 * rho
-    return scale * (-a * slope * slope + 2.0 * b * slope - c) / gap
+def _curvature(tails, rho, slope):
+    """:func:`constraint_curvature` for an array of sensor tails and
+    slopes; -inf where the slope is infinite (a tail at 0)."""
+    x, y, xc, yc = eve = _eve_tails(tails, rho)
+    with np.errstate(all="ignore"):
+        # second partials of D: a = D_YY, b = -D_XY, c = D_XX
+        a = xc / (yc * yc) + x / (y * y)
+        b = 1.0 / y + 1.0 / yc
+        c = 1.0 / x + 1.0 / xc
+        scale = 1.0 - 2.0 * rho
+        return scale * -(slope * (a * slope - 2.0 * b) + c) / _kl_partials(eve)[1]
 
 
 def constraint_slope(op: OperatingPoint, eve: BscChannel) -> float:
@@ -110,7 +109,7 @@ def constraint_slope(op: OperatingPoint, eve: BscChannel) -> float:
 
     Raises :class:`SingularPointError` on the diagonal.
     """
-    return float(_slope(op.pfa, op.pd, eve.crossover))
+    return float(_slope(op.tails, eve.crossover))
 
 
 def constraint_curvature(
@@ -122,7 +121,7 @@ def constraint_curvature(
     ``1 - 2*rho`` factor carries the chain rule through the channel's
     affine map.
     """
-    return float(_curvature(op.pfa, op.pd, eve.crossover, slope))
+    return float(_curvature(op.tails, eve.crossover, slope))
 
 
 def slope_bounds(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
@@ -134,9 +133,9 @@ def slope_bounds(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
     reciprocals of those two ratios, whenever ``pd >= pfa``.  At symmetric
     points (``pfa + pd = 1``) the reciprocals equal the ratios themselves.
     """
-    rho = eve.crossover
-    xe, ye = _clamp(_bsc(op.pfa, rho)), _clamp(_bsc(op.pd, rho))
-    return float((1.0 - ye) / (1.0 - xe)), float(ye / xe)
+    x, y, xc, yc = _received(op.tails, eve.crossover)
+    with np.errstate(all="ignore"):
+        return float(yc / xc), float(y / x)
 
 
 def trace_constraint_curve(
@@ -158,23 +157,27 @@ def trace_constraint_curve(
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")
     rho = eve.crossover
     x = np.minimum(np.arange(n_points) * (1.0 / (n_points - 1)), 1.0)
-    top = received_divergence(x, 1.0, rho) - budget
+    corner = np.array([x, np.ones_like(x), 1.0 - x, np.zeros_like(x)])
+    top = received_divergence(corner, rho) - budget
     reach = ~(top < 0.0)
     x, top = x[reach], top[reach]
 
     def gap(y: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return received_divergence(x[lanes, None], y, rho) - budget
+        col = x[lanes, None]
+        return received_divergence(np.array([col, y, 1.0 - col, 1.0 - y]), rho) - budget
 
     y = bisect_root(
         gap, x, np.ones(x.size), np.full(x.size, -budget), top,
         f_tol=TRACE_TOL, x_tol=0.0,
     )
-    slope = _slope(x, y, rho)
-    curvature = _curvature(x, y, rho, slope)
-    columns = (x, y, _bsc(x, rho), _bsc(y, rho), slope, curvature)
+    # a root nearer to y = 1 than a float resolves stays off the level set
+    on = np.abs(gap(y[:, None], np.arange(x.size))[:, 0]) <= TRACE_TOL
+    tails = np.array([x[on], y[on], 1.0 - x[on], 1.0 - y[on]])
+    slope = _slope(tails, rho)
+    columns = (*tails, *_received(tails, rho), slope, _curvature(tails, rho, slope))
     return [
-        BoundaryPoint(OperatingPoint(px, py), OperatingPoint(ex, ey), s, c)
-        for px, py, ex, ey, s, c in zip(*(col.tolist() for col in columns))
+        BoundaryPoint(OperatingPoint(*p[:4]), OperatingPoint(*p[4:8]), *p[8:])
+        for p in zip(*(col.tolist() for col in columns))
     ]
 
 
@@ -189,8 +192,8 @@ def convexity_certificate(
                 = rho*(1-rho)*(y-x)/(y*(1-y)) * t4,
 
     with ``t2 = 0`` identically and ``t4 >= 0`` wherever ``pd > pfa`` and
-    ``0 < rho < 1/2``.  Clamped coordinates keep the terms finite near the
-    square's edges.
+    ``0 < rho < 1/2``.  The terms read the point's stored complements, and
+    a term is infinite where a tail it divides by is 0.
 
     Requires ``pd > pfa`` and a strictly noisy channel.
     """
@@ -203,27 +206,18 @@ def convexity_certificate(
         raise ValueError(
             f"convexity certificate requires 0 < crossover < 0.5, got {rho!r}"
         )
-    x, y = _clamp(op.pfa), _clamp(op.pd)
-    xh, yh = _eve_coords(op.pfa, op.pd, rho)
-    slope = _slope(op.pfa, op.pd, rho)
+    x, y, xc, yc = op.tails
+    xh, yh, xhc, yhc = _eve_tails(op.tails, rho)
+    slope = _slope(op.tails, rho)
 
-    hat_over = yh * (1.0 - yh) / (y * (1.0 - y))
-    t1 = (
-        rho * (1.0 - rho) * (y - x) * (2.0 * y - 1.0)
-        / (y**2 * (1.0 - y) ** 2 * yh * (1.0 - yh))
-    )
-    t2 = (1.0 / y + 1.0 / (1.0 - y)) - hat_over * (
-        1.0 / yh + 1.0 / (1.0 - yh)
-    )
-    t3 = (
-        rho * (1.0 - rho) / (y * (1.0 - y))
-        * (y - x) * (1.0 - x - y)
-        / (x * (1.0 - x) * xh * (1.0 - xh))
-    )
-    t4 = (2.0 * y - 1.0) / (y * yh * (1.0 - y) * (1.0 - yh)) * slope * slope + (
-        1.0 - x - y
-    ) / (x * xh * (1.0 - x) * (1.0 - xh))
-    second = rho * (1.0 - rho) * (y - x) / (y * (1.0 - y)) * t4
+    with np.errstate(all="ignore"):
+        hat_over = yh * yhc / (y * yc)
+        t1 = rho * (1.0 - rho) * (y - x) * (y - yc) / (y**2 * yc**2 * yh * yhc)
+        t2 = (1.0 / y + 1.0 / yc) - hat_over * (1.0 / yh + 1.0 / yhc)
+        t3 = rho * (1.0 - rho) / (y * yc) * (y - x) * (xc - y) / (x * xc * xh * xhc)
+        t4 = ((y - yc) / (y * yh * yc * yhc) * slope * slope
+              + (xc - y) / (x * xh * xc * xhc))
+        second = rho * (1.0 - rho) * (y - x) / (y * yc) * t4
     return ConvexityCertificate(*map(float, (t1, t2, t3, t4, second)))
 
 

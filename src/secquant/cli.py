@@ -117,7 +117,8 @@ def _site_from(cfg: dict[str, Any]) -> SensorSite:
 
 # The artifact codec.  A design artifact holds one design's fields plus its
 # budget and site; a greedy summary holds the same fields per sensor, with
-# ``_i`` on the divergences, and the network's totals.
+# ``_i`` on the divergences, and the network's totals.  An artifact without
+# the complements ``pfa_c`` and ``pd_c`` is read with 1 - pfa and 1 - pd.
 
 
 def _design_fields(design: QuantizerDesign, suffix: str) -> dict[str, Any]:
@@ -125,6 +126,8 @@ def _design_fields(design: QuantizerDesign, suffix: str) -> dict[str, Any]:
         "lambda": design.threshold,
         "pfa": design.op.pfa,
         "pd": design.op.pd,
+        "pfa_c": design.op.pfa_c,
+        "pd_c": design.op.pd_c,
         "d_sensor": design.d_sensor,
         f"d_fc{suffix}": design.d_fc,
         f"d_eve{suffix}": design.d_eve,
@@ -135,7 +138,8 @@ def _design_fields(design: QuantizerDesign, suffix: str) -> dict[str, Any]:
 def _design_from(fields: dict[str, Any], suffix: str, budget: float) -> QuantizerDesign:
     return QuantizerDesign(
         threshold=float(fields["lambda"]),
-        op=OperatingPoint(float(fields["pfa"]), float(fields["pd"])),
+        op=OperatingPoint(float(fields["pfa"]), float(fields["pd"]), *(
+            float(fields[k]) if k in fields else None for k in ("pfa_c", "pd_c"))),
         d_sensor=float(fields["d_sensor"]),
         d_fc=float(fields[f"d_fc{suffix}"]),
         d_eve=float(fields[f"d_eve{suffix}"]),
@@ -393,8 +397,8 @@ def cmd_trace_boundary(args: argparse.Namespace) -> int:
     out = _require(cfg, "out", Path)
 
     points = trace_constraint_curve(budget, eve, n_points)
-    x, y = np.array([(p.op.pfa, p.op.pd) for p in points]).reshape(-1, 2).T
-    d_e = received_divergence(x, y, eve.crossover).tolist()
+    tails = np.array([p.op.tails for p in points]).reshape(-1, 4).T
+    d_e = received_divergence(tails, eve.crossover).tolist()
     header = ["x", "y", "x_e", "y_e", "slope", "curvature", "d_e"]
     rows = [
         (p.op.pfa, p.op.pd, p.eve_op.pfa, p.eve_op.pd, p.slope, p.curvature, d)

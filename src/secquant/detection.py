@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
+from scipy.special import gammaln, log1p, logsumexp, xlogy
 
 from .allocation import AllocationResult, NetworkConfig
 from .gaussian import q_inverse
-from .roc import OperatingPoint, _bsc, _clamp, kl_divergence
+from .roc import OperatingPoint, _llr_weights, _received, kl_divergence
 
 #: Default false-alarm level for the exact miss computations: small enough
 #: for the exponent to dominate, large enough to keep the randomized
@@ -118,9 +118,9 @@ class MonteCarloResult:
     seed: int
 
 
-def _validate_interior_op(op: OperatingPoint) -> tuple[float, float]:
+def _validate_interior_op(op: OperatingPoint) -> None:
     x, y = op.pfa, op.pd
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
+    if not min(op.tails) > 0.0:
         raise ValueError(
             f"exact test needs an operating point strictly inside the unit "
             f"square, got ({x!r}, {y!r})"
@@ -129,25 +129,27 @@ def _validate_interior_op(op: OperatingPoint) -> tuple[float, float]:
         raise ValueError(
             f"counting test is one-sided; needs pd >= pfa, got ({x!r}, {y!r})"
         )
-    return x, y
 
 
-def _binom_logpmf(ks: np.ndarray, window: int, p: float) -> np.ndarray:
+def _binom_logpmf(ks: np.ndarray, window: int, p: float, p_c: float) -> np.ndarray:
     """Binomial(``window``, ``p``) log pmf at the counts ``ks``, in
     scipy.stats.binom.logpmf's operation order (importing scipy.stats would
-    dominate the CLI's start-up)."""
+    dominate the CLI's start-up), except that ln(1 - p) is read from the
+    stored complement ``p_c`` where that is the smaller side."""
     log_comb = gammaln(window + 1) - (gammaln(ks + 1) + gammaln(window - ks + 1))
-    return log_comb + xlogy(ks, p) + xlog1py(window - ks, -p)
+    log_pc = log1p(-p) if p <= p_c else math.log(p_c)
+    return log_comb + xlogy(ks, p) + (window - ks) * log_pc
 
 
 def _np_components(
-    x: float, y: float, window: int, delta: float
+    op: OperatingPoint, window: int, delta: float
 ) -> tuple[float, int, float]:
     """Log miss, count threshold, and randomization weight of the optimal
-    ones-count test with false alarm exactly ``delta``.
+    ones-count test with false alarm exactly ``delta`` on bits of law ``op``.
 
     The test rejects H0 when the ones-count exceeds ``t`` and with
-    probability ``gamma`` when it equals ``t``.
+    probability ``gamma`` when it equals ``t``.  The log miss is capped at
+    0, which the summed terms' rounding can pass when 1 - miss is tiny.
 
     Each law is summed only over a band of O(sqrt(window)) counts, and
     every sum drops less than 2**-60 of what it keeps, below what a
@@ -166,10 +168,11 @@ def _np_components(
       (window + 2)) * (window + 4)/2 of it, which ``reach`` holds to
       2**-60.
     """
+    x, y, xc, yc = op.tails.tolist()
     s = math.sqrt(0.5 * window * (_DROP_LOG + math.log(2.0 / delta)))
     lo = max(0, math.floor(window * x - s))
     lp0 = _binom_logpmf(
-        np.arange(lo, min(window, math.ceil(window * x + s)) + 1), window, x
+        np.arange(lo, min(window, math.ceil(window * x + s)) + 1), window, x, xc
     )
     # tail[i] = ln P(lo + i <= K <= band top | H0); tail[-1] = -inf
     tail = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -np.inf)
@@ -184,13 +187,13 @@ def _np_components(
     reach = math.ceil(
         math.sqrt(0.5 * (window + 2) * (_DROP_LOG + math.log(0.5 * (window + 4))))
     )
-    lp1 = _binom_logpmf(np.arange(max(0, peak - reach), t + 1), window, y)
+    lp1 = _binom_logpmf(np.arange(max(0, peak - reach), t + 1), window, y, yc)
     log_accept_lt = logsumexp(lp1[:-1]) if t > 0 else -math.inf
     if gamma < 1.0:
         log_miss = np.logaddexp(log_accept_lt, math.log1p(-gamma) + lp1[-1])
     else:
         log_miss = log_accept_lt
-    return float(log_miss), t, gamma
+    return min(float(log_miss), 0.0), t, gamma
 
 
 def exact_np_miss(
@@ -234,9 +237,9 @@ def stein_curve(
         raise ValueError(f"window must be at least 1, got {windows[0]!r}")
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
-    x, y = _validate_interior_op(fc_op)
+    _validate_interior_op(fc_op)
     distinct = {*windows, *(2 * w for w in windows)}
-    log_miss = {w: _np_components(x, y, w, delta)[0] for w in distinct}
+    log_miss = {w: _np_components(fc_op, w, delta)[0] for w in distinct}
     return [
         ExponentCurvePoint(
             w, log_miss[w], -log_miss[w] / w, (log_miss[w] - log_miss[2 * w]) / w
@@ -255,19 +258,11 @@ def second_order_slope(
     variance of its per-bit log-likelihood ratio; the exact slope of
     :func:`stein_curve` differs from it by O(1/window).
     """
-    x, y = _validate_interior_op(fc_op)
-    w_one, w_zero = _llr_weights(x, y, 0.0)
-    sd = math.sqrt(x * (1.0 - x)) * abs(w_one - w_zero)
+    _validate_interior_op(fc_op)
+    w_one, w_zero = _llr_weights(fc_op.tails)
+    sd = math.sqrt(fc_op.pfa * fc_op.pfa_c) * abs(w_one - w_zero)
     backoff = sd * q_inverse(delta) * (math.sqrt(2.0) - 1.0)
     return kl_divergence(fc_op) - float(backoff) / math.sqrt(window)
-
-
-def _llr_weights(pfa, pd, rho) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bit log-likelihood increments for ones and zeros after channels
-    of crossover ``rho``, elementwise on arrays of each sensor's
-    coordinates and crossover."""
-    x, y = _clamp(_bsc(pfa, rho)), _clamp(_bsc(pd, rho))
-    return np.log(y / x), np.log((1.0 - y) / (1.0 - x))
 
 
 def _block_rng(seed: int, *key: int) -> np.random.Generator:
@@ -278,16 +273,14 @@ def _block_rng(seed: int, *key: int) -> np.random.Generator:
 
 def _network_arrays(
     config: NetworkConfig, designs: AllocationResult
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each sensor's design coordinates (pfa, pd) and its FC and Eve
-    crossovers, as arrays in site order."""
-    pfa, pd = np.array(
-        [(rec.design.op.pfa, rec.design.op.pd) for rec in designs.per_sensor]
-    ).T
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sensor's design tails [pfa, pd, 1 - pfa, 1 - pd] as rows, and
+    its FC and Eve crossovers, as arrays in site order."""
+    tails = np.array([rec.design.op.tails for rec in designs.per_sensor]).T
     fc_rho, eve_rho = np.array(
         [(site.fc_channel.crossover, site.eve_channel.crossover) for site in config.sites]
     ).T
-    return pfa, pd, fc_rho, eve_rho
+    return tails, fc_rho, eve_rho
 
 
 def _symbol_law(
@@ -301,9 +294,9 @@ def _symbol_law(
     sum is the pair's law; ``ones / (ones + zeros)`` is the chance the
     sensor sent a one given what both receivers got.
     """
-    pfa, pd, fc_rho, eve_rho = _network_arrays(config, designs)
+    (pfa, pd, pfa_c, pd_c), fc_rho, eve_rho = _network_arrays(config, designs)
     # P(sensor bit 1): each design's detection or false-alarm probability
-    p = pd if hypothesis == 1 else pfa
+    p, p_c = (pd, pd_c) if hypothesis == 1 else (pfa, pfa_c)
     fc_keep, eve_keep = 1.0 - fc_rho, 1.0 - eve_rho
     # P(received pair | sensor bit 1), and with the flips swapped for bit 0
     given_one = np.stack(
@@ -311,7 +304,7 @@ def _symbol_law(
         axis=1,
     )
     given_zero = given_one[:, ::-1]
-    return p[:, None] * given_one, (1.0 - p)[:, None] * given_zero
+    return p[:, None] * given_one, p_c[:, None] * given_zero
 
 
 def _conditional_shares(law: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -451,9 +444,9 @@ def simulate_monte_carlo(
     if calibration_trials is None:
         calibration_trials = 4 * trials
 
-    pfa, pd, fc_rho, eve_rho = _network_arrays(config, designs)
-    fc_w = _llr_weights(pfa, pd, fc_rho)
-    eve_w = _llr_weights(pfa, pd, eve_rho)
+    tails, fc_rho, eve_rho = _network_arrays(config, designs)
+    fc_w = _llr_weights(_received(tails, fc_rho))
+    eve_w = _llr_weights(_received(tails, eve_rho))
 
     def collect(stream: int, hypothesis: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         ones, zeros = _symbol_law(config, designs, hypothesis)

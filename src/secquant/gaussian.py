@@ -34,12 +34,23 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def q_function(z):
-    """Upper-tail probability of the standard normal, via erfc: a float for
-    a float, and elementwise an array for an array.  The one Q kernel, read
-    by operating points and searches alike, so a design's stored operating
-    point is the point its search scored."""
-    q = 0.5 * erfc(z / _SQRT2)
+    """Upper-tail probability of the standard normal: a float for a float,
+    and elementwise an array for an array."""
+    q = _q_tails(z)[0]
     return float(q) if np.ndim(q) == 0 else q
+
+
+def _q_tails(z):
+    """``(Q(z), 1 - Q(z))`` elementwise, each from its own small side: the
+    tail beyond ``|z|`` via erfc, and 1 minus it.  The one Q kernel, so a
+    design's stored operating point is the point its search scored."""
+    small = np.abs(z, out=np.empty(np.shape(z)))
+    small /= _SQRT2  # in place down to the halving: fewer fresh temporaries
+    erfc(small, out=small)
+    small *= 0.5
+    big = 1.0 - small
+    upper = z >= 0.0
+    return np.where(upper, small, big), np.where(upper, big, small)
 
 
 def log_q_function(z: float) -> float:
@@ -77,7 +88,7 @@ class GaussianSensorModel:
 
     def operating_point(self, threshold: float) -> OperatingPoint:
         """Operating point of the quantizer ``u = 1{r >= threshold}``."""
-        return OperatingPoint(*_operating_points(self.theta, self.sigma, threshold))
+        return OperatingPoint(*_tails(self.theta, self.sigma, threshold).tolist())
 
     def lrt_curve(self, pfa: float) -> float:
         """Detection probability on the LRT boundary at a given ``pfa``."""
@@ -90,9 +101,11 @@ class GaussianSensorModel:
         return _threshold_brackets(self.theta, self.sigma)
 
 
-def _operating_points(theta, sigma, thresholds):
-    """``(pfa, pd)`` of :meth:`GaussianSensorModel.operating_point`, elementwise."""
-    return q_function(thresholds / sigma), q_function((thresholds - theta) / sigma)
+def _tails(theta, sigma, thresholds):
+    """The tails ``[pfa, pd, 1 - pfa, 1 - pd]`` of each threshold's
+    :meth:`GaussianSensorModel.operating_point`, stacked on a first axis."""
+    z = np.array([thresholds / sigma, (thresholds - theta) / sigma])
+    return np.concatenate(_q_tails(z))
 
 
 def _threshold_brackets(theta, sigma):
@@ -135,4 +148,4 @@ def _channel_divergence(theta, sigma, rho, thresholds):
     """``kl_divergence(bsc_transform(model.operating_point(threshold),
     channel))`` elementwise over arrays that broadcast together: the same
     kernels as the dataclass path, without building operating points."""
-    return received_divergence(*_operating_points(theta, sigma, thresholds), rho)
+    return received_divergence(_tails(theta, sigma, thresholds), rho)

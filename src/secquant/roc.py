@@ -24,24 +24,11 @@ import numpy as np
 if TYPE_CHECKING:
     from .gaussian import GaussianSensorModel
 
-#: Probabilities are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before any
-#: logarithm so corner points yield finite (zero) divergence.
-CLAMP_EPS = 1e-12
-
 #: Two coordinates closer than this are treated as lying on the diagonal.
 DIAGONAL_TOL = 1e-12
 
-
-def _clamp(p):
-    """Probabilities (a float or an array) clamped into ``[CLAMP_EPS,
-    1 - CLAMP_EPS]``: the one clamp in front of every logarithm here."""
-    # np.minimum/np.maximum: np.clip's values at half its cost on scalars
-    return np.minimum(np.maximum(p, CLAMP_EPS), 1.0 - CLAMP_EPS)
-
-
-def _check_probability(value: float, name: str) -> None:
-    if not (0.0 <= value <= 1.0):  # also rejects NaN
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+#: Largest |p + p_c - 1| of a probability p and its stored complement p_c.
+COMPLEMENT_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -54,6 +41,9 @@ class OperatingPoint:
         False-alarm probability, ``P(u = 1 | H0)``.
     pd : float
         Detection probability, ``P(u = 1 | H1)``.
+    pfa_c, pd_c : float
+        Their complements, 1 - pfa and 1 - pd by default.  A design stores
+        its own: at high SNR ``pd`` reads 1.0 while ``pd_c`` is 1e-18.
 
     The algebraic operations (channel transform, mixing, divergence) are
     defined on the whole unit square; design-facing code additionally
@@ -62,10 +52,27 @@ class OperatingPoint:
 
     pfa: float
     pd: float
+    pfa_c: float = None  # type: ignore[assignment]
+    pd_c: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        _check_probability(self.pfa, "pfa")
-        _check_probability(self.pd, "pd")
+        if self.pfa_c is None:
+            object.__setattr__(self, "pfa_c", 1.0 - self.pfa)
+        if self.pd_c is None:
+            object.__setattr__(self, "pd_c", 1.0 - self.pd)
+        pfa, pd, pfa_c, pd_c = self.pfa, self.pd, self.pfa_c, self.pd_c
+        if not (0.0 <= pfa <= 1.0 and 0.0 <= pd <= 1.0 and 0.0 <= pfa_c <= 1.0
+                and 0.0 <= pd_c <= 1.0 and abs(pfa + pfa_c - 1.0) <= COMPLEMENT_TOL
+                and abs(pd + pd_c - 1.0) <= COMPLEMENT_TOL):  # also rejects NaN
+            raise ValueError(
+                f"inconsistent operating point: pfa, pd, pfa_c and pd_c must be "
+                f"probabilities with pfa + pfa_c = pd + pd_c = 1, got {self!r}"
+            )
+
+    @property
+    def tails(self) -> np.ndarray:
+        """``[pfa, pd, 1 - pfa, 1 - pd]``, as the tail kernels take them."""
+        return np.array((self.pfa, self.pd, self.pfa_c, self.pd_c))
 
     @property
     def above_diagonal(self) -> bool:
@@ -106,20 +113,46 @@ class SensorSite:
 def kl_divergence(op: OperatingPoint) -> float:
     """KL divergence (nats) of the H0 bit law from the H1 bit law.
 
-    Coordinates are clamped to ``[CLAMP_EPS, 1 - CLAMP_EPS]`` before the
-    logarithms, which realizes the ``0 * ln 0 = 0`` convention: the corner
-    points (0, 0) and (1, 1) give exactly 0 and every input gives a finite,
-    nonnegative result.
+    Read from the point's four tails with ``0 * ln 0 = 0``: (0, 0) and
+    (1, 1) give 0, and a point one bit value separates, like (0, 1), +inf.
     """
-    return float(_kl(op.pfa, op.pd))
+    return float(_kl(op.tails))
 
 
-def _kl(x, y):
-    """:func:`kl_divergence` elementwise on arrays (or floats) of
-    coordinates: the one KL kernel, behind every divergence here."""
-    x, y = _clamp(x), _clamp(y)
-    d = x * np.log(x / y) + (1.0 - x) * np.log((1.0 - x) / (1.0 - y))
-    return np.maximum(d, 0.0)
+def _received(tails, rho):
+    """Tails ``[X, Y, 1 - X, 1 - Y]`` received through crossovers ``rho``
+    from sensor tails ``[x, y, 1 - x, 1 - y]`` (first axis over the four):
+    the one tail kernel behind every divergence, partial and weight.  Each
+    tail crosses on its own; no complement is subtracted from 1."""
+    received = (1.0 - 2.0 * rho) * tails
+    received += rho  # in place: one fresh temporary, not two
+    return received
+
+
+def _kl(tails):
+    """D = x ln(x/y) + (1 - x) ln((1 - x)/(1 - y)) of each point, with
+    0 ln 0 = 0: the one KL kernel."""
+    x, y = tails[0::2], tails[1::2]
+    with np.errstate(all="ignore"):
+        terms = np.where(x == 0.0, 0.0, x * np.log(x / y))
+    return np.maximum(terms[0] + terms[1], 0.0)
+
+
+def _kl_partials(tails):
+    """``(dD/dX, dD/dY)`` = ``(ln(x/y) - ln((1 - x)/(1 - y)), (1 - x)/(1 - y)
+    - x/y)`` of each point; infinite where a tail is 0."""
+    with np.errstate(all="ignore"):
+        ratio = tails[0::2] / tails[1::2]
+        return np.log(ratio[0]) - np.log(ratio[1]), ratio[1] - ratio[0]
+
+
+def _llr_weights(tails):
+    """Log-likelihood-ratio increments ``[ln(y/x), ln((1 - y)/(1 - x))]`` of
+    a one and a zero at each received point; 0 for a bit value with equal
+    tails, even both 0 as behind a blind design."""
+    x, y = tails[0::2], tails[1::2]
+    with np.errstate(all="ignore"):
+        return np.where(x == y, 0.0, np.log(y / x))
 
 
 def kl_divergence_grad_pd(op: OperatingPoint) -> float:
@@ -129,28 +162,20 @@ def kl_divergence_grad_pd(op: OperatingPoint) -> float:
     why optimal designs always sit on the upper boundary of the feasible
     region.
     """
-    x, y = _clamp(op.pfa), _clamp(op.pd)
-    return float((1.0 - x) / (1.0 - y) - x / y)
+    return float(_kl_partials(op.tails)[1])
 
 
 def bsc_transform(op: OperatingPoint, channel: BscChannel) -> OperatingPoint:
     """Operating point seen after the bit crosses the channel."""
-    rho = channel.crossover
-    return OperatingPoint(_bsc(op.pfa, rho), _bsc(op.pd, rho))
+    return OperatingPoint(*_received(op.tails, channel.crossover).tolist())
 
 
-def _bsc(p, rho: float):
-    """One coordinate (a float or an array) through a channel of crossover
-    ``rho``."""
-    return rho + (1.0 - 2.0 * rho) * p
-
-
-def received_divergence(pfa, pd, crossover):
-    """``kl_divergence(bsc_transform(op, channel))`` elementwise on arrays
-    (or floats) of coordinates and crossovers that broadcast together,
-    without building or range-checking points: the post-channel divergence
-    that every threshold search and batch of designs evaluates."""
-    return _kl(_bsc(pfa, crossover), _bsc(pd, crossover))
+def received_divergence(tails, crossover):
+    """``kl_divergence(bsc_transform(op, channel))`` for an array of tails
+    ``[x, y, 1 - x, 1 - y]`` of points and crossovers that broadcast
+    together, without building or range-checking points: the post-channel
+    divergence that every threshold search and batch of designs evaluates."""
+    return _kl(_received(tails, crossover))
 
 
 def site_divergences(op: OperatingPoint, site: SensorSite) -> tuple[float, float]:
@@ -167,7 +192,8 @@ def mix_quantizers(
 
     Randomizing among quantizers realizes any point of the convex hull of
     their operating points; three points always suffice to reach a hull
-    point, but any count is accepted.
+    point, but any count is accepted.  The complements mix the same way,
+    with the weights scaled to sum to 1.
 
     Raises
     ------
@@ -186,6 +212,7 @@ def mix_quantizers(
     total = math.fsum(weights)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-    pfa = math.fsum(w * p.pfa for p, w in zip(points, weights))
-    pd = math.fsum(w * p.pd for p, w in zip(points, weights))
-    return OperatingPoint(min(max(pfa, 0.0), 1.0), min(max(pd, 0.0), 1.0))
+    return OperatingPoint(*(
+        min(max(math.fsum(w * t for t, w in zip(tails, weights)) / total, 0.0), 1.0)
+        for tails in zip(*(p.tails.tolist() for p in points))
+    ))

@@ -15,8 +15,9 @@ from .errors import UnimodalityError
 #: Grid size for the unimodality pre-scan.
 PRESCAN_POINTS = 1024
 
-#: Lanes pre-scanned per call of the objective.
-PRESCAN_LANES = 32
+#: Lanes pre-scanned per call of the objective; a zoom call holds as many
+#: points, few enough that the allocator reuses its temporaries' pages.
+PRESCAN_LANES = 8
 
 #: Grid size of each zoom step of :func:`unimodal_max`.
 ZOOM_POINTS = 64
@@ -79,18 +80,22 @@ def unimodal_max(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize each lane's unimodal objective on its ``[lo, hi]``.
 
-    The pre-scan of :func:`assert_unimodal` brackets each lane's peak.  All
-    lanes then lay ZOOM_POINTS over their brackets in one call of ``f`` and
-    narrow them the same way, until each is at most ZOOM_TOL wide or stops
-    shrinking.  Returns the best abscissae sampled and their values.
+    The pre-scan of :func:`assert_unimodal` brackets each lane's peak.  The
+    lanes then lay ZOOM_POINTS over their brackets, batched per call of
+    ``f`` like the pre-scan, and narrow them the same way, until each is at
+    most ZOOM_TOL wide or stops shrinking.  Returns the best abscissae
+    sampled and their values.
     """
     best_x, best_f, a, b = assert_unimodal(f, lo, hi, label)
     lanes = np.flatnonzero(b - a > ZOOM_TOL)
+    per_call = PRESCAN_LANES * PRESCAN_POINTS // ZOOM_POINTS
     while lanes.size:
         width = b[lanes] - a[lanes]
-        _, best_x[lanes], best_f[lanes], a[lanes], b[lanes] = _narrow(
-            f, a[lanes], b[lanes], lanes, ZOOM_POINTS
-        )
+        for start in range(0, lanes.size, per_call):
+            part = lanes[start:start + per_call]
+            _, best_x[part], best_f[part], a[part], b[part] = _narrow(
+                f, a[part], b[part], part, ZOOM_POINTS
+            )
         narrowed = b[lanes] - a[lanes]
         lanes = lanes[(narrowed > ZOOM_TOL) & (narrowed < width)]
     return best_x, best_f

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import (_channel_divergence, _max_channel_divergences,
-                       _operating_points, _threshold_brackets)
+from .gaussian import (_channel_divergence, _max_channel_divergences, _tails,
+                       _threshold_brackets)
 from .roc import BscChannel, OperatingPoint, SensorSite, received_divergence
 from .search import bisect_root
 
@@ -152,14 +152,14 @@ def _designs_at(
     through a noiseless channel."""
     t = np.array(thresholds, dtype=float)
     theta, sigma, rho_fc, rho_e = _site_columns(sites)
-    pfa, pd = _operating_points(theta, sigma, t)
+    tails = _tails(theta, sigma, t)
     columns = (
-        t, pfa, pd, *(received_divergence(pfa, pd, rho) for rho in (0.0, rho_fc, rho_e))
+        t, *tails, *(received_divergence(tails, rho) for rho in (0.0, rho_fc, rho_e))
     )
     lanes = zip(*(c.tolist() for c in columns), budgets)
     return [
-        QuantizerDesign(t, OperatingPoint(x, y), *divergences, binding, budget)
-        for t, x, y, *divergences, budget in lanes
+        QuantizerDesign(t, OperatingPoint(x, y, xc, yc), *divergences, binding, budget)
+        for t, x, y, xc, yc, *divergences, budget in lanes
     ]
 
 

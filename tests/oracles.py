@@ -6,7 +6,7 @@ these functions are independent checks of the package's scalar paths.
 """
 
 import numpy as np
-from scipy.special import erfc, logsumexp, ndtri
+from scipy.special import erfc, log_ndtr, logsumexp, ndtri
 from scipy.stats import binom, norm
 
 EPS = 1e-12
@@ -26,20 +26,22 @@ def kld(x, y):
     return x * np.log(x / y) + (1.0 - x) * np.log((1.0 - x) / (1.0 - y))
 
 
-def kld_rounding_bound(x, y, ulps):
-    """First-order bound on how far ``kld(x, y)`` moves when ``x``, ``y``
-    and both logarithms each carry a relative error of ``ulps`` float64
-    units.  Near ``y = 1`` the ``1 - y`` cancellation makes this large."""
-    x = np.clip(x, EPS, 1.0 - EPS)
-    y = np.clip(y, EPS, 1.0 - EPS)
-    lo_term = x * np.log(x / y)
-    hi_term = (1.0 - x) * np.log((1.0 - x) / (1.0 - y))
-    grad_x = np.log(x / y) - np.log((1.0 - x) / (1.0 - y))
-    grad_y = (1.0 - x) / (1.0 - y) - x / y
-    return ulps * np.finfo(float).eps * (
-        np.abs(x * grad_x) + np.abs(y * grad_y)
-        + np.abs(lo_term) + np.abs(hi_term)
+def log_space_divergence(theta, sigma, rho, thresholds):
+    """Post-channel divergence of the quantizer ``1{r >= t}`` in log space:
+    ``log_ndtr`` of both Gaussian tails on either side of each threshold,
+    pushed through the channel with ``logaddexp``, so a probability within
+    1e-16 of 1 keeps its complement (as in ``perfbench/reference.py``).
+    Exact where ``kld`` clamps."""
+    t = np.asarray(thresholds, dtype=float)
+    z0, z1 = t / sigma, (t - theta) / sigma
+    rho = np.asarray(rho, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_rho = np.log(rho)  # -inf at rho = 0 leaves a tail as it is
+    log_scale = np.log1p(-2.0 * rho)
+    lx, lxc, ly, lyc = (
+        np.logaddexp(log_rho, log_scale + log_ndtr(v)) for v in (-z0, z0, -z1, z1)
     )
+    return np.maximum(np.exp(lx) * (lx - ly) + np.exp(lxc) * (lxc - lyc), 0.0)
 
 
 def count_direction_changes(values, noise_floor):
@@ -160,8 +162,10 @@ def np_log_miss(x, y, window, delta):
     gamma = min(max((delta - p_gt) / p_eq, 0.0), 1.0)
     lt = logsumexp(lp1[:t]) if t > 0 else -np.inf
     if gamma < 1.0:
-        return float(np.logaddexp(lt, np.log1p(-gamma) + lp1[t]))
-    return float(lt)
+        lt = np.logaddexp(lt, np.log1p(-gamma) + lp1[t])
+    # a log probability is at most 0; where the miss is within ~1e-13 of
+    # 1 the summed terms' rounding can exceed 1 - miss
+    return min(float(lt), 0.0)
 
 
 def stein_second_order_slope(x, y, window, delta):

@@ -143,6 +143,15 @@ class TestTrace:
         for p in points:
             assert abs(kl_divergence(p.eve_op) - 0.2) <= TRACE_TOL
 
+    def test_noiseless_channel_keeps_only_points_on_the_level_set(self):
+        # near x = 1 the root lies nearer to y = 1 than a float resolves;
+        # those abscissae are dropped, not returned off the level set
+        points = trace_constraint_curve(5.0, BscChannel(0.0), n_points=600)
+        assert 300 < len(points) < 600
+        for p in points:
+            assert abs(kl_divergence(p.eve_op) - 5.0) <= TRACE_TOL
+        assert points[0].op.pfa == 0.0 and points[0].slope == math.inf
+
     def test_small_budget_hugs_diagonal(self):
         eve = BscChannel(0.1)
         points = trace_constraint_curve(1e-4, eve, n_points=51)

@@ -42,7 +42,7 @@ class TestDesignCommand:
         assert payload["alpha_tilde"] == 0.1
         assert payload["d_eve"] == pytest.approx(0.1, abs=1e-8)
         assert payload["units"] == "nats"
-        for key in ("lambda", "pfa", "pd", "d_sensor", "d_fc", "d_eve"):
+        for key in ("lambda", "pfa", "pd", "pfa_c", "pd_c", "d_sensor", "d_fc", "d_eve"):
             assert key in payload
 
     def test_blind_design_warns_and_zeroes(self, tmp_path, capsys):
@@ -456,7 +456,8 @@ class TestVerifyCommand:
         assert report_out.read_bytes() == first
 
     @pytest.mark.parametrize(
-        "field, value", [("d_fc", 5.0), ("d_eve", 0.0), ("d_sensor", 1.0), ("pd", 0.5)]
+        "field, value",
+        [("d_fc", 5.0), ("d_eve", 0.0), ("d_sensor", 1.0), ("pd", 0.5), ("pd_c", 0.5)],
     )
     def test_inconsistent_design_artifact_exits_4(
         self, tmp_path, capsys, field, value
@@ -500,6 +501,48 @@ class TestVerifyCommand:
             "verify", "--artifact", str(summary_path),
             "--out", str(tmp_path / "r.json"),
         ) == 4
+
+
+class TestHighSnrDesign:
+    """SNR 10 behind a noiseless FC channel: 1 - pd is about 1e-18, which
+    only the stored complement ``pd_c`` holds."""
+
+    @staticmethod
+    def high_snr_design(tmp_path):
+        argv, out = design_args(tmp_path, budget="3.0")
+        argv[argv.index("--theta") + 1] = "10.0"
+        assert run(*argv) == 0
+        return out, json.loads(out.read_text())
+
+    def test_stores_complements_and_the_log_space_divergence(self, tmp_path):
+        import oracles
+
+        out, payload = self.high_snr_design(tmp_path)
+        assert payload["pd"] == 1.0 and 0.0 < payload["pd_c"] < 1e-17
+        assert payload["pfa"] + payload["pfa_c"] == 1.0
+        want = float(oracles.log_space_divergence(10.0, 1.0, 0.0, payload["lambda"]))
+        assert abs(payload["d_fc"] - want) <= 1e-9 * want
+        report_out = tmp_path / "report.json"
+        assert run("verify", "--artifact", str(out), "--out", str(report_out)) == 0
+        assert json.loads(report_out.read_text())["passed"] is True
+
+    def test_artifact_without_complements_reads_one_minus_p(self, tmp_path, capsys):
+        # an artifact written before the complements were stored: at SNR
+        # 10 its d_fc no longer recomputes from 1 - pd, at SNR 1 it does
+        out, payload = self.high_snr_design(tmp_path)
+        for key in ("pfa_c", "pd_c"):
+            del payload[key]
+        out.write_text(json.dumps(payload))
+        report_out = tmp_path / "report.json"
+        assert run("verify", "--artifact", str(out), "--out", str(report_out)) == 4
+        assert "inconsistent" in capsys.readouterr().err
+        argv, out = design_args(tmp_path)
+        assert run(*argv) == 0
+        payload = json.loads(out.read_text())
+        for key in ("pfa_c", "pd_c"):
+            del payload[key]
+        out.write_text(json.dumps(payload))
+        assert run("verify", "--artifact", str(out), "--out", str(report_out)) == 0
 
 
 class TestArtifactCodec:

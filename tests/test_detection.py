@@ -30,6 +30,7 @@ from secquant import (
 from secquant import detection
 from secquant.detection import (
     _H1_STREAM,
+    _binom_logpmf,
     _conditional_shares,
     _fusion_statistics,
     _llr_weights,
@@ -37,6 +38,7 @@ from secquant.detection import (
     _stream_counts,
     _symbol_law,
 )
+from secquant.roc import _received
 from secquant.solver import _designs_at
 
 import oracles
@@ -75,15 +77,16 @@ class TestFalseAlarmExactness:
             # 1.8e5 leaves the log pmf ~2e-11 off, and would test that
             pmf = np.exp(binom.logpmf(np.arange(window + 1), window, x))
             for delta in (0.01, 0.05, 0.3, 1e-30):
-                _, t, gamma = _np_components(x, y, window, delta)
+                _, t, gamma = _np_components(OperatingPoint(x, y), window, delta)
                 fa = float(pmf[t + 1 :].sum() + gamma * pmf[t])
                 assert math.log(fa) == pytest.approx(math.log(delta), abs=1e-12)
 
 
 def full_support_threshold(x, y, window, delta):
     """``t`` and ``gamma`` of the ones-count test from the H0 tail at
-    every count of the support, summed from the top."""
-    lp0 = binom.logpmf(np.arange(window + 1), window, x)
+    every count of the support, summed from the top, with the log pmf the
+    kernel sums on its band."""
+    lp0 = _binom_logpmf(np.arange(window + 1), window, x, 1.0 - x)
     tail = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -np.inf)
     t = int(np.argmax(tail <= math.log(delta))) - 1
     gamma = (delta - math.exp(tail[t + 1])) / math.exp(lp0[t])
@@ -108,13 +111,25 @@ class TestBandedKernel:
     @example((0.3, 0.7, 100_000, 1e-100))
     def test_matches_full_support_and_oracle(self, case):
         x, y, window, delta = case
-        log_miss, t, gamma = _np_components(x, y, window, delta)
+        log_miss, t, gamma = _np_components(OperatingPoint(x, y), window, delta)
         assert (t, gamma) == full_support_threshold(x, y, window, delta)
         # 1e-12 relative wherever |log_miss| >= 0.01; a miss within 1e-2 of
         # 1 is a sum near 1 whose log float64 resolves only to ~1e-16 per
         # term, so both sums agree there to an absolute 1e-14
         want = oracles.np_log_miss(x, y, window, delta)
         assert log_miss == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+class TestMissNeverExceedsOne:
+    @pytest.mark.parametrize(
+        "x, y, window, delta",
+        [(0.9966, 0.9966, 170, 1.3e-26), (0.9225, 0.9722, 134, 1e-68)],
+    )
+    def test_log_miss_is_at_most_zero(self, x, y, window, delta):
+        # the miss is within ~1e-13 of 1, below the summed terms' rounding
+        point = exact_np_miss(OperatingPoint(x, y), window, delta)
+        assert point.log_miss <= 0.0
+        assert point.exponent >= 0.0
 
 
 class TestAgainstIndependentSummation:
@@ -247,6 +262,20 @@ class TestMonteCarlo:
             assert len(rec.fc_bits) == 12
             assert len(rec.eve_bits) == 12
             assert set(rec.sensor_bits) <= {0, 1}
+
+    def test_blind_sensor_behind_noiseless_channel_stays_finite(self):
+        # the blind design's received tails are [0, 0, 1, 1]: a one never
+        # arrives under either hypothesis and weighs 0
+        sites = tuple(
+            SensorSite(GaussianSensorModel(1.0, 1.0), BscChannel(0.0), BscChannel(rho_e))
+            for rho_e in (0.1, 0.0)
+        )
+        config = NetworkConfig(sites=sites, alpha_total=1.0)
+        mc = simulate_monte_carlo(
+            config, designs_at(config, np.array([math.inf, 0.5])),
+            window=10, trials=2000, seed=4,
+        )
+        assert all(math.isfinite(v) for v in vars(mc).values())
 
     def test_designs_must_match_config(self):
         site, config, result = single_sensor_setup()
@@ -424,11 +453,22 @@ class TestLlrWeights:
     )
     def test_batch_equals_one_sensor_calls(self, sensors):
         pfa, pd, rho = (np.array(column) for column in zip(*sensors))
-        w_one, w_zero = _llr_weights(pfa, pd, rho)
-        for i, point in enumerate(sensors):
-            one, zero = _llr_weights(*point)
+        w_one, w_zero = _llr_weights(_received(np.array([pfa, pd, 1.0 - pfa, 1.0 - pd]), rho))
+        for i, (x, y, r) in enumerate(sensors):
+            received = _received(OperatingPoint(x, y).tails, r)
+            one, zero = _llr_weights(received)
             assert (one, zero) == (w_one[i], w_zero[i])
-            assert math.isfinite(one) and math.isfinite(zero)
+            assert not (math.isnan(one) or math.isnan(zero))
+            # infinite only where a tail is 0 (or so small a ratio
+            # overflows): a bit value one hypothesis never sends
+            if min(received) > 1e-300:
+                assert math.isfinite(one) and math.isfinite(zero)
+
+    def test_blind_and_separating_points(self):
+        # no evidence behind a blind design; a one under H1 only is decisive
+        assert _llr_weights(np.array([0.0, 0.0, 1.0, 1.0])).tolist() == [0.0, 0.0]
+        one, zero = _llr_weights(np.array([0.0, 0.5, 1.0, 0.5]))
+        assert one == math.inf and zero == pytest.approx(math.log(0.5))
 
 
 class TestTrialRecords:
@@ -456,8 +496,7 @@ class TestTrialRecords:
             config, result, hypothesis, window=window, count=count, seed=21
         )
         n = len(config.sites)
-        pfa = np.array([rec.design.op.pfa for rec in result.per_sensor])
-        pd = np.array([rec.design.op.pd for rec in result.per_sensor])
+        tails = np.array([rec.design.op.tails for rec in result.per_sensor]).T
         for receiver, want in (("fc", want_fc), ("eve", want_eve)):
             rho = np.array(
                 [getattr(site, f"{receiver}_channel").crossover for site in config.sites]
@@ -468,7 +507,7 @@ class TestTrialRecords:
                     for rec in records
                 ]
             )
-            got = _fusion_statistics(ones, *_llr_weights(pfa, pd, rho), window)
+            got = _fusion_statistics(ones, *_llr_weights(_received(tails, rho)), window)
             assert np.array_equal(got, want[:count])
 
     def test_sensor_bits_flip_at_the_crossovers(self):

@@ -193,9 +193,9 @@ def prescan_grid(model):
 
 
 class TestObjectiveKernels:
-    """The solver's array objective must agree with the dataclass path up
-    to float64 rounding on the pre-scan grid, and the pre-scan must refuse
-    exactly the curves that are not single-peaked there."""
+    """The solver's array objective must equal the dataclass path on the
+    pre-scan grid, and the pre-scan must refuse exactly the curves that
+    are not single-peaked there."""
 
     @given(
         snr=st.floats(min_value=0.1, max_value=12.0),
@@ -210,13 +210,8 @@ class TestObjectiveKernels:
         ops = [bsc_transform(model.operating_point(float(t)), channel) for t in grid]
         scalar = [kl_divergence(op) for op in ops]
         array = _channel_divergence(model.theta, sigma, rho, grid)
-        # both paths compute 1 - pd by subtraction, so near pd = 1 an
-        # ulp-level difference between the two erfc implementations is
-        # amplified; the bound is that amplification, plus 1e-12
-        x = np.array([op.pfa for op in ops])
-        y = np.array([op.pd for op in ops])
-        tol = 1e-12 + oracles.kld_rounding_bound(x, y, ulps=8)
-        assert np.all(np.abs(array - np.array(scalar)) <= tol)
+        # one tail kernel behind both paths: equal bit for bit
+        assert np.array_equal(array, np.array(scalar))
 
         scale = max(1.0, max(abs(v) for v in scalar))
         refuses = oracles.count_direction_changes(scalar, 1e-12 * scale) > 2

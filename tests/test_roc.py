@@ -43,10 +43,11 @@ class TestKlDivergence:
         assert kl_divergence(op(0.0, 0.0)) == 0.0
         assert kl_divergence(op(1.0, 1.0)) == 0.0
 
-    def test_extreme_point_finite(self):
-        d = kl_divergence(op(0.0, 1.0))
-        assert math.isfinite(d)
-        assert d > 20.0  # ~ -2*ln(eps) scale
+    def test_separating_point_is_infinite(self):
+        # one bit value occurs under one hypothesis only
+        assert kl_divergence(op(0.0, 1.0)) == math.inf
+        assert kl_divergence(op(0.5, 1.0)) == math.inf
+        assert kl_divergence(op(0.0, 0.5)) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -80,6 +81,33 @@ class TestKlDivergence:
             mid = kl_divergence(op(0.5 * (x1 + x2), 0.5 * (y1 + y2)))
             avg = 0.5 * (kl_divergence(op(x1, y1)) + kl_divergence(op(x2, y2)))
             assert mid <= avg + 1e-12
+
+
+class TestComplements:
+    def test_default_is_one_minus_p(self):
+        p = op(0.25, 0.75)
+        assert (p.pfa_c, p.pd_c) == (0.75, 0.25)
+        assert p.tails.tolist() == [0.25, 0.75, 0.75, 0.25]
+
+    def test_stored_complement_beyond_float_resolution(self):
+        p = OperatingPoint(0.1, 1.0, pd_c=1e-18)
+        assert kl_divergence(p) == pytest.approx(
+            0.1 * math.log(0.1) + 0.9 * math.log(0.9 / 1e-18), rel=1e-15
+        )
+        assert kl_divergence(op(0.1, 1.0)) == math.inf
+
+    def test_mismatched_complement_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            OperatingPoint(0.25, 0.75, pfa_c=0.7)
+        with pytest.raises(ValueError):
+            OperatingPoint(0.25, 0.75, pd_c=-0.0 - 1e-3)
+
+    def test_channel_and_mixture_carry_complements(self):
+        p = bsc_transform(OperatingPoint(0.1, 1.0, pd_c=1e-18), BscChannel(0.0))
+        assert p.pd_c == 1e-18
+        mixed = mix_quantizers([OperatingPoint(0.1, 1.0, pd_c=1e-18), op(0.1, 1.0)],
+                               [0.5, 0.5])
+        assert mixed.pd_c == 5e-19
 
 
 class TestBscChannel:

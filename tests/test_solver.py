@@ -229,6 +229,78 @@ class TestBudgetIsKept:
         assert design.d_eve <= budget + 1e-10 * max(1.0, budget)
 
 
+def log_space_optimum(theta, sigma, rho_fc, rho_e, budgets, n=40_001):
+    """Best log-space d_fc on a dense threshold grid over the package's
+    bracket, among points whose log-space d_eve is within each budget."""
+    lo, hi = GaussianSensorModel(theta, sigma).threshold_bracket()
+    grid = np.linspace(lo, hi, n)
+    d_fc = oracles.log_space_divergence(theta, sigma, rho_fc, grid)
+    d_eve = oracles.log_space_divergence(theta, sigma, rho_e, grid)
+    order = np.argsort(d_eve, kind="stable")
+    best = np.concatenate(([0.0], np.maximum.accumulate(d_fc[order])))
+    return best[np.searchsorted(d_eve[order], budgets, "right")]
+
+
+class TestLogSpaceOracle:
+    """Stored divergences against the log-space oracle, out to SNR 12 and
+    noiseless channels, where a probability is within 1e-16 of 1."""
+
+    @given(
+        snr=st.floats(min_value=0.1, max_value=12.0),
+        sigma=st.floats(min_value=0.5, max_value=2.0),
+        rho_fc=crossover,
+        rho_e=crossover,
+        log_budget=st.floats(min_value=math.log(1e-6), max_value=math.log(3.2)),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_designs_and_peaks_match_the_oracle(
+        self, snr, sigma, rho_fc, rho_e, log_budget
+    ):
+        site = make_site(snr * sigma, sigma, rho_fc, rho_e)
+        theta = site.model.theta
+        # a refused prescan raises UnimodalityError and fails the test
+        free = unconstrained_design(site)
+        eve_peak, _ = max_eve_divergence(site)
+        bound = design_quantizer(site, math.exp(log_budget))
+        for design in (free, bound):
+            if math.isinf(design.threshold):
+                continue
+            for stored, rho in ((design.d_sensor, 0.0), (design.d_fc, rho_fc),
+                                (design.d_eve, rho_e)):
+                want = oracles.log_space_divergence(theta, sigma, rho, design.threshold)
+                assert stored == pytest.approx(float(want), rel=1e-10, abs=1e-15)
+        # a peak sits on a bracket edge only where the true one lies beyond
+        lo, hi = site.model.threshold_bracket()
+        wide = np.linspace(lo - 6.0 * sigma, hi + 6.0 * sigma, 20_001)
+        for peak, rho in ((free.threshold, rho_fc), (eve_peak, rho_e)):
+            if min(peak - lo, hi - peak) <= 1e-6 * (hi - lo):
+                values = oracles.log_space_divergence(theta, sigma, rho, wide)
+                assert not lo <= wide[np.argmax(values)] <= hi
+
+    def test_high_snr_free_design(self):
+        design = unconstrained_design(make_site(10.0, 1.0, 0.0, 0.1))
+        assert design.threshold == pytest.approx(1.2519, abs=1e-4)
+        assert design.d_fc == pytest.approx(36.6726, abs=1e-4)
+        assert design.op.pd == 1.0 and 0.0 < design.op.pd_c < 1e-17
+
+    def test_high_snr_binding_design_picks_and_stores_the_better_root(self):
+        design = design_quantizer(make_site(10.0, 1.0, 0.0, 0.05), 0.01)
+        assert design.threshold == pytest.approx(-1.7818, abs=1e-4)
+        assert design.d_fc == pytest.approx(2.5622, abs=1e-4)
+
+    def test_noiseless_fc_tradeoff_meets_the_oracle(self):
+        theta, rho_e = 6.17, 0.1
+        budgets = np.geomspace(1e-3, 3.0, 300)
+        designs = tradeoff_curve(make_site(theta, 1.0, 0.0, rho_e), budgets.tolist())
+        t = np.array([d.threshold for d in designs])
+        d_fc = np.array([d.d_fc for d in designs])
+        np.testing.assert_allclose(
+            d_fc, oracles.log_space_divergence(theta, 1.0, 0.0, t), rtol=1e-10
+        )
+        best = log_space_optimum(theta, 1.0, 0.0, rho_e, budgets)
+        assert np.all(d_fc >= best - 1e-9 * (1.0 + best))
+
+
 class TestTradeoffCurve:
     def test_single_zero_budget(self):
         points = tradeoff_curve(make_site(), [0.0])
