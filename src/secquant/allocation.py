@@ -125,19 +125,19 @@ def _network(
     free_designs = _designs(sites, [math.inf] * n)
     qualities, splits = _splits(sites, alpha_total, free_designs, {*n_grid, n})
     funded = splits[n]
+    # sleeping sensors share one blind design: it ignores its site and is frozen
+    asleep = blind_design(sites[0]) if sites else None
     per_sensor = tuple(
         SensorAllocation(
             index=i,
             alpha_i=funded[i][0] if i in funded else 0.0,
-            design=funded[i][1] if i in funded else blind_design(site),
+            design=funded[i][1] if i in funded else asleep,
             active=i in funded,
             quality=quality,
             d_fc_star=free.d_fc,
             d_eve_star=free.d_eve,
         )
-        for i, (site, free, quality) in enumerate(
-            zip(sites, free_designs, qualities)
-        )
+        for i, (free, quality) in enumerate(zip(free_designs, qualities))
     )
     allocation = AllocationResult(per_sensor, *_totals(funded, benchmark_ideal_fc))
     points = [

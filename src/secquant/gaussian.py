@@ -139,7 +139,14 @@ def _max_channel_divergences(
     lo, hi = _threshold_brackets(theta[:, 0], sigma[:, 0])
 
     def objective(thresholds: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return _channel_divergence(theta[lanes], sigma[lanes], rho[lanes], thresholds)
+        # lanes on one shared grid row share a bracket and so, unless two
+        # models round to the same one, a model: its tails are then taken
+        # once, and each lane's crossover broadcasts over them
+        model = lanes
+        if (len(thresholds) < lanes.size and (theta[lanes] == theta[lanes[0]]).all()
+                and (sigma[lanes] == sigma[lanes[0]]).all()):
+            model = lanes[:1]
+        return _channel_divergence(theta[model], sigma[model], rho[lanes], thresholds)
 
     return unimodal_max(objective, lo, hi, "post-channel divergence")
 

@@ -1,8 +1,9 @@
 """Search primitives over lanes: a grid-zoom maximizer seeded by a
 batched unimodality pre-scan, and bisection.  Each solves many independent
 problems ("lanes") at once: its objective ``f(x, lanes)`` maps an array
-whose row ``j`` holds abscissae of lane ``lanes[j]`` to their values, and
-each lane stops on its own tests, whatever else is in the batch."""
+whose row ``j`` holds abscissae of lane ``lanes[j]``, or one row that every
+lane shares, to one row of values per lane, and each lane stops on its own
+tests, whatever else is in the batch."""
 
 from __future__ import annotations
 
@@ -46,32 +47,43 @@ def count_direction_changes(values, noise_floor) -> int | np.ndarray:
 def _narrow(f: Objective, a: np.ndarray, b: np.ndarray, lanes: np.ndarray,
             points: int) -> tuple[np.ndarray, ...]:
     """One grid step of the pre-scan or the zoom: ``points`` abscissae over
-    each lane's ``[a, b]`` in one call of ``f``.  Returns their values, each
-    lane's best abscissa and its value, and the bracket one step either side."""
+    each lane's ``[a, b]``, or over the one ``[a, b]`` all lanes share, in
+    one call of ``f``.  Returns their values, each lane's best abscissa and
+    its value, and the bracket one step either side."""
     grid = a[:, None] + np.arange(points) * ((b - a) / (points - 1))[:, None]
     values = f(grid, lanes)
     rows, k = np.arange(lanes.size), np.argmax(values, axis=1)
-    return (values, grid[rows, k], values[rows, k], grid[rows, np.maximum(k - 1, 0)],
-            grid[rows, np.minimum(k + 1, points - 1)])
+    at = rows if len(grid) > 1 else 0  # a shared row serves every lane
+    return (values, grid[at, k], values[rows, k], grid[at, np.maximum(k - 1, 0)],
+            grid[at, np.minimum(k + 1, points - 1)])
 
 
 def assert_unimodal(
     f: Objective, lo: Lanes, hi: Lanes, label: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raise :class:`UnimodalityError` unless each lane's objective looks
-    single-peaked on a PRESCAN_POINTS grid over its ``[lo, hi]``, scanning
-    PRESCAN_LANES lanes per call of ``f`` to bound memory.  Returns each
-    lane's best grid point, its value, and the bracket one step either side."""
+    single-peaked on a PRESCAN_POINTS grid over its ``[lo, hi]``, naming the
+    first such lane.  The lanes are scanned PRESCAN_LANES per call of ``f``
+    to bound memory, sorted so that lanes of one bracket share calls and, in
+    each such call, one grid row.  Returns each lane's best grid point, its
+    value, and the bracket one step either side."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     found = np.empty((4, lo.size))
+    # sorted on their bits, lanes of one bracket sit side by side, so a
+    # call's lanes share one bracket when its first and last lane do
+    bits = hi.view(np.int64), lo.view(np.int64)
+    order, first_bad = np.lexsort(bits), lo.size
     for start in range(0, lo.size, PRESCAN_LANES):
-        lanes = np.arange(start, min(start + PRESCAN_LANES, lo.size))
-        values, *found[:, lanes] = _narrow(f, lo[lanes], hi[lanes], lanes, PRESCAN_POINTS)
+        lanes = order[start:start + PRESCAN_LANES]
+        one = lanes[:1] if all(b[lanes[0]] == b[lanes[-1]] for b in bits) else lanes
+        values, *found[:, lanes] = _narrow(f, lo[one], hi[one], lanes, PRESCAN_POINTS)
         scale = np.fmax(1.0, np.max(np.abs(values), axis=1))
         bad = lanes[count_direction_changes(values, 1e-12 * scale) > 2]
         if bad.size:
-            raise UnimodalityError(f"{label} is not unimodal on [{lo[bad[0]]}, "
-                                   f"{hi[bad[0]]}]; refusing to search it for a maximum")
+            first_bad = min(first_bad, int(bad.min()))
+    if first_bad < lo.size:
+        raise UnimodalityError(f"{label} is not unimodal on [{lo[first_bad]}, "
+                               f"{hi[first_bad]}]; refusing to search it for a maximum")
     return tuple(found)
 
 

@@ -207,7 +207,7 @@ def _designs(
     for budget in budgets:
         if not budget >= 0.0:
             raise ValueError(f"budget must be nonnegative, got {budget!r}")
-    designs = [blind_design(site, budget) for site, budget in zip(sites, budgets)]
+    designs: list[QuantizerDesign | None] = [None] * len(sites)
     live = [i for i, budget in enumerate(budgets) if budget > 0.0]
     live_sites = [sites[i] for i in live]
     free_at = (
@@ -223,11 +223,20 @@ def _designs(
     lanes = [i for i, r in zip(bound, roots) for _ in r]
     ends = _designs_at([sites[i] for i in lanes], [t for r in roots for t in r],
                        [budgets[i] for i in lanes], binding=True)
-    # a bound lane stays blind unless an in-bracket root beats it; its roots
-    # ascend, so the better one wins with ties toward the larger threshold
+    # a bound lane stays blind (d_fc 0) unless an in-bracket root beats it;
+    # its roots ascend, so the better one wins with ties toward the larger
+    # threshold
     for i, design in zip(lanes, ends):
-        if designs[i].d_fc - design.d_fc <= 1e-12:
+        if (0.0 if designs[i] is None else designs[i].d_fc) - design.d_fc <= 1e-12:
             designs[i] = design
+    # the blind design ignores its site and is frozen, so the blind lanes of
+    # one budget share one; the key keeps -0.0 apart from 0.0, as they print
+    blind: dict[tuple[float, float], QuantizerDesign] = {}
+    for i in [i for i, design in enumerate(designs) if design is None]:
+        key = (budgets[i], math.copysign(1.0, budgets[i]))
+        if key not in blind:
+            blind[key] = blind_design(sites[i], budgets[i])
+        designs[i] = blind[key]
     return designs
 
 

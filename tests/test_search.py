@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secquant import BscChannel, GaussianSensorModel, SensorSite, UnimodalityError
+from secquant import (BscChannel, GaussianSensorModel, SensorSite, UnimodalityError,
+                      gaussian)
 from secquant.gaussian import _max_channel_divergences
-from secquant.search import bisect_root, count_direction_changes, unimodal_max
+from secquant.search import (PRESCAN_LANES, PRESCAN_POINTS, bisect_root,
+                             count_direction_changes, unimodal_max)
 from secquant.solver import _budget_thresholds
 
 import oracles
@@ -102,17 +104,23 @@ class TestUnimodalMax:
             unimodal_max(f, [-3.0, -3.0], [3.0, 3.0], "two bumps")
 
     def test_bimodal_lane_past_the_first_prescan_batch_raises(self):
-        # 70 lanes span three pre-scan calls; lane 40 sits in the second
-        lo = -3.0 - 0.01 * np.arange(70)
-        hi = 3.0 + 0.01 * np.arange(70)
+        cases = (
+            # 70 brackets, one per lane: lane 40 sits past the first calls
+            (np.arange(70), [40]),
+            # three brackets, interleaved lane by lane, and a bimodal lane in
+            # each: whatever order the brackets are scanned in, lane 40 is named
+            (np.arange(70) % 3, [40, 41, 42]),
+        )
+        for step, bimodal in cases:
+            lo, hi = -3.0 - 0.01 * step, 3.0 + 0.01 * step
 
-        def f(x, lanes):
-            double = -np.minimum((x - 1.0) ** 2, (x + 1.0) ** 2)
-            return np.where(lanes[:, None] == 40, double, -(x**2))
+            def f(x, lanes):
+                double = -np.minimum((x - 1.0) ** 2, (x + 1.0) ** 2)
+                return np.where(np.isin(lanes, bimodal)[:, None], double, -(x**2))
 
-        bracket = re.escape(f"[{float(lo[40])!r}, {float(hi[40])!r}]")
-        with pytest.raises(UnimodalityError, match=bracket):
-            unimodal_max(f, lo, hi, "two bumps")
+            bracket = re.escape(f"[{float(lo[40])!r}, {float(hi[40])!r}]")
+            with pytest.raises(UnimodalityError, match=bracket):
+                unimodal_max(f, lo, hi, "two bumps")
 
     def test_no_lanes(self):
         x_star, f_star = unimodal_max(quadratic([], []), [], [], "none")
@@ -207,3 +215,38 @@ class TestLaneIndependence:
         budgets = [f * d for f, d in zip(fraction, batch[1].tolist())]
         together = _budget_thresholds(sites, budgets)
         assert together[i] == _budget_thresholds([sites[i]], [budgets[i]])[0]
+
+    def test_lane_among_interleaved_models_equals_the_lane_alone(self):
+        # 25 crossovers from 0 to 0.49 cycle through three models, two of
+        # them at SNR 2 with different sigma; then through two models, at SNR
+        # 1e-16 and 4e-16, whose brackets round to the same pair, so calls on
+        # one shared grid row hold lanes of both
+        twins = [GaussianSensorModel(1e-16, 1.0), GaussianSensorModel(4e-16, 1.0)]
+        assert twins[0].threshold_bracket() == twins[1].threshold_bracket()
+        three = [GaussianSensorModel(*m) for m in ((2.0, 1.0), (1.0, 0.5), (0.7, 1.3))]
+        rho = np.linspace(0.0, 0.49, 25).tolist()
+        for models in (three, twins):
+            lanes = [(models[k % len(models)], BscChannel(r)) for k, r in enumerate(rho)]
+            thresholds, divergences = _max_channel_divergences(*zip(*lanes))
+            for k, lane in enumerate(lanes):
+                (t,), (d,) = _max_channel_divergences(*zip(lane))
+                assert (thresholds[k], divergences[k]) == (t, d)
+
+    def test_prescan_takes_one_q_row_per_call_of_one_model(self, monkeypatch):
+        # 500 lanes of one model: each of the ceil(500 / PRESCAN_LANES)
+        # pre-scan calls evaluates the Q pair on its one grid row, 2 x 1 024
+        # points, not on one row per lane
+        rows = []
+
+        def counted(z):
+            rows.append(np.shape(z))
+            return q_tails(z)
+
+        q_tails = gaussian._q_tails
+        monkeypatch.setattr(gaussian, "_q_tails", counted)
+        rho = np.linspace(0.0, 0.1, 500).tolist()
+        _max_channel_divergences([GaussianSensorModel(1.0, 1.0)] * 500,
+                                 [BscChannel(r) for r in rho])
+        prescan = [shape for shape in rows if shape[-1] == PRESCAN_POINTS]
+        calls = -(-500 // PRESCAN_LANES)
+        assert prescan == [(2, 1, PRESCAN_POINTS)] * calls
