@@ -23,7 +23,9 @@ from .gaussian import GaussianSensorModel
 from .roc import BscChannel, SensorSite
 from .solver import (
     QuantizerDesign,
+    _bound_thresholds,
     _designs,
+    _designs_at,
     blind_design,
     unconstrained_design,
 )
@@ -173,10 +175,11 @@ def _splits(
         (split, i) for split in splits.values()
         for i, (share, free) in split.items() if share < free.d_eve
     ]
-    designs = _designs(
-        [sites[i] for _, i in partial],
-        [split[i][0] for split, i in partial],
-        [free_designs[i].threshold for _, i in partial],
+    # a share below the sensor's free leakage always binds: no FC search
+    partial_sites = [sites[i] for _, i in partial]
+    shares = [split[i][0] for split, i in partial]
+    designs = _designs_at(
+        partial_sites, _bound_thresholds(partial_sites, shares), shares, True
     )
     for (split, i), design in zip(partial, designs):
         split[i] = (split[i][0], design)

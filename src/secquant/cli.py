@@ -83,25 +83,40 @@ def _merged(args: argparse.Namespace, fields: list[str]) -> dict[str, Any]:
     return merged
 
 
-def _require(cfg: dict[str, Any], name: str, kind: Callable) -> Any:
+def _require(cfg: dict[str, Any], name: str, kind: Any) -> Any:
     if cfg[name] is None:
         raise ValueError(f"missing required field: {name}")
     return _optional(cfg, name, kind, None)
 
 
-def _optional(cfg: dict[str, Any], name: str, kind: Callable, default: Any) -> Any:
-    """``cfg[name]`` converted by ``kind``, or ``default`` when unset; a
-    value of the wrong JSON type is a validation failure naming the field."""
+def _optional(cfg: dict[str, Any], name: str, kind: Any, default: Any) -> Any:
+    """``cfg[name]`` as ``kind``, or ``default`` when unset; a value of the
+    wrong JSON type is a validation failure naming the field."""
     if cfg[name] is None:
         return default
-    try:
-        return kind(cfg[name])
-    except TypeError as exc:
-        raise ValueError(f"field {name} has the wrong type: {exc}") from exc
+    return _typed(name, cfg[name], kind)
 
 
-def _list_of(kind: Callable) -> Callable[[Any], list]:
-    return lambda values: [kind(v) for v in values]
+#: The JSON types each field kind takes: a float field also takes an
+#: integer, and no field but a bool one takes a boolean.
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, Path: str}
+
+
+def _typed(name: str, value: Any, kind: Any) -> Any:
+    """``value`` converted to ``kind``, one of the keys of ``_JSON_TYPES`` or
+    a one-item list of one for an array of them, if its JSON type fits."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"field {name} must be an array, got {value!r}")
+        return [_typed(name, v, kind[0]) for v in value]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+        value, _JSON_TYPES[kind]
+    ):
+        raise ValueError(
+            f"field {name} has the wrong type: expected {kind.__name__}, "
+            f"got {value!r}"
+        )
+    return kind(value)
 
 
 def _site_from(cfg: dict[str, Any]) -> SensorSite:
@@ -143,7 +158,7 @@ def _design_from(fields: dict[str, Any], suffix: str, budget: float) -> Quantize
         d_sensor=float(fields["d_sensor"]),
         d_fc=float(fields[f"d_fc{suffix}"]),
         d_eve=float(fields[f"d_eve{suffix}"]),
-        binding=bool(fields["binding"]),
+        binding=_typed("binding", fields["binding"], bool),
         budget=budget,
     )
 
@@ -191,7 +206,7 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
                     index=int(entry["index"]),
                     alpha_i=float(entry["alpha_i"]),
                     design=_design_from(entry, "_i", float(entry["alpha_i"])),
-                    active=bool(entry["active"]),
+                    active=_typed("active", entry["active"], bool),
                     quality=float(entry["k_i"]),
                     d_fc_star=float(entry["d_fc_star"]),
                     d_eve_star=float(entry["d_eve_star"]),
@@ -308,7 +323,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     )
     site = _site_from(cfg)
     out = _require(cfg, "out", Path)
-    alphas = _optional(cfg, "alphas", _list_of(float), None)
+    alphas = _optional(cfg, "alphas", [float], None)
     if alphas is None:
         lo = _require(cfg, "alpha_min", float)
         hi = _require(cfg, "alpha_max", float)
@@ -345,7 +360,7 @@ def cmd_greedy(args: argparse.Namespace) -> int:
     eve_high = _optional(cfg, "eve_crossover_high", float, 0.1)
     benchmark = _optional(cfg, "benchmark", bool, False)
     out = _require(cfg, "out", Path)
-    n_grid = _optional(cfg, "n_grid", _list_of(int), None)
+    n_grid = _optional(cfg, "n_grid", [int], None)
 
     sites = sample_sites(n_sensors, seed, snr, fc_high, eve_high)
     result, points = _network(sites, alpha_total, benchmark, n_grid or [])
@@ -473,7 +488,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
          "seed", "out"],
     )
     artifact_path = _require(cfg, "artifact", str)
-    windows = _optional(cfg, "windows", _list_of(int), DEFAULT_WINDOWS)
+    windows = _optional(cfg, "windows", [int], DEFAULT_WINDOWS)
     if not windows:
         raise ValueError("windows must not be empty")
     delta = _optional(cfg, "delta", float, 0.01)
@@ -485,7 +500,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     window = _optional(cfg, "window", int, 20)
     if window < 1:
         raise ValueError(f"window must be positive, got {window!r}")
-    trials = cfg["trials"]
+    trials = _optional(cfg, "trials", int, None)
+    seed = _optional(cfg, "seed", int, None)
+    if trials is not None and seed is None:
+        raise ValueError("missing required field: seed (needed for trials)")
     out = _require(cfg, "out", Path)
 
     payload = _load_json(artifact_path, "artifact", ArtifactError)
@@ -495,10 +513,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report["units"] = "nats"
 
     if trials is not None:
-        trials = _optional(cfg, "trials", int, None)
-        if cfg["seed"] is None:
-            raise ValueError("missing required field: seed (needed for trials)")
-        seed = _optional(cfg, "seed", int, None)
         mc = simulate_monte_carlo(
             config, result, window=window, trials=trials, seed=seed, delta=delta
         )

@@ -432,6 +432,12 @@ def simulate_monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
+    if calibration_trials is None:
+        calibration_trials = 4 * trials
+    if calibration_trials < 1:
+        raise ValueError(
+            f"calibration_trials must be positive, got {calibration_trials!r}"
+        )
     if window < 1:
         raise ValueError(f"window must be positive, got {window!r}")
     if not (0.0 < delta < 0.5):  # the message stein_curve gives
@@ -441,8 +447,6 @@ def simulate_monte_carlo(
             f"designs cover {len(designs.per_sensor)} sensors but the config "
             f"has {len(config.sites)}"
         )
-    if calibration_trials is None:
-        calibration_trials = 4 * trials
 
     tails, fc_rho, eve_rho = _network_arrays(config, designs)
     fc_w = _llr_weights(_received(tails, fc_rho))

@@ -5,8 +5,9 @@ LRT curve, minus the tolerated budget, is a single-peaked function of the
 threshold whose tails sink to minus the budget; its at most two zeros
 bracket the thresholds at which the secrecy constraint is exactly met.
 The optimal design is the better crossing inside the threshold bracket
-when the constraint binds (blind without one), and the unconstrained
-divergence maximizer otherwise.  A zero budget forces the blind design.
+when the constraint binds (the blind design, at threshold +inf, without
+one), and the unconstrained divergence maximizer otherwise.  A zero
+budget forces the blind design.
 """
 
 from __future__ import annotations
@@ -145,35 +146,31 @@ def _designs_at(
     sites: Sequence[SensorSite],
     thresholds: Sequence[float],
     budgets: Sequence[float],
-    binding: bool,
+    binding: bool | Sequence[bool],
 ) -> list[QuantizerDesign]:
     """The design at each lane's threshold, each quantity computed for all
     lanes in one kernel call; the sensor's own divergence is the one seen
-    through a noiseless channel."""
+    through a noiseless channel.  ``binding`` is one flag for every lane or
+    one per lane.  At threshold +inf the quantizer never fires: every tail
+    kernel returns the blind corner exactly, all divergences 0.0."""
     t = np.array(thresholds, dtype=float)
     theta, sigma, rho_fc, rho_e = _site_columns(sites)
     tails = _tails(theta, sigma, t)
     columns = (
-        t, *tails, *(received_divergence(tails, rho) for rho in (0.0, rho_fc, rho_e))
+        t, *tails, *(received_divergence(tails, rho) for rho in (0.0, rho_fc, rho_e)),
+        np.broadcast_to(binding, t.shape),
     )
     lanes = zip(*(c.tolist() for c in columns), budgets)
     return [
-        QuantizerDesign(t, OperatingPoint(x, y, xc, yc), *divergences, binding, budget)
-        for t, x, y, xc, yc, *divergences, budget in lanes
+        QuantizerDesign(t, OperatingPoint(x, y, xc, yc), *fields)
+        for t, x, y, xc, yc, *fields in lanes
     ]
 
 
 def blind_design(site: SensorSite, budget: float = 0.0) -> QuantizerDesign:
-    """The all-zeros corner quantizer: perfect secrecy, zero information."""
-    return QuantizerDesign(
-        threshold=math.inf,
-        op=OperatingPoint(0.0, 0.0),
-        d_sensor=0.0,
-        d_fc=0.0,
-        d_eve=0.0,
-        binding=True,
-        budget=budget,
-    )
+    """The all-zeros corner quantizer, the design at threshold +inf: perfect
+    secrecy, zero information."""
+    return _designs_at([site], [math.inf], [budget], True)[0]
 
 
 def unconstrained_design(site: SensorSite) -> QuantizerDesign:
@@ -197,47 +194,47 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
 
 
 def _designs(
-    sites: Sequence[SensorSite],
-    budgets: Sequence[float],
-    free_thresholds: Sequence[float] | None = None,
+    sites: Sequence[SensorSite], budgets: Sequence[float]
 ) -> list[QuantizerDesign]:
-    """:func:`design_quantizer` at every lane ``(sites[i], budgets[i])``, each
-    search batched over the lanes that need it; an infinite budget gives the
-    unconstrained design, and ``free_thresholds`` stands in for its search."""
+    """:func:`design_quantizer` at every lane ``(sites[i], budgets[i])``: each
+    lane's threshold is settled on arrays, each search batched over the lanes
+    that need it, and each design built once; an infinite budget gives the
+    unconstrained design."""
     for budget in budgets:
         if not budget >= 0.0:
             raise ValueError(f"budget must be nonnegative, got {budget!r}")
-    designs: list[QuantizerDesign | None] = [None] * len(sites)
-    live = [i for i, budget in enumerate(budgets) if budget > 0.0]
+    # every lane starts blind; a live one takes its FC peak where Eve's
+    # leakage there fits the budget, and its better crossing otherwise
+    thresholds = np.full(len(sites), math.inf)
+    binding = np.ones(len(sites), dtype=bool)
+    live = np.flatnonzero(np.array(budgets, dtype=float) > 0.0)
     live_sites = [sites[i] for i in live]
-    free_at = (
+    peaks = np.array(
         [t for t, _ in _site_peaks(live_sites, [s.fc_channel for s in live_sites])]
-        if free_thresholds is None else [free_thresholds[i] for i in live]
     )
-    free = _designs_at(live_sites, free_at, [budgets[i] for i in live], binding=False)
-    bound = [i for i, design in zip(live, free) if not design.d_eve <= budgets[i]]
-    for i, design in zip(live, free):
-        if design.d_eve <= budgets[i]:
-            designs[i] = design
-    roots = _budget_thresholds([sites[i] for i in bound], [budgets[i] for i in bound])
-    lanes = [i for i, r in zip(bound, roots) for _ in r]
-    ends = _designs_at([sites[i] for i in lanes], [t for r in roots for t in r],
-                       [budgets[i] for i in lanes], binding=True)
-    # a bound lane stays blind (d_fc 0) unless an in-bracket root beats it;
-    # its roots ascend, so the better one wins with ties toward the larger
-    # threshold
-    for i, design in zip(lanes, ends):
-        if (0.0 if designs[i] is None else designs[i].d_fc) - design.d_fc <= 1e-12:
-            designs[i] = design
-    # the blind design ignores its site and is frozen, so the blind lanes of
-    # one budget share one; the key keeps -0.0 apart from 0.0, as they print
-    blind: dict[tuple[float, float], QuantizerDesign] = {}
-    for i in [i for i, design in enumerate(designs) if design is None]:
-        key = (budgets[i], math.copysign(1.0, budgets[i]))
-        if key not in blind:
-            blind[key] = blind_design(sites[i], budgets[i])
-        designs[i] = blind[key]
-    return designs
+    theta, sigma, _, rho_e = _site_columns(live_sites)
+    free = _channel_divergence(theta, sigma, rho_e, peaks) <= [budgets[i] for i in live]
+    thresholds[live[free]], binding[live[free]] = peaks[free], False
+    bound = live[~free].tolist()
+    thresholds[bound] = _bound_thresholds(
+        [sites[i] for i in bound], [budgets[i] for i in bound]
+    )
+    return _designs_at(sites, thresholds, budgets, binding)
+
+
+def _bound_thresholds(
+    sites: Sequence[SensorSite], budgets: Sequence[float]
+) -> np.ndarray:
+    """Each lane's threshold when its budget binds: the better crossing of
+    the budget inside the threshold bracket, the larger one unless the
+    smaller has an FC divergence more than 1e-12 higher, or +inf (blind)
+    when no crossing lies inside."""
+    roots = _budget_thresholds(sites, budgets)
+    ends = np.array([(r[0], r[-1]) if r else (math.inf, math.inf) for r in roots])
+    first, last = ends.reshape(-1, 2).T
+    theta, sigma, rho_fc, _ = _site_columns(sites)
+    d_first, d_last = _channel_divergence(theta, sigma, rho_fc, np.stack([first, last]))
+    return np.where(d_first - d_last <= 1e-12, last, first)
 
 
 def tradeoff_curve(

@@ -503,6 +503,31 @@ class TestVerifyCommand:
         ) == 4
 
 
+    @pytest.mark.parametrize(
+        "field, value", [("binding", "false"), ("binding", 0), ("active", 1)]
+    )
+    def test_non_boolean_flag_exits_4(self, tmp_path, capsys, field, value):
+        if field == "binding":
+            argv, artifact = design_args(tmp_path)
+            assert run(*argv) == 0
+            payload = json.loads(artifact.read_text())
+            payload[field] = value
+        else:
+            out = tmp_path / "greedy.csv"
+            assert run(
+                "greedy", "--n-sensors", "3", "--alpha-total", "1.0",
+                "--seed", "4", "--out", str(out),
+            ) == 0
+            artifact = tmp_path / "greedy.summary.json"
+            payload = json.loads(artifact.read_text())
+            payload["per_sensor"][0][field] = value
+        artifact.write_text(json.dumps(payload))
+        report_out = tmp_path / "report.json"
+        assert run("verify", "--artifact", str(artifact), "--out", str(report_out)) == 4
+        assert field in capsys.readouterr().err
+        assert not report_out.exists()
+
+
 class TestHighSnrDesign:
     """SNR 10 behind a noiseless FC channel: 1 - pd is about 1e-18, which
     only the stored complement ``pd_c`` holds."""
@@ -592,6 +617,11 @@ class TestConfigTypes:
             ("greedy", "n_grid", 5,
              ("--n-sensors", "20", "--alpha-total", "1", "--seed", "1")),
             ("verify", "windows", 5, ("--artifact", "{artifact}")),
+            ("greedy", "benchmark", "false",
+             ("--n-sensors", "20", "--alpha-total", "1", "--seed", "1")),
+            ("greedy", "n_sensors", 20.9, ("--alpha-total", "1", "--seed", "1")),
+            ("design", "alpha_tilde", True, SITE),
+            ("tradeoff", "alphas", "0.1", SITE),
         ],
     )
     def test_wrong_json_type_exits_2(

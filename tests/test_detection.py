@@ -291,6 +291,12 @@ class TestMonteCarlo:
             simulate_monte_carlo(config, result, window=0, trials=10, seed=1)
         with pytest.raises(ValueError):
             simulate_monte_carlo(config, result, window=5, trials=0, seed=1)
+        for calibration_trials in (0, -3):
+            with pytest.raises(ValueError, match="calibration_trials must be positive"):
+                simulate_monte_carlo(
+                    config, result, window=5, trials=10, seed=1,
+                    calibration_trials=calibration_trials,
+                )
         for delta in (0.0, 0.5, 0.7, 1.5, -0.1, math.nan):
             with pytest.raises(ValueError, match=r"delta must lie in \(0, 0\.5\)"):
                 simulate_monte_carlo(

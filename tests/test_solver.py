@@ -12,7 +12,9 @@ from secquant import (
     BscChannel,
     GaussianSensorModel,
     OperatingPoint,
+    QuantizerDesign,
     SensorSite,
+    blind_design,
     bsc_transform,
     design_quantizer,
     eve_divergence_gap,
@@ -22,6 +24,7 @@ from secquant import (
     tradeoff_curve,
     unconstrained_design,
 )
+import secquant.solver
 from secquant.search import count_direction_changes
 
 import oracles
@@ -208,6 +211,18 @@ class TestDesignQuantizer:
 crossover = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.499))
 
 
+class TestBlindDesign:
+    @pytest.mark.parametrize("snr", [0.1, 10.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.2, 0.49])
+    @pytest.mark.parametrize("budget", [0.0, -0.0])
+    def test_is_the_corner_at_plus_infinity(self, snr, rho, budget):
+        design = blind_design(make_site(theta=snr, rho_fc=rho, rho_e=rho), budget)
+        corner = QuantizerDesign(
+            math.inf, OperatingPoint(0.0, 0.0), 0.0, 0.0, 0.0, True, budget
+        )
+        assert repr(design) == repr(corner)
+
+
 class TestBudgetIsKept:
     @given(
         snr=st.floats(min_value=0.1, max_value=12.0),
@@ -330,6 +345,25 @@ class TestTradeoffCurve:
         # and each point is the design a lone call would return
         for p in points[::37]:
             assert p == design_quantizer(site, p.budget)
+
+    def test_builds_one_design_per_budget(self, monkeypatch):
+        built = []
+        design = secquant.solver.QuantizerDesign
+
+        def counted(*args):
+            built.append(args)
+            return design(*args)
+
+        monkeypatch.setattr(secquant.solver, "QuantizerDesign", counted)
+        points = tradeoff_curve(make_site(rho_fc=0.01), np.geomspace(1e-3, 3.0, 300))
+        assert len(points) == len(built) == 300
+
+    def test_keeps_each_budget_and_its_sign(self):
+        site = make_site()
+        points = tradeoff_curve(site, [-0.0, 0.0, 0.05])
+        assert [repr(p.budget) for p in points] == ["-0.0", "0.0", "0.05"]
+        assert repr(points[:2]) == repr([blind_design(site, b) for b in (-0.0, 0.0)])
+        assert repr(points[2]) == repr(design_quantizer(site, 0.05))
 
     def test_monotone_nondecreasing_sweep(self):
         site = make_site()
