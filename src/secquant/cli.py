@@ -150,15 +150,21 @@ def _design_fields(design: QuantizerDesign, suffix: str) -> dict[str, Any]:
     }
 
 
+def _field(fields: dict[str, Any], name: str, kind: Any) -> Any:
+    """The stored field ``name`` as ``kind``; JSON Infinity is a float."""
+    return _typed(name, fields[name], kind)
+
+
 def _design_from(fields: dict[str, Any], suffix: str, budget: float) -> QuantizerDesign:
+    op = OperatingPoint(_field(fields, "pfa", float), _field(fields, "pd", float), *(
+        _field(fields, k, float) if k in fields else None for k in ("pfa_c", "pd_c")))
     return QuantizerDesign(
-        threshold=float(fields["lambda"]),
-        op=OperatingPoint(float(fields["pfa"]), float(fields["pd"]), *(
-            float(fields[k]) if k in fields else None for k in ("pfa_c", "pd_c"))),
-        d_sensor=float(fields["d_sensor"]),
-        d_fc=float(fields[f"d_fc{suffix}"]),
-        d_eve=float(fields[f"d_eve{suffix}"]),
-        binding=_typed("binding", fields["binding"], bool),
+        threshold=_field(fields, "lambda", float),
+        op=op,
+        d_sensor=_field(fields, "d_sensor", float),
+        d_fc=_field(fields, f"d_fc{suffix}", float),
+        d_eve=_field(fields, f"d_eve{suffix}", float),
+        binding=_field(fields, "binding", bool),
         budget=budget,
     )
 
@@ -203,26 +209,26 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
             sites = tuple(_site_from({**entry, **model}) for entry in entries)
             records = tuple(
                 SensorAllocation(
-                    index=int(entry["index"]),
-                    alpha_i=float(entry["alpha_i"]),
-                    design=_design_from(entry, "_i", float(entry["alpha_i"])),
-                    active=_typed("active", entry["active"], bool),
-                    quality=float(entry["k_i"]),
-                    d_fc_star=float(entry["d_fc_star"]),
-                    d_eve_star=float(entry["d_eve_star"]),
+                    index=_field(entry, "index", int),
+                    alpha_i=_field(entry, "alpha_i", float),
+                    design=_design_from(entry, "_i", _field(entry, "alpha_i", float)),
+                    active=_field(entry, "active", bool),
+                    quality=_field(entry, "k_i", float),
+                    d_fc_star=_field(entry, "d_fc_star", float),
+                    d_eve_star=_field(entry, "d_eve_star", float),
                 )
                 for entry in entries
             )
             result = AllocationResult(
                 per_sensor=records,
-                total_d_fc=float(payload["total_d_fc"]),
-                total_d_eve=float(payload["total_d_eve"]),
-                active_count=int(payload["active_count"]),
+                total_d_fc=_field(payload, "total_d_fc", float),
+                total_d_eve=_field(payload, "total_d_eve", float),
+                active_count=_field(payload, "active_count", int),
             )
-            alpha_total = float(payload["alpha_total"])
+            alpha_total = _field(payload, "alpha_total", float)
         else:
             sites = (_site_from(payload["site"]),)
-            design = _design_from(payload, "", float(payload["alpha_tilde"]))
+            design = _design_from(payload, "", _field(payload, "alpha_tilde", float))
             record = SensorAllocation(
                 index=0,
                 alpha_i=design.d_eve,
@@ -278,10 +284,19 @@ def _columns(records: list[dict[str, Any]], header: list[str]) -> list[list[Any]
     return [[record[name] for name in header] for record in records]
 
 
-def _table_text(cfg: dict[str, Any], header: list[str], rows: list) -> str:
-    if _optional(cfg, "format", str, "csv") == "json":
-        return rows_as_json(header, rows)
-    return csv_text(header, rows)
+#: The tabular output formats, ``--format`` or the config field ``format``.
+_FORMATS = ("csv", "json")
+
+
+def _table_format(cfg: dict[str, Any]) -> str:
+    fmt = _optional(cfg, "format", str, "csv")
+    if fmt not in _FORMATS:
+        raise ValueError(f"field format must be {' or '.join(_FORMATS)}, got {fmt!r}")
+    return fmt
+
+
+def _table_text(fmt: str, header: list[str], rows: list) -> str:
+    return rows_as_json(header, rows) if fmt == "json" else csv_text(header, rows)
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -323,6 +338,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     )
     site = _site_from(cfg)
     out = _require(cfg, "out", Path)
+    fmt = _table_format(cfg)
     alphas = _optional(cfg, "alphas", [float], None)
     if alphas is None:
         lo = _require(cfg, "alpha_min", float)
@@ -342,7 +358,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         {"alpha_tilde": d.budget, "d_fc_max": d.d_fc, **_design_fields(d, "")}
         for d in tradeoff_curve(site, alphas)
     ]
-    write_all([(out, _table_text(cfg, header, _columns(records, header)))])
+    write_all([(out, _table_text(fmt, header, _columns(records, header)))])
     return 0
 
 
@@ -410,6 +426,7 @@ def cmd_trace_boundary(args: argparse.Namespace) -> int:
     eve = BscChannel(_require(cfg, "rho_e", float))
     n_points = _optional(cfg, "n_points", int, 512)
     out = _require(cfg, "out", Path)
+    fmt = _table_format(cfg)
 
     points = trace_constraint_curve(budget, eve, n_points)
     tails = np.array([p.op.tails for p in points]).reshape(-1, 4).T
@@ -419,7 +436,7 @@ def cmd_trace_boundary(args: argparse.Namespace) -> int:
         (p.op.pfa, p.op.pd, p.eve_op.pfa, p.eve_op.pd, p.slope, p.curvature, d)
         for p, d in zip(points, d_e)
     ]
-    write_all([(out, _table_text(cfg, header, rows))])
+    write_all([(out, _table_text(fmt, header, rows))])
     return 0
 
 
@@ -558,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="seed for randomized commands")
         if "format" in shared:
             p.add_argument(
-                "--format", choices=["csv", "json"], help="tabular output format"
+                "--format", choices=_FORMATS, help="tabular output format"
             )
         p.set_defaults(handler=handler)
         return p

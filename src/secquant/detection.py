@@ -118,6 +118,13 @@ class MonteCarloResult:
     seed: int
 
 
+def _validate_window_and_delta(window: int, delta: float) -> None:
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window!r}")
+    if not (0.0 < delta < 0.5):
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
+
+
 def _validate_interior_op(op: OperatingPoint) -> None:
     x, y = op.pfa, op.pd
     if not min(op.tails) > 0.0:
@@ -233,10 +240,7 @@ def stein_curve(
         raise ValueError("windows must be strictly ascending")
     if not windows:
         return []
-    if windows[0] < 1:
-        raise ValueError(f"window must be at least 1, got {windows[0]!r}")
-    if not (0.0 < delta < 0.5):
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
+    _validate_window_and_delta(windows[0], delta)
     _validate_interior_op(fc_op)
     distinct = {*windows, *(2 * w for w in windows)}
     log_miss = {w: _np_components(fc_op, w, delta)[0] for w in distinct}
@@ -258,6 +262,7 @@ def second_order_slope(
     variance of its per-bit log-likelihood ratio; the exact slope of
     :func:`stein_curve` differs from it by O(1/window).
     """
+    _validate_window_and_delta(window, delta)
     _validate_interior_op(fc_op)
     w_one, w_zero = _llr_weights(fc_op.tails)
     sd = math.sqrt(fc_op.pfa * fc_op.pfa_c) * abs(w_one - w_zero)

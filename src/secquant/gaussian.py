@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc, log_ndtr, ndtri
 
-from .roc import BscChannel, OperatingPoint, received_divergence
+from .roc import (BscChannel, OperatingPoint, _kl_partials, _received,
+                  received_divergence)
 from .search import unimodal_max
 
 #: Threshold searches run from pfa = 1 - PFA_FLOOR up to pd = PFA_FLOOR, so
@@ -148,7 +149,14 @@ def _max_channel_divergences(
             model = lanes[:1]
         return _channel_divergence(theta[model], sigma[model], rho[lanes], thresholds)
 
-    return unimodal_max(objective, lo, hi, "post-channel divergence")
+    def slope(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        # -(dD/dX + L dD/dY) = dD/dt / (-dX/dt), L = dY/dX on the LRT curve
+        th, s = theta[lanes], sigma[lanes]
+        d_x, d_y = _kl_partials(_received(_tails(th, s, t), rho[lanes]))
+        with np.errstate(all="ignore"):  # L overflows far above the peak
+            return -(d_x + np.exp((2.0 * t - th) * th / (2.0 * s * s)) * d_y)
+
+    return unimodal_max(objective, slope, lo, hi, "post-channel divergence")
 
 
 def _channel_divergence(theta, sigma, rho, thresholds):

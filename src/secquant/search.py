@@ -1,9 +1,9 @@
-"""Search primitives over lanes: a grid-zoom maximizer seeded by a
-batched unimodality pre-scan, and bisection.  Each solves many independent
-problems ("lanes") at once: its objective ``f(x, lanes)`` maps an array
-whose row ``j`` holds abscissae of lane ``lanes[j]``, or one row that every
-lane shares, to one row of values per lane, and each lane stops on its own
-tests, whatever else is in the batch."""
+"""Search primitives over lanes: a batched unimodality pre-scan, and one
+bracketed root finder that refines every search, a peak as the root of its
+slope.  Each solves many independent problems ("lanes") at once: its
+objective ``f(x, lanes)`` maps an array whose row ``j`` holds abscissae of
+lane ``lanes[j]``, or one row that every lane shares, to one row of values
+per lane, and each lane stops on its own tests, whatever else is in the batch."""
 
 from __future__ import annotations
 
@@ -16,15 +16,9 @@ from .errors import UnimodalityError
 #: Grid size for the unimodality pre-scan.
 PRESCAN_POINTS = 1024
 
-#: Lanes pre-scanned per call of the objective; a zoom call holds as many
-#: points, few enough that the allocator reuses its temporaries' pages.
+#: Lanes pre-scanned per call of the objective, few enough that the
+#: allocator reuses its temporaries' pages.
 PRESCAN_LANES = 8
-
-#: Grid size of each zoom step of :func:`unimodal_max`.
-ZOOM_POINTS = 64
-
-#: :func:`unimodal_max` stops narrowing a lane's bracket at this width.
-ZOOM_TOL = 1e-10
 
 Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Lanes = Sequence[float]  # one value per lane
@@ -42,20 +36,6 @@ def count_direction_changes(values, noise_floor) -> int | np.ndarray:
     turns = (rises[1:] != rises[:-1]) & (row[1:] == row[:-1])
     counts = np.bincount(row[1:][turns], minlength=len(steps))
     return int(counts[0]) if np.ndim(values) == 1 else counts
-
-
-def _narrow(f: Objective, a: np.ndarray, b: np.ndarray, lanes: np.ndarray,
-            points: int) -> tuple[np.ndarray, ...]:
-    """One grid step of the pre-scan or the zoom: ``points`` abscissae over
-    each lane's ``[a, b]``, or over the one ``[a, b]`` all lanes share, in
-    one call of ``f``.  Returns their values, each lane's best abscissa and
-    its value, and the bracket one step either side."""
-    grid = a[:, None] + np.arange(points) * ((b - a) / (points - 1))[:, None]
-    values = f(grid, lanes)
-    rows, k = np.arange(lanes.size), np.argmax(values, axis=1)
-    at = rows if len(grid) > 1 else 0  # a shared row serves every lane
-    return (values, grid[at, k], values[rows, k], grid[at, np.maximum(k - 1, 0)],
-            grid[at, np.minimum(k + 1, points - 1)])
 
 
 def assert_unimodal(
@@ -76,7 +56,13 @@ def assert_unimodal(
     for start in range(0, lo.size, PRESCAN_LANES):
         lanes = order[start:start + PRESCAN_LANES]
         one = lanes[:1] if all(b[lanes[0]] == b[lanes[-1]] for b in bits) else lanes
-        values, *found[:, lanes] = _narrow(f, lo[one], hi[one], lanes, PRESCAN_POINTS)
+        a, b = lo[one, None], hi[one, None]
+        grid = a + np.arange(PRESCAN_POINTS) * ((b - a) / (PRESCAN_POINTS - 1))
+        values = f(grid, lanes)
+        rows, k = np.arange(lanes.size), np.argmax(values, axis=1)
+        at = rows if len(grid) > 1 else 0  # a shared row serves every lane
+        found[:, lanes] = (grid[at, k], values[rows, k], grid[at, np.maximum(k - 1, 0)],
+                           grid[at, np.minimum(k + 1, PRESCAN_POINTS - 1)])
         scale = np.fmax(1.0, np.max(np.abs(values), axis=1))
         bad = lanes[count_direction_changes(values, 1e-12 * scale) > 2]
         if bad.size:
@@ -88,28 +74,24 @@ def assert_unimodal(
 
 
 def unimodal_max(
-    f: Objective, lo: Lanes, hi: Lanes, label: str
+    f: Objective, slope: Objective, lo: Lanes, hi: Lanes, label: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize each lane's unimodal objective on its ``[lo, hi]``.
 
-    The pre-scan of :func:`assert_unimodal` brackets each lane's peak.  The
-    lanes then lay ZOOM_POINTS over their brackets, batched per call of
-    ``f`` like the pre-scan, and narrow them the same way, until each is at
-    most ZOOM_TOL wide or stops shrinking.  Returns the best abscissae
-    sampled and their values.
+    The pre-scan of :func:`assert_unimodal` brackets each lane's peak.  Where
+    ``slope``, any positive multiple of the derivative of ``f``, falls from
+    ``>= 0`` to ``<= 0`` over the bracket, :func:`bisect_root` finds its root,
+    which replaces the best grid point unless ``f`` scores it lower.  Returns
+    the abscissae and their values.
     """
     best_x, best_f, a, b = assert_unimodal(f, lo, hi, label)
-    lanes = np.flatnonzero(b - a > ZOOM_TOL)
-    per_call = PRESCAN_LANES * PRESCAN_POINTS // ZOOM_POINTS
-    while lanes.size:
-        width = b[lanes] - a[lanes]
-        for start in range(0, lanes.size, per_call):
-            part = lanes[start:start + per_call]
-            _, best_x[part], best_f[part], a[part], b[part] = _narrow(
-                f, a[part], b[part], part, ZOOM_POINTS
-            )
-        narrowed = b[lanes] - a[lanes]
-        lanes = lanes[(narrowed > ZOOM_TOL) & (narrowed < width)]
+    s_a, s_b = slope(np.stack([a, b], axis=1), np.arange(best_x.size)).T
+    lanes = np.flatnonzero((s_a >= 0.0) & (s_b <= 0.0))
+    root = bisect_root(lambda x, sub: slope(x, lanes[sub]),
+                       a[lanes], b[lanes], s_a[lanes], s_b[lanes], f_tol=0.0)
+    f_root = f(root[:, None], lanes)[:, 0]
+    better = f_root >= best_f[lanes]
+    best_x[lanes[better]], best_f[lanes[better]] = root[better], f_root[better]
     return best_x, best_f
 
 
@@ -123,29 +105,39 @@ def bisect_root(
     x_tol: float = 1e-10,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Bisect each lane for a sign change of its objective on ``[lo, hi]``.
+    """Find a sign change of each lane's objective on ``[lo, hi]``.
 
     ``f_lo`` and ``f_hi`` are the already-computed endpoint values, of
     opposite signs in each lane (zero counts as either); ``f`` gets a
-    column of midpoints.  A lane stops when ``|f| <= f_tol`` or its bracket
-    is narrower than ``x_tol``, or returns its last midpoint after
-    ``max_iter`` steps.
+    column of trial points.  Each is the Illinois false-position point of
+    the lane's bracket, or its midpoint where that is not finite or not
+    strictly inside, as beside an infinite endpoint value.  A lane stops
+    when ``|f| <= f_tol`` or its bracket is narrower than ``x_tol``, or
+    returns its last trial point after ``max_iter`` steps.
     """
     lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
     if np.any(((f_lo > 0.0) == (f_hi > 0.0)) & ~at_lo & ~at_hi):
         raise ValueError("bisect_root needs endpoints of opposite sign")
     root = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+    moved = np.zeros(lo.size)  # +1 where lo moved last, -1 where hi did
     lanes = np.flatnonzero(~at_lo & ~at_hi)
     for _ in range(max_iter):
         if not lanes.size:
             break
-        mid = 0.5 * (lo[lanes] + hi[lanes])
-        f_mid = f(mid[:, None], lanes)[:, 0]
-        root[lanes] = mid
-        done = (np.abs(f_mid) <= f_tol) | (hi[lanes] - lo[lanes] <= x_tol)
-        # the sign at lo never changes, so f_lo needs no update
-        up = (f_mid > 0.0) == (f_lo[lanes] > 0.0)
-        lo[lanes[up]], hi[lanes[~up]] = mid[up], mid[~up]
+        a, b, f_a, f_b = lo[lanes], hi[lanes], f_lo[lanes], f_hi[lanes]
+        with np.errstate(all="ignore"):
+            x = a - f_a * ((b - a) / (f_b - f_a))
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))  # also replaces NaN
+        f_x = f(x[:, None], lanes)[:, 0]
+        root[lanes] = x
+        up = (f_x > 0.0) == (f_a > 0.0)  # the sign at lo never changes
+        to_lo, to_hi = lanes[up], lanes[~up]
+        # an end kept twice running has its value halved (Illinois)
+        f_hi[to_lo[moved[to_lo] > 0.0]] *= 0.5
+        f_lo[to_hi[moved[to_hi] < 0.0]] *= 0.5
+        lo[to_lo], f_lo[to_lo], moved[to_lo] = x[up], f_x[up], 1.0
+        hi[to_hi], f_hi[to_hi], moved[to_hi] = x[~up], f_x[~up], -1.0
+        done = (np.abs(f_x) <= f_tol) | (hi[lanes] - lo[lanes] <= x_tol)
         lanes = lanes[~done]
     return root

@@ -528,6 +528,53 @@ class TestVerifyCommand:
         assert not report_out.exists()
 
 
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("alpha_tilde", lambda p: p.update(alpha_tilde=str(p["alpha_tilde"]))),
+            ("pfa", lambda p: p.update(pfa=str(p["pfa"]))),
+            ("index", lambda p: p["per_sensor"][0].update(index=0.9)),
+            ("active_count", lambda p: p.update(active_count=p["active_count"] + 0.5)),
+        ],
+    )
+    def test_mistyped_number_exits_4(self, tmp_path, capsys, field, corrupt):
+        # float() and int() would read each of these as the stored value
+        if field in ("alpha_tilde", "pfa"):
+            argv, artifact = design_args(tmp_path)
+        else:
+            argv = ["greedy", "--n-sensors", "3", "--alpha-total", "1.0", "--seed", "4",
+                    "--out", str(tmp_path / "greedy.csv")]
+            artifact = tmp_path / "greedy.summary.json"
+        assert run(*argv) == 0
+        payload = json.loads(artifact.read_text())
+        corrupt(payload)
+        artifact.write_text(json.dumps(payload))
+        report_out = tmp_path / "report.json"
+        assert run("verify", "--artifact", str(artifact), "--out", str(report_out)) == 4
+        assert f"field {field} has the wrong type" in capsys.readouterr().err
+        assert not report_out.exists()
+
+    def test_infinite_numbers_stay_valid(self, tmp_path, capsys):
+        # a blind design stores lambda as +inf, a deaf-Eve sensor k_i: JSON
+        # Infinity, a float
+        argv, blind = design_args(tmp_path, budget="0.0")
+        assert run(*argv) == 0
+        assert "Infinity" in blind.read_text()
+        out = tmp_path / "greedy.csv"
+        assert run("greedy", "--n-sensors", "3", "--alpha-total", "1.0",
+                   "--seed", "4", "--out", str(out)) == 0
+        summary = tmp_path / "greedy.summary.json"
+        payload = json.loads(summary.read_text())
+        payload["per_sensor"][0]["k_i"] = math.inf
+        summary.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for artifact, status in ((blind, "pass"), (summary, "unchecked")):
+            report_out = tmp_path / f"{artifact.stem}.report.json"
+            argv = ("verify", "--artifact", str(artifact), "--out", str(report_out))
+            assert run(*argv) == 0
+            assert capsys.readouterr().out.startswith(f"verify: {status}")
+
+
 class TestHighSnrDesign:
     """SNR 10 behind a noiseless FC channel: 1 - pd is about 1e-18, which
     only the stored complement ``pd_c`` holds."""
@@ -636,6 +683,23 @@ class TestConfigTypes:
         flags = [f.format(artifact=tmp_path / "a.json") for f in flags]
         assert run(command, "--config", str(config), *flags, "--out", str(out)) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            ("tradeoff", {"format": "xml", "alphas": [0.1]}, SITE),
+            ("trace-boundary", {"format": "xml"},
+             ("--alpha-tilde", "0.2", "--rho-e", "0.1", "--n-points", "16")),
+        ],
+    )
+    def test_unknown_format_exits_2(self, tmp_path, capsys, command, config, flags):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        assert run(command, "--config", str(path), *flags, "--out", str(out)) == 2
+        assert "field format must be csv or json" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -160,6 +160,18 @@ class TestSecondOrderSlope:
         want = oracles.stein_second_order_slope(x, y, window, 0.01)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "window, delta, message",
+        [(0, 0.01, "window must be at least 1"),
+         (-5, 0.01, "window must be at least 1"),
+         (50, 0.7, r"delta must lie in \(0, 0\.5\)")],
+    )
+    def test_rejects_what_stein_curve_rejects(self, window, delta, message):
+        op = OperatingPoint(0.3, 0.7)
+        for call in (second_order_slope, lambda *a: stein_curve(a[0], [a[1]], a[2])):
+            with pytest.raises(ValueError, match=message):
+                call(op, window, delta)
+
     def test_deep_window_slope_meets_the_prediction(self):
         # windows 4e6 and 8e6: the full support would be 12e6 counts
         op = OperatingPoint(0.3, 0.7)

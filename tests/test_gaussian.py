@@ -175,6 +175,19 @@ class TestMaxChannelDivergence:
         assert d2 > d1
         assert d2 == pytest.approx(grid_d2, abs=1e-8)
 
+    @pytest.mark.parametrize("theta, sigma, rho, peak", [
+        # peaks of the post-channel divergence: roots of dD/dt to 40 digits
+        # (mpmath), rounded to 15; a grid of D itself stops on its flat top
+        (20.762636435075184, 1.808658141988356, 0.4969503347867245, 10.3813143099192),
+        (13.179987831149614, 1.1845296995828478, 0.4982019896591615, 6.58999299780667),
+        (10.0, 1.0, 0.0, 1.2519481533853),
+        (1.0, 1.0, 0.0, 0.205899787604524),
+    ])
+    def test_threshold_matches_the_high_precision_peak(self, theta, sigma, rho, peak):
+        model, channel = GaussianSensorModel(theta, sigma), BscChannel(rho)
+        lam, _ = max_channel_divergence(model, channel)
+        assert abs(lam - peak) <= 1e-9
+
     def test_objective_is_single_peaked_on_grid(self):
         # quasi-concavity assumption behind the threshold maximizer
         model = GaussianSensorModel(1.0, 1.0)

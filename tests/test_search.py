@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secquant import (BscChannel, GaussianSensorModel, SensorSite, UnimodalityError,
-                      gaussian)
+                      gaussian, solver)
 from secquant.gaussian import _max_channel_divergences
 from secquant.search import (PRESCAN_LANES, PRESCAN_POINTS, bisect_root,
                              count_direction_changes, unimodal_max)
@@ -46,15 +46,19 @@ class TestCountDirectionChanges:
 
 
 def quadratic(center, scale):
-    """Lanes of ``-scale * (x - center)**2``: single-peaked, with the peak
-    at ``center`` or, when that lies outside the bracket, at its edge."""
+    """Lanes of ``-scale * (x - center)**2`` and their slope: single-peaked,
+    with the peak at ``center`` or, when that lies outside the bracket, at
+    its edge."""
     center = np.asarray(center, dtype=float)[:, None]
     scale = np.asarray(scale, dtype=float)[:, None]
 
     def f(x, lanes):
         return -scale[lanes] * (x - center[lanes]) ** 2
 
-    return f
+    def slope(x, lanes):
+        return -2.0 * scale[lanes] * (x - center[lanes])
+
+    return f, slope
 
 
 def channel_lanes(snr, sigma, rho):
@@ -80,8 +84,8 @@ class TestUnimodalMax:
         center = rng.uniform(lo, hi)
         center[-3:] = [lo[-3] - 1.0, hi[-2] + 2.0, hi[-1]]
         scale = rng.uniform(0.1, 10.0, n)
-        f = quadratic(center, scale)
-        x_star, f_star = unimodal_max(f, lo, hi, "quadratic")
+        f, slope = quadratic(center, scale)
+        x_star, f_star = unimodal_max(f, slope, lo, hi, "quadratic")
         for i in range(n):
             grid = np.linspace(lo[i], hi[i], 400_001)
             values = f(grid[None, :], np.array([i]))[0]
@@ -100,8 +104,12 @@ class TestUnimodalMax:
             double = -np.minimum((x - 1.0) ** 2, (x + 1.0) ** 2)
             return np.where(lanes[:, None] == 1, double, single)
 
+        def slope(x, lanes):
+            peak = np.where(lanes[:, None] == 1, np.sign(x), center[lanes, None])
+            return -2.0 * (x - peak)
+
         with pytest.raises(UnimodalityError):
-            unimodal_max(f, [-3.0, -3.0], [3.0, 3.0], "two bumps")
+            unimodal_max(f, slope, [-3.0, -3.0], [3.0, 3.0], "two bumps")
 
     def test_bimodal_lane_past_the_first_prescan_batch_raises(self):
         cases = (
@@ -118,12 +126,16 @@ class TestUnimodalMax:
                 double = -np.minimum((x - 1.0) ** 2, (x + 1.0) ** 2)
                 return np.where(np.isin(lanes, bimodal)[:, None], double, -(x**2))
 
+            def slope(x, lanes):
+                peak = np.where(np.isin(lanes, bimodal)[:, None], np.sign(x), 0.0)
+                return -2.0 * (x - peak)
+
             bracket = re.escape(f"[{float(lo[40])!r}, {float(hi[40])!r}]")
             with pytest.raises(UnimodalityError, match=bracket):
-                unimodal_max(f, lo, hi, "two bumps")
+                unimodal_max(f, slope, lo, hi, "two bumps")
 
     def test_no_lanes(self):
-        x_star, f_star = unimodal_max(quadratic([], []), [], [], "none")
+        x_star, f_star = unimodal_max(*quadratic([], []), [], [], "none")
         assert x_star.shape == f_star.shape == (0,)
 
 
@@ -151,13 +163,44 @@ class TestBisectRoot:
         with pytest.raises(ValueError, match="opposite sign"):
             bisect_root(f, [0.0, 1.0], [1.0, 2.0], [-1.0, 1.0], [1.0, 2.0])
 
-    def test_stops_on_the_iteration_cap_at_the_last_midpoint(self):
+    def test_stops_on_the_iteration_cap_at_the_last_trial_point(self):
+        # false position on x**2 - 1/2 over [0, 1] tries 1/2, then 2/3; lo
+        # has then moved twice, so hi's value is halved (Illinois) and the
+        # third point is 8/11, not the plain false-position point 7/10
+        def f(x, lanes):
+            return x**2 - 0.5
+
+        for cap, last in ((1, 1 / 2), (2, 2 / 3), (3, 8 / 11)):
+            found = bisect_root(f, [0.0], [1.0], [-0.5], [0.5], f_tol=0.0,
+                                x_tol=0.0, max_iter=cap)
+            assert found.tolist() == pytest.approx([last], rel=1e-15)
+
+    def test_infinite_endpoint_value_takes_the_midpoint(self):
         def f(x, lanes):
             return x - 0.3
 
-        found = bisect_root(f, [0.0], [1.0], [-0.3], [0.7], f_tol=0.0,
-                            x_tol=0.0, max_iter=2)
-        assert found.tolist() == [0.25]
+        found = bisect_root(f, [0.0], [1.0], [-0.3], [math.inf], f_tol=0.0,
+                            x_tol=0.0, max_iter=1)
+        assert found.tolist() == [0.5]
+
+    def test_budget_batch_takes_few_root_steps(self, monkeypatch):
+        # 300 budgets over one site: every crossing is found in one batch,
+        # whose longest lane sets the number of objective calls
+        calls = []
+
+        def counted(f, *args, **kwargs):
+            def f_counted(x, lanes):
+                calls.append(x.shape)
+                return f(x, lanes)
+
+            return bisect_root(f_counted, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "bisect_root", counted)
+        site = SensorSite(GaussianSensorModel(1.0, 1.0), BscChannel(0.02),
+                          BscChannel(0.1))
+        roots = _budget_thresholds([site] * 300, np.geomspace(1e-3, 3.0, 300).tolist())
+        assert sum(map(len, roots)) > 300
+        assert len(calls) <= 30
 
 
 generic_lane = st.tuples(
@@ -178,9 +221,9 @@ class TestLaneIndependence:
         hi, center = lo + width, lo + where * width
         i = pick % len(lanes)
         one = slice(i, i + 1)
-        batch = unimodal_max(quadratic(center, scale), lo, hi, "quadratic")
+        batch = unimodal_max(*quadratic(center, scale), lo, hi, "quadratic")
         alone = unimodal_max(
-            quadratic(center[one], scale[one]), lo[one], hi[one], "quadratic"
+            *quadratic(center[one], scale[one]), lo[one], hi[one], "quadratic"
         )
         assert batch[0][i].tobytes() == alone[0][0].tobytes()
         assert batch[1][i].tobytes() == alone[1][0].tobytes()
