@@ -170,7 +170,8 @@ def trace_constraint_curve(
         gap, x, np.ones(x.size), np.full(x.size, -budget), top,
         f_tol=TRACE_TOL, x_tol=0.0,
     )
-    # a root nearer to y = 1 than a float resolves stays off the level set
+    # a root nearer to y = 1 than a float resolves stays off the level set;
+    # its lane ends once no float lies inside its bracket
     on = np.abs(gap(y[:, None], np.arange(x.size))[:, 0]) <= TRACE_TOL
     tails = np.array([x[on], y[on], 1.0 - x[on], 1.0 - y[on]])
     slope = _slope(tails, rho)

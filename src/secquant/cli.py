@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -48,9 +48,6 @@ from .solver import (
 )
 from .detection import second_order_slope, simulate_monte_carlo, stein_curve
 
-DEFAULT_WINDOWS = [50, 100, 200, 400]
-DEFAULT_SLOPE_TOLERANCE = 0.15
-
 #: Exit code of each handled error, first match wins: 2 validation failure,
 #: 3 solver structural error, 4 artifact I/O failure or malformed artifact.
 _EXIT_CODES = {UnimodalityError: 3, ArtifactError: 4, ValueError: 2, OSError: 4}
@@ -70,45 +67,23 @@ def _load_json(path: str, kind: str, error: type[Exception]) -> dict[str, Any]:
     return payload
 
 
-def _merged(args: argparse.Namespace, fields: list[str]) -> dict[str, Any]:
-    """Config document values overridden by any explicitly-set flags."""
-    config = {}
-    if args.config is not None:
-        config = _load_json(args.config, "config file", ValueError)
-    merged = {name: config.get(name) for name in fields}
-    for name in fields:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    return merged
-
-
-def _require(cfg: dict[str, Any], name: str, kind: Any) -> Any:
-    if cfg[name] is None:
-        raise ValueError(f"missing required field: {name}")
-    return _optional(cfg, name, kind, None)
-
-
-def _optional(cfg: dict[str, Any], name: str, kind: Any, default: Any) -> Any:
-    """``cfg[name]`` as ``kind``, or ``default`` when unset; a value of the
-    wrong JSON type is a validation failure naming the field."""
-    if cfg[name] is None:
-        return default
-    return _typed(name, cfg[name], kind)
-
-
 #: The JSON types each field kind takes: a float field also takes an
 #: integer, and no field but a bool one takes a boolean.
 _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, Path: str}
 
 
 def _typed(name: str, value: Any, kind: Any) -> Any:
-    """``value`` converted to ``kind``, one of the keys of ``_JSON_TYPES`` or
-    a one-item list of one for an array of them, if its JSON type fits."""
+    """``value`` converted to ``kind``, if its JSON type fits: a key of
+    ``_JSON_TYPES``, a one-item list of one for an array of them, or a tuple
+    of the strings the field may take."""
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ValueError(f"field {name} must be an array, got {value!r}")
         return [_typed(name, v, kind[0]) for v in value]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"field {name} must be {' or '.join(kind)}, got {value!r}")
+        return value
     if isinstance(value, bool) != (kind is bool) or not isinstance(
         value, _JSON_TYPES[kind]
     ):
@@ -119,15 +94,100 @@ def _typed(name: str, value: Any, kind: Any) -> Any:
     return kind(value)
 
 
-def _site_from(cfg: dict[str, Any]) -> SensorSite:
-    model = GaussianSensorModel(
-        theta=_require(cfg, "theta", float), sigma=_require(cfg, "sigma", float)
-    )
-    return SensorSite(
-        model=model,
-        fc_channel=BscChannel(_require(cfg, "rho_fc", float)),
-        eve_channel=BscChannel(_require(cfg, "rho_e", float)),
-    )
+def _field(fields: dict[str, Any], name: str, kind: Any) -> Any:
+    """The stored field ``name`` as ``kind``; JSON Infinity is a float."""
+    return _typed(name, fields[name], kind)
+
+
+#: The tabular output formats, ``--format`` or the config field ``format``.
+_FORMATS = ("csv", "json")
+
+#: The default of a field that every run must set.
+REQUIRED = object()
+
+#: A sensor site: its model and its two channels.
+_SITE_FIELDS = dict.fromkeys(("theta", "sigma", "rho_fc", "rho_e"), (float, REQUIRED))
+
+#: Each command's help and fields, ``{name: (kind, default)}``: the keys of
+#: its config document, each also a flag ``--name-with-dashes`` unless it
+#: is an array.  A kind is a key of ``_JSON_TYPES``, ``[kind]`` for an
+#: array of them, or a tuple of the strings the field may take.
+_COMMANDS: dict[str, tuple[str, dict[str, tuple[Any, Any]]]] = {
+    "design": ("solve one sensor's constrained threshold", {
+        **_SITE_FIELDS,
+        "alpha_tilde": (float, REQUIRED),
+        "out": (Path, REQUIRED),
+        "h_trace_out": (Path, None),
+        "h_trace_points": (int, 512),
+    }),
+    "tradeoff": ("sweep the secrecy budget", {
+        **_SITE_FIELDS,
+        "out": (Path, REQUIRED),
+        "format": (_FORMATS, "csv"),
+        "alphas": ([float], None),
+        "alpha_min": (float, None),
+        "alpha_max": (float, None),
+        "alpha_count": (int, None),
+    }),
+    "greedy": ("allocate a total budget across a network", {
+        "n_sensors": (int, REQUIRED),
+        "alpha_total": (float, REQUIRED),
+        "seed": (int, REQUIRED),
+        "snr": (float, 1.0),
+        "fc_crossover_high": (float, 0.01),
+        "eve_crossover_high": (float, 0.1),
+        "benchmark": (bool, False),
+        "out": (Path, REQUIRED),
+        "n_grid": ([int], None),
+    }),
+    "verify": ("check a stored design against exact baselines", {
+        "artifact": (str, REQUIRED),
+        "windows": ([int], [50, 100, 200, 400]),
+        "delta": (float, 0.01),
+        "tolerance": (float, 0.15),
+        "window": (int, 20),
+        "trials": (int, None),
+        "seed": (int, None),
+        "out": (Path, REQUIRED),
+    }),
+    "trace-boundary": ("export the Eve constraint boundary", {
+        "alpha_tilde": (float, REQUIRED),
+        "rho_e": (float, REQUIRED),
+        "n_points": (int, 512),
+        "out": (Path, REQUIRED),
+        "format": (_FORMATS, "csv"),
+    }),
+}
+
+
+def _config(args: argparse.Namespace) -> dict[str, Any]:
+    """Each field of the command, typed: its flag if set, else its value in
+    the config document, else its default.  A document key the command
+    does not read, or a required field left unset, is a validation failure
+    naming it."""
+    fields = _COMMANDS[args.command][1]
+    document = {} if args.config is None else _load_json(
+        args.config, "config file", ValueError)
+    unknown = sorted(set(document) - set(fields))
+    if unknown:
+        raise ValueError(f"{args.command} reads no config field {', '.join(unknown)}")
+    cfg = {}
+    for name, (kind, default) in fields.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = document.get(name)
+        if value is None:
+            value = default
+        if value is REQUIRED:
+            raise ValueError(f"missing required field: {name}")
+        cfg[name] = None if value is None else _typed(name, value, kind)
+    return cfg
+
+
+def _site_from(fields: dict[str, Any]) -> SensorSite:
+    theta, sigma, rho_fc, rho_e = (_field(fields, name, float) for name in _SITE_FIELDS)
+    return SensorSite(GaussianSensorModel(theta, sigma), BscChannel(rho_fc),
+                      BscChannel(rho_e))
 
 
 # The artifact codec.  A design artifact holds one design's fields plus its
@@ -148,11 +208,6 @@ def _design_fields(design: QuantizerDesign, suffix: str) -> dict[str, Any]:
         f"d_eve{suffix}": design.d_eve,
         "binding": design.binding,
     }
-
-
-def _field(fields: dict[str, Any], name: str, kind: Any) -> Any:
-    """The stored field ``name`` as ``kind``; JSON Infinity is a float."""
-    return _typed(name, fields[name], kind)
 
 
 def _design_from(fields: dict[str, Any], suffix: str, budget: float) -> QuantizerDesign:
@@ -284,66 +339,38 @@ def _columns(records: list[dict[str, Any]], header: list[str]) -> list[list[Any]
     return [[record[name] for name in header] for record in records]
 
 
-#: The tabular output formats, ``--format`` or the config field ``format``.
-_FORMATS = ("csv", "json")
-
-
-def _table_format(cfg: dict[str, Any]) -> str:
-    fmt = _optional(cfg, "format", str, "csv")
-    if fmt not in _FORMATS:
-        raise ValueError(f"field format must be {' or '.join(_FORMATS)}, got {fmt!r}")
-    return fmt
-
-
 def _table_text(fmt: str, header: list[str], rows: list) -> str:
     return rows_as_json(header, rows) if fmt == "json" else csv_text(header, rows)
 
 
-def cmd_design(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        ["theta", "sigma", "rho_fc", "rho_e", "alpha_tilde", "out",
-         "h_trace_out", "h_trace_points"],
-    )
+def cmd_design(cfg: dict[str, Any]) -> int:
     site = _site_from(cfg)
-    budget = _require(cfg, "alpha_tilde", float)
+    budget, out, n_points = cfg["alpha_tilde"], cfg["out"], cfg["h_trace_points"]
     if budget < 0.0:
         raise ValueError("alpha_tilde must be nonnegative")
-    out = _require(cfg, "out", Path)
-    n_points = _optional(cfg, "h_trace_points", int, 512)
     if n_points < 2:
         raise ValueError("h_trace_points must be at least 2")
 
     design = design_quantizer(site, budget)
     if budget == 0.0:
-        print(
-            "warning: alpha_tilde = 0 forces a blind design (zero divergence "
-            "everywhere)",
-            file=sys.stderr,
-        )
+        print("warning: alpha_tilde = 0 forces a blind design (zero divergence "
+              "everywhere)", file=sys.stderr)
     files = [(out, json_text(_design_artifact(design, site)))]
-    trace_out = _optional(cfg, "h_trace_out", Path, None)
-    if trace_out is not None:
+    if cfg["h_trace_out"] is not None:
         rows = design_search_curve(site, budget, n_points)
-        files.append((trace_out, csv_text(["lambda", "h"], rows)))
+        files.append((cfg["h_trace_out"], csv_text(["lambda", "h"], rows)))
     write_all(files)
     return 0
 
 
-def cmd_tradeoff(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        ["theta", "sigma", "rho_fc", "rho_e", "out", "format",
-         "alphas", "alpha_min", "alpha_max", "alpha_count"],
-    )
+def cmd_tradeoff(cfg: dict[str, Any]) -> int:
     site = _site_from(cfg)
-    out = _require(cfg, "out", Path)
-    fmt = _table_format(cfg)
-    alphas = _optional(cfg, "alphas", [float], None)
+    alphas = cfg["alphas"]
     if alphas is None:
-        lo = _require(cfg, "alpha_min", float)
-        hi = _require(cfg, "alpha_max", float)
-        count = _require(cfg, "alpha_count", int)
+        for name in ("alpha_min", "alpha_max", "alpha_count"):
+            if cfg[name] is None:
+                raise ValueError(f"missing required field: {name}")
+        lo, hi, count = cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_count"]
         if count < 1:
             raise ValueError("alpha_count must be positive")
         if hi < lo:
@@ -358,37 +385,22 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         {"alpha_tilde": d.budget, "d_fc_max": d.d_fc, **_design_fields(d, "")}
         for d in tradeoff_curve(site, alphas)
     ]
-    write_all([(out, _table_text(fmt, header, _columns(records, header)))])
+    rows = _columns(records, header)
+    write_all([(cfg["out"], _table_text(cfg["format"], header, rows))])
     return 0
 
 
-def cmd_greedy(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        ["n_sensors", "alpha_total", "seed", "snr", "fc_crossover_high",
-         "eve_crossover_high", "benchmark", "n_grid", "out"],
-    )
-    n_sensors = _require(cfg, "n_sensors", int)
-    alpha_total = _require(cfg, "alpha_total", float)
-    seed = _require(cfg, "seed", int)
-    snr = _optional(cfg, "snr", float, 1.0)
-    fc_high = _optional(cfg, "fc_crossover_high", float, 0.01)
-    eve_high = _optional(cfg, "eve_crossover_high", float, 0.1)
-    benchmark = _optional(cfg, "benchmark", bool, False)
-    out = _require(cfg, "out", Path)
-    n_grid = _optional(cfg, "n_grid", [int], None)
-
-    sites = sample_sites(n_sensors, seed, snr, fc_high, eve_high)
-    result, points = _network(sites, alpha_total, benchmark, n_grid or [])
+def cmd_greedy(cfg: dict[str, Any]) -> int:
+    benchmark, out, n_grid = cfg["benchmark"], cfg["out"], cfg["n_grid"]
+    sampling = {name: cfg[name] for name in
+                ("n_sensors", "seed", "snr", "fc_crossover_high", "eve_crossover_high")}
+    sites = sample_sites(**sampling)
+    result, points = _network(sites, cfg["alpha_total"], benchmark, n_grid or [])
     records = [_sensor_record(rec, site) for rec, site in zip(result.per_sensor, sites)]
     header = ["index", "k_i", "alpha_i", "active", "lambda", "d_fc_i", "d_eve_i"]
     summary = {
-        "n_sensors": n_sensors,
-        "alpha_total": alpha_total,
-        "seed": seed,
-        "snr": snr,
-        "fc_crossover_high": fc_high,
-        "eve_crossover_high": eve_high,
+        **sampling,
+        "alpha_total": cfg["alpha_total"],
         "total_d_fc": result.total_d_fc,
         "total_d_eve": result.total_d_eve,
         "active_count": result.active_count,
@@ -411,24 +423,19 @@ def cmd_greedy(args: argparse.Namespace) -> int:
              p.benchmark_d_fc, p.total_d_eve)[: len(growth_header)]
             for p in points
         ]
-        files.append(
-            (_sibling(out, ".growth.csv"), csv_text(growth_header, growth_rows))
-        )
+        growth = csv_text(growth_header, growth_rows)
+        files.append((_sibling(out, ".growth.csv"), growth))
     write_all(files)
     return 0
 
 
-def cmd_trace_boundary(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["alpha_tilde", "rho_e", "n_points", "out", "format"])
-    budget = _require(cfg, "alpha_tilde", float)
+def cmd_trace_boundary(cfg: dict[str, Any]) -> int:
+    budget = cfg["alpha_tilde"]
     if budget <= 0.0:
         raise ValueError("alpha_tilde must be positive for a boundary trace")
-    eve = BscChannel(_require(cfg, "rho_e", float))
-    n_points = _optional(cfg, "n_points", int, 512)
-    out = _require(cfg, "out", Path)
-    fmt = _table_format(cfg)
+    eve = BscChannel(cfg["rho_e"])
 
-    points = trace_constraint_curve(budget, eve, n_points)
+    points = trace_constraint_curve(budget, eve, cfg["n_points"])
     tails = np.array([p.op.tails for p in points]).reshape(-1, 4).T
     d_e = received_divergence(tails, eve.crossover).tolist()
     header = ["x", "y", "x_e", "y_e", "slope", "curvature", "d_e"]
@@ -436,7 +443,7 @@ def cmd_trace_boundary(args: argparse.Namespace) -> int:
         (p.op.pfa, p.op.pd, p.eve_op.pfa, p.eve_op.pd, p.slope, p.curvature, d)
         for p, d in zip(points, d_e)
     ]
-    write_all([(out, _table_text(fmt, header, rows))])
+    write_all([(cfg["out"], _table_text(cfg["format"], header, rows))])
     return 0
 
 
@@ -470,11 +477,9 @@ def _stein_report(
     }
     if fc_op is None:
         report["passed"] = None
-        report["note"] = (
-            "not checked: multi-sensor artifact, additive divergence target "
-            "reported; per-stream exponent checks apply to single-sensor "
-            "artifacts"
-        )
+        report["note"] = ("not checked: multi-sensor artifact, additive divergence "
+                          "target reported; per-stream exponent checks apply to "
+                          "single-sensor artifacts")
         return report, []
     if no_information:
         report["passed"] = True
@@ -498,30 +503,20 @@ def _stein_report(
     return report, curve
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _merged(
-        args,
-        ["artifact", "windows", "delta", "tolerance", "trials", "window",
-         "seed", "out"],
-    )
-    artifact_path = _require(cfg, "artifact", str)
-    windows = _optional(cfg, "windows", [int], DEFAULT_WINDOWS)
+def cmd_verify(cfg: dict[str, Any]) -> int:
+    artifact_path, windows, delta, tolerance, window, trials, seed, out = (
+        cfg[k] for k in ("artifact", "windows", "delta", "tolerance", "window",
+                         "trials", "seed", "out"))
     if not windows:
         raise ValueError("windows must not be empty")
-    delta = _optional(cfg, "delta", float, 0.01)
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
-    tolerance = _optional(cfg, "tolerance", float, DEFAULT_SLOPE_TOLERANCE)
     if not (0.0 <= tolerance < math.inf):  # also rejects NaN
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    window = _optional(cfg, "window", int, 20)
     if window < 1:
         raise ValueError(f"window must be positive, got {window!r}")
-    trials = _optional(cfg, "trials", int, None)
-    seed = _optional(cfg, "seed", int, None)
     if trials is not None and seed is None:
         raise ValueError("missing required field: seed (needed for trials)")
-    out = _require(cfg, "out", Path)
 
     payload = _load_json(artifact_path, "artifact", ArtifactError)
     config, result = _network_from(payload)
@@ -554,6 +549,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``secquant`` parser: per command, ``--config`` and a flag for
+    each of its fields but the arrays, which only a config document sets."""
     parser = argparse.ArgumentParser(
         prog="secquant",
         description=(
@@ -562,71 +559,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(
-        name: str, help: str, handler: Callable, *shared: str
-    ) -> argparse.ArgumentParser:
-        """A subcommand with ``--config`` and ``--out``, plus those of
-        ``--seed`` and ``--format`` that it reads."""
-        p = sub.add_parser(name, help=help)
+    for command, (help, fields) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON config document; flags override fields")
-        p.add_argument("--out", help="primary output artifact path")
-        if "seed" in shared:
-            p.add_argument("--seed", type=int, help="seed for randomized commands")
-        if "format" in shared:
-            p.add_argument(
-                "--format", choices=_FORMATS, help="tabular output format"
+        for name, (kind, _) in fields.items():
+            if isinstance(kind, list):
+                continue
+            options = (
+                {"action": "store_const", "const": True} if kind is bool
+                else {"choices": kind} if isinstance(kind, tuple)
+                else {"type": kind} if kind in (int, float) else {}
             )
-        p.set_defaults(handler=handler)
-        return p
-
-    def add_flags(p: argparse.ArgumentParser, kind: type, *flags: str) -> None:
-        for flag in flags:
-            p.add_argument(flag, type=kind)
-
-    site_flags = ("--theta", "--sigma", "--rho-fc", "--rho-e")
-
-    p = add_command("design", "solve one sensor's constrained threshold", cmd_design)
-    add_flags(p, float, *site_flags, "--alpha-tilde")
-    add_flags(p, str, "--h-trace-out")
-    add_flags(p, int, "--h-trace-points")
-
-    p = add_command("tradeoff", "sweep the secrecy budget", cmd_tradeoff, "format")
-    add_flags(p, float, *site_flags, "--alpha-min", "--alpha-max")
-    add_flags(p, int, "--alpha-count")
-
-    p = add_command(
-        "greedy", "allocate a total budget across a network", cmd_greedy, "seed"
-    )
-    add_flags(p, int, "--n-sensors")
-    add_flags(
-        p, float, "--alpha-total", "--snr", "--fc-crossover-high",
-        "--eve-crossover-high",
-    )
-    p.add_argument("--benchmark", action="store_const", const=True)
-
-    p = add_command(
-        "verify", "check a stored design against exact baselines", cmd_verify, "seed"
-    )
-    add_flags(p, str, "--artifact")
-    add_flags(p, int, "--trials", "--window")
-    add_flags(p, float, "--delta", "--tolerance")
-
-    p = add_command(
-        "trace-boundary", "export the Eve constraint boundary", cmd_trace_boundary,
-        "format",
-    )
-    add_flags(p, float, "--alpha-tilde", "--rho-e")
-    add_flags(p, int, "--n-points")
-
+            p.add_argument("--" + name.replace("_", "-"), **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name on each run, so a wrapped handler is the one called
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(_config(args))
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

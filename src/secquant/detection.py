@@ -443,10 +443,7 @@ def simulate_monte_carlo(
         raise ValueError(
             f"calibration_trials must be positive, got {calibration_trials!r}"
         )
-    if window < 1:
-        raise ValueError(f"window must be positive, got {window!r}")
-    if not (0.0 < delta < 0.5):  # the message stein_curve gives
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
+    _validate_window_and_delta(window, delta)
     if len(designs.per_sensor) != len(config.sites):
         raise ValueError(
             f"designs cover {len(designs.per_sensor)} sensors but the config "

@@ -31,6 +31,12 @@ from .search import unimodal_max
 #: the divergence is flat.
 PFA_FLOOR = 1e-9
 
+#: A bracket starts no more than TAIL_SIGMAS noise deviations below the
+#: signal: there 1 - pd = Q(TAIL_SIGMAS) is still a normal float, and a
+#: lower threshold rounds it to 0, where the divergence reads as infinite.
+#: This raises the lower edge only where theta / sigma exceeds about 31.
+TAIL_SIGMAS = 37.0
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -98,8 +104,10 @@ class GaussianSensorModel:
         return q_function(q_inverse(pfa) - self.snr)
 
     def threshold_bracket(self) -> tuple[float, float]:
-        """Threshold interval from pfa = 1 - PFA_FLOOR to pd = PFA_FLOOR."""
-        return _threshold_brackets(self.theta, self.sigma)
+        """Threshold interval from pfa = 1 - PFA_FLOOR, or from TAIL_SIGMAS
+        deviations below the signal if that is higher, to pd = PFA_FLOOR."""
+        lo, hi = _threshold_brackets(self.theta, self.sigma)
+        return float(lo), float(hi)
 
 
 def _tails(theta, sigma, thresholds):
@@ -111,7 +119,8 @@ def _tails(theta, sigma, thresholds):
 
 def _threshold_brackets(theta, sigma):
     """:meth:`GaussianSensorModel.threshold_bracket`, elementwise."""
-    return sigma * q_inverse(1.0 - PFA_FLOOR), theta + sigma * q_inverse(PFA_FLOOR)
+    lo = np.maximum(sigma * q_inverse(1.0 - PFA_FLOOR), theta - TAIL_SIGMAS * sigma)
+    return lo, theta + sigma * q_inverse(PFA_FLOOR)
 
 
 def max_channel_divergence(
@@ -122,7 +131,9 @@ def max_channel_divergence(
     Returns ``(threshold, divergence)``.  The objective is quasi-concave in
     the threshold for this model; that assumption is validated by a
     pre-scan, and a :class:`UnimodalityError` is raised instead of
-    returning a possibly-wrong maximum if it fails.
+    returning a possibly-wrong maximum if it fails.  A maximum on a lower
+    edge raised to TAIL_SIGMAS deviations below the signal, whose true
+    peak lies beyond it, raises a ``ValueError`` naming the SNR.
     """
     (threshold,), (divergence,) = _max_channel_divergences([model], [channel])
     return float(threshold), float(divergence)
@@ -156,7 +167,17 @@ def _max_channel_divergences(
         with np.errstate(all="ignore"):  # L overflows far above the peak
             return -(d_x + np.exp((2.0 * t - th) * th / (2.0 * s * s)) * d_y)
 
-    return unimodal_max(objective, slope, lo, hi, "post-channel divergence")
+    best, value = unimodal_max(objective, slope, lo, hi, "post-channel divergence")
+    raised = lo > sigma[:, 0] * q_inverse(1.0 - PFA_FLOOR)
+    on_edge = np.flatnonzero(raised & (best <= lo))
+    if on_edge.size:
+        i = on_edge[0]
+        raise ValueError(
+            f"snr {float(theta[i, 0] / sigma[i, 0])!r} is too high: the "
+            f"divergence peaks below threshold {float(lo[i])!r}, where 1 - pd "
+            "underflows"
+        )
+    return best, value
 
 
 def _channel_divergence(theta, sigma, rho, thresholds):

@@ -112,8 +112,9 @@ def bisect_root(
     column of trial points.  Each is the Illinois false-position point of
     the lane's bracket, or its midpoint where that is not finite or not
     strictly inside, as beside an infinite endpoint value.  A lane stops
-    when ``|f| <= f_tol`` or its bracket is narrower than ``x_tol``, or
-    returns its last trial point after ``max_iter`` steps.
+    when ``|f| <= f_tol``, its bracket is narrower than ``x_tol``, or no
+    float lies strictly inside it, or returns its last trial point after
+    ``max_iter`` steps.
     """
     lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
@@ -138,6 +139,7 @@ def bisect_root(
         f_lo[to_hi[moved[to_hi] < 0.0]] *= 0.5
         lo[to_lo], f_lo[to_lo], moved[to_lo] = x[up], f_x[up], 1.0
         hi[to_hi], f_hi[to_hi], moved[to_hi] = x[~up], f_x[~up], -1.0
-        done = (np.abs(f_x) <= f_tol) | (hi[lanes] - lo[lanes] <= x_tol)
+        a, b = lo[lanes], hi[lanes]
+        done = (np.abs(f_x) <= f_tol) | (b - a <= x_tol) | (np.nextafter(a, b) >= b)
         lanes = lanes[~done]
     return root

@@ -22,7 +22,9 @@ from secquant import (
     slope_bounds,
     trace_constraint_curve,
 )
+from secquant import boundary
 from secquant.boundary import TRACE_TOL
+from secquant.search import bisect_root
 
 import oracles
 
@@ -151,6 +153,24 @@ class TestTrace:
         for p in points:
             assert abs(kl_divergence(p.eve_op) - 5.0) <= TRACE_TOL
         assert points[0].op.pfa == 0.0 and points[0].slope == math.inf
+
+    def test_lanes_nearer_to_y_1_than_a_float_stop_early(self, monkeypatch):
+        # such a lane ends once its bracket holds no float, not after every
+        # root step; the trace keeps the same 475 points
+        calls = []
+
+        def counted(f, *args, **kwargs):
+            return bisect_root(lambda y, lanes: calls.append(1) or f(y, lanes),
+                               *args, **kwargs)
+
+        monkeypatch.setattr(boundary, "bisect_root", counted)
+        points = trace_constraint_curve(1.0, BscChannel(0.0), n_points=512)
+        assert len(calls) <= 60
+        assert len(points) == 475
+        assert (points[-1].op.pfa, points[-1].op.pd) == (
+            0.9275929549902152, 0.9999999722256175)
+        for p in points:
+            assert abs(kl_divergence(p.eve_op) - 1.0) <= TRACE_TOL
 
     def test_small_budget_hugs_diagonal(self):
         eve = BscChannel(0.1)

@@ -1,8 +1,10 @@
 """Command-line surface: artifact schemas, exit codes, idempotence."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -703,7 +705,61 @@ class TestConfigTypes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "command, config, flags, unread",
+        [
+            ("greedy", {"n_grids": [5, 10]},
+             ("--n-sensors", "20", "--alpha-total", "1", "--seed", "1"), "n_grids"),
+            ("verify", {"windws": [50, 100]}, ("--artifact", "{artifact}"), "windws"),
+        ],
+    )
+    def test_config_key_the_command_does_not_read_exits_2(
+        self, tmp_path, capsys, command, config, flags, unread
+    ):
+        argv, artifact = design_args(tmp_path, budget="5.0")
+        assert run(*argv) == 0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        flags = [f.format(artifact=artifact) for f in flags]
+        assert run(command, "--config", str(path), *flags, "--out", str(out)) == 2
+        assert unread in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["c.json", artifact.name])
+
+
+def command_parsers():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def option_strings(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
 class TestParser:
+    def test_each_field_but_an_array_is_a_flag(self):
+        parsers = command_parsers()
+        assert set(parsers) == set(cli._COMMANDS)
+        for command, (_, fields) in cli._COMMANDS.items():
+            flags = {"--" + name.replace("_", "-")
+                     for name, (kind, _) in fields.items()
+                     if not isinstance(kind, list)}
+            assert option_strings(parsers[command]) == {"--config"} | flags, command
+
+    def test_readme_lists_each_command_flag(self):
+        # every command also takes --config and --out, which the table omits
+        readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, flags=re.M)
+        listed = {command: set(re.findall(r"--[a-z-]+", flags))
+                  for command, flags in rows}
+        assert listed == {
+            command: option_strings(p) - {"--config", "--out"}
+            for command, p in command_parsers().items()
+        }
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [("design", "--seed", "1"), ("design", "--format", "json"),

@@ -2,6 +2,7 @@
 unconstrained divergence maximizer against a dense grid oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from secquant import (
     q_function,
     q_inverse,
 )
-from secquant.gaussian import _channel_divergence
+from secquant.gaussian import TAIL_SIGMAS, _channel_divergence
 from secquant.search import PRESCAN_POINTS, count_direction_changes
 
 import oracles
@@ -187,6 +188,30 @@ class TestMaxChannelDivergence:
         model, channel = GaussianSensorModel(theta, sigma), BscChannel(rho)
         lam, _ = max_channel_divergence(model, channel)
         assert abs(lam - peak) <= 1e-9
+
+    @pytest.mark.parametrize("snr", [34.0, 37.0, 39.0])
+    def test_high_snr_peak_matches_the_log_space_oracle(self, snr):
+        # 1 - pd underflows below theta - 37 sigma; the bracket stops there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, d = max_channel_divergence(
+                GaussianSensorModel(snr, 1.0), BscChannel(0.0))
+        grid = lam + np.linspace(-1e-3, 1e-3, 2001)
+        oracle = oracles.log_space_divergence(snr, 1.0, 0.0, grid)
+        assert d == pytest.approx(oracles.log_space_divergence(snr, 1.0, 0.0, lam),
+                                  rel=1e-10)
+        assert oracle.max() <= d * (1.0 + 1e-10)
+        if snr == 37.0:
+            assert lam == pytest.approx(1.98979, abs=1e-5)
+            assert d == pytest.approx(602.83395, abs=1e-5)
+
+    @pytest.mark.parametrize("snr", [40.0, 50.0])
+    def test_peak_beyond_the_raised_edge_is_refused(self, snr):
+        model = GaussianSensorModel(snr, 1.0)
+        assert model.threshold_bracket()[0] == snr - TAIL_SIGMAS
+        assert all(type(edge) is float for edge in model.threshold_bracket())
+        with pytest.raises(ValueError, match=f"snr {snr!r} is too high"):
+            max_channel_divergence(model, BscChannel(0.0))
 
     def test_objective_is_single_peaked_on_grid(self):
         # quasi-concavity assumption behind the threshold maximizer

@@ -183,6 +183,20 @@ class TestBisectRoot:
                             x_tol=0.0, max_iter=1)
         assert found.tolist() == [0.5]
 
+    def test_lane_without_an_inner_float_stops(self):
+        # the sign changes between two adjacent floats, where |f| never
+        # meets f_tol: one trial point, not max_iter of them
+        calls = []
+
+        def f(x, lanes):
+            calls.append(x.shape)
+            return np.where(x > 1.0, 1.0, -1.0)
+
+        above = math.nextafter(1.0, 2.0)
+        found = bisect_root(f, [1.0], [above], [-1.0], [1.0], f_tol=0.0, x_tol=0.0)
+        assert len(calls) == 1
+        assert found.tolist()[0] in (1.0, above)
+
     def test_budget_batch_takes_few_root_steps(self, monkeypatch):
         # 300 budgets over one site: every crossing is found in one batch,
         # whose longest lane sets the number of objective calls
