@@ -26,6 +26,7 @@ from .solver import (
     _bound_thresholds,
     _designs,
     _designs_at,
+    _site_columns,
     blind_design,
     unconstrained_design,
 )
@@ -124,8 +125,9 @@ def _network(
     site is solved once and each partly funded sensor designed once."""
     n = len(sites)
     _check_network(alpha_total, n_grid, n)
-    free_designs = _designs(sites, [math.inf] * n)
-    qualities, splits = _splits(sites, alpha_total, free_designs, {*n_grid, n})
+    columns = _site_columns(sites)
+    free_designs = _designs(columns, [math.inf] * n)
+    qualities, splits = _splits(columns, alpha_total, free_designs, {*n_grid, n})
     funded = splits[n]
     # sleeping sensors share one blind design: it ignores its site and is frozen
     asleep = blind_design(sites[0]) if sites else None
@@ -150,7 +152,7 @@ def _network(
 
 
 def _splits(
-    sites: Sequence[SensorSite],
+    columns: np.ndarray,
     alpha_total: float,
     free_designs: Sequence[QuantizerDesign],
     sizes: set[int],
@@ -158,7 +160,7 @@ def _splits(
     """Each site's quality, and the greedy split of ``alpha_total`` over the
     first ``n`` sites keyed by each ``n`` in ``sizes``: every funded
     sensor's index mapped to its share and design.  The partly funded
-    sensors of all the splits are designed in one batch."""
+    sensors of all the splits are designed in one batch from ``columns``."""
     qualities = [_quality(free) for free in free_designs]
     order = sorted(range(len(free_designs)), key=lambda i: (-qualities[i], i))
     splits = {}
@@ -176,11 +178,9 @@ def _splits(
         for i, (share, free) in split.items() if share < free.d_eve
     ]
     # a share below the sensor's free leakage always binds: no FC search
-    partial_sites = [sites[i] for _, i in partial]
+    lanes = columns[:, [i for _, i in partial]]
     shares = [split[i][0] for split, i in partial]
-    designs = _designs_at(
-        partial_sites, _bound_thresholds(partial_sites, shares), shares, True
-    )
+    designs = _designs_at(lanes, _bound_thresholds(lanes, np.array(shares)), shares, True)
     for (split, i), design in zip(partial, designs):
         split[i] = (split[i][0], design)
     return qualities, splits

@@ -46,7 +46,8 @@ from .solver import (
     design_search_curve,
     tradeoff_curve,
 )
-from .detection import second_order_slope, simulate_monte_carlo, stein_curve
+from .detection import (_check_windows, second_order_slope, simulate_monte_carlo,
+                        stein_curve)
 
 #: Exit code of each handled error, first match wins: 2 validation failure,
 #: 3 solver structural error, 4 artifact I/O failure or malformed artifact.
@@ -254,7 +255,8 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
     decodes as a network of one active sensor, funded at its own leakage.
 
     Every stored divergence, total and count must match its recomputation
-    from the stored operating points and channels.
+    from the stored operating points and channels, and no stored Eve
+    divergence may top its budget by more than 1e-10 * max(1, budget).
     """
     try:
         if "per_sensor" in payload:
@@ -299,15 +301,18 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
                 total_d_eve=design.d_eve,
                 active_count=1,
             )
-            alpha_total = max(design.budget, design.d_eve)
+            alpha_total = design.budget
         config = NetworkConfig(sites=sites, alpha_total=alpha_total)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"artifact is missing or corrupts fields: {exc}") from exc
-    _check_consistent(config, result)
+    budget_field = "alpha_i" if "per_sensor" in payload else "alpha_tilde"
+    _check_consistent(config, result, budget_field)
     return config, result
 
 
-def _check_consistent(config: NetworkConfig, result: AllocationResult) -> None:
+def _check_consistent(
+    config: NetworkConfig, result: AllocationResult, budget_field: str
+) -> None:
     active = [rec for rec in result.per_sensor if rec.active]
     checks = [
         ("total_d_fc", result.total_d_fc, math.fsum(r.design.d_fc for r in active)),
@@ -328,6 +333,13 @@ def _check_consistent(config: NetworkConfig, result: AllocationResult) -> None:
                 f"artifact is inconsistent: {name} is {stored!r} but "
                 f"recomputes to {value!r}"
             )
+    limits = [(f"sensor {r.index} d_eve", r.design.d_eve, budget_field, r.design.budget)
+              for r in active]
+    limits.append(("total_d_eve", result.total_d_eve, "alpha_total", config.alpha_total))
+    for name, value, field, budget in limits:
+        if not value - budget <= 1e-10 * max(1.0, budget):
+            raise ArtifactError(f"artifact is inconsistent: {name} is {value!r}, "
+                                f"over its budget {field} {budget!r}")
 
 
 def _sibling(out: Path, suffix: str) -> Path:
@@ -475,15 +487,15 @@ def _stein_report(
         "windows": windows,
         "no_information": no_information,
     }
+    if no_information:
+        report["passed"] = True
+        report["note"] = "no information: divergence is zero, exponents stay at zero"
+        return report, []
     if fc_op is None:
         report["passed"] = None
         report["note"] = ("not checked: multi-sensor artifact, additive divergence "
                           "target reported; per-stream exponent checks apply to "
                           "single-sensor artifacts")
-        return report, []
-    if no_information:
-        report["passed"] = True
-        report["note"] = "no information: divergence is zero, exponents stay at zero"
         return report, []
     points = stein_curve(fc_op, windows, delta)
     final = points[-1]
@@ -509,8 +521,7 @@ def cmd_verify(cfg: dict[str, Any]) -> int:
                          "trials", "seed", "out"))
     if not windows:
         raise ValueError("windows must not be empty")
-    if not (0.0 < delta < 0.5):
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
+    _check_windows(windows, delta)
     if not (0.0 <= tolerance < math.inf):  # also rejects NaN
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     if window < 1:

@@ -118,9 +118,13 @@ class MonteCarloResult:
     seed: int
 
 
-def _validate_window_and_delta(window: int, delta: float) -> None:
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window!r}")
+def _check_windows(windows: Sequence[int], delta: float) -> None:
+    """Raise unless the windows ascend strictly from at least 1 and ``delta``
+    lies in (0, 0.5)."""
+    if any(b <= a for a, b in zip(windows, windows[1:])):
+        raise ValueError("windows must be strictly ascending")
+    if windows and windows[0] < 1:
+        raise ValueError(f"window must be at least 1, got {windows[0]!r}")
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
 
@@ -236,11 +240,9 @@ def stein_curve(
     that is twice another costs nothing extra.
     """
     windows = list(windows)
-    if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError("windows must be strictly ascending")
+    _check_windows(windows, delta)
     if not windows:
         return []
-    _validate_window_and_delta(windows[0], delta)
     _validate_interior_op(fc_op)
     distinct = {*windows, *(2 * w for w in windows)}
     log_miss = {w: _np_components(fc_op, w, delta)[0] for w in distinct}
@@ -262,7 +264,7 @@ def second_order_slope(
     variance of its per-bit log-likelihood ratio; the exact slope of
     :func:`stein_curve` differs from it by O(1/window).
     """
-    _validate_window_and_delta(window, delta)
+    _check_windows([window], delta)
     _validate_interior_op(fc_op)
     w_one, w_zero = _llr_weights(fc_op.tails)
     sd = math.sqrt(fc_op.pfa * fc_op.pfa_c) * abs(w_one - w_zero)
@@ -443,7 +445,7 @@ def simulate_monte_carlo(
         raise ValueError(
             f"calibration_trials must be positive, got {calibration_trials!r}"
         )
-    _validate_window_and_delta(window, delta)
+    _check_windows([window], delta)
     if len(designs.per_sensor) != len(config.sites):
         raise ValueError(
             f"designs cover {len(designs.per_sensor)} sensors but the config "

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 from scipy.special import erfc, log_ndtr, ndtri
 
@@ -77,17 +75,16 @@ class GaussianSensorModel:
     """Known signal of amplitude ``theta`` in ``N(0, sigma^2)`` noise.
 
     ``theta > 0`` so that H1 shifts the mean upward and every finite
-    threshold lands strictly above the ROC diagonal.
+    threshold lands strictly above the ROC diagonal; both are finite.
     """
 
     theta: float
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be positive, got {self.theta!r}")
+        for name, value in (("sigma", self.sigma), ("theta", self.theta)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def snr(self) -> float:
@@ -135,19 +132,17 @@ def max_channel_divergence(
     edge raised to TAIL_SIGMAS deviations below the signal, whose true
     peak lies beyond it, raises a ``ValueError`` naming the SNR.
     """
-    (threshold,), (divergence,) = _max_channel_divergences([model], [channel])
+    (threshold,), (divergence,) = _max_channel_divergences(
+        [model.theta], [model.sigma], [channel.crossover]
+    )
     return float(threshold), float(divergence)
 
 
-def _max_channel_divergences(
-    models: Sequence[GaussianSensorModel], channels: Sequence[BscChannel]
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`max_channel_divergence` for every (model, channel) lane, in one
-    search; returns the arrays of thresholds and divergences."""
-    theta, sigma, rho = np.array(
-        [(m.theta, m.sigma, c.crossover) for m, c in zip(models, channels)],
-        dtype=float,
-    ).reshape(-1, 3).T[:, :, None]
+def _max_channel_divergences(theta, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`max_channel_divergence` at every lane ``(theta[i], sigma[i],
+    rho[i])``, in one search; returns the arrays of thresholds and
+    divergences."""
+    theta, sigma, rho = (np.asarray(v, dtype=float)[:, None] for v in (theta, sigma, rho))
     lo, hi = _threshold_brackets(theta[:, 0], sigma[:, 0])
 
     def objective(thresholds: np.ndarray, lanes: np.ndarray) -> np.ndarray:

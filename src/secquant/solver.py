@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import (_channel_divergence, _max_channel_divergences, _tails,
-                       _threshold_brackets)
-from .roc import BscChannel, OperatingPoint, SensorSite, received_divergence
+                       _threshold_brackets, max_channel_divergence)
+from .roc import OperatingPoint, SensorSite, received_divergence
 from .search import bisect_root
 
 #: A root r of the budget equation is accepted when |gap(r)| <= ROOT_F_TOL
@@ -65,32 +65,28 @@ def eve_divergence_gap(site: SensorSite, threshold: float, budget: float) -> flo
     ``-budget`` at both extremes of the threshold axis, where the
     operating point degenerates to a corner.
     """
-    model = site.model
-    gap = _channel_divergence(
-        model.theta, model.sigma, site.eve_channel.crossover, threshold
-    ) - budget
+    theta, sigma, _, rho = _site_columns([site])[:, 0]
+    gap = _channel_divergence(theta, sigma, rho, threshold) - budget
     return float(gap) if np.ndim(gap) == 0 else gap
 
 
-def _site_peaks(
-    sites: Sequence[SensorSite], channels: Sequence[BscChannel]
-) -> list[tuple[float, float]]:
-    """Each lane's ``(threshold, divergence)`` maximizing the divergence of
-    ``sites[i]``'s model through ``channels[i]``; the distinct (model,
-    channel) pairs are searched in one batch, each once."""
-    lanes = [(site.model, channel) for site, channel in zip(sites, channels)]
-    distinct = list(dict.fromkeys(lanes))
-    if not distinct:
-        return []
-    thresholds, values = _max_channel_divergences(*zip(*distinct))
-    peaks = dict(zip(distinct, zip(thresholds.tolist(), values.tolist())))
-    return [peaks[lane] for lane in lanes]
+def _peaks(theta, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's threshold and divergence maximizing its divergence through
+    crossover ``rho``; the distinct ``(theta, sigma, rho)`` lanes are searched
+    in one batch, each once, in first-seen order."""
+    lanes = list(zip(theta.tolist(), sigma.tolist(), rho.tolist()))
+    if not lanes:
+        return np.empty(0), np.empty(0)
+    distinct = {lane: k for k, lane in enumerate(dict.fromkeys(lanes))}
+    thresholds, values = _max_channel_divergences(*np.reshape(list(distinct), (-1, 3)).T)
+    at = [distinct[lane] for lane in lanes]
+    return thresholds[at], values[at]
 
 
 def max_eve_divergence(site: SensorSite) -> tuple[float, float]:
     """Largest Eve divergence reachable on the LRT curve: the budget level
     beyond which the secrecy constraint stops binding."""
-    return _site_peaks([site], [site.eve_channel])[0]
+    return max_channel_divergence(site.model, site.eve_channel)
 
 
 def find_budget_thresholds(site: SensorSite, budget: float) -> list[float]:
@@ -104,46 +100,45 @@ def find_budget_thresholds(site: SensorSite, budget: float) -> list[float]:
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
-    return _budget_thresholds([site], [budget])[0]
+    below, above = _budget_thresholds(_site_columns([site]), np.array([budget]))[:, 0]
+    roots = [float(t) for t in (below, above) if not math.isnan(t)]
+    return roots[:1] if below == above else roots
 
 
-def _budget_thresholds(
-    sites: Sequence[SensorSite], budgets: Sequence[float]
-) -> list[list[float]]:
-    """:func:`find_budget_thresholds` at every lane ``(sites[i], budgets[i])``:
-    Eve's peak is searched once per distinct model and channel, and every
-    crossing of every lane is bisected in one batch."""
-    eve_peaks = _site_peaks(sites, [site.eve_channel for site in sites])
-    gaps = [d_eve_max - budget for (_, d_eve_max), budget in zip(eve_peaks, budgets)]
-    roots = [[p] if abs(g) <= ROOT_F_TOL else [] for (p, _), g in zip(eve_peaks, gaps)]
+def _budget_thresholds(columns: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """:func:`find_budget_thresholds` at every lane ``(columns[:, i],
+    budgets[i])``, as two rows: the crossing below Eve's peak and the one
+    above it, both the peak at tangency, NaN on a side with no crossing
+    inside the bracket.  Eve's peak is searched once per distinct lane, and
+    every crossing of every lane is bisected in one batch."""
+    theta, sigma, _, rho = columns
+    peaks, d_max = _peaks(theta, sigma, rho)
+    gaps = d_max - budgets
+    roots = np.full((2, gaps.size), math.nan)
+    tangent = np.abs(gaps) <= ROOT_F_TOL
+    roots[:, tangent] = peaks[tangent]
     # two intervals per crossing lane, (lo, peak) and (peak, hi)
-    lanes = np.repeat(np.flatnonzero(np.array(gaps) > ROOT_F_TOL), 2)
-    if not lanes.size:
-        return roots
-    theta, sigma, _, rho = _site_columns([sites[i] for i in lanes])[:, :, None]
-    budget = np.asarray(budgets, dtype=float)[lanes, None]
+    lanes = np.repeat(np.flatnonzero(gaps > ROOT_F_TOL), 2)
+    th, s, r, budget = (v[lanes, None] for v in (theta, sigma, rho, budgets))
 
     def gap(t: np.ndarray, sub: np.ndarray) -> np.ndarray:
-        return _channel_divergence(theta[sub], sigma[sub], rho[sub], t) - budget[sub]
+        return _channel_divergence(th[sub], s[sub], r[sub], t) - budget[sub]
 
-    edges = np.stack(_threshold_brackets(theta[::2, 0], sigma[::2, 0]), axis=1).ravel()
-    peaks = np.array([eve_peaks[i][0] for i in lanes])
-    a, b = np.minimum(edges, peaks), np.maximum(edges, peaks)
+    edges = np.stack(_threshold_brackets(th[::2, 0], s[::2, 0]), axis=1).ravel()
+    a, b = np.minimum(edges, peaks[lanes]), np.maximum(edges, peaks[lanes])
     f_a, f_b = gap(np.stack([a, b], axis=1), np.arange(lanes.size)).T
     # a side whose bracket edge still leaks has its crossing beyond the edge
     inside = np.flatnonzero(~((f_a > 0.0) & (f_b > 0.0)))
-    found = bisect_root(
+    roots[inside % 2, lanes[inside]] = bisect_root(
         lambda x, sub: gap(x, inside[sub]),
         a[inside], b[inside], f_a[inside], f_b[inside],
         f_tol=ROOT_F_TOL, x_tol=ROOT_X_TOL,
     )
-    for i, root in zip(lanes[inside].tolist(), found.tolist()):
-        roots[i].append(root)
     return roots
 
 
 def _designs_at(
-    sites: Sequence[SensorSite],
+    columns: np.ndarray,
     thresholds: Sequence[float],
     budgets: Sequence[float],
     binding: bool | Sequence[bool],
@@ -154,13 +149,13 @@ def _designs_at(
     one per lane.  At threshold +inf the quantizer never fires: every tail
     kernel returns the blind corner exactly, all divergences 0.0."""
     t = np.array(thresholds, dtype=float)
-    theta, sigma, rho_fc, rho_e = _site_columns(sites)
+    theta, sigma, rho_fc, rho_e = columns
     tails = _tails(theta, sigma, t)
-    columns = (
+    fields = (
         t, *tails, *(received_divergence(tails, rho) for rho in (0.0, rho_fc, rho_e)),
         np.broadcast_to(binding, t.shape),
     )
-    lanes = zip(*(c.tolist() for c in columns), budgets)
+    lanes = zip(*(f.tolist() for f in fields), budgets)
     return [
         QuantizerDesign(t, OperatingPoint(x, y, xc, yc), *fields)
         for t, x, y, xc, yc, *fields in lanes
@@ -170,12 +165,12 @@ def _designs_at(
 def blind_design(site: SensorSite, budget: float = 0.0) -> QuantizerDesign:
     """The all-zeros corner quantizer, the design at threshold +inf: perfect
     secrecy, zero information."""
-    return _designs_at([site], [math.inf], [budget], True)[0]
+    return _designs_at(_site_columns([site]), [math.inf], [budget], True)[0]
 
 
 def unconstrained_design(site: SensorSite) -> QuantizerDesign:
     """Divergence-maximizing design ignoring the eavesdropper."""
-    return _designs([site], [math.inf])[0]
+    return _designs(_site_columns([site]), [math.inf])[0]
 
 
 def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
@@ -190,51 +185,44 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
       bracket, ties broken toward the larger threshold (smaller false
       alarm), or the blind design when no crossing lies inside.
     """
-    return _designs([site], [budget])[0]
+    return _designs(_site_columns([site]), [budget])[0]
 
 
-def _designs(
-    sites: Sequence[SensorSite], budgets: Sequence[float]
-) -> list[QuantizerDesign]:
-    """:func:`design_quantizer` at every lane ``(sites[i], budgets[i])``: each
-    lane's threshold is settled on arrays, each search batched over the lanes
-    that need it, and each design built once; an infinite budget gives the
-    unconstrained design."""
+def _designs(columns: np.ndarray, budgets: Sequence[float]) -> list[QuantizerDesign]:
+    """:func:`design_quantizer` at every lane ``(columns[:, i], budgets[i])``:
+    each lane's threshold is settled on arrays, each search batched over the
+    lanes that need it, and each design built once; an infinite budget gives
+    the unconstrained design."""
     for budget in budgets:
         if not budget >= 0.0:
             raise ValueError(f"budget must be nonnegative, got {budget!r}")
+    theta, sigma, rho_fc, rho_e = columns
+    alpha = np.array(budgets, dtype=float)
     # every lane starts blind; a live one takes its FC peak where Eve's
     # leakage there fits the budget, and its better crossing otherwise
-    thresholds = np.full(len(sites), math.inf)
-    binding = np.ones(len(sites), dtype=bool)
-    live = np.flatnonzero(np.array(budgets, dtype=float) > 0.0)
-    live_sites = [sites[i] for i in live]
-    peaks = np.array(
-        [t for t, _ in _site_peaks(live_sites, [s.fc_channel for s in live_sites])]
-    )
-    theta, sigma, _, rho_e = _site_columns(live_sites)
-    free = _channel_divergence(theta, sigma, rho_e, peaks) <= [budgets[i] for i in live]
+    thresholds = np.full(alpha.size, math.inf)
+    binding = np.ones(alpha.size, dtype=bool)
+    live = np.flatnonzero(alpha > 0.0)
+    peaks, _ = _peaks(theta[live], sigma[live], rho_fc[live])
+    free = _channel_divergence(theta[live], sigma[live], rho_e[live], peaks) <= alpha[live]
     thresholds[live[free]], binding[live[free]] = peaks[free], False
-    bound = live[~free].tolist()
-    thresholds[bound] = _bound_thresholds(
-        [sites[i] for i in bound], [budgets[i] for i in bound]
-    )
-    return _designs_at(sites, thresholds, budgets, binding)
+    bound = live[~free]
+    if bound.size:
+        thresholds[bound] = _bound_thresholds(columns[:, bound], alpha[bound])
+    return _designs_at(columns, thresholds, budgets, binding)
 
 
-def _bound_thresholds(
-    sites: Sequence[SensorSite], budgets: Sequence[float]
-) -> np.ndarray:
+def _bound_thresholds(columns: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Each lane's threshold when its budget binds: the better crossing of
     the budget inside the threshold bracket, the larger one unless the
     smaller has an FC divergence more than 1e-12 higher, or +inf (blind)
     when no crossing lies inside."""
-    roots = _budget_thresholds(sites, budgets)
-    ends = np.array([(r[0], r[-1]) if r else (math.inf, math.inf) for r in roots])
-    first, last = ends.reshape(-1, 2).T
-    theta, sigma, rho_fc, _ = _site_columns(sites)
-    d_first, d_last = _channel_divergence(theta, sigma, rho_fc, np.stack([first, last]))
-    return np.where(d_first - d_last <= 1e-12, last, first)
+    roots = _budget_thresholds(columns, budgets)
+    ends = np.stack([np.fmin(*roots), np.fmax(*roots)])
+    ends[np.isnan(ends)] = math.inf
+    theta, sigma, rho_fc, _ = columns
+    d_first, d_last = _channel_divergence(theta, sigma, rho_fc, ends)
+    return np.where(d_first - d_last <= 1e-12, ends[1], ends[0])
 
 
 def tradeoff_curve(
@@ -245,7 +233,7 @@ def tradeoff_curve(
     every budget's bisections in one batch."""
     if any(b2 < b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be sorted ascending")
-    return _designs([site] * len(budgets), budgets)
+    return _designs(_site_columns([site] * len(budgets)), budgets)
 
 
 def design_search_curve(

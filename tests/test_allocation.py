@@ -268,11 +268,17 @@ class TestSampledNetworks:
                 growth_curve(sites, alpha_total, [2, 5])
 
 
+def lane(site, channel):
+    """The (theta, sigma, crossover) lane a search of ``site`` through
+    ``channel`` runs."""
+    return (site.model.theta, site.model.sigma, channel.crossover)
+
+
 class TestSolveOnce:
     def test_allocate_solves_each_fc_channel_once(self, solve_calls):
         sites = sample_sites(200, seed=1)
         result = allocate(NetworkConfig(sites=sites, alpha_total=20.0))
-        fc_solves = [(s.model, s.fc_channel) for s in sites]
+        fc_solves = [lane(s, s.fc_channel) for s in sites]
         assert solve_calls[:200] == fc_solves
         # only the partially funded sensor is designed against a budget
         assert 0 < result.active_count < 200
@@ -282,7 +288,7 @@ class TestSolveOnce:
         sites = sample_sites(200, seed=1)
         n_grid = list(range(20, 201, 20))
         growth_curve(sites, 5.0, n_grid)
-        assert solve_calls[:200] == [(s.model, s.fc_channel) for s in sites]
+        assert solve_calls[:200] == [lane(s, s.fc_channel) for s in sites]
         assert len(solve_calls) <= 200 + 2 * len(n_grid)
 
     def test_greedy_command_solves_each_site_once(self, solve_calls, tmp_path):
@@ -295,10 +301,10 @@ class TestSolveOnce:
             "--out", str(tmp_path / "g.csv"),
         ]) == 0
         sites = sample_sites(200, seed=1)
-        assert solve_calls[:200] == [(s.model, s.fc_channel) for s in sites]
+        assert solve_calls[:200] == [lane(s, s.fc_channel) for s in sites]
         # past the free searches, only Eve-peak searches for the partly
         # funded sensor of the allocation and of each growth prefix
-        eve_searches = {(s.model, s.eve_channel) for s in sites}
+        eve_searches = {lane(s, s.eve_channel) for s in sites}
         assert all(call in eve_searches for call in solve_calls[200:])
         # the grid ends at the whole network, whose split is the allocation:
         # no lane is searched twice

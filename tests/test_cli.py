@@ -1,6 +1,7 @@
 """Command-line surface: artifact schemas, exit codes, idempotence."""
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -65,6 +66,24 @@ class TestDesignCommand:
         )
         assert code == 2
         assert "sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--theta", "--sigma"])
+    def test_infinite_model_parameter_exits_2(self, tmp_path, capsys, flag):
+        argv, out = design_args(tmp_path)
+        argv[argv.index(flag) + 1] = "inf"
+        assert run(*argv) == 2
+        name = flag[2:]
+        assert f"{name} must be finite and positive, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_config_theta_exits_2(self, tmp_path, capsys):
+        argv, out = design_args(tmp_path)
+        del argv[argv.index("--theta"):argv.index("--theta") + 2]
+        config = tmp_path / "design.config.json"
+        config.write_text('{"theta": 1e400}')
+        assert run(*argv, "--config", str(config)) == 2
+        assert "theta must be finite and positive, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_channel_exits_2(self, tmp_path):
@@ -165,6 +184,15 @@ class TestTradeoffCommand:
 
 
 class TestGreedyCommand:
+    def test_infinite_snr_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "greedy.csv"
+        assert run(
+            "greedy", "--n-sensors", "3", "--alpha-total", "1.0", "--seed", "1",
+            "--snr", "inf", "--out", str(out),
+        ) == 2
+        assert "theta must be finite and positive, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outputs_and_feasibility(self, tmp_path):
         out = tmp_path / "greedy.csv"
         code = run(
@@ -334,6 +362,45 @@ class TestVerifyCommand:
         assert "exponents" not in report
         assert not (tmp_path / "report.stein.csv").exists()
 
+    @pytest.mark.parametrize("n_sensors", ["1", "3"])
+    def test_network_without_information_passes(self, tmp_path, capsys, n_sensors):
+        assert run(
+            "greedy", "--n-sensors", n_sensors, "--alpha-total", "0",
+            "--seed", "3", "--out", str(tmp_path / "greedy.csv"),
+        ) == 0
+        report_out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(
+            "verify", "--artifact", str(tmp_path / "greedy.summary.json"),
+            "--out", str(report_out),
+        ) == 0
+        assert capsys.readouterr().out.startswith("verify: pass")
+        report = json.loads(report_out.read_text())
+        assert report["no_information"] is True
+        assert report["passed"] is True
+        assert report["note"].startswith("no information")
+
+    @pytest.mark.parametrize(
+        "windows, message",
+        [([400, 50, 0], "windows must be strictly ascending"),
+         ([0, 50], "window must be at least 1, got 0")],
+    )
+    def test_bad_windows_exit_2_for_a_network(self, tmp_path, capsys, windows, message):
+        assert run(
+            "greedy", "--n-sensors", "3", "--alpha-total", "1.0",
+            "--seed", "4", "--out", str(tmp_path / "greedy.csv"),
+        ) == 0
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"windows": windows}))
+        report_out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(
+            "verify", "--artifact", str(tmp_path / "greedy.summary.json"),
+            "--config", str(config), "--out", str(report_out),
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not report_out.exists()
+
     def test_missing_artifact_exits_4(self, tmp_path):
         assert run(
             "verify", "--artifact", str(tmp_path / "nope.json"),
@@ -459,7 +526,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("d_fc", 5.0), ("d_eve", 0.0), ("d_sensor", 1.0), ("pd", 0.5), ("pd_c", 0.5)],
+        [("d_fc", 5.0), ("d_eve", 0.0), ("d_sensor", 1.0), ("pd", 0.5), ("pd_c", 0.5),
+         ("alpha_tilde", 0.001)],
     )
     def test_inconsistent_design_artifact_exits_4(
         self, tmp_path, capsys, field, value
@@ -485,9 +553,12 @@ class TestVerifyCommand:
             lambda s: s.update(total_d_fc=s["total_d_fc"] + 1.0),
             lambda s: s.update(active_count=s["active_count"] - 1),
             lambda s: s["per_sensor"][0].update(d_fc_i=5.0),
+            lambda s: s["per_sensor"][0].update(alpha_i=0.5 * s["total_d_eve"]),
+            lambda s: s.update(alpha_total=0.5 * s["total_d_eve"]),
         ],
         ids=["no_alpha_total", "no_sensors", "negative_alpha_total",
-             "wrong_total", "wrong_active_count", "wrong_sensor_d_fc"],
+             "wrong_total", "wrong_active_count", "wrong_sensor_d_fc",
+             "sensor_over_alpha_i", "total_over_alpha_total"],
     )
     def test_malformed_network_artifact_exits_4(self, tmp_path, corrupt):
         out = tmp_path / "greedy.csv"
@@ -504,6 +575,33 @@ class TestVerifyCommand:
             "--out", str(tmp_path / "r.json"),
         ) == 4
 
+
+    @pytest.mark.parametrize(
+        "alpha_total, field", [(2.0, "alpha_total"), (0.3, "alpha_i")]
+    )
+    def test_leak_over_the_stored_budget_names_the_field(
+        self, tmp_path, capsys, alpha_total, field
+    ):
+        # alpha_total 0.3 leaves one sensor partly funded, at d_eve_i = alpha_i
+        summary_path = tmp_path / "greedy.summary.json"
+        assert run(
+            "greedy", "--n-sensors", "20", "--alpha-total", str(alpha_total),
+            "--seed", "4", "--out", str(tmp_path / "greedy.csv"),
+        ) == 0
+        summary = json.loads(summary_path.read_text())
+        report_out = tmp_path / "r.json"
+        assert run("verify", "--artifact", str(summary_path), "--out", str(report_out)) == 0
+        partial = [r for r in summary["per_sensor"]
+                   if r["active"] and r["alpha_i"] < r["d_eve_star"]]
+        if field == "alpha_total":
+            summary["alpha_total"] = 0.5
+        else:
+            partial[0]["alpha_i"] *= 1.0 - 1e-6
+        summary_path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert run("verify", "--artifact", str(summary_path), "--out", str(report_out)) == 4
+        err = capsys.readouterr().err
+        assert "inconsistent" in err and field in err
 
     @pytest.mark.parametrize(
         "field, value", [("binding", "false"), ("binding", 0), ("active", 1)]
@@ -759,6 +857,19 @@ class TestParser:
             command: option_strings(p) - {"--config", "--out"}
             for command, p in command_parsers().items()
         }
+
+    def test_readme_names_only_attributes_that_exist(self):
+        # a `module.name` the README names resolves in secquant.<module>;
+        # `module.py` is a file name
+        readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+        modules = "roc|gaussian|search|solver|boundary|allocation|detection|cli|export"
+        named = set(re.findall(rf"`({modules})\.(\w+)`", readme)) - {
+            (module, "py") for module in modules.split("|")
+        }
+        assert named
+        missing = [f"{module}.{name}" for module, name in sorted(named)
+                   if not hasattr(importlib.import_module(f"secquant.{module}"), name)]
+        assert missing == []
 
     @pytest.mark.parametrize(
         "command, flag, value",

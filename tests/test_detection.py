@@ -39,7 +39,7 @@ from secquant.detection import (
     _symbol_law,
 )
 from secquant.roc import _received
-from secquant.solver import _designs_at
+from secquant.solver import _designs_at, _site_columns
 
 import oracles
 
@@ -379,7 +379,7 @@ def exact_pair_laws(config, thresholds, hypothesis):
 def designs_at(config, thresholds):
     """Allocation records whose designs sit at the given thresholds."""
     designs = _designs_at(
-        config.sites, thresholds, [0.0] * len(config.sites), binding=False
+        _site_columns(config.sites), thresholds, [0.0] * len(config.sites), binding=False
     )
     records = tuple(
         SensorAllocation(

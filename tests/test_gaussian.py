@@ -93,6 +93,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             GaussianSensorModel(theta=-1.0, sigma=1.0)
 
+    @pytest.mark.parametrize("name", ["theta", "sigma"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_a_parameter_that_is_not_finite(self, name, value):
+        fields = {"theta": 1.0, "sigma": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, "
+                                             f"got {value!r}"):
+            GaussianSensorModel(**fields)
+
     def test_snr(self):
         assert GaussianSensorModel(theta=2.0, sigma=4.0).snr == 0.5
 

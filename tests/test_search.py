@@ -15,7 +15,7 @@ from secquant import (BscChannel, GaussianSensorModel, SensorSite, UnimodalityEr
 from secquant.gaussian import _max_channel_divergences
 from secquant.search import (PRESCAN_LANES, PRESCAN_POINTS, bisect_root,
                              count_direction_changes, unimodal_max)
-from secquant.solver import _budget_thresholds
+from secquant.solver import _budget_thresholds, _site_columns
 
 import oracles
 
@@ -212,8 +212,8 @@ class TestBisectRoot:
         monkeypatch.setattr(solver, "bisect_root", counted)
         site = SensorSite(GaussianSensorModel(1.0, 1.0), BscChannel(0.02),
                           BscChannel(0.1))
-        roots = _budget_thresholds([site] * 300, np.geomspace(1e-3, 3.0, 300).tolist())
-        assert sum(map(len, roots)) > 300
+        roots = _budget_thresholds(_site_columns([site] * 300), np.geomspace(1e-3, 3.0, 300))
+        assert np.count_nonzero(~np.isnan(roots)) > 300
         assert len(calls) <= 30
 
 
@@ -261,17 +261,20 @@ class TestLaneIndependence:
     def test_lane_in_a_mixed_batch_equals_the_lane_alone(self, lanes, pick):
         snr, sigma, rho, fraction = zip(*lanes)
         models, channels = channel_lanes(snr, sigma, rho)
+        sites = [SensorSite(m, BscChannel(0.0), c) for m, c in zip(models, channels)]
+        columns = _site_columns(sites)
         i = pick % len(lanes)
-        batch = _max_channel_divergences(models, channels)
-        alone = _max_channel_divergences([models[i]], [channels[i]])
+        one = slice(i, i + 1)
+        batch = _max_channel_divergences(*columns[[0, 1, 3]])
+        alone = _max_channel_divergences(*columns[[0, 1, 3], one])
         assert batch[0][i].tobytes() == alone[0][0].tobytes()
         assert batch[1][i].tobytes() == alone[1][0].tobytes()
 
         # the budget crossings of each lane, bisected in one batch
-        sites = [SensorSite(m, BscChannel(0.0), c) for m, c in zip(models, channels)]
-        budgets = [f * d for f, d in zip(fraction, batch[1].tolist())]
-        together = _budget_thresholds(sites, budgets)
-        assert together[i] == _budget_thresholds([sites[i]], [budgets[i]])[0]
+        budgets = np.array(fraction) * batch[1]
+        together = _budget_thresholds(columns, budgets)
+        lone = _budget_thresholds(columns[:, one], budgets[one])
+        assert together[:, i].tobytes() == lone[:, 0].tobytes()
 
     def test_lane_among_interleaved_models_equals_the_lane_alone(self):
         # 25 crossovers from 0 to 0.49 cycle through three models, two of
@@ -284,9 +287,10 @@ class TestLaneIndependence:
         rho = np.linspace(0.0, 0.49, 25).tolist()
         for models in (three, twins):
             lanes = [(models[k % len(models)], BscChannel(r)) for k, r in enumerate(rho)]
-            thresholds, divergences = _max_channel_divergences(*zip(*lanes))
-            for k, lane in enumerate(lanes):
-                (t,), (d,) = _max_channel_divergences(*zip(lane))
+            columns = np.array([(m.theta, m.sigma, c.crossover) for m, c in lanes]).T
+            thresholds, divergences = _max_channel_divergences(*columns)
+            for k in range(len(lanes)):
+                (t,), (d,) = _max_channel_divergences(*columns[:, k:k + 1])
                 assert (thresholds[k], divergences[k]) == (t, d)
 
     def test_prescan_takes_one_q_row_per_call_of_one_model(self, monkeypatch):
@@ -301,9 +305,8 @@ class TestLaneIndependence:
 
         q_tails = gaussian._q_tails
         monkeypatch.setattr(gaussian, "_q_tails", counted)
-        rho = np.linspace(0.0, 0.1, 500).tolist()
-        _max_channel_divergences([GaussianSensorModel(1.0, 1.0)] * 500,
-                                 [BscChannel(r) for r in rho])
+        rho = np.linspace(0.0, 0.1, 500)
+        _max_channel_divergences(np.ones(500), np.ones(500), rho)
         prescan = [shape for shape in rows if shape[-1] == PRESCAN_POINTS]
         calls = -(-500 // PRESCAN_LANES)
         assert prescan == [(2, 1, PRESCAN_POINTS)] * calls

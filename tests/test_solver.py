@@ -339,8 +339,10 @@ class TestTradeoffCurve:
         points = tradeoff_curve(site, budgets)
         assert any(p.binding for p in points)
         assert not all(p.binding for p in points)
+        theta, sigma = site.model.theta, site.model.sigma
         assert solve_calls == [
-            (site.model, site.fc_channel), (site.model, site.eve_channel)
+            (theta, sigma, site.fc_channel.crossover),
+            (theta, sigma, site.eve_channel.crossover),
         ]
         # and each point is the design a lone call would return
         for p in points[::37]:
