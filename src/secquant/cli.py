@@ -31,23 +31,16 @@ from .boundary import trace_constraint_curve
 from .errors import ArtifactError, UnimodalityError
 from .export import csv_text, json_text, rows_as_json, write_all
 from .gaussian import GaussianSensorModel
-from .roc import (
-    BscChannel,
-    OperatingPoint,
-    SensorSite,
-    bsc_transform,
-    kl_divergence,
-    received_divergence,
-    site_divergences,
-)
+from .roc import (BscChannel, OperatingPoint, SensorSite, bsc_transform,
+                  received_divergence)
 from .solver import (
     QuantizerDesign,
     design_quantizer,
     design_search_curve,
     tradeoff_curve,
 )
-from .detection import (_check_windows, second_order_slope, simulate_monte_carlo,
-                        stein_curve)
+from .detection import (_check_windows, _network_arrays, second_order_slope,
+                        simulate_monte_carlo, stein_curve)
 
 #: Exit code of each handled error, first match wins: 2 validation failure,
 #: 3 solver structural error, 4 artifact I/O failure or malformed artifact.
@@ -254,7 +247,7 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
     """The network and allocation an artifact stores.  A design artifact
     decodes as a network of one active sensor, funded at its own leakage.
 
-    Every stored divergence, total and count must match its recomputation
+    Every stored index, divergence, total and count must match its recomputation
     from the stored operating points and channels, and no stored Eve
     divergence may top its budget by more than 1e-10 * max(1, budget).
     """
@@ -313,28 +306,30 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
 def _check_consistent(
     config: NetworkConfig, result: AllocationResult, budget_field: str
 ) -> None:
-    active = [rec for rec in result.per_sensor if rec.active]
+    """Raise unless each stored sensor's index is its position, its
+    divergences recompute from the :func:`_network_arrays` table, and the
+    totals add up over every stored sensor, asleep or not (a blind one adds
+    0); no sensor's ``d_eve`` and no ``total_d_eve`` may top its budget."""
+    tails, fc_rho, eve_rho = _network_arrays(config, result)
+    designs = [rec.design for rec in result.per_sensor]
     checks = [
-        ("total_d_fc", result.total_d_fc, math.fsum(r.design.d_fc for r in active)),
-        ("total_d_eve", result.total_d_eve, math.fsum(r.design.d_eve for r in active)),
-        ("active_count", result.active_count, len(active)),
+        ("total_d_fc", result.total_d_fc, math.fsum(d.d_fc for d in designs)),
+        ("total_d_eve", result.total_d_eve, math.fsum(d.d_eve for d in designs)),
+        ("active_count", result.active_count, sum(r.active for r in result.per_sensor)),
+        *((f"sensor {i} index", r.index, i) for i, r in enumerate(result.per_sensor)),
     ]
-    for site, rec in zip(config.sites, result.per_sensor):
-        op = rec.design.op
-        d_fc, d_eve = site_divergences(op, site)
-        checks += [
-            (f"sensor {rec.index} d_sensor", rec.design.d_sensor, kl_divergence(op)),
-            (f"sensor {rec.index} d_fc", rec.design.d_fc, d_fc),
-            (f"sensor {rec.index} d_eve", rec.design.d_eve, d_eve),
-        ]
+    for name, rho in (("d_sensor", 0.0), ("d_fc", fc_rho), ("d_eve", eve_rho)):
+        values = received_divergence(tails, rho).tolist()
+        checks += [(f"sensor {i} {name}", getattr(d, name), value)
+                   for i, (d, value) in enumerate(zip(designs, values))]
     for name, stored, value in checks:
         if not abs(stored - value) <= 1e-12 * max(1.0, abs(stored)):
             raise ArtifactError(
                 f"artifact is inconsistent: {name} is {stored!r} but "
                 f"recomputes to {value!r}"
             )
-    limits = [(f"sensor {r.index} d_eve", r.design.d_eve, budget_field, r.design.budget)
-              for r in active]
+    limits = [(f"sensor {i} d_eve", d.d_eve, budget_field, d.budget)
+              for i, d in enumerate(designs)]
     limits.append(("total_d_eve", result.total_d_eve, "alpha_total", config.alpha_total))
     for name, value, field, budget in limits:
         if not value - budget <= 1e-10 * max(1.0, budget):
@@ -469,16 +464,16 @@ def _stein_report(
     (:func:`second_order_slope`, which tends to ``d_fc``) to within
     ``tolerance`` times ``d_fc``.
 
-    Only a network of one active sensor is checked: the exact ones-count
-    test applies per i.i.d. stream, not across heterogeneous sensors, so a
-    larger network reports its additive target with ``passed`` null.
+    Only a network of one active sensor is checked, against the total
+    ``d_fc``: the exact ones-count test applies per i.i.d. stream, and the
+    sleeping sensors' bits weigh 0.  Any other network reports its additive
+    target with ``passed`` null.
     """
-    active = [rec for rec in result.per_sensor if rec.active]
-    if len(config.sites) == 1 and len(active) == 1:
-        target = active[0].design.d_fc
-        fc_op = bsc_transform(active[0].design.op, config.sites[0].fc_channel)
-    else:
-        target, fc_op = result.total_d_fc, None
+    active = [(rec.design.op, site.fc_channel)
+              for rec, site in zip(result.per_sensor, config.sites) if rec.active]
+    target, fc_op = result.total_d_fc, None
+    if len(active) == 1:
+        fc_op = bsc_transform(*active[0])
     no_information = target < 1e-9 or (fc_op is not None and fc_op.on_diagonal)
     report: dict[str, Any] = {
         "target_kld": target,

@@ -281,8 +281,15 @@ def _block_rng(seed: int, *key: int) -> np.random.Generator:
 def _network_arrays(
     config: NetworkConfig, designs: AllocationResult
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each sensor's design tails [pfa, pd, 1 - pfa, 1 - pd] as rows, and
-    its FC and Eve crossovers, as arrays in site order."""
+    """The one reader of a designed network: every sensor's design tails
+    [pfa, pd, 1 - pfa, 1 - pd] as the rows of a (4, n) array, and its FC
+    and Eve crossovers, in site order.  Raises unless each site has one
+    design."""
+    if len(designs.per_sensor) != len(config.sites):
+        raise ValueError(
+            f"designs cover {len(designs.per_sensor)} sensors but the config "
+            f"has {len(config.sites)}"
+        )
     tails = np.array([rec.design.op.tails for rec in designs.per_sensor]).T
     fc_rho, eve_rho = np.array(
         [(site.fc_channel.crossover, site.eve_channel.crossover) for site in config.sites]
@@ -291,9 +298,10 @@ def _network_arrays(
 
 
 def _symbol_law(
-    config: NetworkConfig, designs: AllocationResult, hypothesis: int
+    network: tuple[np.ndarray, np.ndarray, np.ndarray], hypothesis: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol law of the received (FC bit, Eve bit) pair at each sensor.
+    """Per-symbol law of the received (FC bit, Eve bit) pair at each sensor
+    of a :func:`_network_arrays` table.
 
     Returns ``(ones, zeros)`` of shape (n_sensors, 4): the joint
     probability of each received pair, in the order (1, 1), (1, 0),
@@ -301,7 +309,7 @@ def _symbol_law(
     sum is the pair's law; ``ones / (ones + zeros)`` is the chance the
     sensor sent a one given what both receivers got.
     """
-    (pfa, pd, pfa_c, pd_c), fc_rho, eve_rho = _network_arrays(config, designs)
+    (pfa, pd, pfa_c, pd_c), fc_rho, eve_rho = network
     # P(sensor bit 1): each design's detection or false-alarm probability
     p, p_c = (pd, pd_c) if hypothesis == 1 else (pfa, pfa_c)
     fc_keep, eve_keep = 1.0 - fc_rho, 1.0 - eve_rho
@@ -446,18 +454,13 @@ def simulate_monte_carlo(
             f"calibration_trials must be positive, got {calibration_trials!r}"
         )
     _check_windows([window], delta)
-    if len(designs.per_sensor) != len(config.sites):
-        raise ValueError(
-            f"designs cover {len(designs.per_sensor)} sensors but the config "
-            f"has {len(config.sites)}"
-        )
-
-    tails, fc_rho, eve_rho = _network_arrays(config, designs)
+    network = _network_arrays(config, designs)
+    tails, fc_rho, eve_rho = network
     fc_w = _llr_weights(_received(tails, fc_rho))
     eve_w = _llr_weights(_received(tails, eve_rho))
 
     def collect(stream: int, hypothesis: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        ones, zeros = _symbol_law(config, designs, hypothesis)
+        ones, zeros = _symbol_law(network, hypothesis)
         shares = _conditional_shares(ones + zeros)
         fc_stats = np.empty(count)
         eve_stats = np.empty(count)
@@ -520,7 +523,7 @@ def sample_trial_records(
             f"count must be in [1, {_BLOCK_TRIALS}], got {count!r}"
         )
     stream = _H1_STREAM if hypothesis == 1 else _H0_STREAM
-    ones, zeros = _symbol_law(config, designs, hypothesis)
+    ones, zeros = _symbol_law(_network_arrays(config, designs), hypothesis)
     law = ones + zeros
     chunks = list(
         _stream_counts(seed, stream, _conditional_shares(law), window, count)
@@ -537,7 +540,7 @@ def sample_trial_records(
     )
     kinds = rng.permuted(kinds, axis=2)
     posterior = np.divide(ones, law, out=np.zeros_like(law), where=law > 0.0)
-    sensor_of = np.arange(len(config.sites))[None, :, None]
+    sensor_of = np.arange(len(law))[None, :, None]
     sensor = rng.random(kinds.shape) < posterior[sensor_of, kinds]
     fc = kinds < 2
     eve = kinds % 2 == 0

@@ -240,6 +240,8 @@ def design_search_curve(
     site: SensorSite, budget: float, n_points: int
 ) -> list[tuple[float, float]]:
     """Sampled budget-gap curve, for diagnostic export and plotting."""
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
     lo, hi = _threshold_brackets(site.model.theta, site.model.sigma)
     thresholds = lo + np.arange(n_points) * ((hi - lo) / (n_points - 1))
     gaps = eve_divergence_gap(site, thresholds, budget)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from secquant import cli
+from secquant import BscChannel, OperatingPoint, bsc_transform, cli, stein_curve
 from secquant.cli import main
 
 
@@ -34,6 +34,16 @@ def design_args(tmp_path, budget="0.1", **extra):
     for key, value in extra.items():
         argv += [f"--{key.replace('_', '-')}", str(value)]
     return argv, out
+
+
+def relabel_asleep(summary):
+    """Mark the first active sensor asleep and take its divergences and its
+    count off the totals, leaving its funded design in place."""
+    rec = next(r for r in summary["per_sensor"] if r["active"])
+    rec["active"] = False
+    summary["total_d_fc"] -= rec["d_fc_i"]
+    summary["total_d_eve"] -= rec["d_eve_i"]
+    summary["active_count"] -= 1
 
 
 class TestDesignCommand:
@@ -362,6 +372,30 @@ class TestVerifyCommand:
         assert "exponents" not in report
         assert not (tmp_path / "report.stein.csv").exists()
 
+    def test_network_of_one_active_sensor_is_checked(self, tmp_path, capsys):
+        # one of 20 sensors is funded; the 19 blind ones send bits that weigh 0
+        summary_path = tmp_path / "greedy.summary.json"
+        assert run(
+            "greedy", "--n-sensors", "20", "--alpha-total", "0.05",
+            "--seed", "4", "--out", str(tmp_path / "greedy.csv"),
+        ) == 0
+        summary = json.loads(summary_path.read_text())
+        (rec,) = [r for r in summary["per_sensor"] if r["active"]]
+        report_out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("verify", "--artifact", str(summary_path), "--out", str(report_out)) == 0
+        assert capsys.readouterr().out.startswith("verify: pass")
+        report = json.loads(report_out.read_text())
+        assert report["target_kld"] == summary["total_d_fc"]
+        fc_op = bsc_transform(
+            OperatingPoint(rec["pfa"], rec["pd"], rec["pfa_c"], rec["pd_c"]),
+            BscChannel(rec["rho_fc"]),
+        )
+        expected = stein_curve(fc_op, report["windows"], report["delta"])
+        assert report["exponents"] == [p.exponent for p in expected]
+        assert report["relative_gap"] <= report["tolerance"]
+        assert (tmp_path / "report.stein.csv").exists()
+
     @pytest.mark.parametrize("n_sensors", ["1", "3"])
     def test_network_without_information_passes(self, tmp_path, capsys, n_sensors):
         assert run(
@@ -555,10 +589,13 @@ class TestVerifyCommand:
             lambda s: s["per_sensor"][0].update(d_fc_i=5.0),
             lambda s: s["per_sensor"][0].update(alpha_i=0.5 * s["total_d_eve"]),
             lambda s: s.update(alpha_total=0.5 * s["total_d_eve"]),
+            relabel_asleep,
+            lambda s: s["per_sensor"][0].update(index=99),
         ],
         ids=["no_alpha_total", "no_sensors", "negative_alpha_total",
              "wrong_total", "wrong_active_count", "wrong_sensor_d_fc",
-             "sensor_over_alpha_i", "total_over_alpha_total"],
+             "sensor_over_alpha_i", "total_over_alpha_total",
+             "funded_sensor_relabelled_asleep", "index_not_its_position"],
     )
     def test_malformed_network_artifact_exits_4(self, tmp_path, corrupt):
         out = tmp_path / "greedy.csv"

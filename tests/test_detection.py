@@ -34,6 +34,7 @@ from secquant.detection import (
     _conditional_shares,
     _fusion_statistics,
     _llr_weights,
+    _network_arrays,
     _np_components,
     _stream_counts,
     _symbol_law,
@@ -294,8 +295,10 @@ class TestMonteCarlo:
         two = NetworkConfig(
             sites=(site, site), alpha_total=1.0
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="designs cover 1 sensors"):
             simulate_monte_carlo(two, result, window=5, trials=10, seed=1)
+        with pytest.raises(ValueError, match="designs cover 1 sensors"):
+            sample_trial_records(two, result, 1, window=4, count=1, seed=1)
 
     def test_validation(self):
         _, config, result = single_sensor_setup()
@@ -396,7 +399,7 @@ def designs_at(config, thresholds):
 
 def stream_counts(config, thresholds, hypothesis, window, count, seed):
     designs = designs_at(config, thresholds)
-    ones, zeros = _symbol_law(config, designs, hypothesis)
+    ones, zeros = _symbol_law(_network_arrays(config, designs), hypothesis)
     chunks = _stream_counts(
         seed, _H1_STREAM, _conditional_shares(ones + zeros), window, count
     )

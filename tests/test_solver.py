@@ -387,3 +387,10 @@ class TestGapShape:
         lams = np.linspace(lo, hi, 10_000)
         vals = [eve_divergence_gap(site, lam, 0.1) for lam in lams]
         assert count_direction_changes(vals, noise_floor=1e-13) <= 1
+
+
+class TestDesignSearchCurve:
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_refuses_fewer_than_two_points(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be at least 2"):
+            secquant.solver.design_search_curve(make_site(), 0.1, n_points)
