@@ -25,6 +25,7 @@ point play no further part.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -45,10 +46,12 @@ DEFAULT_DELTA = 0.01
 #: depend on how blocks are scheduled.
 _BLOCK_TRIALS = 65536
 
-#: Within a block, trials are drawn in row chunks of at most this many
-#: (trial, sensor) cells, which bounds the memory of a large network's
-#: block without changing its draws.
-_CHUNK_CELLS = 1 << 20
+#: Within a block, trials are drawn in row chunks that together hold at
+#: most this many (trial, sensor) cells in flight: each of the Monte
+#: Carlo's worker threads takes an equal share, and a serial reader all
+#: of it.  This bounds the memory of a large network's blocks without
+#: changing their draws.
+_CHUNK_CELLS = 1 << 19
 
 _CAL_STREAM, _H0_STREAM, _H1_STREAM, _RECORD_STREAM = 0, 1, 2, 3
 
@@ -354,6 +357,25 @@ def _simulate_block(
     return n11, n10, n01
 
 
+def _block_counts(
+    seed: int,
+    stream: int,
+    block: int,
+    shares: tuple[np.ndarray, ...],
+    window: int,
+    n_trials: int,
+    cells: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The first ``n_trials`` trials of block ``block`` of one stream, as
+    ``(n11, n10, n01)`` row chunks of at most ``cells`` (trial, sensor)
+    cells each (but at least one row), drawn from the block's own three
+    counter-derived stage generators."""
+    rngs = [_block_rng(seed, stream, block, stage) for stage in range(3)]
+    rows = max(1, min(n_trials, cells // len(shares[0])))
+    for start in range(0, n_trials, rows):
+        yield _simulate_block(rngs, shares, window, min(rows, n_trials - start))
+
+
 def _stream_counts(
     seed: int,
     stream: int,
@@ -362,21 +384,28 @@ def _stream_counts(
     count: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The first ``count`` trials of one stream, as ``(n11, n10, n01)``
-    row chunks in trial order.
+    row chunks in trial order, drawn serially.
 
     Trials fall into blocks of ``_BLOCK_TRIALS``, each with its own
-    counter-derived generators, so results do not depend on how blocks
-    are scheduled; within a block, rows are drawn in chunks of at most
-    ``_CHUNK_CELLS`` (trial, sensor) cells to bound memory.
+    counter-derived generators (:func:`_block_counts`), so the counts do
+    not depend on how blocks are scheduled: :func:`simulate_monte_carlo`
+    draws the same blocks on a thread pool.  Within a block, rows are
+    drawn in chunks of at most ``_CHUNK_CELLS`` (trial, sensor) cells to
+    bound memory.
     """
-    rows = max(1, min(_BLOCK_TRIALS, _CHUNK_CELLS // len(shares[0])))
-    for block_start in range(0, count, _BLOCK_TRIALS):
-        block = block_start // _BLOCK_TRIALS
-        rngs = [_block_rng(seed, stream, block, stage) for stage in range(3)]
-        block_end = min(block_start + _BLOCK_TRIALS, count)
-        for start in range(block_start, block_end, rows):
-            n_rows = min(rows, block_end - start)
-            yield _simulate_block(rngs, shares, window, n_rows)
+    for block, start in enumerate(range(0, count, _BLOCK_TRIALS)):
+        n_trials = min(_BLOCK_TRIALS, count - start)
+        yield from _block_counts(
+            seed, stream, block, shares, window, n_trials, _CHUNK_CELLS
+        )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fusion_statistics(
@@ -385,6 +414,34 @@ def _fusion_statistics(
     """Log-likelihood-ratio sums per trial for (trials, sensors) ones-counts
     over a window."""
     return ones @ w_one + (window - ones) @ w_zero
+
+
+def _fuse_block(
+    seed: int,
+    stream: int,
+    block: int,
+    shares: tuple[np.ndarray, ...],
+    window: int,
+    weights: tuple[tuple[np.ndarray, np.ndarray], ...],
+    out: np.ndarray,
+    cells: int,
+) -> None:
+    """Draw one block of a stream and write its fused statistics.
+
+    ``out`` is the block's (2, trials) slice of the stream's statistics,
+    whose rows take the FC and Eve sums under the receivers' ``weights``;
+    the block is drawn in row chunks of at most ``cells`` cells.  Calls
+    only private helpers, so that it can run on a worker thread.
+    """
+    (fc_one, fc_zero), (eve_one, eve_zero) = weights
+    done = 0
+    for n11, n10, n01 in _block_counts(
+        seed, stream, block, shares, window, out.shape[1], cells
+    ):
+        rows = slice(done, done + len(n11))
+        out[0, rows] = _fusion_statistics(n11 + n10, fc_one, fc_zero, window)
+        out[1, rows] = _fusion_statistics(n11 + n01, eve_one, eve_zero, window)
+        done += len(n11)
 
 
 def _receiver_estimates(
@@ -441,9 +498,13 @@ def simulate_monte_carlo(
     multinomial law (see :func:`_simulate_block`) and no observation is
     materialised.  The fusion thresholds are calibrated to false alarm
     ``delta`` on a separate H0 stream (4x the estimation size by default).
-    Identical ``(seed, config)`` give bit-identical results regardless of
-    execution layout: trials are partitioned into fixed blocks with
-    counter-derived substreams.
+
+    Trials are partitioned into fixed blocks with counter-derived
+    substreams, and the (stream, block) units run on a thread pool with
+    one worker per usable CPU (NumPy's binomial sampler releases the
+    GIL).  Each unit writes disjoint rows of its stream's statistics, so
+    identical ``(seed, config)`` give bit-identical results for any
+    worker count or schedule.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -456,25 +517,40 @@ def simulate_monte_carlo(
     _check_windows([window], delta)
     network = _network_arrays(config, designs)
     tails, fc_rho, eve_rho = network
-    fc_w = _llr_weights(_received(tails, fc_rho))
-    eve_w = _llr_weights(_received(tails, eve_rho))
-
-    def collect(stream: int, hypothesis: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    weights = (
+        _llr_weights(_received(tails, fc_rho)),
+        _llr_weights(_received(tails, eve_rho)),
+    )
+    # (stream, hypothesis, count): calibration, H0 and H1 estimation
+    streams = (
+        (_CAL_STREAM, 0, calibration_trials),
+        (_H0_STREAM, 0, trials),
+        (_H1_STREAM, 1, trials),
+    )
+    stats = [np.empty((2, count)) for _, _, count in streams]
+    units = []
+    for (stream, hypothesis, count), out in zip(streams, stats):
         ones, zeros = _symbol_law(network, hypothesis)
         shares = _conditional_shares(ones + zeros)
-        fc_stats = np.empty(count)
-        eve_stats = np.empty(count)
-        done = 0
-        for n11, n10, n01 in _stream_counts(seed, stream, shares, window, count):
-            rows = slice(done, done + len(n11))
-            fc_stats[rows] = _fusion_statistics(n11 + n10, *fc_w, window)
-            eve_stats[rows] = _fusion_statistics(n11 + n01, *eve_w, window)
-            done += len(n11)
-        return fc_stats, eve_stats
+        for block, start in enumerate(range(0, count, _BLOCK_TRIALS)):
+            rows = out[:, start : start + _BLOCK_TRIALS]
+            units.append((stream, block, shares, rows))
+    workers = min(_usable_cpus(), len(units))
+    cells = _CHUNK_CELLS // workers
 
-    cal_fc, cal_eve = collect(_CAL_STREAM, 0, calibration_trials)
-    h0_fc, h0_eve = collect(_H0_STREAM, 0, trials)
-    h1_fc, h1_eve = collect(_H1_STREAM, 1, trials)
+    def run(unit: tuple) -> None:
+        stream, block, shares, out = unit
+        _fuse_block(seed, stream, block, shares, window, weights, out, cells)
+
+    # imported here, off the CLI's start-up path
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # iterating map re-raises a unit's exception and cancels the units
+        # not yet started
+        for _ in pool.map(run, units):
+            pass
+    (cal_fc, cal_eve), (h0_fc, h0_eve), (h1_fc, h1_eve) = stats
     fc_fa, fc_miss, fc_fa_se, fc_miss_se = _receiver_estimates(
         cal_fc, h0_fc, h1_fc, delta
     )
@@ -522,6 +598,7 @@ def sample_trial_records(
         raise ValueError(
             f"count must be in [1, {_BLOCK_TRIALS}], got {count!r}"
         )
+    _check_windows([window], DEFAULT_DELTA)  # records take no delta
     stream = _H1_STREAM if hypothesis == 1 else _H0_STREAM
     ones, zeros = _symbol_law(_network_arrays(config, designs), hypothesis)
     law = ones + zeros

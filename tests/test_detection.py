@@ -1,6 +1,8 @@
 """Exact fixed-false-alarm miss computation and the Monte Carlo pipeline."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,9 +31,12 @@ from secquant import (
 )
 from secquant import detection
 from secquant.detection import (
+    _CAL_STREAM,
+    _H0_STREAM,
     _H1_STREAM,
     _binom_logpmf,
     _conditional_shares,
+    _fuse_block,
     _fusion_statistics,
     _llr_weights,
     _network_arrays,
@@ -320,6 +325,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             sample_trial_records(config, result, 2, window=5, count=1, seed=1)
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_trial_records_reject_a_window_below_one(self, window):
+        config, result = small_network()
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            sample_trial_records(config, result, 1, window=window, count=3, seed=1)
+
 
 def pair_law(p, rho_fc, rho_e):
     """P(FC bit, Eve bit) in the order 11, 10, 01, 00, enumerated over the
@@ -459,6 +470,68 @@ def small_network():
     return config, allocate(config)
 
 
+def one_sensor_network():
+    _, config, result = single_sensor_setup()
+    return config, result
+
+
+class TestWorkerPool:
+    """The Monte Carlo's (stream, block) units on a thread pool."""
+
+    @pytest.mark.parametrize("network", [one_sensor_network, small_network])
+    def test_every_worker_count_gives_the_same_result(self, network, monkeypatch):
+        config, result = network()
+        # 2 estimation blocks per hypothesis and 5 calibration blocks
+        kwargs = dict(window=6, trials=70_000, seed=13)
+        monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+        serial = simulate_monte_carlo(config, result, **kwargs)
+        monkeypatch.undo()
+        assert simulate_monte_carlo(config, result, **kwargs) == serial
+        # more workers than CPUs, switching threads as often as possible
+        monkeypatch.setattr(detection, "_usable_cpus", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert simulate_monte_carlo(config, result, **kwargs) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_share_the_chunk_cells(self, monkeypatch):
+        config, result = small_network()
+        kwargs = dict(window=5, trials=20_000, seed=4)
+        whole = simulate_monte_carlo(config, result, **kwargs)
+        workers, chunk_cells = 2, 600
+        monkeypatch.setattr(detection, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(detection, "_CHUNK_CELLS", chunk_cells)
+        drawn = []
+        simulate_block = detection._simulate_block
+
+        def recording(rngs, shares, window, n_trials):
+            drawn.append(n_trials * len(shares[0]))
+            return simulate_block(rngs, shares, window, n_trials)
+
+        monkeypatch.setattr(detection, "_simulate_block", recording)
+        assert simulate_monte_carlo(config, result, **kwargs) == whole
+        assert max(drawn) <= chunk_cells // workers
+        assert sum(drawn) == 6 * kwargs["trials"] * len(config.sites)
+
+    def test_a_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
+        config, result = small_network()
+        monkeypatch.setattr(detection, "_usable_cpus", lambda: 2)
+
+        def failing(seed, stream, block, *rest):
+            if (stream, block) == (_CAL_STREAM, 1):
+                raise RuntimeError("block failed")
+            _fuse_block(seed, stream, block, *rest)
+
+        monkeypatch.setattr(detection, "_fuse_block", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            # 80 000 calibration trials: two calibration blocks
+            simulate_monte_carlo(config, result, window=5, trials=20_000, seed=1)
+        assert threading.active_count() == threads
+
+
 class TestLlrWeights:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -499,19 +572,18 @@ class TestTrialRecords:
     ):
         config, result = small_network()
         window, count = 9, 40
-        fused = []
+        fused = {}
 
-        def recording(ones, w_one, w_zero, window):
-            stats = _fusion_statistics(ones, w_one, w_zero, window)
-            fused.append(stats)
-            return stats
+        def recording(seed, stream, block, shares, window, weights, out, cells):
+            _fuse_block(seed, stream, block, shares, window, weights, out, cells)
+            fused[stream, block] = out.copy()
 
-        monkeypatch.setattr(detection, "_fusion_statistics", recording)
+        monkeypatch.setattr(detection, "_fuse_block", recording)
         simulate_monte_carlo(config, result, window=window, trials=3000, seed=21)
         monkeypatch.undo()
-        # one (FC, Eve) pair per stream: calibration, H0, H1
-        assert len(fused) == 6
-        want_fc, want_eve = fused[2 + 2 * hypothesis : 4 + 2 * hypothesis]
+        # one block of (FC, Eve) rows per stream: calibration, H0, H1
+        assert sorted(fused) == [(_CAL_STREAM, 0), (_H0_STREAM, 0), (_H1_STREAM, 0)]
+        want_fc, want_eve = fused[_H1_STREAM if hypothesis else _H0_STREAM, 0]
 
         records = sample_trial_records(
             config, result, hypothesis, window=window, count=count, seed=21
