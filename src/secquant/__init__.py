@@ -56,7 +56,6 @@ from .roc import (
     kl_divergence,
     kl_divergence_grad_pd,
     mix_quantizers,
-    site_divergences,
 )
 from .solver import (
     QuantizerDesign,
@@ -114,7 +113,6 @@ __all__ = [
     "sample_trial_records",
     "second_order_slope",
     "simulate_monte_carlo",
-    "site_divergences",
     "slope_bounds",
     "stein_curve",
     "tradeoff_curve",

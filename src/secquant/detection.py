@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln, log1p, logsumexp, xlogy
 
 from .allocation import AllocationResult, NetworkConfig
-from .gaussian import q_inverse
+from .gaussian import _LN_SQRT_2PI, q_inverse
 from .roc import OperatingPoint, _llr_weights, _received, kl_divergence
 
 #: Default false-alarm level for the exact miss computations: small enough
@@ -145,14 +144,78 @@ def _validate_interior_op(op: OperatingPoint) -> None:
         )
 
 
+#: Tables of cephes' ``lgam``, the kernel of ``scipy.special.gammaln``, which
+#: the test oracles sum: ported term for term, so that the exact miss keeps
+#: their rounding.
+_LOG_FACTORIAL = np.array([math.log(math.factorial(k)) for k in range(12)])
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+
+#: Cephes' ``log1p`` rational on [sqrt(1/2) - 1, sqrt(2) - 1]: numerator
+#: and (monic) denominator coefficients, highest power first.
+_LOG1P_P = (4.5270000862445199635215e-5, 4.9854102823193375972212e-1,
+            6.5787325942061044846969e0, 2.9911919328553073277375e1,
+            6.0949667980987787057556e1, 5.7112963590585538103336e1,
+            2.0039553499201281259648e1)
+_LOG1P_Q = (1.5062909083469192043167e1, 8.3047565967967209469434e1,
+            2.2176239823732856465394e2, 3.0909872225312059774938e2,
+            2.1642788614495947685003e2, 6.0118660497603843919306e1)
+
+
+def _log_gamma(n: np.ndarray) -> np.ndarray:
+    """ln Gamma(n) at integers ``n >= 1``, as cephes' ``lgam`` rounds it:
+    ln((n - 1)!) below 13, else the Stirling series (n - 1/2) ln n - n +
+    ln sqrt(2 pi) plus a correction in 1/n**2, shorter from 1 000 on and
+    dropped above 1e8."""
+    x = np.asarray(n, dtype=float)
+    q = (x - 0.5) * np.log(x) - x + _LN_SQRT_2PI
+    p = 1.0 / (x * x)
+    a0, a1, a2, a3, a4 = _LGAM_A
+    mid = (((a0 * p + a1) * p + a2) * p + a3) * p + a4
+    big = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+           + 0.0833333333333333333333)
+    q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, big, mid) / x)
+    return np.where(x < 13.0, _LOG_FACTORIAL[np.minimum(n, 12) - 1], q)
+
+
+def _log1p(x: float) -> float:
+    """ln(1 + x) as cephes' ``log1p`` (that of ``scipy.special``) rounds it."""
+    z = 1.0 + x
+    if not math.sqrt(0.5) <= z <= math.sqrt(2.0):
+        return math.log(z)
+    num, den = 0.0, 1.0
+    for c in _LOG1P_P:
+        num = num * x + c
+    for c in _LOG1P_Q:
+        den = den * x + c
+    z = x * x
+    return x + (-0.5 * z + x * (z * num / den))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """ln(sum(exp(a))) in the form of ``scipy.special.logsumexp``: the largest
+    terms are taken out of the sum, ln(1 + sum exp(a - max) / m) + ln(m) +
+    max for the m terms equal to the max."""
+    top = a.max()
+    ties = a == top
+    terms = np.exp(a - top)
+    terms[ties] = 0.0
+    m = float(np.count_nonzero(ties))
+    return float(np.log1p(terms.sum() / m) + np.log(m) + top)
+
+
 def _binom_logpmf(ks: np.ndarray, window: int, p: float, p_c: float) -> np.ndarray:
     """Binomial(``window``, ``p``) log pmf at the counts ``ks``, in
-    scipy.stats.binom.logpmf's operation order (importing scipy.stats would
-    dominate the CLI's start-up), except that ln(1 - p) is read from the
+    scipy.stats.binom.logpmf's operation order and, through the ported
+    cephes kernels, its rounding, except that ln(1 - p) is read from the
     stored complement ``p_c`` where that is the smaller side."""
-    log_comb = gammaln(window + 1) - (gammaln(ks + 1) + gammaln(window - ks + 1))
-    log_pc = log1p(-p) if p <= p_c else math.log(p_c)
-    return log_comb + xlogy(ks, p) + (window - ks) * log_pc
+    # the three ln Gamma terms in one kernel call
+    whole, lower, upper = np.split(_log_gamma(np.r_[window + 1, ks + 1, window - ks + 1]),
+                                   [1, 1 + ks.size])
+    log_comb = whole - (lower + upper)
+    log_pc = _log1p(-p) if p <= p_c else math.log(p_c)
+    return log_comb + np.where(ks == 0, 0.0, ks * math.log(p)) + (window - ks) * log_pc
 
 
 def _np_components(
@@ -202,7 +265,7 @@ def _np_components(
         math.sqrt(0.5 * (window + 2) * (_DROP_LOG + math.log(0.5 * (window + 4))))
     )
     lp1 = _binom_logpmf(np.arange(max(0, peak - reach), t + 1), window, y, yc)
-    log_accept_lt = logsumexp(lp1[:-1]) if t > 0 else -math.inf
+    log_accept_lt = _logsumexp(lp1[:-1]) if t > 0 else -math.inf
     if gamma < 1.0:
         log_miss = np.logaddexp(log_accept_lt, math.log1p(-gamma) + lp1[-1])
     else:

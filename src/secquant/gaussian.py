@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import erfc, log_ndtr, ndtri
 
 from .roc import (BscChannel, OperatingPoint, _kl_partials, _received,
                   received_divergence)
@@ -36,6 +37,8 @@ PFA_FLOOR = 1e-9
 TAIL_SIGMAS = 37.0
 
 _SQRT2 = math.sqrt(2.0)
+_LN_SQRT_2PI = 0.91893853320467274178  # ln sqrt(2 pi), rounded to nearest
+_NORMAL = NormalDist()
 
 
 def q_function(z):
@@ -47,11 +50,12 @@ def q_function(z):
 
 def _q_tails(z):
     """``(Q(z), 1 - Q(z))`` elementwise, each from its own small side: the
-    tail beyond ``|z|`` via erfc, and 1 minus it.  The one Q kernel, so a
-    design's stored operating point is the point its search scored."""
-    small = np.abs(z, out=np.empty(np.shape(z)))
-    small /= _SQRT2  # in place down to the halving: fewer fresh temporaries
-    erfc(small, out=small)
+    tail beyond ``|z|`` via ``math.erfc``, and 1 minus it.  The one Q
+    kernel, so a design's stored operating point is the point its search
+    scored."""
+    small = np.abs(z) / _SQRT2
+    small = np.fromiter(map(math.erfc, small.ravel().tolist()), float,
+                        small.size).reshape(small.shape)
     small *= 0.5
     big = 1.0 - small
     upper = z >= 0.0
@@ -59,15 +63,28 @@ def _q_tails(z):
 
 
 def log_q_function(z: float) -> float:
-    """``ln Q(z)`` computed in log space; stays finite far into the tail."""
-    return float(log_ndtr(-z))
+    """``ln Q(z)``, finite far beyond where Q underflows: ln(Q) below
+    TAIL_SIGMAS, where Q is still a normal float (ln(1 - Q(-z)) for negative
+    z), and from there the asymptotic series ln Q(z) = -z**2/2 -
+    ln(z sqrt(2 pi)) + ln(1 - 1/z**2 + 3/z**4 - ...) (Abramowitz and Stegun
+    26.2.12), whose terms are below 1e-17 by the eighth."""
+    z = float(z)
+    if z < 0.0:
+        return math.log1p(-0.5 * math.erfc(-z / _SQRT2))
+    if z < TAIL_SIGMAS:
+        return math.log(0.5 * math.erfc(z / _SQRT2))
+    term, series, step = 1.0, 0.0, 1.0 / (z * z)
+    for n in range(1, 9):
+        term *= -(2 * n - 1) * step
+        series += term
+    return -0.5 * z * z - math.log(z) - _LN_SQRT_2PI + math.log1p(series)
 
 
 def q_inverse(p: float) -> float:
     """Inverse of :func:`q_function` on (0, 1)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"q_inverse needs 0 < p < 1, got {p!r}")
-    return float(-ndtri(p))
+    return -_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -144,16 +161,24 @@ def _max_channel_divergences(theta, sigma, rho) -> tuple[np.ndarray, np.ndarray]
     divergences."""
     theta, sigma, rho = (np.asarray(v, dtype=float)[:, None] for v in (theta, sigma, rho))
     lo, hi = _threshold_brackets(theta[:, 0], sigma[:, 0])
+    row, row_tails = None, {}  # the latest shared row, and each model's tails on it
 
     def objective(thresholds: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        # lanes on one shared grid row share a bracket and so, unless two
-        # models round to the same one, a model: its tails are then taken
-        # once, and each lane's crossover broadcasts over them
-        model = lanes
-        if (len(thresholds) < lanes.size and (theta[lanes] == theta[lanes[0]]).all()
-                and (sigma[lanes] == sigma[lanes[0]]).all()):
-            model = lanes[:1]
-        return _channel_divergence(theta[model], sigma[model], rho[lanes], thresholds)
+        nonlocal row, row_tails
+        th, s = theta[lanes], sigma[lanes]
+        if len(thresholds) != 1 or (th != th[0]).any() or (s != s[0]).any():
+            return _channel_divergence(th, s, rho[lanes], thresholds)
+        # one model on one shared row: the pre-scan meets each grid row in
+        # one run of calls (its lanes are sorted by bracket), so a model's
+        # tails on it are taken once per search, and each lane's crossover
+        # broadcasts over them.  Models whose brackets round alike share a
+        # row, not tails.
+        if row is None or not np.array_equal(row, thresholds):
+            row, row_tails = thresholds, {}
+        model = (th[0, 0], s[0, 0])
+        if model not in row_tails:
+            row_tails[model] = _tails(th[:1], s[:1], thresholds)
+        return received_divergence(row_tails[model], rho[lanes])
 
     def slope(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         # -(dD/dX + L dD/dY) = dD/dt / (-dX/dt), L = dY/dX on the LRT curve

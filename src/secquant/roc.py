@@ -178,13 +178,6 @@ def received_divergence(tails, crossover):
     return _kl(_received(tails, crossover))
 
 
-def site_divergences(op: OperatingPoint, site: SensorSite) -> tuple[float, float]:
-    """Per-symbol divergences contributed at the fusion center and at Eve."""
-    d_fc = kl_divergence(bsc_transform(op, site.fc_channel))
-    d_eve = kl_divergence(bsc_transform(op, site.eve_channel))
-    return d_fc, d_eve
-
-
 def mix_quantizers(
     points: Sequence[OperatingPoint], weights: Sequence[float]
 ) -> OperatingPoint:

@@ -920,16 +920,55 @@ class TestParser:
         assert exc.value.code == 2
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; the exact miss needs
-    # only scipy.special
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    secquant; returns its standard output, after checking that it exits 0."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
-    probe = "import sys, secquant.cli; print('scipy.stats' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
-        check=True,
-    )
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # no scipy module at all: scipy.special alone took about 0.37 s of every
+    # command's start, and the kernels secquant needs are NumPy and
+    # standard-library code
+    probe = ("import sys, secquant.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _python(probe) == "[]"
+
+
+def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    # a finder ahead of all others refuses scipy, as on an install without
+    # the test extra; every command, Monte Carlo verify included, exits 0
+    design, summary = tmp_path / "design.json", tmp_path / "greedy.summary.json"
+    commands = [
+        design_args(tmp_path)[0],
+        ["tradeoff", "--theta", "1.0", "--sigma", "1.0", "--rho-fc", "0.0",
+         "--rho-e", "0.1", "--alpha-min", "0.0", "--alpha-max", "0.4",
+         "--alpha-count", "5", "--out", str(tmp_path / "t.csv")],
+        ["greedy", "--n-sensors", "5", "--alpha-total", "1.0", "--seed", "1",
+         "--out", str(tmp_path / "greedy.csv")],
+        ["verify", "--artifact", str(design), "--out", str(tmp_path / "r1.json")],
+        ["verify", "--artifact", str(design), "--out", str(tmp_path / "r2.json"),
+         "--trials", "2000", "--window", "20", "--seed", "3"],
+        ["verify", "--artifact", str(summary), "--out", str(tmp_path / "r3.json"),
+         "--trials", "2000", "--window", "20", "--seed", "3"],
+    ]
+    code = f"""
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from secquant import cli
+print([cli.main(argv) for argv in {commands!r}])
+"""
+    assert _python(code).splitlines()[-1] == str([0] * len(commands))

@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from secquant import (
     BscChannel,
     OperatingPoint,
-    SensorSite,
     bsc_transform,
     kl_divergence,
     kl_divergence_grad_pd,
     mix_quantizers,
-    site_divergences,
 )
-from secquant.gaussian import GaussianSensorModel
 
 from oracles import kld as kld_oracle
 
@@ -132,29 +129,6 @@ class TestBscChannel:
         p = bsc_transform(op(0.2, 0.8), BscChannel(0.499999))
         assert p.pfa == pytest.approx(0.5, abs=1e-5)
         assert p.pd == pytest.approx(0.5, abs=1e-5)
-
-
-class TestSiteDivergences:
-    @staticmethod
-    def site(rho_fc, rho_e):
-        return SensorSite(
-            model=GaussianSensorModel(1.0, 1.0),
-            fc_channel=BscChannel(rho_fc),
-            eve_channel=BscChannel(rho_e),
-        )
-
-    def test_diagonal_gives_zero_pair(self):
-        assert site_divergences(op(0.5, 0.5), self.site(0.2, 0.3)) == (0.0, 0.0)
-
-    def test_ideal_channels_reduce_to_sensor_divergence(self):
-        d_fc, d_eve = site_divergences(op(0.25, 0.75), self.site(0.0, 0.0))
-        assert d_fc == pytest.approx(0.549306, abs=1e-6)
-        assert d_eve == pytest.approx(0.549306, abs=1e-6)
-
-    def test_noisy_eve_branch(self):
-        d_fc, d_eve = site_divergences(op(0.25, 0.75), self.site(0.0, 0.1))
-        assert d_fc == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
-        assert d_eve == pytest.approx(0.4 * math.log(7.0 / 3.0), abs=1e-12)
 
 
 class TestMixQuantizers:

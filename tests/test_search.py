@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secquant import (BscChannel, GaussianSensorModel, SensorSite, UnimodalityError,
-                      gaussian, solver)
+                      gaussian, search, solver)
 from secquant.gaussian import _max_channel_divergences
 from secquant.search import (PRESCAN_LANES, PRESCAN_POINTS, bisect_root,
                              count_direction_changes, unimodal_max)
@@ -293,10 +293,38 @@ class TestLaneIndependence:
                 (t,), (d,) = _max_channel_divergences(*columns[:, k:k + 1])
                 assert (thresholds[k], divergences[k]) == (t, d)
 
-    def test_prescan_takes_one_q_row_per_call_of_one_model(self, monkeypatch):
-        # 500 lanes of one model: each of the ceil(500 / PRESCAN_LANES)
-        # pre-scan calls evaluates the Q pair on its one grid row, 2 x 1 024
-        # points, not on one row per lane
+    def test_lanes_of_models_with_one_bracket_equal_the_lanes_alone(self, monkeypatch):
+        # theta 1 and its next float share a bracket, and so one grid row;
+        # in runs of PRESCAN_LANES, each pre-scan call holds one model, so a
+        # row's tails taken for the bracket rather than for the model would
+        # serve one model the other's.  The pre-scan's grid maxima show it
+        # where the refined peaks may not.
+        theta = np.array([1.0, np.nextafter(1.0, 2.0)])
+        brackets = gaussian._threshold_brackets(theta, np.ones(2))
+        assert (brackets[0][0], brackets[1][0]) == (brackets[0][1], brackets[1][1])
+        found = []
+
+        def recorded(*args):
+            out = prescan(*args)
+            found.append(np.array(out))  # a copy: the peak search refines `out`
+            return out
+
+        prescan = search.assert_unimodal
+        monkeypatch.setattr(search, "assert_unimodal", recorded)
+        lanes = 4 * PRESCAN_LANES
+        columns = np.array([theta[np.arange(lanes) // PRESCAN_LANES % 2], np.ones(lanes),
+                            np.linspace(0.0, 0.3, lanes)])
+        thresholds, divergences = _max_channel_divergences(*columns)
+        for k in range(lanes):
+            (t,), (d,) = _max_channel_divergences(*columns[:, k:k + 1])
+            assert (thresholds[k], divergences[k]) == (t, d)
+            assert found[0][:, k].tolist() == found[-1][:, 0].tolist()
+
+    def test_prescan_takes_one_q_row_per_model_per_call(self, monkeypatch):
+        # the pre-scan evaluates each model's Q pair once per call, on the
+        # model's one grid row of 2 x 1 024 points: once for 500 lanes of one
+        # model, not once per batch of PRESCAN_LANES, and once each for two
+        # models whose lanes interleave
         rows = []
 
         def counted(z):
@@ -305,8 +333,9 @@ class TestLaneIndependence:
 
         q_tails = gaussian._q_tails
         monkeypatch.setattr(gaussian, "_q_tails", counted)
-        rho = np.linspace(0.0, 0.1, 500)
-        _max_channel_divergences(np.ones(500), np.ones(500), rho)
-        prescan = [shape for shape in rows if shape[-1] == PRESCAN_POINTS]
-        calls = -(-500 // PRESCAN_LANES)
-        assert prescan == [(2, 1, PRESCAN_POINTS)] * calls
+        for theta, models in ((np.ones(500), 1), (np.tile([1.0, 2.0], 248), 2)):
+            rows.clear()
+            _max_channel_divergences(theta, np.ones(theta.size),
+                                     np.linspace(0.0, 0.1, theta.size))
+            prescan = [shape for shape in rows if shape[-1] == PRESCAN_POINTS]
+            assert prescan == [(2, 1, PRESCAN_POINTS)] * models
