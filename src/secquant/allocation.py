@@ -11,9 +11,7 @@ rest sleep.  The split is heuristic; per-sensor designs are exact.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,8 +125,18 @@ def _network(
     _check_network(alpha_total, n_grid, n)
     columns = _site_columns(sites)
     free_designs = _designs(columns, [math.inf] * n)
-    qualities, splits = _splits(columns, alpha_total, free_designs, {*n_grid, n})
-    funded = splits[n]
+    qualities = [_quality(free) for free in free_designs]
+    # rows d_fc, d_eve and d_sensor of each site's unconstrained design
+    divergences = np.array(
+        [(d.d_fc, d.d_eve, d.d_sensor) for d in free_designs]).reshape(-1, 3).T
+    # nonincreasing quality, ties by ascending index
+    order = np.argsort(-np.array(qualities), kind="stable")
+    splits = _splits(columns, alpha_total, divergences[1], order, {*n_grid, n})
+    ranked, shares, partial = splits[n]
+    designs = [free_designs[i] for i in ranked.tolist()]
+    if partial is not None:
+        designs[-1] = partial
+    funded = dict(zip(ranked.tolist(), zip(shares.tolist(), designs)))
     # sleeping sensors share one blind design: it ignores its site and is frozen
     asleep = blind_design(sites[0]) if sites else None
     per_sensor = tuple(
@@ -143,65 +151,64 @@ def _network(
         )
         for i, (free, quality) in enumerate(zip(free_designs, qualities))
     )
-    allocation = AllocationResult(per_sensor, *_totals(funded, benchmark_ideal_fc))
-    points = [
-        GrowthPoint(size, *_totals(splits[size], benchmark_ideal_fc))
-        for size in n_grid
-    ]
-    return allocation, points
+    totals = {size: _totals(divergences, split, benchmark_ideal_fc)
+              for size, split in splits.items()}
+    points = [GrowthPoint(size, *totals[size]) for size in n_grid]
+    return AllocationResult(per_sensor, *totals[n]), points
 
 
 def _splits(
     columns: np.ndarray,
     alpha_total: float,
-    free_designs: Sequence[QuantizerDesign],
+    leak: np.ndarray,
+    order: np.ndarray,
     sizes: set[int],
-) -> tuple[list[float], dict[int, dict[int, tuple[float, QuantizerDesign]]]]:
-    """Each site's quality, and the greedy split of ``alpha_total`` over the
-    first ``n`` sites keyed by each ``n`` in ``sizes``: every funded
-    sensor's index mapped to its share and design.  The partly funded
-    sensors of all the splits are designed in one batch from ``columns``."""
-    qualities = [_quality(free) for free in free_designs]
-    order = sorted(range(len(free_designs)), key=lambda i: (-qualities[i], i))
+) -> dict[int, tuple[np.ndarray, np.ndarray, QuantizerDesign | None]]:
+    """The greedy split of ``alpha_total`` over the first ``n`` sites for
+    each ``n`` in ``sizes``: the funded sensors in ``order``, their shares,
+    and the last one's design if it is only partly funded.  ``leak`` is
+    each site's unconstrained Eve leakage; the partly funded sensors of all
+    the splits are designed in one batch from ``columns``."""
     splits = {}
     for n in sorted(sizes):
-        remaining, split = alpha_total, {}
-        for i in order:
-            if remaining <= BUDGET_FLOOR:
-                break
-            if i < n:
-                split[i] = (min(free_designs[i].d_eve, remaining), free_designs[i])
-                remaining = max(remaining - split[i][0], 0.0)
-        splits[n] = split
-    partial = [
-        (split, i) for split in splits.values()
-        for i, (share, free) in split.items() if share < free.d_eve
-    ]
+        ranked = order[order < n]
+        # the budget left before each sensor and after the last: accumulate
+        # subtracts in sequence, so it rounds as ``remaining -= share`` does
+        left = np.subtract.accumulate(np.concatenate(([alpha_total], leak[ranked])))
+        spent = left <= BUDGET_FLOOR
+        spent[-1] = True
+        ranked = ranked[:spent.argmax()]
+        splits[n] = ranked, np.minimum(leak[ranked], left[:ranked.size])
     # a share below the sensor's free leakage always binds: no FC search
-    lanes = columns[:, [i for _, i in partial]]
-    shares = [split[i][0] for split, i in partial]
-    designs = _designs_at(lanes, _bound_thresholds(lanes, np.array(shares)), shares, True)
-    for (split, i), design in zip(partial, designs):
-        split[i] = (split[i][0], design)
-    return qualities, splits
+    partial = [n for n, (ranked, shares) in splits.items()
+               if ranked.size and shares[-1] < leak[ranked[-1]]]
+    lanes = columns[:, [splits[n][0][-1] for n in partial]]
+    budgets = [float(splits[n][1][-1]) for n in partial]
+    designs = dict(zip(partial, _designs_at(
+        lanes, _bound_thresholds(lanes, np.array(budgets)), budgets, True)))
+    return {n: (*split, designs.get(n)) for n, split in splits.items()}
 
 
 def _totals(
-    funded: dict[int, tuple[float, QuantizerDesign]], benchmark_ideal_fc: bool
+    divergences: np.ndarray,
+    split: tuple[np.ndarray, np.ndarray, QuantizerDesign | None],
+    benchmark_ideal_fc: bool,
 ) -> tuple[float, float, int, float | None]:
     """Total FC and Eve divergences, active count and benchmark total of
-    the funded sensors, each the running sum in funding order that the
+    a split's funded sensors, each the running sum in funding order that the
     greedy policy accumulates.  The benchmark runs the same designs
     through noiseless FC channels: the FC then sees each sensor-side
     divergence ``d_sensor`` directly, while Eve is unaffected."""
-    designs = [design for _, design in funded.values()]
-    return (
-        functools.reduce(operator.add, (d.d_fc for d in designs), 0.0),
-        functools.reduce(operator.add, (d.d_eve for d in designs), 0.0),
-        len(designs),
-        functools.reduce(operator.add, (d.d_sensor for d in designs), 0.0)
-        if benchmark_ideal_fc else None,
-    )
+    ranked, _, partial = split
+    # from 0.0, the funded sensors' free ``divergences``, the partly funded
+    # one's designed values in its slot; accumulate adds in sequence, where
+    # a sum would add pairwise and round otherwise
+    terms = np.zeros((3, ranked.size + 1))
+    terms[:, 1:] = divergences[:, ranked]
+    if partial is not None:
+        terms[:, -1] = partial.d_fc, partial.d_eve, partial.d_sensor
+    d_fc, d_eve, d_sensor = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+    return d_fc, d_eve, ranked.size, d_sensor if benchmark_ideal_fc else None
 
 
 def sample_sites(

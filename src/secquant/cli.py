@@ -378,6 +378,11 @@ def cmd_tradeoff(cfg: dict[str, Any]) -> int:
             if cfg[name] is None:
                 raise ValueError(f"missing required field: {name}")
         lo, hi, count = cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_count"]
+        # a non-finite end makes the grid's step NaN or infinite
+        for name in ("alpha_min", "alpha_max"):
+            if not math.isfinite(cfg[name]):
+                raise ValueError(
+                    f"{name} must be finite to build a grid, got {cfg[name]!r}")
         if count < 1:
             raise ValueError("alpha_count must be positive")
         if hi < lo:

@@ -30,9 +30,10 @@ def count_direction_changes(values, noise_floor) -> int | np.ndarray:
     sequence, or each row's count, at its entry of an array floor, for 2-D."""
     steps = np.diff(np.atleast_2d(np.asarray(values, dtype=float)), axis=1)
     # a NaN step is kept and counts as falling, like any step that is not
-    # a rise
-    row, col = np.nonzero(~(np.abs(steps) <= np.reshape(noise_floor, (-1, 1))))
-    rises = steps[row, col] > 0.0
+    # a rise; the kept steps' flat indices give their rows
+    kept = np.flatnonzero(~(np.abs(steps) <= np.reshape(noise_floor, (-1, 1))))
+    row = kept // steps.shape[1]
+    rises = steps.ravel()[kept] > 0.0
     turns = (rises[1:] != rises[:-1]) & (row[1:] == row[:-1])
     counts = np.bincount(row[1:][turns], minlength=len(steps))
     return int(counts[0]) if np.ndim(values) == 1 else counts

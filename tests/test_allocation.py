@@ -160,14 +160,15 @@ class TestAllocate:
 
 
 def same_policy_allocation(sites, order, alpha):
-    """The sequential funding policy applied to an explicit ordering."""
+    """The sequential funding policy applied to an explicit ordering: the
+    running FC, Eve and sensor-side totals, and each funded sensor's share."""
     remaining = alpha
     total_fc = 0.0
     total_eve = 0.0
+    total_sensor = 0.0
     shares = {}
     for i in order:
         if remaining <= 1e-9:
-            shares[i] = 0.0
             continue
         design = unconstrained_design(sites[i])
         if remaining >= design.d_eve:
@@ -178,7 +179,8 @@ def same_policy_allocation(sites, order, alpha):
         remaining = max(remaining - shares[i], 0.0)
         total_fc += design.d_fc
         total_eve += design.d_eve
-    return total_fc, total_eve, shares
+        total_sensor += design.d_sensor
+    return total_fc, total_eve, total_sensor, shares
 
 
 class TestExhaustiveSmallNetworkOracle:
@@ -196,7 +198,7 @@ class TestExhaustiveSmallNetworkOracle:
         )
         branch_results = {}
         for order in itertools.permutations(range(len(HETERO_SITES))):
-            total_fc, total_eve, _ = same_policy_allocation(
+            total_fc, total_eve, _, _ = same_policy_allocation(
                 HETERO_SITES, order, alpha
             )
             assert total_eve <= alpha + 1e-9
@@ -312,16 +314,35 @@ class TestSolveOnce:
         assert len(set(solve_calls)) == len(solve_calls) > 200
 
     def test_growth_points_equal_allocations_of_each_prefix(self):
-        sites = sample_sites(60, seed=2)
-        n_grid = [1, 5, 20, 21, 40, 60]
-        for alpha in (0.0, 0.7, 3.0, 100.0):
+        # site 3 is one Eve cannot hear: infinite quality, funded first
+        sites = list(sample_sites(60, seed=2))
+        sites[3] = site_of(0.0, 0.5 - 1e-13)
+        assert math.isinf(quality_ratio(sites[3]))
+        n_grid = [1, 5, 20, 20, 21, 40, 60]
+        qualities = [quality_ratio(site) for site in sites]
+        ranked = sorted(range(60), key=lambda i: (-qualities[i], i))
+        # a budget spent to the last bit at the seventh funded sensor
+        spent = 0.0
+        for i in ranked[:7]:
+            spent += unconstrained_design(sites[i]).d_eve
+        for alpha in (0.0, 0.7, 3.0, spent, 100.0, math.inf):
             points = growth_curve(sites, alpha, n_grid, benchmark_ideal_fc=True)
             for n, point in zip(n_grid, points):
                 result = allocate(NetworkConfig(
-                    sites=sites[:n], alpha_total=alpha, benchmark_ideal_fc=True
+                    sites=tuple(sites[:n]), alpha_total=alpha, benchmark_ideal_fc=True
                 ))
                 assert point.n_sensors == n
                 assert point.total_d_fc == result.total_d_fc
                 assert point.total_d_eve == result.total_d_eve
                 assert point.active_count == result.active_count
                 assert point.benchmark_d_fc == result.benchmark_d_fc
+                # the loop reference, in this prefix's greedy order
+                order = [i for i in ranked if i < n]
+                total_fc, total_eve, total_sensor, shares = same_policy_allocation(
+                    sites, order, alpha)
+                assert point.total_d_fc == total_fc
+                assert point.total_d_eve == total_eve
+                assert point.benchmark_d_fc == total_sensor
+                assert point.active_count == len(shares)
+                assert [rec.alpha_i for rec in result.per_sensor if rec.active] == [
+                    shares[i] for i in sorted(shares)]

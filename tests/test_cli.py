@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from secquant import BscChannel, OperatingPoint, bsc_transform, cli, stein_curve
+from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSite,
+                      bsc_transform, cli, stein_curve, unconstrained_design)
 from secquant.cli import main
 
 
@@ -176,6 +177,35 @@ class TestTradeoffCommand:
         }))
         assert run("tradeoff", "--config", str(config)) == 2
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("field,low,high", [
+        ("alpha_max", "0.1", "inf"), ("alpha_max", "0.1", "nan"),
+        ("alpha_min", "-inf", "0.1"), ("alpha_min", "nan", "0.1"),
+    ])
+    def test_non_finite_grid_end_exits_2_naming_it(self, tmp_path, capsys, field, low, high):
+        out = tmp_path / "t.csv"
+        assert run(
+            "tradeoff", "--theta", "1.0", "--sigma", "1.0",
+            "--rho-fc", "0.0", "--rho-e", "0.1",
+            f"--alpha-min={low}", f"--alpha-max={high}", "--alpha-count", "3",
+            "--out", str(out),
+        ) == 2
+        assert f"{field} must be finite to build a grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_budget_in_alphas_is_the_unconstrained_design(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "theta": 1.0, "sigma": 1.0, "rho_fc": 0.0, "rho_e": 0.1,
+            "alphas": [0.1, math.inf], "out": str(tmp_path / "t.json"),
+            "format": "json",
+        }))
+        assert run("tradeoff", "--config", str(config)) == 0
+        last = json.loads((tmp_path / "t.json").read_text())[-1]
+        free = unconstrained_design(SensorSite(
+            GaussianSensorModel(1.0, 1.0), BscChannel(0.0), BscChannel(0.1)))
+        assert math.isinf(last["alpha_tilde"])
+        assert (last["d_fc_max"], last["binding"]) == (free.d_fc, False)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "tradeoff.json"

@@ -19,22 +19,41 @@ from secquant.solver import _budget_thresholds, _site_columns
 
 import oracles
 
-values = st.lists(
-    st.one_of(
-        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-        st.sampled_from([0.0, 1e-13, -1e-13, math.nan]),
-    ),
-    max_size=60,
+value = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+    st.sampled_from([0.0, 1e-13, -1e-13, math.nan]),
 )
+values = st.lists(value, max_size=60)
+floors = st.sampled_from([0.0, 1e-13, 1e-12, 0.3])
+
+
+@st.composite
+def batches(draw):
+    """Rows of one length, short ones included, each with its own floor."""
+    points = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 40))
+    rows = draw(st.lists(st.lists(value, min_size=points, max_size=points),
+                         min_size=1, max_size=8))
+    return rows, draw(st.lists(floors, min_size=len(rows), max_size=len(rows)))
 
 
 class TestCountDirectionChanges:
-    @given(vals=values, floor=st.sampled_from([0.0, 1e-13, 1e-12, 0.3]))
+    @given(vals=values, floor=floors)
     @settings(max_examples=300, deadline=None)
     def test_matches_loop_reference(self, vals, floor):
         expected = oracles.count_direction_changes(vals, floor)
+        assert type(count_direction_changes(vals, floor)) is int
         assert count_direction_changes(vals, floor) == expected
         assert count_direction_changes(np.array(vals, dtype=float), floor) == expected
+
+    @given(batch=batches())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_of_a_batch_matches_loop_reference(self, batch):
+        rows, row_floors = batch
+        counts = count_direction_changes(np.array(rows, dtype=float), np.array(row_floors))
+        assert counts.tolist() == [
+            oracles.count_direction_changes(row, floor)
+            for row, floor in zip(rows, row_floors)
+        ]
 
     def test_steps_at_the_floor_are_ignored(self):
         assert count_direction_changes([0.0, 1.0, 1.0 - 1e-12, 2.0], 1e-12) == 0
