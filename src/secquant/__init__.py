@@ -33,9 +33,7 @@ from .boundary import (
 from .detection import (
     ExponentCurvePoint,
     MonteCarloResult,
-    TrialRecord,
     exact_np_miss,
-    sample_trial_records,
     second_order_slope,
     simulate_monte_carlo,
     stein_curve,
@@ -43,7 +41,6 @@ from .detection import (
 from .errors import ArtifactError, SingularPointError, UnimodalityError
 from .gaussian import (
     GaussianSensorModel,
-    log_q_function,
     max_channel_divergence,
     q_function,
     q_inverse,
@@ -86,7 +83,6 @@ __all__ = [
     "SensorAllocation",
     "SensorSite",
     "SingularPointError",
-    "TrialRecord",
     "UnimodalityError",
     "allocate",
     "blind_design",
@@ -101,7 +97,6 @@ __all__ = [
     "growth_curve",
     "kl_divergence",
     "kl_divergence_grad_pd",
-    "log_q_function",
     "max_channel_divergence",
     "max_eve_divergence",
     "mix_quantizers",
@@ -110,7 +105,6 @@ __all__ = [
     "quality_ratio",
     "roc_region",
     "sample_sites",
-    "sample_trial_records",
     "second_order_slope",
     "simulate_monte_carlo",
     "slope_bounds",

@@ -227,6 +227,8 @@ def sample_sites(
     """
     if n_sensors < 1:
         raise ValueError(f"n_sensors must be positive, got {n_sensors!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     rng = np.random.default_rng(seed)
     model = GaussianSensorModel(theta=snr, sigma=1.0)
     # one (fc, eve) row per sensor keeps prefixes of a draw identical

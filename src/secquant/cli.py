@@ -524,8 +524,7 @@ def cmd_verify(cfg: dict[str, Any]) -> int:
     _check_windows(windows, delta)
     if not (0.0 <= tolerance < math.inf):  # also rejects NaN
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    if window < 1:
-        raise ValueError(f"window must be positive, got {window!r}")
+    _check_windows([window], delta)
     if trials is not None and seed is None:
         raise ValueError("missing required field: seed (needed for trials)")
 

@@ -14,8 +14,7 @@ empirical: a seeded Monte Carlo of the whole pipeline (quantization,
 channel flips, log-likelihood fusion), whose estimates are compared
 against the exact numbers.  The fusion statistics depend on the bits only
 through each sensor's FC and Eve ones-counts, so the simulation draws
-those counts from their exact joint law instead of individual bits;
-:func:`sample_trial_records` rebuilds bit streams with that law on demand.
+those counts from their exact joint law instead of individual bits.
 
 Both checks read only each design's operating point and the two channel
 crossovers: the observation model and the threshold that reached the
@@ -47,12 +46,11 @@ _BLOCK_TRIALS = 65536
 
 #: Within a block, trials are drawn in row chunks that together hold at
 #: most this many (trial, sensor) cells in flight: each of the Monte
-#: Carlo's worker threads takes an equal share, and a serial reader all
-#: of it.  This bounds the memory of a large network's blocks without
-#: changing their draws.
+#: Carlo's worker threads takes an equal share.  This bounds the memory
+#: of a large network's blocks without changing their draws.
 _CHUNK_CELLS = 1 << 19
 
-_CAL_STREAM, _H0_STREAM, _H1_STREAM, _RECORD_STREAM = 0, 1, 2, 3
+_CAL_STREAM, _H0_STREAM, _H1_STREAM = 0, 1, 2
 
 #: The exact miss sums each binomial law over a band of counts and drops
 #: less than exp(-_DROP_LOG) = 2**-60 of what it keeps (see
@@ -82,16 +80,6 @@ class ExponentCurvePoint:
     @property
     def miss(self) -> float:
         return math.exp(self.log_miss)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Bit streams of one simulated trial, flattened sensor-major."""
-
-    hypothesis: int
-    sensor_bits: tuple[int, ...]
-    fc_bits: tuple[int, ...]
-    eve_bits: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -365,16 +353,11 @@ def _network_arrays(
 
 def _symbol_law(
     network: tuple[np.ndarray, np.ndarray, np.ndarray], hypothesis: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-symbol law of the received (FC bit, Eve bit) pair at each sensor
-    of a :func:`_network_arrays` table.
-
-    Returns ``(ones, zeros)`` of shape (n_sensors, 4): the joint
+    of a :func:`_network_arrays` table, of shape (n_sensors, 4): the
     probability of each received pair, in the order (1, 1), (1, 0),
-    (0, 1), (0, 0), together with a sensor bit of one and of zero.  Their
-    sum is the pair's law; ``ones / (ones + zeros)`` is the chance the
-    sensor sent a one given what both receivers got.
-    """
+    (0, 1), (0, 0)."""
     (pfa, pd, pfa_c, pd_c), fc_rho, eve_rho = network
     # P(sensor bit 1): each design's detection or false-alarm probability
     p, p_c = (pd, pd_c) if hypothesis == 1 else (pfa, pfa_c)
@@ -384,8 +367,7 @@ def _symbol_law(
         [fc_keep * eve_keep, fc_keep * eve_rho, fc_rho * eve_keep, fc_rho * eve_rho],
         axis=1,
     )
-    given_zero = given_one[:, ::-1]
-    return p[:, None] * given_one, p_c[:, None] * given_zero
+    return p[:, None] * given_one + p_c[:, None] * given_one[:, ::-1]
 
 
 def _conditional_shares(law: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -437,30 +419,6 @@ def _block_counts(
     rows = max(1, min(n_trials, cells // len(shares[0])))
     for start in range(0, n_trials, rows):
         yield _simulate_block(rngs, shares, window, min(rows, n_trials - start))
-
-
-def _stream_counts(
-    seed: int,
-    stream: int,
-    shares: tuple[np.ndarray, ...],
-    window: int,
-    count: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The first ``count`` trials of one stream, as ``(n11, n10, n01)``
-    row chunks in trial order, drawn serially.
-
-    Trials fall into blocks of ``_BLOCK_TRIALS``, each with its own
-    counter-derived generators (:func:`_block_counts`), so the counts do
-    not depend on how blocks are scheduled: :func:`simulate_monte_carlo`
-    draws the same blocks on a thread pool.  Within a block, rows are
-    drawn in chunks of at most ``_CHUNK_CELLS`` (trial, sensor) cells to
-    bound memory.
-    """
-    for block, start in enumerate(range(0, count, _BLOCK_TRIALS)):
-        n_trials = min(_BLOCK_TRIALS, count - start)
-        yield from _block_counts(
-            seed, stream, block, shares, window, n_trials, _CHUNK_CELLS
-        )
 
 
 def _usable_cpus() -> int:
@@ -571,6 +529,8 @@ def simulate_monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     if calibration_trials is None:
         calibration_trials = 4 * trials
     if calibration_trials < 1:
@@ -593,8 +553,7 @@ def simulate_monte_carlo(
     stats = [np.empty((2, count)) for _, _, count in streams]
     units = []
     for (stream, hypothesis, count), out in zip(streams, stats):
-        ones, zeros = _symbol_law(network, hypothesis)
-        shares = _conditional_shares(ones + zeros)
+        shares = _conditional_shares(_symbol_law(network, hypothesis))
         for block, start in enumerate(range(0, count, _BLOCK_TRIALS)):
             rows = out[:, start : start + _BLOCK_TRIALS]
             units.append((stream, block, shares, rows))
@@ -635,63 +594,3 @@ def simulate_monte_carlo(
         calibration_trials=calibration_trials,
         seed=seed,
     )
-
-
-def sample_trial_records(
-    config: NetworkConfig,
-    designs: AllocationResult,
-    hypothesis: int,
-    window: int,
-    count: int,
-    seed: int,
-) -> list[TrialRecord]:
-    """First ``count`` trials of the estimation stream, as bit records.
-
-    Draws the same counts as :func:`simulate_monte_carlo` (for any
-    ``trials >= count``), so each record's FC and Eve ones-counts are
-    exactly those behind its estimates.  The bits are rebuilt from the
-    counts with their exact law: each sensor's received (FC, Eve) pairs
-    are placed at uniformly random positions of the window, and the
-    sensor bit behind each pair is drawn from its posterior given the
-    pair, both from a substream of their own.
-    """
-    if hypothesis not in (0, 1):
-        raise ValueError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
-    if count < 1 or count > _BLOCK_TRIALS:
-        raise ValueError(
-            f"count must be in [1, {_BLOCK_TRIALS}], got {count!r}"
-        )
-    _check_windows([window], DEFAULT_DELTA)  # records take no delta
-    stream = _H1_STREAM if hypothesis == 1 else _H0_STREAM
-    ones, zeros = _symbol_law(_network_arrays(config, designs), hypothesis)
-    law = ones + zeros
-    chunks = list(
-        _stream_counts(seed, stream, _conditional_shares(law), window, count)
-    )
-    n11, n10, n01 = (np.concatenate(parts) for parts in zip(*chunks))
-    # place each trial's received pairs uniformly over its window, then
-    # draw the sensor bit behind each pair from its posterior
-    rng = _block_rng(seed, _RECORD_STREAM, stream, 0)
-    positions = np.arange(window)
-    kinds = (
-        (positions >= n11[..., None]).astype(np.intp)
-        + (positions >= (n11 + n10)[..., None])
-        + (positions >= (n11 + n10 + n01)[..., None])
-    )
-    kinds = rng.permuted(kinds, axis=2)
-    posterior = np.divide(ones, law, out=np.zeros_like(law), where=law > 0.0)
-    sensor_of = np.arange(len(law))[None, :, None]
-    sensor = rng.random(kinds.shape) < posterior[sensor_of, kinds]
-    fc = kinds < 2
-    eve = kinds % 2 == 0
-    records = []
-    for k in range(count):
-        records.append(
-            TrialRecord(
-                hypothesis=hypothesis,
-                sensor_bits=tuple(int(b) for b in sensor[k].reshape(-1)),
-                fc_bits=tuple(int(b) for b in fc[k].reshape(-1)),
-                eve_bits=tuple(int(b) for b in eve[k].reshape(-1)),
-            )
-        )
-    return records

@@ -62,24 +62,6 @@ def _q_tails(z):
     return np.where(upper, small, big), np.where(upper, big, small)
 
 
-def log_q_function(z: float) -> float:
-    """``ln Q(z)``, finite far beyond where Q underflows: ln(Q) below
-    TAIL_SIGMAS, where Q is still a normal float (ln(1 - Q(-z)) for negative
-    z), and from there the asymptotic series ln Q(z) = -z**2/2 -
-    ln(z sqrt(2 pi)) + ln(1 - 1/z**2 + 3/z**4 - ...) (Abramowitz and Stegun
-    26.2.12), whose terms are below 1e-17 by the eighth."""
-    z = float(z)
-    if z < 0.0:
-        return math.log1p(-0.5 * math.erfc(-z / _SQRT2))
-    if z < TAIL_SIGMAS:
-        return math.log(0.5 * math.erfc(z / _SQRT2))
-    term, series, step = 1.0, 0.0, 1.0 / (z * z)
-    for n in range(1, 9):
-        term *= -(2 * n - 1) * step
-        series += term
-    return -0.5 * z * z - math.log(z) - _LN_SQRT_2PI + math.log1p(series)
-
-
 def q_inverse(p: float) -> float:
     """Inverse of :func:`q_function` on (0, 1)."""
     if not (0.0 < p < 1.0):

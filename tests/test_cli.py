@@ -249,6 +249,15 @@ class TestGreedyCommand:
         assert summary["units"] == "nats"
         assert len(summary["per_sensor"]) == 40
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "greedy.csv"
+        assert run(
+            "greedy", "--n-sensors", "5", "--alpha-total", "1.0", "--seed", "-1",
+            "--out", str(out),
+        ) == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_required(self, tmp_path):
         code = run(
             "greedy", "--n-sensors", "5", "--alpha-total", "1.0",
@@ -507,6 +516,17 @@ class TestVerifyCommand:
             "--out", str(tmp_path / "r.json"), "--trials", "1000",
         ) == 2
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        argv, design_out = design_args(tmp_path, budget="5.0")
+        assert run(*argv) == 0
+        report_out = tmp_path / "report.json"
+        assert run(
+            "verify", "--artifact", str(design_out), "--out", str(report_out),
+            "--trials", "100", "--seed", "-2",
+        ) == 2
+        assert "seed must be nonnegative, got -2" in capsys.readouterr().err
+        assert not report_out.exists()
+
     def test_empty_window_list_exits_2(self, tmp_path, capsys):
         argv, design_out = design_args(tmp_path, budget="5.0")
         assert run(*argv) == 0
@@ -572,7 +592,7 @@ class TestVerifyCommand:
             "verify", "--artifact", str(design_out), "--out", str(report_out),
             "--window", "0",
         ) == 2
-        assert "window must be positive" in capsys.readouterr().err
+        assert "window must be at least 1" in capsys.readouterr().err
         assert not report_out.exists()
 
     def test_verify_idempotent_bytes(self, tmp_path):

@@ -23,7 +23,6 @@ from secquant import (
     exact_np_miss,
     kl_divergence,
     sample_sites,
-    sample_trial_records,
     second_order_slope,
     simulate_monte_carlo,
     stein_curve,
@@ -34,14 +33,15 @@ from secquant.detection import (
     _CAL_STREAM,
     _H0_STREAM,
     _H1_STREAM,
+    _BLOCK_TRIALS,
     _binom_logpmf,
+    _block_counts,
     _conditional_shares,
     _fuse_block,
     _fusion_statistics,
     _llr_weights,
     _network_arrays,
     _np_components,
-    _stream_counts,
     _symbol_law,
 )
 from secquant.roc import _received
@@ -268,19 +268,6 @@ class TestMonteCarlo:
         mc2 = simulate_monte_carlo(config, result, window=15, trials=30_000, seed=3)
         assert mc1 == mc2
 
-    def test_trial_records_deterministic_and_shaped(self):
-        site, config, result = single_sensor_setup()
-        recs1 = sample_trial_records(config, result, 1, window=12, count=5, seed=3)
-        recs2 = sample_trial_records(config, result, 1, window=12, count=5, seed=3)
-        assert recs1 == recs2
-        assert len(recs1) == 5
-        for rec in recs1:
-            assert rec.hypothesis == 1
-            assert len(rec.sensor_bits) == 12
-            assert len(rec.fc_bits) == 12
-            assert len(rec.eve_bits) == 12
-            assert set(rec.sensor_bits) <= {0, 1}
-
     def test_blind_sensor_behind_noiseless_channel_stays_finite(self):
         # the blind design's received tails are [0, 0, 1, 1]: a one never
         # arrives under either hypothesis and weighs 0
@@ -302,8 +289,6 @@ class TestMonteCarlo:
         )
         with pytest.raises(ValueError, match="designs cover 1 sensors"):
             simulate_monte_carlo(two, result, window=5, trials=10, seed=1)
-        with pytest.raises(ValueError, match="designs cover 1 sensors"):
-            sample_trial_records(two, result, 1, window=4, count=1, seed=1)
 
     def test_validation(self):
         _, config, result = single_sensor_setup()
@@ -322,14 +307,6 @@ class TestMonteCarlo:
                 simulate_monte_carlo(
                     config, result, window=5, trials=10, seed=1, delta=delta
                 )
-        with pytest.raises(ValueError):
-            sample_trial_records(config, result, 2, window=5, count=1, seed=1)
-
-    @pytest.mark.parametrize("window", [0, -3])
-    def test_trial_records_reject_a_window_below_one(self, window):
-        config, result = small_network()
-        with pytest.raises(ValueError, match="window must be at least 1"):
-            sample_trial_records(config, result, 1, window=window, count=3, seed=1)
 
 
 def pair_law(p, rho_fc, rho_e):
@@ -408,13 +385,23 @@ def designs_at(config, thresholds):
     )
 
 
-def stream_counts(config, thresholds, hypothesis, window, count, seed):
-    designs = designs_at(config, thresholds)
-    ones, zeros = _symbol_law(_network_arrays(config, designs), hypothesis)
-    chunks = _stream_counts(
-        seed, _H1_STREAM, _conditional_shares(ones + zeros), window, count
+def block_counts(network, stream, block, hypothesis, window, n_trials, seed):
+    """The (n11, n10, n01) counts of one whole block of a stream."""
+    shares = _conditional_shares(_symbol_law(network, hypothesis))
+    chunks = _block_counts(
+        seed, stream, block, shares, window, n_trials, detection._CHUNK_CELLS
     )
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def stream_counts(config, thresholds, hypothesis, window, count, seed):
+    network = _network_arrays(config, designs_at(config, thresholds))
+    blocks = [
+        block_counts(network, _H1_STREAM, block, hypothesis, window,
+                     min(_BLOCK_TRIALS, count - start), seed)
+        for block, start in enumerate(range(0, count, _BLOCK_TRIALS))
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 class TestCountSampler:
@@ -454,6 +441,42 @@ class TestCountSampler:
             assert observed.sum() == count
             pmf = np.array([multinomial.pmf(cell, window, law) for cell in cells])
             assert_within_5se(observed, pmf, count)
+
+    def test_fused_statistics_are_those_of_the_block_counts(self, monkeypatch):
+        config, result = small_network()
+        window, seed = 9, 21
+        fused = {}
+
+        def recording(seed, stream, block, shares, window, weights, out, cells):
+            _fuse_block(seed, stream, block, shares, window, weights, out, cells)
+            fused[stream, block] = out.copy()
+
+        monkeypatch.setattr(detection, "_fuse_block", recording)
+        # one worker draws each block as one chunk, the shape checked below
+        monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+        simulate_monte_carlo(
+            config, result, window=window, trials=3000, seed=seed,
+            calibration_trials=70_000,
+        )
+        # the calibration stream spans two blocks, each estimation stream one
+        assert sorted(fused) == [
+            (_CAL_STREAM, 0), (_CAL_STREAM, 1), (_H0_STREAM, 0), (_H1_STREAM, 0)
+        ]
+        network = _network_arrays(config, result)
+        tails, fc_rho, eve_rho = network
+        fc_weights = _llr_weights(_received(tails, fc_rho))
+        eve_weights = _llr_weights(_received(tails, eve_rho))
+        for (stream, block), (fc, eve) in fused.items():
+            n11, n10, n01 = block_counts(
+                network, stream, block, int(stream == _H1_STREAM), window,
+                len(fc), seed,
+            )
+            assert np.array_equal(
+                fc, _fusion_statistics(n11 + n10, *fc_weights, window)
+            )
+            assert np.array_equal(
+                eve, _fusion_statistics(n11 + n01, *eve_weights, window)
+            )
 
     def test_block_is_the_same_drawn_in_chunks(self, monkeypatch):
         _, config, result = single_sensor_setup()
@@ -563,80 +586,6 @@ class TestLlrWeights:
         assert _llr_weights(np.array([0.0, 0.0, 1.0, 1.0])).tolist() == [0.0, 0.0]
         one, zero = _llr_weights(np.array([0.0, 0.5, 1.0, 0.5]))
         assert one == math.inf and zero == pytest.approx(math.log(0.5))
-
-
-class TestTrialRecords:
-    @pytest.mark.parametrize("hypothesis", [0, 1])
-    def test_records_reproduce_the_estimation_statistics(
-        self, hypothesis, monkeypatch
-    ):
-        config, result = small_network()
-        window, count = 9, 40
-        fused = {}
-
-        def recording(seed, stream, block, shares, window, weights, out, cells):
-            _fuse_block(seed, stream, block, shares, window, weights, out, cells)
-            fused[stream, block] = out.copy()
-
-        monkeypatch.setattr(detection, "_fuse_block", recording)
-        simulate_monte_carlo(config, result, window=window, trials=3000, seed=21)
-        monkeypatch.undo()
-        # one block of (FC, Eve) rows per stream: calibration, H0, H1
-        assert sorted(fused) == [(_CAL_STREAM, 0), (_H0_STREAM, 0), (_H1_STREAM, 0)]
-        want_fc, want_eve = fused[_H1_STREAM if hypothesis else _H0_STREAM, 0]
-
-        records = sample_trial_records(
-            config, result, hypothesis, window=window, count=count, seed=21
-        )
-        n = len(config.sites)
-        tails = np.array([rec.design.op.tails for rec in result.per_sensor]).T
-        for receiver, want in (("fc", want_fc), ("eve", want_eve)):
-            rho = np.array(
-                [getattr(site, f"{receiver}_channel").crossover for site in config.sites]
-            )
-            ones = np.array(
-                [
-                    np.reshape(getattr(rec, f"{receiver}_bits"), (n, window)).sum(axis=1)
-                    for rec in records
-                ]
-            )
-            got = _fusion_statistics(ones, *_llr_weights(_received(tails, rho)), window)
-            assert np.array_equal(got, want[:count])
-
-    def test_sensor_bits_flip_at_the_crossovers(self):
-        config, result = small_network()
-        window, count = 10, 4000
-        records = sample_trial_records(
-            config, result, 1, window=window, count=count, seed=8
-        )
-        n = len(config.sites)
-
-        def bits(field):
-            return np.array([getattr(rec, field) for rec in records]).reshape(
-                count, n, window
-            )
-
-        sensor, fc, eve = bits("sensor_bits"), bits("fc_bits"), bits("eve_bits")
-        cells = count * window
-        for i, (rec, site) in enumerate(zip(result.per_sensor, config.sites)):
-            rho_fc = site.fc_channel.crossover
-            rho_e = site.eve_channel.crossover
-            fc_flip = fc[:, i] != sensor[:, i]
-            eve_flip = eve[:, i] != sensor[:, i]
-            for observed, p in (
-                (sensor[:, i].mean(), rec.design.op.pd),
-                (fc_flip.mean(), rho_fc),
-                (eve_flip.mean(), rho_e),
-                ((fc_flip & eve_flip).mean(), rho_fc * rho_e),
-            ):
-                assert abs(observed - p) <= 5.0 * math.sqrt(p * (1.0 - p) / cells)
-            # pairs sit at uniform positions: the window's ends are typical
-            p_fc = bsc_transform(rec.design.op, site.fc_channel).pd
-            for position in (0, window - 1):
-                observed = fc[:, i, position].mean()
-                assert abs(observed - p_fc) <= 5.0 * math.sqrt(
-                    p_fc * (1.0 - p_fc) / count
-                )
 
 
 class TestLargeNetwork:

@@ -15,7 +15,6 @@ from secquant import (
     UnimodalityError,
     bsc_transform,
     kl_divergence,
-    log_q_function,
     max_channel_divergence,
     q_function,
     q_inverse,
@@ -59,25 +58,6 @@ class TestQFunction:
         got = q_function(zs)
         assert isinstance(got, np.ndarray) and got.shape == zs.shape
         assert got.tolist() == [[q_function(z) for z in row] for row in zs.tolist()]
-
-    def test_log_variant_tracks_tail(self):
-        for z in (1.0, 5.0, 10.0, 30.0):
-            assert log_q_function(z) == pytest.approx(
-                math.log(q_function(z)), rel=1e-12
-            )
-        # far beyond underflow the log form keeps going
-        assert log_q_function(50.0) < -1000.0
-
-    def test_log_variant_matches_mpmath_on_its_asymptotic_series(self):
-        # ln(erfc(z / sqrt(2)) / 2) to 40 digits (mpmath at 50 digits)
-        expected = {
-            37.0: -689.0305855768905936008722214121056105768,
-            40.0: -804.6084420137537881666068329186099362001,
-            50.0: -1254.831361139419901254132521114271881247,
-            100.0: -5005.524208694205088626302457330025531340,
-        }
-        for z, value in expected.items():
-            assert log_q_function(z) == pytest.approx(value, rel=4e-16)
 
 
 class TestQInverse:
