@@ -442,7 +442,10 @@ class TestCountSampler:
             pmf = np.array([multinomial.pmf(cell, window, law) for cell in cells])
             assert_within_5se(observed, pmf, count)
 
-    def test_fused_statistics_are_those_of_the_block_counts(self, monkeypatch):
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    def test_fused_statistics_are_those_of_the_block_counts(
+        self, hypothesis, monkeypatch
+    ):
         config, result = small_network()
         window, seed = 9, 21
         fused = {}
@@ -466,10 +469,15 @@ class TestCountSampler:
         tails, fc_rho, eve_rho = network
         fc_weights = _llr_weights(_received(tails, fc_rho))
         eve_weights = _llr_weights(_received(tails, eve_rho))
-        for (stream, block), (fc, eve) in fused.items():
+        # calibration and H0 blocks are drawn under H0, the H1 block under H1
+        checked = {
+            key: rows for key, rows in fused.items()
+            if int(key[0] == _H1_STREAM) == hypothesis
+        }
+        assert checked
+        for (stream, block), (fc, eve) in checked.items():
             n11, n10, n01 = block_counts(
-                network, stream, block, int(stream == _H1_STREAM), window,
-                len(fc), seed,
+                network, stream, block, hypothesis, window, len(fc), seed
             )
             assert np.array_equal(
                 fc, _fusion_statistics(n11 + n10, *fc_weights, window)
