@@ -12,9 +12,11 @@ under H0 (Strassen's second-order term), so it approaches D from below
 only as 1/sqrt(T).  The second is
 empirical: a seeded Monte Carlo of the whole pipeline (quantization,
 channel flips, log-likelihood fusion), whose estimates are compared
-against the exact numbers.  The fusion statistics depend on the bits only
-through each sensor's FC and Eve ones-counts, so the simulation draws
-those counts from their exact joint law instead of individual bits.
+against the exact numbers.  A receiver's fusion statistic depends on the
+bits only through each sensor's ones-count at that receiver, so the
+simulation draws those counts from their binomial law instead of
+individual bits; every estimate reads one receiver only, so the FC's and
+Eve's counts are drawn independently of each other.
 
 Both checks read only each design's operating point and the two channel
 crossovers: the observation model and the threshold that reached the
@@ -40,11 +42,11 @@ from .roc import OperatingPoint, _llr_weights, _received, kl_divergence
 DEFAULT_DELTA = 0.01
 
 #: Trials are simulated in fixed-size blocks, each with its own
-#: counter-derived substreams (one per sampling stage), so results do not
-#: depend on how blocks are scheduled.
+#: counter-derived generator per receiver, so results do not depend on how
+#: blocks are scheduled.
 _BLOCK_TRIALS = 65536
 
-#: Within a block, trials are drawn in row chunks that together hold at
+#: Within a block, counts are drawn in chunks that together hold at
 #: most this many (trial, sensor) cells in flight: each of the Monte
 #: Carlo's worker threads takes an equal share.  This bounds the memory
 #: of a large network's blocks without changing their draws.
@@ -351,74 +353,45 @@ def _network_arrays(
     return tails, fc_rho, eve_rho
 
 
-def _symbol_law(
-    network: tuple[np.ndarray, np.ndarray, np.ndarray], hypothesis: int
+def _draw_counts(
+    rng: np.random.Generator, p: np.ndarray, window: int, n_trials: int
 ) -> np.ndarray:
-    """Per-symbol law of the received (FC bit, Eve bit) pair at each sensor
-    of a :func:`_network_arrays` table, of shape (n_sensors, 4): the
-    probability of each received pair, in the order (1, 1), (1, 0),
-    (0, 1), (0, 0)."""
-    (pfa, pd, pfa_c, pd_c), fc_rho, eve_rho = network
-    # P(sensor bit 1): each design's detection or false-alarm probability
-    p, p_c = (pd, pd_c) if hypothesis == 1 else (pfa, pfa_c)
-    fc_keep, eve_keep = 1.0 - fc_rho, 1.0 - eve_rho
-    # P(received pair | sensor bit 1), and with the flips swapped for bit 0
-    given_one = np.stack(
-        [fc_keep * eve_keep, fc_keep * eve_rho, fc_rho * eve_keep, fc_rho * eve_rho],
-        axis=1,
-    )
-    return p[:, None] * given_one + p_c[:, None] * given_one[:, ::-1]
-
-
-def _conditional_shares(law: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Chained binomial probabilities of a 4-point law, per sensor:
-    P(11), P(10 | not 11) and P(01 | neither 11 nor 10), clipped to [0, 1]
-    and 0 where nothing is left to split."""
-    shares = []
-    for k in range(3):
-        rest = law[:, k:].sum(axis=1)
-        share = np.divide(law[:, k], rest, out=np.zeros(len(law)), where=rest > 0.0)
-        shares.append(np.clip(share, 0.0, 1.0))
-    return tuple(shares)
-
-
-def _simulate_block(
-    rngs: Sequence[np.random.Generator],
-    shares: tuple[np.ndarray, ...],
-    window: int,
-    n_trials: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Received-pair counts (n11, n10, n01) of shape (n_trials, n_sensors).
-
-    Over a window the pairs are i.i.d., so the counts are
-    Multinomial(window, law), drawn exactly as three chained binomials,
-    each from its own generator of ``rngs``.  A generator's draws run
-    trial by trial, so drawing a block in consecutive row chunks from the
-    same three generators gives the same counts as drawing it whole.
-    """
-    n11 = rngs[0].binomial(window, shares[0], size=(n_trials, len(shares[0])))
-    n10 = rngs[1].binomial(window - n11, shares[1])
-    n01 = rngs[2].binomial(window - n11 - n10, shares[2])
-    return n11, n10, n01
+    """Ones-counts of shape (sensors, n_trials), each Binomial(``window``,
+    ``p``) of its sensor's row, drawn sensor by sensor: consecutive draws
+    share (n, p), so the sampler sets up once per sensor."""
+    return rng.binomial(window, p[:, None], size=(len(p), n_trials))
 
 
 def _block_counts(
     seed: int,
     stream: int,
     block: int,
-    shares: tuple[np.ndarray, ...],
+    receiver: int,
+    p: np.ndarray,
     window: int,
     n_trials: int,
     cells: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The first ``n_trials`` trials of block ``block`` of one stream, as
-    ``(n11, n10, n01)`` row chunks of at most ``cells`` (trial, sensor)
-    cells each (but at least one row), drawn from the block's own three
-    counter-derived stage generators."""
-    rngs = [_block_rng(seed, stream, block, stage) for stage in range(3)]
-    rows = max(1, min(n_trials, cells // len(shares[0])))
-    for start in range(0, n_trials, rows):
-        yield _simulate_block(rngs, shares, window, min(rows, n_trials - start))
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """The first ``n_trials`` trials of block ``block`` of one stream, as one
+    receiver's ones-counts, drawn from that (stream, block, receiver) unit's
+    own counter-derived generator.
+
+    The generator's draws run sensor by sensor, trial by trial within a
+    sensor; this yields them as ``(sensors, trials, counts)`` chunks of at
+    most ``cells`` cells (but at least one), each a contiguous run of that
+    order: whole sensors when a sensor's trials fit, else row chunks of one
+    sensor.  So every chunk size gives the same counts.
+    """
+    rng = _block_rng(seed, stream, block, receiver)
+    rows = max(1, min(n_trials, cells))
+    step = max(1, cells // rows)
+    for first in range(0, len(p), step):
+        sensors = slice(first, first + step)
+        for start in range(0, n_trials, rows):
+            trials = slice(start, min(start + rows, n_trials))
+            yield sensors, trials, _draw_counts(
+                rng, p[sensors], window, trials.stop - start
+            )
 
 
 def _usable_cpus() -> int:
@@ -430,39 +403,56 @@ def _usable_cpus() -> int:
 
 
 def _fusion_statistics(
-    ones: np.ndarray, w_one: np.ndarray, w_zero: np.ndarray, window: int
-) -> np.ndarray:
-    """Log-likelihood-ratio sums per trial for (trials, sensors) ones-counts
-    over a window."""
-    return ones @ w_one + (window - ones) @ w_zero
+    ones: np.ndarray,
+    w_one: np.ndarray,
+    w_zero: np.ndarray,
+    window: int,
+    out: np.ndarray,
+) -> None:
+    """Add the log-likelihood ratios of (sensors, trials) ones-counts over a
+    window to the per-trial sums ``out``, one sensor after another, so that
+    each trial's sum runs in sensor order however its sensors are chunked.
+
+    Each sensor's ratio is looked up in a table over the range of its
+    counts, ``k * w_one + (window - k) * w_zero``, in which a bit value
+    never received weighs nothing, even where its weight is infinite
+    (0 * inf = 0, as :func:`roc._llr_weights` states): a separating
+    sensor leaves H0 statistics finite and makes a decisive H1 statistic
+    +inf.
+    """
+    for row, one, zero in zip(ones, w_one, w_zero):
+        lo = row.min()
+        counts = np.arange(lo, row.max() + 1)
+        zeros = window - counts
+        table = np.multiply(counts, one, out=np.zeros(len(counts)), where=counts > 0)
+        table += np.multiply(zeros, zero, out=np.zeros(len(counts)), where=zeros > 0)
+        out += table[row - lo]
 
 
 def _fuse_block(
     seed: int,
     stream: int,
     block: int,
-    shares: tuple[np.ndarray, ...],
+    receiver: int,
+    p: np.ndarray,
+    weights: np.ndarray,
     window: int,
-    weights: tuple[tuple[np.ndarray, np.ndarray], ...],
     out: np.ndarray,
     cells: int,
 ) -> None:
-    """Draw one block of a stream and write its fused statistics.
+    """Draw one receiver's block of a stream and write its fused statistics.
 
-    ``out`` is the block's (2, trials) slice of the stream's statistics,
-    whose rows take the FC and Eve sums under the receivers' ``weights``;
-    the block is drawn in row chunks of at most ``cells`` cells.  Calls
-    only private helpers, so that it can run on a worker thread.
+    ``out`` is the block's zeroed row of that receiver's statistics in the
+    stream, ``p`` each sensor's probability of a received one and
+    ``weights`` the receiver's LLR weights of a one and a zero; the block
+    is drawn in chunks of at most ``cells`` cells.  Calls only private
+    helpers, so that it can run on a worker thread.
     """
-    (fc_one, fc_zero), (eve_one, eve_zero) = weights
-    done = 0
-    for n11, n10, n01 in _block_counts(
-        seed, stream, block, shares, window, out.shape[1], cells
+    w_one, w_zero = weights
+    for sensors, trials, ones in _block_counts(
+        seed, stream, block, receiver, p, window, len(out), cells
     ):
-        rows = slice(done, done + len(n11))
-        out[0, rows] = _fusion_statistics(n11 + n10, fc_one, fc_zero, window)
-        out[1, rows] = _fusion_statistics(n11 + n01, eve_one, eve_zero, window)
-        done += len(n11)
+        _fusion_statistics(ones, w_one[sensors], w_zero[sensors], window, out[trials])
 
 
 def _receiver_estimates(
@@ -514,18 +504,21 @@ def simulate_monte_carlo(
     false-alarm (H0) probability, flipped through the FC and Eve channels
     independently, and each receiver's bits fused with their
     log-likelihood-ratio sum.  That sum depends on the bits only through
-    each sensor's FC and Eve ones-counts, and the received (FC, Eve) pairs
-    are i.i.d. over the window, so the counts are drawn exactly from their
-    multinomial law (see :func:`_simulate_block`) and no observation is
-    materialised.  The fusion thresholds are calibrated to false alarm
+    each sensor's ones-count at that receiver, which over the window is
+    Binomial(``window``, P(received one)), so each receiver's counts are
+    drawn from that law (see :func:`_block_counts`) and no observation is
+    materialised.  Every estimate reads one receiver's statistics only, so
+    nothing depends on how the FC's and Eve's counts covary through the
+    shared sensor bits, and each receiver is drawn from its own
+    generators.  The fusion thresholds are calibrated to false alarm
     ``delta`` on a separate H0 stream (4x the estimation size by default).
 
-    Trials are partitioned into fixed blocks with counter-derived
-    substreams, and the (stream, block) units run on a thread pool with
-    one worker per usable CPU (NumPy's binomial sampler releases the
-    GIL).  Each unit writes disjoint rows of its stream's statistics, so
-    identical ``(seed, config)`` give bit-identical results for any
-    worker count or schedule.
+    Trials are partitioned into fixed blocks, and the (stream, block,
+    receiver) units, each with its own counter-derived generator, run on
+    a thread pool with one worker per usable CPU (NumPy's binomial sampler
+    releases the GIL).  Each unit writes disjoint rows of its stream's
+    statistics, so identical ``(seed, config)`` give bit-identical results
+    for any worker count or schedule.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -538,31 +531,29 @@ def simulate_monte_carlo(
             f"calibration_trials must be positive, got {calibration_trials!r}"
         )
     _check_windows([window], delta)
-    network = _network_arrays(config, designs)
-    tails, fc_rho, eve_rho = network
-    weights = (
-        _llr_weights(_received(tails, fc_rho)),
-        _llr_weights(_received(tails, eve_rho)),
-    )
+    tails, fc_rho, eve_rho = _network_arrays(config, designs)
+    received = [_received(tails, rho) for rho in (fc_rho, eve_rho)]
+    weights = [_llr_weights(points) for points in received]
     # (stream, hypothesis, count): calibration, H0 and H1 estimation
     streams = (
         (_CAL_STREAM, 0, calibration_trials),
         (_H0_STREAM, 0, trials),
         (_H1_STREAM, 1, trials),
     )
-    stats = [np.empty((2, count)) for _, _, count in streams]
-    units = []
-    for (stream, hypothesis, count), out in zip(streams, stats):
-        shares = _conditional_shares(_symbol_law(network, hypothesis))
-        for block, start in enumerate(range(0, count, _BLOCK_TRIALS)):
-            rows = out[:, start : start + _BLOCK_TRIALS]
-            units.append((stream, block, shares, rows))
+    stats = [np.zeros((2, count)) for _, _, count in streams]
+    units = [
+        (stream, block, receiver, received[receiver][hypothesis],
+         out[receiver, start : start + _BLOCK_TRIALS])
+        for (stream, hypothesis, count), out in zip(streams, stats)
+        for block, start in enumerate(range(0, count, _BLOCK_TRIALS))
+        for receiver in (0, 1)
+    ]
     workers = min(_usable_cpus(), len(units))
     cells = _CHUNK_CELLS // workers
 
     def run(unit: tuple) -> None:
-        stream, block, shares, out = unit
-        _fuse_block(seed, stream, block, shares, window, weights, out, cells)
+        stream, block, receiver, p, out = unit
+        _fuse_block(seed, stream, block, receiver, p, weights[receiver], window, out, cells)
 
     # imported here, off the CLI's start-up path
     from concurrent.futures import ThreadPoolExecutor

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSite,
-                      bsc_transform, cli, stein_curve, unconstrained_design)
+                      bsc_transform, cli, kl_divergence, stein_curve,
+                      unconstrained_design)
 from secquant.cli import main
 
 
@@ -507,6 +508,35 @@ class TestVerifyCommand:
         assert mc["seed"] == 2
         assert "config_hash" in mc
         assert 0.0 < mc["fc_miss_estimate"] < 1.0
+
+    def test_monte_carlo_on_a_separating_sensor(self, tmp_path):
+        # sensor 0 never sends a one under H0 and reaches the FC without
+        # flips, so the FC's weight of a received one is +inf
+        assert run(
+            "greedy", "--n-sensors", "2", "--alpha-total", "1.0",
+            "--seed", "3", "--out", str(tmp_path / "greedy.csv"),
+        ) == 0
+        summary = json.loads((tmp_path / "greedy.summary.json").read_text())
+        summary["per_sensor"][0].update(rho_fc=0.0, pfa=0.0, pfa_c=1.0)
+        for rec in summary["per_sensor"]:
+            op = OperatingPoint(rec["pfa"], rec["pd"], rec["pfa_c"], rec["pd_c"])
+            rec["d_sensor"] = kl_divergence(op)
+            rec["d_fc_i"] = kl_divergence(bsc_transform(op, BscChannel(rec["rho_fc"])))
+            rec["d_eve_i"] = kl_divergence(bsc_transform(op, BscChannel(rec["rho_e"])))
+            # budgets that cover the new leakage keep the artifact consistent
+            rec["alpha_i"] = max(rec["alpha_i"], rec["d_eve_i"])
+        summary["total_d_fc"] = math.fsum(r["d_fc_i"] for r in summary["per_sensor"])
+        summary["total_d_eve"] = math.fsum(r["d_eve_i"] for r in summary["per_sensor"])
+        summary["alpha_total"] = max(summary["alpha_total"], summary["total_d_eve"])
+        artifact = tmp_path / "separating.json"
+        artifact.write_text(json.dumps(summary))
+        report_out = tmp_path / "report.json"
+        assert run(
+            "verify", "--artifact", str(artifact), "--out", str(report_out),
+            "--trials", "2000", "--seed", "1", "--window", "5",
+        ) == 0
+        mc = json.loads(report_out.read_text())["monte_carlo"]
+        assert abs(mc["fc_fa_estimate"] - 0.01) <= 5.0 * mc["fc_fa_se"]
 
     def test_trials_without_seed_exits_2(self, tmp_path):
         argv, design_out = design_args(tmp_path, budget="5.0")

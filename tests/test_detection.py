@@ -1,5 +1,6 @@
 """Exact fixed-false-alarm miss computation and the Monte Carlo pipeline."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom, multinomial
+from scipy.stats import binom
 
 from secquant import (
     AllocationResult,
@@ -36,13 +37,11 @@ from secquant.detection import (
     _BLOCK_TRIALS,
     _binom_logpmf,
     _block_counts,
-    _conditional_shares,
     _fuse_block,
     _fusion_statistics,
     _llr_weights,
     _network_arrays,
     _np_components,
-    _symbol_law,
 )
 from secquant.roc import _received
 from secquant.solver import _designs_at, _site_columns
@@ -282,6 +281,65 @@ class TestMonteCarlo:
         )
         assert all(math.isfinite(v) for v in vars(mc).values())
 
+    def test_separating_sensor_keeps_h0_statistics_finite(self):
+        # sensor 0 never sends a one under H0 and its FC channel is
+        # noiseless: the FC's weight of a one is +inf, and a one that never
+        # arrives weighs nothing (0 * inf = 0)
+        sites = tuple(
+            SensorSite(GaussianSensorModel(1.0, 1.0), BscChannel(rho_fc), BscChannel(0.1))
+            for rho_fc in (0.0, 0.05)
+        )
+        config = NetworkConfig(sites=sites, alpha_total=10.0)
+        designs = designs_at(config, np.array([0.5, 0.5]))
+        separating = dataclasses.replace(
+            designs.per_sensor[0].design, op=OperatingPoint(0.0, 0.6)
+        )
+        designs = dataclasses.replace(designs, per_sensor=(
+            dataclasses.replace(designs.per_sensor[0], design=separating),
+            designs.per_sensor[1],
+        ))
+        mc = simulate_monte_carlo(config, designs, window=5, trials=2000, seed=1)
+        assert all(math.isfinite(v) for v in vars(mc).values())
+        assert abs(mc.fc_fa_estimate - mc.delta) <= 5.0 * mc.fc_fa_se
+        out = np.zeros(3)
+        _fusion_statistics(
+            np.array([[0, 2, 5]]), np.array([math.inf]), np.array([-0.5]), 5, out
+        )
+        assert out.tolist() == [-2.5, math.inf, math.inf]
+
+    def test_fc_fields_ignore_eve_crossovers(self):
+        def run(eve_rhos):
+            sites = tuple(
+                SensorSite(GaussianSensorModel(1.0, 1.0), BscChannel(0.05), BscChannel(rho))
+                for rho in eve_rhos
+            )
+            config = NetworkConfig(sites=sites, alpha_total=10.0)
+            designs = designs_at(config, np.array([0.3, 0.6, math.inf]))
+            return simulate_monte_carlo(config, designs, window=8, trials=5000, seed=6)
+
+        base, other = run((0.1, 0.2, 0.3)), run((0.4, 0.0, 0.25))
+        fc = [name for name in vars(base) if name.startswith("fc_")]
+        assert [getattr(other, name) for name in fc] == [getattr(base, name) for name in fc]
+        assert other.eve_miss_estimate != base.eve_miss_estimate
+
+    def test_miss_z_scores_center_on_the_exact_miss(self):
+        site, config, result = single_sensor_setup()
+        op = result.per_sensor[0].design.op
+        exact = [
+            exact_np_miss(bsc_transform(op, channel), window=20).miss
+            for channel in (site.fc_channel, site.eve_channel)
+        ]
+        z = np.array([
+            [(mc.fc_miss_estimate - exact[0]) / mc.fc_miss_se,
+             (mc.eve_miss_estimate - exact[1]) / mc.eve_miss_se]
+            for mc in (
+                simulate_monte_carlo(config, result, window=20, trials=20_000, seed=seed)
+                for seed in range(30)
+            )
+        ])
+        assert np.all(np.abs(z.mean(axis=0)) <= 0.6), z.mean(axis=0)
+        assert np.all(np.abs(z) <= 5.0), z
+
     def test_designs_must_match_config(self):
         site, config, result = single_sensor_setup()
         two = NetworkConfig(
@@ -307,20 +365,6 @@ class TestMonteCarlo:
                 simulate_monte_carlo(
                     config, result, window=5, trials=10, seed=1, delta=delta
                 )
-
-
-def pair_law(p, rho_fc, rho_e):
-    """P(FC bit, Eve bit) in the order 11, 10, 01, 00, enumerated over the
-    sensor bit (one with probability p) and the two independent flips."""
-    law = []
-    for fc_bit, eve_bit in ((1, 1), (1, 0), (0, 1), (0, 0)):
-        total = 0.0
-        for bit, p_bit in ((1, p), (0, 1.0 - p)):
-            p_fc = 1.0 - rho_fc if fc_bit == bit else rho_fc
-            p_eve = 1.0 - rho_e if eve_bit == bit else rho_e
-            total += p_bit * p_fc * p_eve
-        law.append(total)
-    return law
 
 
 def assert_within_5se(observed, pmf, n):
@@ -356,15 +400,16 @@ def edge_network():
     return NetworkConfig(sites=sites, alpha_total=1.0), thresholds
 
 
-def exact_pair_laws(config, thresholds, hypothesis):
-    laws = []
+def received_ones(config, thresholds, hypothesis, receiver):
+    """P(received one) at each site's FC (receiver 0) or Eve (receiver 1),
+    from the site's sensor law and crossover."""
+    ones = []
     for site, threshold in zip(config.sites, thresholds):
         op = site.model.operating_point(float(threshold))
         p = op.pd if hypothesis == 1 else op.pfa
-        laws.append(
-            pair_law(p, site.fc_channel.crossover, site.eve_channel.crossover)
-        )
-    return np.array(laws)
+        rho = (site.fc_channel, site.eve_channel)[receiver].crossover
+        ones.append(p * (1.0 - rho) + (1.0 - p) * rho)
+    return ones
 
 
 def designs_at(config, thresholds):
@@ -385,23 +430,36 @@ def designs_at(config, thresholds):
     )
 
 
-def block_counts(network, stream, block, hypothesis, window, n_trials, seed):
-    """The (n11, n10, n01) counts of one whole block of a stream."""
-    shares = _conditional_shares(_symbol_law(network, hypothesis))
-    chunks = _block_counts(
-        seed, stream, block, shares, window, n_trials, detection._CHUNK_CELLS
-    )
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+def block_counts(network, stream, block, receiver, hypothesis, window, n_trials, seed):
+    """The (sensors, trials) ones-counts of one receiver's whole block of a
+    stream, drawn through the sampler's chunks."""
+    tails, *rhos = network
+    p = _received(tails, rhos[receiver])[hypothesis]
+    counts = np.full((len(p), n_trials), -1)
+    for sensors, trials, ones in _block_counts(
+        seed, stream, block, receiver, p, window, n_trials, detection._CHUNK_CELLS
+    ):
+        counts[sensors, trials] = ones
+    assert counts.min() >= 0
+    return counts
 
 
-def stream_counts(config, thresholds, hypothesis, window, count, seed):
+def stream_counts(config, thresholds, hypothesis, receiver, window, count, seed):
     network = _network_arrays(config, designs_at(config, thresholds))
-    blocks = [
-        block_counts(network, _H1_STREAM, block, hypothesis, window,
+    return np.concatenate([
+        block_counts(network, _H1_STREAM, block, receiver, hypothesis, window,
                      min(_BLOCK_TRIALS, count - start), seed)
         for block, start in enumerate(range(0, count, _BLOCK_TRIALS))
-    ]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    ], axis=1)
+
+
+def unit_draws(seed, stream, block, receiver, p, window, n_trials):
+    """Counts drawn from the unit's own generator, keyed (stream, block,
+    receiver) under the seed, sensor by sensor."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream, block, receiver))
+    )
+    return np.array([rng.binomial(window, p_i, size=n_trials) for p_i in p])
 
 
 class TestCountSampler:
@@ -409,90 +467,96 @@ class TestCountSampler:
     def test_receiver_counts_are_binomial(self, hypothesis):
         config, thresholds = edge_network()
         window, count = 12, 70_000  # spans two blocks
-        n11, n10, n01 = stream_counts(
-            config, thresholds, hypothesis, window, count, seed=31
-        )
-        laws = exact_pair_laws(config, thresholds, hypothesis)
         ks = np.arange(window + 1)
-        for i, law in enumerate(laws):
-            for ones, p_one in ((n11 + n10, law[0] + law[1]), (n11 + n01, law[0] + law[2])):
-                observed = np.bincount(ones[:, i], minlength=window + 1)
-                assert_within_5se(observed, binom.pmf(ks, window, p_one), count)
-
-    @pytest.mark.parametrize("hypothesis", [0, 1])
-    def test_joint_counts_are_multinomial(self, hypothesis):
-        config, thresholds = edge_network()
-        window, count = 5, 40_000
-        n11, n10, n01 = stream_counts(
-            config, thresholds, hypothesis, window, count, seed=7
-        )
-        laws = exact_pair_laws(config, thresholds, hypothesis)
-        cells = [
-            (a, b, c, window - a - b - c)
-            for a in range(window + 1)
-            for b in range(window + 1 - a)
-            for c in range(window + 1 - a - b)
-        ]
-        for i, law in enumerate(laws):
-            drawn = np.stack([n11[:, i], n10[:, i], n01[:, i]], axis=1)
-            observed = np.array(
-                [np.count_nonzero(np.all(drawn == cell[:3], axis=1)) for cell in cells]
+        for receiver in (0, 1):
+            ones = stream_counts(
+                config, thresholds, hypothesis, receiver, window, count, seed=31
             )
-            assert observed.sum() == count
-            pmf = np.array([multinomial.pmf(cell, window, law) for cell in cells])
-            assert_within_5se(observed, pmf, count)
+            p_ones = received_ones(config, thresholds, hypothesis, receiver)
+            for row, p_one in zip(ones, p_ones):
+                observed = np.bincount(row, minlength=window + 1)
+                assert_within_5se(observed, binom.pmf(ks, window, p_one), count)
 
     @pytest.mark.parametrize("hypothesis", [0, 1])
     def test_fused_statistics_are_those_of_the_block_counts(
         self, hypothesis, monkeypatch
     ):
-        config, result = small_network()
-        window, seed = 9, 21
-        fused = {}
-
-        def recording(seed, stream, block, shares, window, weights, out, cells):
-            _fuse_block(seed, stream, block, shares, window, weights, out, cells)
-            fused[stream, block] = out.copy()
-
-        monkeypatch.setattr(detection, "_fuse_block", recording)
-        # one worker draws each block as one chunk, the shape checked below
+        config = NetworkConfig(
+            sites=sample_sites(5, seed=5, fc_crossover_high=0.2, eve_crossover_high=0.4),
+            alpha_total=10.0,
+        )
+        result = allocate(config)
+        window, seed, trials = 9, 21, 3000
+        units, receivers = [], []
+        # one worker draws the first calibration block two sensors per
+        # chunk, every other block in one chunk
         monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(detection, "_CHUNK_CELLS", 2 * _BLOCK_TRIALS)
+
+        def recording(seed, stream, block, receiver, *rest):
+            units.append((stream, block, receiver))
+            _fuse_block(seed, stream, block, receiver, *rest)
+
+        def estimates(cal, h0, h1, delta):
+            receivers.append({_CAL_STREAM: cal, _H0_STREAM: h0, _H1_STREAM: h1})
+            return receiver_estimates(cal, h0, h1, delta)
+
+        receiver_estimates = detection._receiver_estimates
+        monkeypatch.setattr(detection, "_fuse_block", recording)
+        monkeypatch.setattr(detection, "_receiver_estimates", estimates)
         simulate_monte_carlo(
-            config, result, window=window, trials=3000, seed=seed,
+            config, result, window=window, trials=trials, seed=seed,
             calibration_trials=70_000,
         )
         # the calibration stream spans two blocks, each estimation stream one
-        assert sorted(fused) == [
-            (_CAL_STREAM, 0), (_CAL_STREAM, 1), (_H0_STREAM, 0), (_H1_STREAM, 0)
+        assert sorted(units) == [
+            (stream, block, receiver)
+            for stream, block in ((_CAL_STREAM, 0), (_CAL_STREAM, 1),
+                                  (_H0_STREAM, 0), (_H1_STREAM, 0))
+            for receiver in (0, 1)
         ]
-        network = _network_arrays(config, result)
-        tails, fc_rho, eve_rho = network
-        fc_weights = _llr_weights(_received(tails, fc_rho))
-        eve_weights = _llr_weights(_received(tails, eve_rho))
-        # calibration and H0 blocks are drawn under H0, the H1 block under H1
-        checked = {
-            key: rows for key, rows in fused.items()
-            if int(key[0] == _H1_STREAM) == hypothesis
-        }
-        assert checked
-        for (stream, block), (fc, eve) in checked.items():
-            n11, n10, n01 = block_counts(
-                network, stream, block, hypothesis, window, len(fc), seed
-            )
-            assert np.array_equal(
-                fc, _fusion_statistics(n11 + n10, *fc_weights, window)
-            )
-            assert np.array_equal(
-                eve, _fusion_statistics(n11 + n01, *eve_weights, window)
-            )
+        tails, fc_rho, eve_rho = _network_arrays(config, result)
+        # the FC's statistics are estimated first, Eve's second; the
+        # calibration and H0 streams are drawn under H0, H1 under H1
+        streams = (_H1_STREAM,) if hypothesis else (_CAL_STREAM, _H0_STREAM)
+        for receiver, (stats, rho) in enumerate(zip(receivers, (fc_rho, eve_rho))):
+            received = _received(tails, rho)
+            w_one, w_zero = _llr_weights(received)
+            for stream in streams:
+                for block, start in enumerate(range(0, len(stats[stream]), _BLOCK_TRIALS)):
+                    rows = stats[stream][start : start + _BLOCK_TRIALS]
+                    counts = unit_draws(seed, stream, block, receiver,
+                                        received[hypothesis], window, len(rows))
+                    expected = np.zeros(len(rows))
+                    for ones, one, zero in zip(counts, w_one, w_zero):
+                        expected += ones * one + (window - ones) * zero
+                    assert np.array_equal(rows, expected)
 
     def test_block_is_the_same_drawn_in_chunks(self, monkeypatch):
-        _, config, result = single_sensor_setup()
-        whole = simulate_monte_carlo(config, result, window=9, trials=3000, seed=2)
-        monkeypatch.setattr(detection, "_CHUNK_CELLS", 7)
-        assert simulate_monte_carlo(
-            config, result, window=9, trials=3000, seed=2
-        ) == whole
+        for network in (one_sensor_network, small_network):
+            config, result = network()
+            whole = simulate_monte_carlo(config, result, window=9, trials=3000, seed=2)
+            monkeypatch.setattr(detection, "_CHUNK_CELLS", 7)
+            assert simulate_monte_carlo(
+                config, result, window=9, trials=3000, seed=2
+            ) == whole
+            monkeypatch.undo()
+
+    def test_a_run_shorter_than_one_block_makes_six_units(self, monkeypatch):
+        config, result = small_network()
+        units = []
+
+        def recording(seed, stream, block, receiver, *rest):
+            units.append((stream, block, receiver))
+            _fuse_block(seed, stream, block, receiver, *rest)
+
+        monkeypatch.setattr(detection, "_fuse_block", recording)
+        simulate_monte_carlo(config, result, window=5, trials=2000, seed=3)
+        assert sorted(units) == [
+            (stream, 0, receiver)
+            for stream in (_CAL_STREAM, _H0_STREAM, _H1_STREAM)
+            for receiver in (0, 1)
+        ]
 
 
 def small_network():
@@ -507,7 +571,7 @@ def one_sensor_network():
 
 
 class TestWorkerPool:
-    """The Monte Carlo's (stream, block) units on a thread pool."""
+    """The Monte Carlo's (stream, block, receiver) units on a thread pool."""
 
     @pytest.mark.parametrize("network", [one_sensor_network, small_network])
     def test_every_worker_count_gives_the_same_result(self, network, monkeypatch):
@@ -535,16 +599,17 @@ class TestWorkerPool:
         monkeypatch.setattr(detection, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(detection, "_CHUNK_CELLS", chunk_cells)
         drawn = []
-        simulate_block = detection._simulate_block
+        draw_counts = detection._draw_counts
 
-        def recording(rngs, shares, window, n_trials):
-            drawn.append(n_trials * len(shares[0]))
-            return simulate_block(rngs, shares, window, n_trials)
+        def recording(rng, p, window, n_trials):
+            drawn.append(n_trials * len(p))
+            return draw_counts(rng, p, window, n_trials)
 
-        monkeypatch.setattr(detection, "_simulate_block", recording)
+        monkeypatch.setattr(detection, "_draw_counts", recording)
         assert simulate_monte_carlo(config, result, **kwargs) == whole
         assert max(drawn) <= chunk_cells // workers
-        assert sum(drawn) == 6 * kwargs["trials"] * len(config.sites)
+        # two receivers over the calibration (4x) and two estimation streams
+        assert sum(drawn) == 2 * 6 * kwargs["trials"] * len(config.sites)
 
     def test_a_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
         config, result = small_network()
