@@ -68,10 +68,9 @@ class ExponentCurvePoint:
     in log space); ``exponent`` is ``-ln(q_T)/T`` and ``local_slope`` the
     discrete rate ``(ln q_T - ln q_{2T})/T``, both in nats per symbol.
 
-    ``local_slope`` tends to the divergence D from below, short of it by
-    about ``sqrt(V) * Phi^-1(1 - delta) * (sqrt(2) - 1) / sqrt(T)`` with V
-    the H0 variance of the per-bit log-likelihood ratio; at moderate
-    windows that shortfall is a sizeable fraction of D.
+    ``local_slope`` tends to the divergence D from below, as
+    :func:`second_order_slope` predicts; at moderate windows the shortfall
+    is a sizeable fraction of D.
     """
 
     window: int
@@ -88,11 +87,10 @@ class ExponentCurvePoint:
 class MonteCarloResult:
     """Estimates from the end-to-end pipeline simulation.
 
-    The miss/false-alarm standard errors fold in the uncertainty of the
-    simulated threshold calibration (propagated through the likelihood
-    ratio at the threshold) on top of the estimation-stream binomial
-    error, so they are standard errors with respect to the exact
-    fixed-false-alarm operating point.
+    The standard errors add the calibrated threshold's error, scaled for
+    the miss by the likelihood ratio at the run's own threshold, to the
+    binomial error; that scale is too small in runs whose threshold lands
+    one count low (one sensor, window 20: FC miss z-scores of sd 1.36).
     """
 
     fc_fa_estimate: float
@@ -134,59 +132,56 @@ def _validate_interior_op(op: OperatingPoint) -> None:
         )
 
 
-#: Tables of cephes' ``lgam``, the kernel of ``scipy.special.gammaln``, which
-#: the test oracles sum: ported term for term, so that the exact miss keeps
-#: their rounding.
-_LOG_FACTORIAL = np.array([math.log(math.factorial(k)) for k in range(12)])
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-           7.93650340457716943945e-4, -2.77777777730099687205e-3,
-           8.33333333333331927722e-2)
-
-#: Cephes' ``log1p`` rational on [sqrt(1/2) - 1, sqrt(2) - 1]: numerator
-#: and (monic) denominator coefficients, highest power first.
-_LOG1P_P = (4.5270000862445199635215e-5, 4.9854102823193375972212e-1,
-            6.5787325942061044846969e0, 2.9911919328553073277375e1,
-            6.0949667980987787057556e1, 5.7112963590585538103336e1,
-            2.0039553499201281259648e1)
-_LOG1P_Q = (1.5062909083469192043167e1, 8.3047565967967209469434e1,
-            2.2176239823732856465394e2, 3.0909872225312059774938e2,
-            2.1642788614495947685003e2, 6.0118660497603843919306e1)
+#: Stirling's error s(m) = ln m! - ln(sqrt(2 pi m) (m/e)**m), m = 0 .. 15
+#: (s(0) unread), 50-digit values rounded to nearest.
+_STIRLING_ERROR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
 
 
-def _log_gamma(n: np.ndarray) -> np.ndarray:
-    """ln Gamma(n) at integers ``n >= 1``, as cephes' ``lgam`` rounds it:
-    ln((n - 1)!) below 13, else the Stirling series (n - 1/2) ln n - n +
-    ln sqrt(2 pi) plus a correction in 1/n**2, shorter from 1 000 on and
-    dropped above 1e8."""
-    x = np.asarray(n, dtype=float)
-    q = (x - 0.5) * np.log(x) - x + _LN_SQRT_2PI
-    p = 1.0 / (x * x)
-    a0, a1, a2, a3, a4 = _LGAM_A
-    mid = (((a0 * p + a1) * p + a2) * p + a3) * p + a4
-    big = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-           + 0.0833333333333333333333)
-    q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, big, mid) / x)
-    return np.where(x < 13.0, _LOG_FACTORIAL[np.minimum(n, 12) - 1], q)
+def _stirling_error(m: np.ndarray) -> np.ndarray:
+    """s(m) at whole floats ``m >= 1``: the table below 16, else 1/(12m) -
+    1/(360m**3) + 1/(1260m**5) - 1/(1680m**7) + 1/(1188m**9) (to 1e-16),
+    summed in place, as it runs on every count of every band."""
+    r = 1.0 / m
+    r2 = r * r
+    s = np.full(m.shape, 1 / 1188)
+    for c in (-1 / 1680, 1 / 1260, -1 / 360, 1 / 12):
+        s *= r2
+        s += c
+    s *= r
+    small = m < 16
+    s[small] = _STIRLING_ERROR[m[small].astype(int)]
+    return s
 
 
-def _log1p(x: float) -> float:
-    """ln(1 + x) as cephes' ``log1p`` (that of ``scipy.special``) rounds it."""
-    z = 1.0 + x
-    if not math.sqrt(0.5) <= z <= math.sqrt(2.0):
-        return math.log(z)
-    num, den = 0.0, 1.0
-    for c in _LOG1P_P:
-        num = num * x + c
-    for c in _LOG1P_Q:
-        den = den * x + c
-    z = x * x
-    return x + (-0.5 * z + x * (z * num / den))
+def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """x ln(x/mean) + mean - x at counts ``x > 0``; where it cancels, |v| <
+    0.1 for v = (x - mean)/(x + mean), the series (x - mean) v + 2x v**3/3 +
+    ... + 2x v**19/19 (to 1e-19 relative), with 2x v = (x - mean)(1 + v)."""
+    out = np.empty(x.shape)
+    d = x - mean
+    v = d / (x + mean)
+    near = np.abs(v) < 0.1
+    far = ~near
+    out[far] = x[far] * np.log(x[far] / mean[far]) - d[far]
+    d, v = d[near], v[near]
+    v2 = v * v
+    series = v2 * (1 / 19)
+    for odd in range(17, 1, -2):
+        series += 1 / odd
+        series *= v2
+    dv = d * v
+    out[near] = dv + (d + dv) * series
+    return out
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    """ln(sum(exp(a))) in the form of ``scipy.special.logsumexp``: the largest
-    terms are taken out of the sum, ln(1 + sum exp(a - max) / m) + ln(m) +
-    max for the m terms equal to the max."""
+    """ln(sum(exp(a))) as ln(1 + sum exp(a - max) / m) + ln(m) + max, for
+    the m terms equal to the max: a sum near 1 keeps its small terms."""
     top = a.max()
     ties = a == top
     terms = np.exp(a - top)
@@ -196,16 +191,23 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def _binom_logpmf(ks: np.ndarray, window: int, p: float, p_c: float) -> np.ndarray:
-    """Binomial(``window``, ``p``) log pmf at the counts ``ks``, in
-    scipy.stats.binom.logpmf's operation order and, through the ported
-    cephes kernels, its rounding, except that ln(1 - p) is read from the
-    stored complement ``p_c`` where that is the smaller side."""
-    # the three ln Gamma terms in one kernel call
-    whole, lower, upper = np.split(_log_gamma(np.r_[window + 1, ks + 1, window - ks + 1]),
-                                   [1, 1 + ks.size])
-    log_comb = whole - (lower + upper)
-    log_pc = _log1p(-p) if p <= p_c else math.log(p_c)
-    return log_comb + np.where(ks == 0, 0.0, ks * math.log(p)) + (window - ks) * log_pc
+    """Binomial(``window``, ``p``) log pmf at the counts ``ks``, 1 - p read
+    as ``p_c``, in Loader's (2000) form (R's ``dbinom``): at 0 < k < n =
+    ``window`` it is f(n, n) - f(k, n p) - f(n - k, n p_c) - ln sqrt(2 pi),
+    where f(m, mean) = s(m) + bd0(m, mean) + ln(m)/2 is ln sqrt(2 pi) less
+    than -ln Poisson(m; mean).  No term grows with n.  The ends are n ln(1 -
+    p) and n ln p, each log taken through the smaller of p and ``p_c``."""
+    log_p = math.log1p(-p_c) if p_c < p else math.log(p)
+    log_q = math.log1p(-p) if p <= p_c else math.log(p_c)
+    out = np.where(ks == 0, window * log_q, window * log_p)
+    inner = (ks > 0) & (ks < window)
+    k = ks[inner].astype(float)
+    # f at n, k and n - k in one pass; bd0(n, n) = 0
+    m = np.concatenate(([window], k, window - k))
+    means = np.repeat((window, window * p, window * p_c), (1, k.size, k.size))
+    f = _stirling_error(m) + _bd0(m, means) + 0.5 * np.log(m)
+    out[inner] = (f[0] - _LN_SQRT_2PI) - f[1 : 1 + k.size] - f[1 + k.size :]
+    return out
 
 
 def _np_components(
@@ -255,11 +257,10 @@ def _np_components(
         math.sqrt(0.5 * (window + 2) * (_DROP_LOG + math.log(0.5 * (window + 4))))
     )
     lp1 = _binom_logpmf(np.arange(max(0, peak - reach), t + 1), window, y, yc)
-    log_accept_lt = _logsumexp(lp1[:-1]) if t > 0 else -math.inf
+    # the H1 mass accepted below t, then (1 - gamma) of that at t
+    log_miss = _logsumexp(lp1[:-1]) if t > 0 else -math.inf
     if gamma < 1.0:
-        log_miss = np.logaddexp(log_accept_lt, math.log1p(-gamma) + lp1[-1])
-    else:
-        log_miss = log_accept_lt
+        log_miss = np.logaddexp(log_miss, math.log1p(-gamma) + lp1[-1])
     return min(float(log_miss), 0.0), t, gamma
 
 
@@ -277,10 +278,8 @@ def exact_np_miss(
     :func:`_np_components`), which drops less than 2**-60 of every sum, so
     the cost grows as sqrt(window) and windows of millions stay cheap.
     ``local_slope`` additionally evaluates the window doubled; it
-    approaches the divergence D(pfa || pd) from below, by about
-    ``sqrt(V) * Phi^-1(1 - delta) * (sqrt(2) - 1) / sqrt(window)`` where V
-    is the H0 variance of the per-bit log-likelihood ratio
-    (:func:`second_order_slope`).
+    approaches the divergence D(pfa || pd) from below, as
+    :func:`second_order_slope` predicts.
     """
     return stein_curve(fc_op, [window], delta)[0]
 

@@ -77,10 +77,9 @@ class TestFalseAlarmExactness:
         points = [(0.3, 0.7, w) for w in (1, 7, 50, 200)]
         points += [(1e-3, 0.2, 20_000), (0.999, 0.9999, 20_000)]
         for x, y, window in points:
-            # the log pmf the kernel sums (scipy's logpmf order): binom.pmf
-            # is more accurate at window 20 000, where gammaln(20 001) ~
-            # 1.8e5 leaves the log pmf ~2e-11 off, and would test that
-            pmf = np.exp(binom.logpmf(np.arange(window + 1), window, x))
+            # binom.pmf, not exp(binom.logpmf): at window 20 000
+            # gammaln(20 001) ~ 1.8e5 leaves the log pmf ~2e-11 off
+            pmf = binom.pmf(np.arange(window + 1), window, x)
             for delta in (0.01, 0.05, 0.3, 1e-30):
                 _, t, gamma = _np_components(OperatingPoint(x, y), window, delta)
                 fa = float(pmf[t + 1 :].sum() + gamma * pmf[t])
@@ -114,6 +113,15 @@ class TestBandedKernel:
     @example((1e-9, 0.5, 20_000, 0.01))
     @example((0.3, 0.3, 5_000, 1e-100))
     @example((0.3, 0.7, 100_000, 1e-100))
+    # ln(1 - delta) = -0.45867514538708191068 (50 digits); a log pmf from
+    # ln Gamma differences missed it by 5.6e-13
+    @example((0.5, 0.5, 402, math.exp(-1.0)))
+    @example((0.42271690694559183, 0.42271690694559183, 788, 4.2084745598565934e-9))
+    # the end count's ln(1 - x) must come from log1p(-x), not ln of the
+    # rounded complement, which misses by about 5e-14
+    @example((1e-12, 1e-12, 2212, math.exp(-3.0)))
+    # no interior count: every term is an end
+    @example((0.3, 0.7, 1, 0.15))
     def test_matches_full_support_and_oracle(self, case):
         x, y, window, delta = case
         log_miss, t, gamma = _np_components(OperatingPoint(x, y), window, delta)
@@ -123,6 +131,38 @@ class TestBandedKernel:
         # term, so both sums agree there to an absolute 1e-14
         want = oracles.np_log_miss(x, y, window, delta)
         assert log_miss == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+class TestLargeWindowLogPmf:
+    @pytest.mark.parametrize("p, window, ks, want", [
+        # ln b(k; window, p) from 50-digit mpmath with the float p taken
+        # exactly, rounded to 17 digits: 3 sd below the mean, the mean,
+        # 3 sd above it, and the end whose log comes from log1p
+        (0.3, 10_000, [2863, 3000, 3137, 0],
+         [-9.2390210156277829, -4.7438161942666709, -9.1873427327685441,
+          -3566.7494393873236]),
+        (0.3, 100_000, [29565, 30000, 30435, 0],
+         [-10.408795672789855, -5.8950805264780876, -10.392193664707307,
+          -35667.494393873236]),
+        (0.3, 1_000_000, [298625, 300000, 301375, 0],
+         [-11.550484393532005, -7.0463702515465391, -11.545243668890666,
+          -356674.94393873236]),
+        (0.9626, 10_000, [9569, 9626, 9683, 10_000],
+         [-8.2375920405168250, -3.8622309109774476, -8.5337500160549886,
+          -381.17322113128047]),
+        (0.9626, 100_000, [96080, 96260, 96440, 100_000],
+         [-9.4679741028007731, -5.0133226313698616, -9.5605477566804909,
+          -3811.7322113128047]),
+        (0.9626, 1_000_000, [962031, 962600, 963169, 1_000_000],
+         [-10.646622979262680, -6.1645950952511720, -10.675836644901099,
+          -38117.322113128047]),
+    ])
+    def test_matches_high_precision_values(self, p, window, ks, want):
+        got = _binom_logpmf(np.array(ks), window, p, 1.0 - p)
+        for value, exact in zip(got, want):
+            # an end, n ln p, is a float of size ~n whose ulp passes 1e-12
+            # from window 1e5 on
+            assert abs(value - exact) <= max(1e-12, 2.0 * math.ulp(exact))
 
 
 class TestMissNeverExceedsOne:
