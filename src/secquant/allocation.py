@@ -220,7 +220,7 @@ def sample_sites(
 ) -> tuple[SensorSite, ...]:
     """Draw a random network: common unit-noise model at the given SNR,
     fusion-center crossovers uniform on [0, fc_crossover_high) and Eve
-    crossovers uniform on [0, eve_crossover_high).
+    crossovers uniform on [0, eve_crossover_high), each high in [0, 0.5].
 
     Fully determined by the seed; sweeping the network size with the same
     seed reuses prefixes of the same draw.
@@ -229,6 +229,10 @@ def sample_sites(
         raise ValueError(f"n_sensors must be positive, got {n_sensors!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    for name, high in (("fc_crossover_high", fc_crossover_high),
+                       ("eve_crossover_high", eve_crossover_high)):
+        if not 0.0 <= high <= 0.5:
+            raise ValueError(f"{name} must lie in [0, 0.5], got {high!r}")
     rng = np.random.default_rng(seed)
     model = GaussianSensorModel(theta=snr, sigma=1.0)
     # one (fc, eve) row per sensor keeps prefixes of a draw identical

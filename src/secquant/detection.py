@@ -43,14 +43,8 @@ DEFAULT_DELTA = 0.01
 
 #: Trials are simulated in fixed-size blocks, each with its own
 #: counter-derived generator per receiver, so results do not depend on how
-#: blocks are scheduled.
+#: blocks are scheduled.  No draw holds more than one block of cells.
 _BLOCK_TRIALS = 65536
-
-#: Within a block, counts are drawn in chunks that together hold at
-#: most this many (trial, sensor) cells in flight: each of the Monte
-#: Carlo's worker threads takes an equal share.  This bounds the memory
-#: of a large network's blocks without changing their draws.
-_CHUNK_CELLS = 1 << 19
 
 _CAL_STREAM, _H0_STREAM, _H1_STREAM = 0, 1, 2
 
@@ -352,15 +346,6 @@ def _network_arrays(
     return tails, fc_rho, eve_rho
 
 
-def _draw_counts(
-    rng: np.random.Generator, p: np.ndarray, window: int, n_trials: int
-) -> np.ndarray:
-    """Ones-counts of shape (sensors, n_trials), each Binomial(``window``,
-    ``p``) of its sensor's row, drawn sensor by sensor: consecutive draws
-    share (n, p), so the sampler sets up once per sensor."""
-    return rng.binomial(window, p[:, None], size=(len(p), n_trials))
-
-
 def _block_counts(
     seed: int,
     stream: int,
@@ -369,28 +354,20 @@ def _block_counts(
     p: np.ndarray,
     window: int,
     n_trials: int,
-    cells: int,
-) -> Iterator[tuple[slice, slice, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """The first ``n_trials`` trials of block ``block`` of one stream, as one
-    receiver's ones-counts, drawn from that (stream, block, receiver) unit's
-    own counter-derived generator.
+    receiver's ones-counts from that (stream, block, receiver) unit's own
+    counter-derived generator: one row per sensor, in sensor order.
 
-    The generator's draws run sensor by sensor, trial by trial within a
-    sensor; this yields them as ``(sensors, trials, counts)`` chunks of at
-    most ``cells`` cells (but at least one), each a contiguous run of that
-    order: whole sensors when a sensor's trials fit, else row chunks of one
-    sensor.  So every chunk size gives the same counts.
+    The counts are drawn sensor by sensor (the sampler sets up once per
+    sensor), in runs of as many whole sensors as fill one block of cells,
+    and at least one; the run length does not change them.
     """
     rng = _block_rng(seed, stream, block, receiver)
-    rows = max(1, min(n_trials, cells))
-    step = max(1, cells // rows)
+    step = max(1, _BLOCK_TRIALS // n_trials)
     for first in range(0, len(p), step):
-        sensors = slice(first, first + step)
-        for start in range(0, n_trials, rows):
-            trials = slice(start, min(start + rows, n_trials))
-            yield sensors, trials, _draw_counts(
-                rng, p[sensors], window, trials.stop - start
-            )
+        run = p[first : first + step]
+        yield from rng.binomial(window, run[:, None], size=(len(run), n_trials))
 
 
 def _usable_cpus() -> int:
@@ -402,30 +379,27 @@ def _usable_cpus() -> int:
 
 
 def _fusion_statistics(
-    ones: np.ndarray,
-    w_one: np.ndarray,
-    w_zero: np.ndarray,
+    row: np.ndarray,
+    one: float,
+    zero: float,
     window: int,
     out: np.ndarray,
 ) -> None:
-    """Add the log-likelihood ratios of (sensors, trials) ones-counts over a
-    window to the per-trial sums ``out``, one sensor after another, so that
-    each trial's sum runs in sensor order however its sensors are chunked.
+    """Add one sensor's log-likelihood ratios of its ones-counts ``row`` over
+    a window to the per-trial sums ``out``.
 
-    Each sensor's ratio is looked up in a table over the range of its
-    counts, ``k * w_one + (window - k) * w_zero``, in which a bit value
-    never received weighs nothing, even where its weight is infinite
-    (0 * inf = 0, as :func:`roc._llr_weights` states): a separating
-    sensor leaves H0 statistics finite and makes a decisive H1 statistic
-    +inf.
+    The ratio is looked up in a table over the range of the counts,
+    ``k * one + (window - k) * zero``, in which a bit value never received
+    weighs nothing, even where its weight is infinite (0 * inf = 0, as
+    :func:`roc._llr_weights` states): a separating sensor leaves H0
+    statistics finite and makes a decisive H1 statistic +inf.
     """
-    for row, one, zero in zip(ones, w_one, w_zero):
-        lo = row.min()
-        counts = np.arange(lo, row.max() + 1)
-        zeros = window - counts
-        table = np.multiply(counts, one, out=np.zeros(len(counts)), where=counts > 0)
-        table += np.multiply(zeros, zero, out=np.zeros(len(counts)), where=zeros > 0)
-        out += table[row - lo]
+    lo = row.min()
+    counts = np.arange(lo, row.max() + 1)
+    zeros = window - counts
+    table = np.multiply(counts, one, out=np.zeros(len(counts)), where=counts > 0)
+    table += np.multiply(zeros, zero, out=np.zeros(len(counts)), where=zeros > 0)
+    out += table[row - lo]
 
 
 def _fuse_block(
@@ -437,21 +411,18 @@ def _fuse_block(
     weights: np.ndarray,
     window: int,
     out: np.ndarray,
-    cells: int,
 ) -> None:
     """Draw one receiver's block of a stream and write its fused statistics.
 
     ``out`` is the block's zeroed row of that receiver's statistics in the
     stream, ``p`` each sensor's probability of a received one and
-    ``weights`` the receiver's LLR weights of a one and a zero; the block
-    is drawn in chunks of at most ``cells`` cells.  Calls only private
-    helpers, so that it can run on a worker thread.
+    ``weights`` the receiver's LLR weights of a one and a zero; sensors are
+    added in order.  Calls only private helpers, so that it can run on a
+    worker thread.
     """
-    w_one, w_zero = weights
-    for sensors, trials, ones in _block_counts(
-        seed, stream, block, receiver, p, window, len(out), cells
-    ):
-        _fusion_statistics(ones, w_one[sensors], w_zero[sensors], window, out[trials])
+    rows = _block_counts(seed, stream, block, receiver, p, window, len(out))
+    for row, one, zero in zip(rows, *weights):
+        _fusion_statistics(row, one, zero, window, out)
 
 
 def _receiver_estimates(
@@ -515,7 +486,8 @@ def simulate_monte_carlo(
     Trials are partitioned into fixed blocks, and the (stream, block,
     receiver) units, each with its own counter-derived generator, run on
     a thread pool with one worker per usable CPU (NumPy's binomial sampler
-    releases the GIL).  Each unit writes disjoint rows of its stream's
+    releases the GIL).  A unit draws whole sensors, at most one block of
+    cells per draw.  Each unit writes disjoint rows of its stream's
     statistics, so identical ``(seed, config)`` give bit-identical results
     for any worker count or schedule.
     """
@@ -548,11 +520,10 @@ def simulate_monte_carlo(
         for receiver in (0, 1)
     ]
     workers = min(_usable_cpus(), len(units))
-    cells = _CHUNK_CELLS // workers
 
     def run(unit: tuple) -> None:
         stream, block, receiver, p, out = unit
-        _fuse_block(seed, stream, block, receiver, p, weights[receiver], window, out, cells)
+        _fuse_block(seed, stream, block, receiver, p, weights[receiver], window, out)
 
     # imported here, off the CLI's start-up path
     from concurrent.futures import ThreadPoolExecutor

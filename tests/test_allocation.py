@@ -241,6 +241,20 @@ class TestSampledNetworks:
         assert sites_a == sites_b
         assert sites_a[:6] == sites_c
 
+    @pytest.mark.parametrize("field", ["fc_crossover_high", "eve_crossover_high"])
+    @pytest.mark.parametrize("high", [0.6, 0.5 + 1e-12, -0.01, math.nan])
+    def test_crossover_high_outside_half_raises_naming_it(self, field, high):
+        # seed 0's first draw keeps a 0.6 high below 0.5, seed 4's does
+        # not: the bound is checked before any draw, so every seed refuses it
+        for seed in (0, 4):
+            with pytest.raises(ValueError, match=f"{field} must lie in \\[0, 0.5\\]"):
+                sample_sites(1, seed, **{field: high})
+
+    def test_crossover_high_of_half_draws_valid_channels(self):
+        sites = sample_sites(200, 4, fc_crossover_high=0.5, eve_crossover_high=0.5)
+        crossovers = [(s.fc_channel.crossover, s.eve_channel.crossover) for s in sites]
+        assert 0.0 <= np.min(crossovers) and np.max(crossovers) < 0.5
+
     def test_growth_curve_feasible_and_leakage_monotone(self):
         # total_d_fc monotonicity is a property of the experiment regime,
         # not of ratio-greedy in general: a cheap high-ratio insert can

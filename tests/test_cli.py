@@ -259,6 +259,16 @@ class TestGreedyCommand:
         assert "seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["0", "4"])
+    def test_crossover_high_above_half_exits_2_at_every_seed(self, tmp_path, capsys, seed):
+        out = tmp_path / "greedy.csv"
+        assert run(
+            "greedy", "--n-sensors", "1", "--alpha-total", "1", "--seed", seed,
+            "--fc-crossover-high", "0.6", "--out", str(out),
+        ) == 2
+        assert "fc_crossover_high must lie in [0, 0.5], got 0.6" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_required(self, tmp_path):
         code = run(
             "greedy", "--n-sensors", "5", "--alpha-total", "1.0",

@@ -342,9 +342,7 @@ class TestMonteCarlo:
         assert all(math.isfinite(v) for v in vars(mc).values())
         assert abs(mc.fc_fa_estimate - mc.delta) <= 5.0 * mc.fc_fa_se
         out = np.zeros(3)
-        _fusion_statistics(
-            np.array([[0, 2, 5]]), np.array([math.inf]), np.array([-0.5]), 5, out
-        )
+        _fusion_statistics(np.array([0, 2, 5]), math.inf, -0.5, 5, out)
         assert out.tolist() == [-2.5, math.inf, math.inf]
 
     def test_fc_fields_ignore_eve_crossovers(self):
@@ -472,16 +470,11 @@ def designs_at(config, thresholds):
 
 def block_counts(network, stream, block, receiver, hypothesis, window, n_trials, seed):
     """The (sensors, trials) ones-counts of one receiver's whole block of a
-    stream, drawn through the sampler's chunks."""
+    stream: the sampler's rows, stacked."""
     tails, *rhos = network
     p = _received(tails, rhos[receiver])[hypothesis]
-    counts = np.full((len(p), n_trials), -1)
-    for sensors, trials, ones in _block_counts(
-        seed, stream, block, receiver, p, window, n_trials, detection._CHUNK_CELLS
-    ):
-        counts[sensors, trials] = ones
-    assert counts.min() >= 0
-    return counts
+    rows = _block_counts(seed, stream, block, receiver, p, window, n_trials)
+    return np.stack(list(rows))
 
 
 def stream_counts(config, thresholds, hypothesis, receiver, window, count, seed):
@@ -528,10 +521,9 @@ class TestCountSampler:
         result = allocate(config)
         window, seed, trials = 9, 21, 3000
         units, receivers = [], []
-        # one worker draws the first calibration block two sensors per
-        # chunk, every other block in one chunk
+        # one worker draws the first calibration block one sensor per run,
+        # every other block all five sensors in one run
         monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(detection, "_CHUNK_CELLS", 2 * _BLOCK_TRIALS)
 
         def recording(seed, stream, block, receiver, *rest):
             units.append((stream, block, receiver))
@@ -571,16 +563,6 @@ class TestCountSampler:
                     for ones, one, zero in zip(counts, w_one, w_zero):
                         expected += ones * one + (window - ones) * zero
                     assert np.array_equal(rows, expected)
-
-    def test_block_is_the_same_drawn_in_chunks(self, monkeypatch):
-        for network in (one_sensor_network, small_network):
-            config, result = network()
-            whole = simulate_monte_carlo(config, result, window=9, trials=3000, seed=2)
-            monkeypatch.setattr(detection, "_CHUNK_CELLS", 7)
-            assert simulate_monte_carlo(
-                config, result, window=9, trials=3000, seed=2
-            ) == whole
-            monkeypatch.undo()
 
     def test_a_run_shorter_than_one_block_makes_six_units(self, monkeypatch):
         config, result = small_network()
@@ -631,23 +613,25 @@ class TestWorkerPool:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_workers_share_the_chunk_cells(self, monkeypatch):
+    def test_no_draw_holds_more_than_one_block_of_cells(self, monkeypatch):
         config, result = small_network()
         kwargs = dict(window=5, trials=20_000, seed=4)
         whole = simulate_monte_carlo(config, result, **kwargs)
-        workers, chunk_cells = 2, 600
-        monkeypatch.setattr(detection, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(detection, "_CHUNK_CELLS", chunk_cells)
         drawn = []
-        draw_counts = detection._draw_counts
+        block_rng = detection._block_rng
 
-        def recording(rng, p, window, n_trials):
-            drawn.append(n_trials * len(p))
-            return draw_counts(rng, p, window, n_trials)
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
 
-        monkeypatch.setattr(detection, "_draw_counts", recording)
+            def binomial(self, n, p, size):
+                drawn.append(math.prod(size))
+                return self.rng.binomial(n, p, size=size)
+
+        monkeypatch.setattr(detection, "_block_rng", lambda *key: Recording(block_rng(*key)))
         assert simulate_monte_carlo(config, result, **kwargs) == whole
-        assert max(drawn) <= chunk_cells // workers
+        # a whole calibration block of the three sensors would be 3x this
+        assert max(drawn) <= _BLOCK_TRIALS
         # two receivers over the calibration (4x) and two estimation streams
         assert sum(drawn) == 2 * 6 * kwargs["trials"] * len(config.sites)
 
