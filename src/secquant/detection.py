@@ -14,7 +14,8 @@ empirical: a seeded Monte Carlo of the whole pipeline (quantization,
 channel flips, log-likelihood fusion), whose estimates are compared
 against the exact numbers.  A receiver's fusion statistic depends on the
 bits only through each sensor's ones-count at that receiver, so the
-simulation draws those counts from their binomial law instead of
+simulation draws, for each sensor and block of trials, the histogram of
+those counts from its multinomial law and shuffles it, instead of
 individual bits; every estimate reads one receiver only, so the FC's and
 Eve's counts are drawn independently of each other.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,10 +82,10 @@ class ExponentCurvePoint:
 class MonteCarloResult:
     """Estimates from the end-to-end pipeline simulation.
 
-    The standard errors add the calibrated threshold's error, scaled for
-    the miss by the likelihood ratio at the run's own threshold, to the
-    binomial error; that scale is too small in runs whose threshold lands
-    one count low (one sensor, window 20: FC miss z-scores of sd 1.36).
+    The standard errors add the calibrated threshold's error to the
+    binomial error, scaled for the miss by the steepest likelihood ratio
+    within three calibration errors of the threshold (one sensor, window
+    20: FC miss z-scores of sd 0.87 over 100 seeds, Eve's 0.90).
     """
 
     fc_fa_estimate: float
@@ -346,30 +347,6 @@ def _network_arrays(
     return tails, fc_rho, eve_rho
 
 
-def _block_counts(
-    seed: int,
-    stream: int,
-    block: int,
-    receiver: int,
-    p: np.ndarray,
-    window: int,
-    n_trials: int,
-) -> Iterator[np.ndarray]:
-    """The first ``n_trials`` trials of block ``block`` of one stream, as one
-    receiver's ones-counts from that (stream, block, receiver) unit's own
-    counter-derived generator: one row per sensor, in sensor order.
-
-    The counts are drawn sensor by sensor (the sampler sets up once per
-    sensor), in runs of as many whole sensors as fill one block of cells,
-    and at least one; the run length does not change them.
-    """
-    rng = _block_rng(seed, stream, block, receiver)
-    step = max(1, _BLOCK_TRIALS // n_trials)
-    for first in range(0, len(p), step):
-        run = p[first : first + step]
-        yield from rng.binomial(window, run[:, None], size=(len(run), n_trials))
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the platform
     has one)."""
@@ -378,28 +355,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fusion_statistics(
-    row: np.ndarray,
-    one: float,
-    zero: float,
-    window: int,
-    out: np.ndarray,
-) -> None:
-    """Add one sensor's log-likelihood ratios of its ones-counts ``row`` over
-    a window to the per-trial sums ``out``.
+def _count_sums(counts, window, one, zero, where=True):
+    """``counts * one + (window - counts) * zero``, a bit value never received
+    weighing nothing even where its weight is infinite (0 * inf = 0, as
+    :func:`roc._llr_weights` states); the first term only where ``where``."""
+    rest = window - counts
+    np.multiply(rest, zero, out=rest, where=rest > 0)
+    first = np.multiply(counts, one, out=np.zeros(counts.shape), where=counts > 0)
+    return np.add(first, rest, out=rest, where=where)
 
-    The ratio is looked up in a table over the range of the counts,
-    ``k * one + (window - k) * zero``, in which a bit value never received
-    weighs nothing, even where its weight is infinite (0 * inf = 0, as
-    :func:`roc._llr_weights` states): a separating sensor leaves H0
-    statistics finite and makes a decisive H1 statistic +inf.
-    """
-    lo = row.min()
-    counts = np.arange(lo, row.max() + 1)
-    zeros = window - counts
-    table = np.multiply(counts, one, out=np.zeros(len(counts)), where=counts > 0)
-    table += np.multiply(zeros, zero, out=np.zeros(len(counts)), where=zeros > 0)
-    out += table[row - lo]
+
+def _count_laws(
+    received: np.ndarray, weights: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every sensor's ones-count law at one receiver with its (4, n) tails
+    ``received`` and LLR weights ``weights``: each law's first count ``lo``,
+    its pmf on ``lo .. lo + width - 1`` and those counts' fused statistics,
+    as (hypothesis, sensor, count) arrays.  The band holds the counts within
+    ``s`` of ``window * p``, which leave out less than 2**-60 of the mass
+    (Hoeffding, as in :func:`_np_components`).  The pmf is only a sampling
+    weight, normalised per law.  A count of probability 0 keeps only its
+    zeros' term, so that no infinite weights of opposite signs meet."""
+    s = math.sqrt(0.5 * window * (_DROP_LOG + math.log(2.0)))
+    width = min(window + 1, int(2.0 * s) + 3)
+    lo = np.clip(np.floor(window * received[:2] - s), 0, window + 1 - width)
+    counts = lo[..., None] + np.arange(width)
+    # ln C(window, k) up to a constant per law: ln((window - j + 1)/j) summed
+    # over the counts j from lo, where lo's own term is that constant
+    log_pmf = (window + 1.0 - counts) / np.maximum(counts, 1.0)
+    np.cumsum(np.log(log_pmf, out=log_pmf), axis=-1, out=log_pmf)
+    logs = np.log(received, out=np.full(received.shape, -np.inf), where=received > 0)
+    log_pmf += _count_sums(counts, window, logs[:2, :, None], logs[2:, :, None])
+    log_pmf -= log_pmf.max(axis=-1, keepdims=True)
+    pmf = np.exp(log_pmf, out=log_pmf)
+    pmf /= pmf.sum(axis=-1, keepdims=True)
+    return lo, pmf, _count_sums(counts, window, *weights[..., None], where=pmf > 0)
 
 
 def _fuse_block(
@@ -407,22 +397,28 @@ def _fuse_block(
     stream: int,
     block: int,
     receiver: int,
-    p: np.ndarray,
-    weights: np.ndarray,
-    window: int,
+    pmf: np.ndarray,
+    table: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """Draw one receiver's block of a stream and write its fused statistics.
+    """Draw one receiver's block of a stream and write its fused statistics
+    to ``out``, the block's zeroed row of them, from each sensor's count law
+    ``pmf`` and statistics ``table`` (see :func:`_count_laws`).
 
-    ``out`` is the block's zeroed row of that receiver's statistics in the
-    stream, ``p`` each sensor's probability of a received one and
-    ``weights`` the receiver's LLR weights of a one and a zero; sensors are
-    added in order.  Calls only private helpers, so that it can run on a
-    worker thread.
+    One multinomial call draws, for every sensor, how many trials take
+    each count; sensor by sensor, that histogram, expanded into statistics
+    and shuffled, is added to ``out``.  That is exact in law: given the
+    histogram of i.i.d. counts, every order is equally likely.  Sensor 0 is
+    not shuffled, as the rest are shuffled against it and every estimate
+    is symmetric in the trials.  Calls only private helpers, so that it can
+    run on a worker thread.
     """
-    rows = _block_counts(seed, stream, block, receiver, p, window, len(out))
-    for row, one, zero in zip(rows, *weights):
-        _fusion_statistics(row, one, zero, window, out)
+    rng = _block_rng(seed, stream, block, receiver)
+    for i, (histogram, values) in enumerate(zip(rng.multinomial(len(out), pmf), table)):
+        drawn = np.repeat(values, histogram)
+        if i:
+            rng.shuffle(drawn)
+        out += drawn
 
 
 def _receiver_estimates(
@@ -448,14 +444,16 @@ def _receiver_estimates(
     fa, miss = rejection_rate(h0), 1.0 - rejection_rate(h1)
     # calibration noise: the test's true false alarm deviates from delta
     # by ~ sqrt(delta(1-delta)/M); the induced miss deviation scales by
-    # the likelihood ratio at the fusion threshold, exp(tau)
+    # the likelihood ratio at the threshold, taken at its steepest within
+    # 3 of those errors below delta (tau itself can land a count low)
     cal_se = math.sqrt(delta * (1.0 - delta) / len(cal))
+    steep = float(ordered[max(0, math.floor((delta - 3.0 * cal_se) * len(cal)))])
 
     def se(p: float, calibration_se: float) -> float:
         estimate_se = math.sqrt(max(p * (1.0 - p), 0.0) / len(h0))
         return math.sqrt(estimate_se**2 + calibration_se**2)
 
-    return fa, miss, se(fa, cal_se), se(miss, math.exp(min(tau, 50.0)) * cal_se)
+    return fa, miss, se(fa, cal_se), se(miss, math.exp(min(steep, 50.0)) * cal_se)
 
 
 def simulate_monte_carlo(
@@ -476,7 +474,7 @@ def simulate_monte_carlo(
     log-likelihood-ratio sum.  That sum depends on the bits only through
     each sensor's ones-count at that receiver, which over the window is
     Binomial(``window``, P(received one)), so each receiver's counts are
-    drawn from that law (see :func:`_block_counts`) and no observation is
+    drawn from that law (see :func:`_fuse_block`) and no observation is
     materialised.  Every estimate reads one receiver's statistics only, so
     nothing depends on how the FC's and Eve's counts covary through the
     shared sensor bits, and each receiver is drawn from its own
@@ -485,11 +483,11 @@ def simulate_monte_carlo(
 
     Trials are partitioned into fixed blocks, and the (stream, block,
     receiver) units, each with its own counter-derived generator, run on
-    a thread pool with one worker per usable CPU (NumPy's binomial sampler
-    releases the GIL).  A unit draws whole sensors, at most one block of
-    cells per draw.  Each unit writes disjoint rows of its stream's
-    statistics, so identical ``(seed, config)`` give bit-identical results
-    for any worker count or schedule.
+    a thread pool with one worker per usable CPU: NumPy's ``multinomial``
+    and ``shuffle`` do the work, and ``shuffle`` releases the GIL.  A unit
+    expands one sensor at a time, at most one block of cells.  Each unit
+    writes disjoint rows of its stream's statistics, so identical ``(seed,
+    config)`` give bit-identical results for any worker count or schedule.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -503,8 +501,10 @@ def simulate_monte_carlo(
         )
     _check_windows([window], delta)
     tails, fc_rho, eve_rho = _network_arrays(config, designs)
-    received = [_received(tails, rho) for rho in (fc_rho, eve_rho)]
-    weights = [_llr_weights(points) for points in received]
+    laws = [
+        _count_laws(points, _llr_weights(points), window)[1:]
+        for points in (_received(tails, rho) for rho in (fc_rho, eve_rho))
+    ]
     # (stream, hypothesis, count): calibration, H0 and H1 estimation
     streams = (
         (_CAL_STREAM, 0, calibration_trials),
@@ -513,7 +513,7 @@ def simulate_monte_carlo(
     )
     stats = [np.zeros((2, count)) for _, _, count in streams]
     units = [
-        (stream, block, receiver, received[receiver][hypothesis],
+        (stream, block, receiver, *(law[hypothesis] for law in laws[receiver]),
          out[receiver, start : start + _BLOCK_TRIALS])
         for (stream, hypothesis, count), out in zip(streams, stats)
         for block, start in enumerate(range(0, count, _BLOCK_TRIALS))
@@ -522,8 +522,7 @@ def simulate_monte_carlo(
     workers = min(_usable_cpus(), len(units))
 
     def run(unit: tuple) -> None:
-        stream, block, receiver, p, out = unit
-        _fuse_block(seed, stream, block, receiver, p, weights[receiver], window, out)
+        _fuse_block(seed, *unit)
 
     # imported here, off the CLI's start-up path
     from concurrent.futures import ThreadPoolExecutor

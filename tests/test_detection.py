@@ -1,9 +1,11 @@
 """Exact fixed-false-alarm miss computation and the Monte Carlo pipeline."""
 
 import dataclasses
+import functools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -36,9 +38,8 @@ from secquant.detection import (
     _H1_STREAM,
     _BLOCK_TRIALS,
     _binom_logpmf,
-    _block_counts,
+    _count_laws,
     _fuse_block,
-    _fusion_statistics,
     _llr_weights,
     _network_arrays,
     _np_components,
@@ -271,17 +272,38 @@ def single_sensor_setup(rho_fc=0.0, rho_e=0.1, budget=math.inf):
     return site, config, result
 
 
+def fc_z_scores(seeds, trials):
+    """(FC miss z-score against the exact miss, FC false-alarm z-score
+    against delta) of one-sensor runs at window 20, one row per seed."""
+    site, config, result = single_sensor_setup()
+    fc_op = bsc_transform(result.per_sensor[0].design.op, site.fc_channel)
+    exact = exact_np_miss(fc_op, window=20, delta=0.01)
+    return np.array([
+        [(mc.fc_miss_estimate - exact.miss) / mc.fc_miss_se,
+         (mc.fc_fa_estimate - mc.delta) / mc.fc_fa_se]
+        for mc in (
+            simulate_monte_carlo(config, result, window=20, trials=trials, seed=seed)
+            for seed in seeds
+        )
+    ])
+
+
 class TestMonteCarlo:
     def test_single_sensor_matches_exact_binomial(self):
-        site, config, result = single_sensor_setup()
-        design = result.per_sensor[0].design
-        fc_op = bsc_transform(design.op, site.fc_channel)
-        exact = exact_np_miss(fc_op, window=20, delta=0.01)
-        mc = simulate_monte_carlo(
-            config, result, window=20, trials=200_000, seed=91
-        )
-        assert abs(mc.fc_miss_estimate - exact.miss) <= 3.0 * mc.fc_miss_se
-        assert abs(mc.fc_fa_estimate - 0.01) <= 3.0 * mc.fc_fa_se
+        # 20 seeds: a mean miss z within 3/sqrt(20) finds a bias 4.5x
+        # smaller than one seed held to 3 SE would
+        z = fc_z_scores(range(91, 111), trials=200_000)
+        assert abs(z[:, 0].mean()) <= 3.0 / math.sqrt(len(z)), z[:, 0]
+        assert np.all(np.abs(z[:, 0]) <= 4.0), z[:, 0]
+        assert np.all(np.abs(z[:, 1]) <= 3.0), z[:, 1]
+
+    def test_fc_miss_z_scores_spread_as_their_standard_errors_say(self):
+        # the calibration's share of the miss SE is scaled by the steepest
+        # likelihood ratio within its error, so a threshold a count low
+        # does not shrink it
+        z = fc_z_scores(range(100), trials=20_000)[:, 0]
+        assert z.std() <= 1.15, z.std()
+        assert np.all(np.abs(z) <= 5.0), z
 
     def test_blind_designs_perform_at_chance(self):
         site, config, _ = single_sensor_setup()
@@ -341,9 +363,24 @@ class TestMonteCarlo:
         mc = simulate_monte_carlo(config, designs, window=5, trials=2000, seed=1)
         assert all(math.isfinite(v) for v in vars(mc).values())
         assert abs(mc.fc_fa_estimate - mc.delta) <= 5.0 * mc.fc_fa_se
-        out = np.zeros(3)
-        _fusion_statistics(np.array([0, 2, 5]), math.inf, -0.5, 5, out)
-        assert out.tolist() == [-2.5, math.inf, math.inf]
+
+    def test_separating_sensor_statistics_table(self):
+        # P(one) is 0 under H0 and 0.6 under H1; a one weighs +inf
+        received = np.array([[0.0], [0.6], [1.0], [0.4]])
+        lo, pmf, table = _count_laws(received, np.array([[math.inf], [-0.5]]), 5)
+        assert lo.tolist() == [[0.0], [0.0]]
+        assert pmf[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert table[1, 0, [0, 2, 5]].tolist() == [-2.5, math.inf, math.inf]
+        # under H0 only the count 0 can be drawn, and it stays finite
+        assert table[0, 0, 0] == -2.5
+        # a one only under H1 and a zero only under H0: each law is a point
+        # mass, and no +inf and -inf terms meet off it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, pmf, table = _count_laws(np.array([[0.0], [1.0], [1.0], [0.0]]),
+                                        np.array([[math.inf], [-math.inf]]), 5)
+        assert pmf[:, 0, [0, -1]].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert [table[0, 0, 0], table[1, 0, -1]] == [-math.inf, math.inf]
 
     def test_fc_fields_ignore_eve_crossovers(self):
         def run(eve_rhos):
@@ -468,31 +505,52 @@ def designs_at(config, thresholds):
     )
 
 
-def block_counts(network, stream, block, receiver, hypothesis, window, n_trials, seed):
-    """The (sensors, trials) ones-counts of one receiver's whole block of a
-    stream: the sampler's rows, stacked."""
+def count_laws(network, receiver, window):
+    """One receiver's count laws (first counts, pmfs, statistics), indexed
+    by hypothesis."""
     tails, *rhos = network
-    p = _received(tails, rhos[receiver])[hypothesis]
-    rows = _block_counts(seed, stream, block, receiver, p, window, n_trials)
-    return np.stack(list(rows))
+    received = _received(tails, rhos[receiver])
+    return _count_laws(received, _llr_weights(received), window)
+
+
+def unit_counts(seed, stream, block, receiver, lo, pmf, n_trials):
+    """The (sensors, trials) ones-counts that one unit draws from the count
+    laws ``lo`` and ``pmf``: the unit runs on statistics that write sensor
+    i's count less its first as the base-width digit i of each trial's
+    sum, which stays exact below 2**53."""
+    base = pmf.shape[-1]
+    digits = np.arange(base) * base ** np.arange(len(pmf))[:, None]
+    out = np.zeros(n_trials)
+    _fuse_block(seed, stream, block, receiver, pmf, digits.astype(float), out)
+    sums = out.astype(np.int64)
+    return np.array([sums // base**i % base + int(lo_i) for i, lo_i in enumerate(lo)])
 
 
 def stream_counts(config, thresholds, hypothesis, receiver, window, count, seed):
     network = _network_arrays(config, designs_at(config, thresholds))
+    lo, pmf, _ = (law[hypothesis] for law in count_laws(network, receiver, window))
     return np.concatenate([
-        block_counts(network, _H1_STREAM, block, receiver, hypothesis, window,
-                     min(_BLOCK_TRIALS, count - start), seed)
+        unit_counts(seed, _H1_STREAM, block, receiver, lo, pmf,
+                    min(_BLOCK_TRIALS, count - start))
         for block, start in enumerate(range(0, count, _BLOCK_TRIALS))
     ], axis=1)
 
 
-def unit_draws(seed, stream, block, receiver, p, window, n_trials):
+def unit_draws(seed, stream, block, receiver, lo, pmf, n_trials):
     """Counts drawn from the unit's own generator, keyed (stream, block,
-    receiver) under the seed, sensor by sensor."""
+    receiver) under the seed: one multinomial histogram per sensor over its
+    band of counts, then sensor by sensor that histogram expanded in count
+    order and, after sensor 0, shuffled."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(stream, block, receiver))
     )
-    return np.array([rng.binomial(window, p_i, size=n_trials) for p_i in p])
+    counts = []
+    for i, (lo_i, histogram) in enumerate(zip(lo, rng.multinomial(n_trials, pmf))):
+        row = np.repeat(lo_i + np.arange(len(histogram)), histogram)
+        if i:
+            rng.shuffle(row)
+        counts.append(row)
+    return np.array(counts)
 
 
 class TestCountSampler:
@@ -521,8 +579,6 @@ class TestCountSampler:
         result = allocate(config)
         window, seed, trials = 9, 21, 3000
         units, receivers = [], []
-        # one worker draws the first calibration block one sensor per run,
-        # every other block all five sensors in one run
         monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
 
         def recording(seed, stream, block, receiver, *rest):
@@ -554,15 +610,70 @@ class TestCountSampler:
         for receiver, (stats, rho) in enumerate(zip(receivers, (fc_rho, eve_rho))):
             received = _received(tails, rho)
             w_one, w_zero = _llr_weights(received)
+            lo, pmf, _ = _count_laws(received, np.array([w_one, w_zero]), window)
             for stream in streams:
                 for block, start in enumerate(range(0, len(stats[stream]), _BLOCK_TRIALS)):
                     rows = stats[stream][start : start + _BLOCK_TRIALS]
                     counts = unit_draws(seed, stream, block, receiver,
-                                        received[hypothesis], window, len(rows))
+                                        lo[hypothesis], pmf[hypothesis], len(rows))
                     expected = np.zeros(len(rows))
                     for ones, one, zero in zip(counts, w_one, w_zero):
                         expected += ones * one + (window - ones) * zero
                     assert np.array_equal(rows, expected)
+
+    def test_sensors_of_a_unit_are_independent(self):
+        config, result = small_network()
+        network = _network_arrays(config, result)
+        window, n_trials = 4, 60_000
+        ks = np.arange(window + 1)
+        for hypothesis in (0, 1):
+            lo, pmf, _ = (law[hypothesis] for law in count_laws(network, 0, window))
+            counts = unit_counts(5, _H0_STREAM, 0, 0, lo, pmf, n_trials)
+            p_ones = _received(network[0], network[1])[hypothesis]
+            law = [binom.pmf(ks, window, p_one) for p_one in p_ones]
+            # sensor 0 in count order against sensor 1 shuffled, two
+            # shuffled sensors, and one shuffled sensor against its next trial
+            for a, b, pair in ((counts[0], counts[1], (0, 1)),
+                               (counts[1], counts[2], (1, 2)),
+                               (counts[1, :-1], counts[1, 1:], (1, 1))):
+                joint = np.bincount(a * (window + 1) + b, minlength=(window + 1) ** 2)
+                product = np.outer(law[pair[0]], law[pair[1]]).ravel()
+                assert_within_5se(joint, product, len(a))
+
+    def test_a_wide_window_draws_a_band_of_counts(self, monkeypatch):
+        # window 20 000: each law spans Hoeffding's band of about 1 300
+        # counts, clipped at the top where the bit is nearly always one
+        # (edge sites 0 and 2, both noiseless to the FC)
+        config, thresholds = edge_network()
+        two = NetworkConfig(sites=config.sites[0:3:2], alpha_total=1.0)
+        designs = designs_at(two, thresholds[0:3:2])
+        network = _network_arrays(two, designs)
+        p_ones = _received(network[0], network[1])[:2]
+        window, n_trials = 20_000, 200
+        s = math.sqrt(0.5 * window * 61.0 * math.log(2.0))
+        run = functools.partial(simulate_monte_carlo, two, designs, window=window,
+                                trials=n_trials, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, pmf, _ = count_laws(network, 0, window)
+            # a P(one) of exactly 0 or 1 is a point mass
+            ends = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+            point = _count_laws(ends, np.zeros((2, 2)), window)[1]
+            monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+            serial = run()
+            monkeypatch.setattr(detection, "_usable_cpus", lambda: 2)
+            assert run() == serial
+        hi = lo + pmf.shape[-1] - 1
+        assert pmf.shape[-1] < window // 10
+        assert np.all((lo <= np.maximum(window * p_ones - s, 0.0))
+                      & (hi >= np.minimum(window * p_ones + s, window)))
+        assert np.all(point[..., [0, -1]] == [[1.0, 0.0], [0.0, 1.0]])
+        assert np.all(point.sum(axis=-1) == 1.0)
+        for hypothesis in (0, 1):
+            counts = unit_counts(8, _H1_STREAM, 0, 0, lo[hypothesis], pmf[hypothesis],
+                                 n_trials)
+            band = window * p_ones[hypothesis, :, None] + np.array([-s, s])
+            assert np.all((counts >= band[:, :1]) & (counts <= band[:, 1:]))
 
     def test_a_run_shorter_than_one_block_makes_six_units(self, monkeypatch):
         config, result = small_network()
@@ -624,16 +735,25 @@ class TestWorkerPool:
             def __init__(self, rng):
                 self.rng = rng
 
-            def binomial(self, n, p, size):
-                drawn.append(math.prod(size))
-                return self.rng.binomial(n, p, size=size)
+            def multinomial(self, n, pvals):
+                # one histogram of n trials per sensor
+                drawn.extend([n] * len(pvals))
+                return self.rng.multinomial(n, pvals)
 
+            def shuffle(self, x):
+                shuffled.append(len(x))
+                self.rng.shuffle(x)
+
+        shuffled = []
         monkeypatch.setattr(detection, "_block_rng", lambda *key: Recording(block_rng(*key)))
         assert simulate_monte_carlo(config, result, **kwargs) == whole
         # a whole calibration block of the three sensors would be 3x this
-        assert max(drawn) <= _BLOCK_TRIALS
-        # two receivers over the calibration (4x) and two estimation streams
-        assert sum(drawn) == 2 * 6 * kwargs["trials"] * len(config.sites)
+        assert max(drawn + shuffled) <= _BLOCK_TRIALS
+        # two receivers over the calibration (4x) and two estimation
+        # streams; every sensor but the first is shuffled
+        cells = 2 * 6 * kwargs["trials"]
+        assert sum(drawn) == cells * len(config.sites)
+        assert sum(shuffled) == cells * (len(config.sites) - 1)
 
     def test_a_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
         config, result = small_network()
