@@ -56,7 +56,6 @@ from .roc import (
 )
 from .solver import (
     QuantizerDesign,
-    blind_design,
     design_quantizer,
     eve_divergence_gap,
     find_budget_thresholds,
@@ -85,7 +84,6 @@ __all__ = [
     "SingularPointError",
     "UnimodalityError",
     "allocate",
-    "blind_design",
     "bsc_transform",
     "constraint_curvature",
     "constraint_slope",

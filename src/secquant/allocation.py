@@ -19,15 +19,8 @@ import numpy as np
 
 from .gaussian import GaussianSensorModel
 from .roc import BscChannel, SensorSite
-from .solver import (
-    QuantizerDesign,
-    _bound_thresholds,
-    _designs,
-    _designs_at,
-    _site_columns,
-    blind_design,
-    unconstrained_design,
-)
+from .solver import (DesignTable, QuantizerDesign, _bound_thresholds, _designs_at,
+                     _site_columns, design_table, unconstrained_design)
 
 #: Leftover budgets below this are treated as exhausted; designs produced
 #: from them would be numerically blind anyway.
@@ -66,9 +59,10 @@ class SensorAllocation:
     d_eve_star: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """Full network design: per-sensor records plus totals.
+    """Full network design: one column per :class:`SensorAllocation` field,
+    one lane per site in site order, plus totals.
 
     ``benchmark_d_fc`` re-evaluates the same designs as if the fusion
     center's channels were noiseless; populated only when the config asks
@@ -76,11 +70,23 @@ class AllocationResult:
     total is ``total_d_eve``.
     """
 
-    per_sensor: tuple[SensorAllocation, ...]
+    designs: DesignTable
+    alpha_i: np.ndarray
+    active: np.ndarray
+    quality: np.ndarray
+    d_fc_star: np.ndarray
+    d_eve_star: np.ndarray
     total_d_fc: float
     total_d_eve: float
     active_count: int
     benchmark_d_fc: float | None = None
+
+    @property
+    def per_sensor(self) -> tuple[SensorAllocation, ...]:
+        """One record per sensor, built from the columns on each access."""
+        lanes = zip(self.alpha_i.tolist(), self.designs.rows(), *(c.tolist() for c in (
+            self.active, self.quality, self.d_fc_star, self.d_eve_star)))
+        return tuple(SensorAllocation(i, *lane) for i, lane in enumerate(lanes))
 
 
 def quality_ratio(site: SensorSite) -> float:
@@ -89,14 +95,15 @@ def quality_ratio(site: SensorSite) -> float:
     Sensors whose unconstrained design leaks nothing to Eve get an
     infinite quality: they are funded first and cost no budget.
     """
-    return _quality(unconstrained_design(site))
+    free = unconstrained_design(site)
+    return float(_quality(free.d_fc, free.d_eve))
 
 
-def _quality(free: QuantizerDesign) -> float:
-    """:func:`quality_ratio` of the site whose unconstrained design this is."""
-    if free.d_eve < 1e-12:
-        return QUALITY_DEAF_EVE
-    return free.d_fc / free.d_eve
+def _quality(d_fc, d_eve) -> np.ndarray:
+    """:func:`quality_ratio` of the sites whose unconstrained designs have
+    these divergences, elementwise."""
+    return np.divide(d_fc, d_eve, out=np.full(np.shape(d_eve), QUALITY_DEAF_EVE),
+                     where=~(np.asarray(d_eve) < 1e-12))
 
 
 def allocate(config: NetworkConfig) -> AllocationResult:
@@ -123,38 +130,41 @@ def _network(
     site is solved once and each partly funded sensor designed once."""
     n = len(sites)
     _check_network(alpha_total, n_grid, n)
-    columns = _site_columns(sites)
-    free_designs = _designs(columns, [math.inf] * n)
-    qualities = [_quality(free) for free in free_designs]
-    # rows d_fc, d_eve and d_sensor of each site's unconstrained design
-    divergences = np.array(
-        [(d.d_fc, d.d_eve, d.d_sensor) for d in free_designs]).reshape(-1, 3).T
+    free = design_table(sites, [math.inf] * n)
+    quality = _quality(free.d_fc, free.d_eve)
     # nonincreasing quality, ties by ascending index
-    order = np.argsort(-np.array(qualities), kind="stable")
-    splits = _splits(columns, alpha_total, divergences[1], order, {*n_grid, n})
+    order = np.argsort(-quality, kind="stable")
+    columns = _site_columns(sites)
+    splits, partials = _splits(columns, alpha_total, free.d_eve, order, {*n_grid, n})
     ranked, shares, partial = splits[n]
-    designs = [free_designs[i] for i in ranked.tolist()]
+    active = np.isin(np.arange(n), ranked)
+    alpha_i = np.zeros(n)
+    alpha_i[ranked] = shares
+    # funded sensors keep their free design, a partly funded one takes its
+    # bound design, and sleeping ones are blind, at threshold +inf
+    thresholds = np.where(active, free.threshold, math.inf)
+    budgets, binding = np.where(active, math.inf, 0.0), ~active
     if partial is not None:
-        designs[-1] = partial
-    funded = dict(zip(ranked.tolist(), zip(shares.tolist(), designs)))
-    # sleeping sensors share one blind design: it ignores its site and is frozen
-    asleep = blind_design(sites[0]) if sites else None
-    per_sensor = tuple(
-        SensorAllocation(
-            index=i,
-            alpha_i=funded[i][0] if i in funded else 0.0,
-            design=funded[i][1] if i in funded else asleep,
-            active=i in funded,
-            quality=quality,
-            d_fc_star=free.d_fc,
-            d_eve_star=free.d_eve,
-        )
-        for i, (free, quality) in enumerate(zip(free_designs, qualities))
-    )
-    totals = {size: _totals(divergences, split, benchmark_ideal_fc)
-              for size, split in splits.items()}
+        last = ranked[-1]
+        thresholds[last], budgets[last] = partials.threshold[partial], shares[-1]
+        binding[last] = True
+    designs = _designs_at(columns, thresholds, budgets, binding)
+    # rows d_fc, d_eve and d_sensor of the free and the partly funded designs
+    divergences = [np.stack([t.d_fc, t.d_eve, t.d_sensor]) for t in (free, partials)]
+    totals = {}
+    for size, (funded, _, lane) in splits.items():
+        # running sums from 0.0 in funding order, as the greedy policy adds
+        # them; the benchmark's FC sees each d_sensor through noiseless channels
+        terms = np.zeros((3, funded.size + 1))
+        terms[:, 1:] = divergences[0][:, funded]
+        if lane is not None:
+            terms[:, -1] = divergences[1][:, lane]
+        d_fc, d_eve, d_sensor = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+        totals[size] = d_fc, d_eve, funded.size, d_sensor if benchmark_ideal_fc else None
     points = [GrowthPoint(size, *totals[size]) for size in n_grid]
-    return AllocationResult(per_sensor, *totals[n]), points
+    result = AllocationResult(designs, alpha_i, active, quality, free.d_fc, free.d_eve,
+                              *totals[n])
+    return result, points
 
 
 def _splits(
@@ -163,12 +173,12 @@ def _splits(
     leak: np.ndarray,
     order: np.ndarray,
     sizes: set[int],
-) -> dict[int, tuple[np.ndarray, np.ndarray, QuantizerDesign | None]]:
+) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, int | None]], DesignTable]:
     """The greedy split of ``alpha_total`` over the first ``n`` sites for
     each ``n`` in ``sizes``: the funded sensors in ``order``, their shares,
-    and the last one's design if it is only partly funded.  ``leak`` is
-    each site's unconstrained Eve leakage; the partly funded sensors of all
-    the splits are designed in one batch from ``columns``."""
+    and the last one's lane in the returned table if it is only partly
+    funded, those of all the splits designed in one batch from ``columns``.
+    ``leak`` is each site's unconstrained Eve leakage."""
     splits = {}
     for n in sorted(sizes):
         ranked = order[order < n]
@@ -183,32 +193,10 @@ def _splits(
     partial = [n for n, (ranked, shares) in splits.items()
                if ranked.size and shares[-1] < leak[ranked[-1]]]
     lanes = columns[:, [splits[n][0][-1] for n in partial]]
-    budgets = [float(splits[n][1][-1]) for n in partial]
-    designs = dict(zip(partial, _designs_at(
-        lanes, _bound_thresholds(lanes, np.array(budgets)), budgets, True)))
-    return {n: (*split, designs.get(n)) for n, split in splits.items()}
-
-
-def _totals(
-    divergences: np.ndarray,
-    split: tuple[np.ndarray, np.ndarray, QuantizerDesign | None],
-    benchmark_ideal_fc: bool,
-) -> tuple[float, float, int, float | None]:
-    """Total FC and Eve divergences, active count and benchmark total of
-    a split's funded sensors, each the running sum in funding order that the
-    greedy policy accumulates.  The benchmark runs the same designs
-    through noiseless FC channels: the FC then sees each sensor-side
-    divergence ``d_sensor`` directly, while Eve is unaffected."""
-    ranked, _, partial = split
-    # from 0.0, the funded sensors' free ``divergences``, the partly funded
-    # one's designed values in its slot; accumulate adds in sequence, where
-    # a sum would add pairwise and round otherwise
-    terms = np.zeros((3, ranked.size + 1))
-    terms[:, 1:] = divergences[:, ranked]
-    if partial is not None:
-        terms[:, -1] = partial.d_fc, partial.d_eve, partial.d_sensor
-    d_fc, d_eve, d_sensor = np.add.accumulate(terms, axis=1)[:, -1].tolist()
-    return d_fc, d_eve, ranked.size, d_sensor if benchmark_ideal_fc else None
+    budgets = np.array([splits[n][1][-1] for n in partial])
+    designs = _designs_at(lanes, _bound_thresholds(lanes, budgets), budgets, True)
+    lane = {n: k for k, n in enumerate(partial)}
+    return {n: (*split, lane.get(n)) for n, split in splits.items()}, designs
 
 
 def sample_sites(

@@ -15,30 +15,18 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from .allocation import (
-    AllocationResult,
-    NetworkConfig,
-    SensorAllocation,
-    _network,
-    _quality,
-    sample_sites,
-)
+from .allocation import AllocationResult, NetworkConfig, _network, _quality, sample_sites
 from .boundary import trace_constraint_curve
 from .errors import ArtifactError, UnimodalityError
 from .export import csv_text, json_text, rows_as_json, write_all
 from .gaussian import GaussianSensorModel
 from .roc import (BscChannel, OperatingPoint, SensorSite, bsc_transform,
                   received_divergence)
-from .solver import (
-    QuantizerDesign,
-    design_quantizer,
-    design_search_curve,
-    tradeoff_curve,
-)
+from .solver import DesignTable, _site_columns, design_search_curve, design_table
 from .detection import (_check_windows, _network_arrays, second_order_slope,
                         simulate_monte_carlo, stein_curve)
 
@@ -184,157 +172,156 @@ def _site_from(fields: dict[str, Any]) -> SensorSite:
                       BscChannel(rho_e))
 
 
-# The artifact codec.  A design artifact holds one design's fields plus its
-# budget and site; a greedy summary holds the same fields per sensor, with
-# ``_i`` on the divergences, and the network's totals.  An artifact without
-# the complements ``pfa_c`` and ``pd_c`` is read with 1 - pfa and 1 - pd.
+# The artifact codec.  A design artifact holds one design's keys plus its
+# budget and site; a greedy summary holds them per sensor, with ``_i`` on the
+# receivers' divergences, next to its allocation keys and the totals.  Each
+# key is declared once, with the column it is read from and into, and its kind.
+
+#: The columns of a design table's tails, in row order.
+_TAILS = ("pfa", "pd", "pfa_c", "pd_c")
+_DESIGN_KEYS = (
+    ("lambda", "threshold", float),
+    *((name, name, float) for name in (*_TAILS, "d_sensor", "d_fc", "d_eve")),
+    ("binding", "binding", bool),
+)
+_ARTIFACT_KEYS = (*_DESIGN_KEYS, ("alpha_tilde", "budget", float))
+_SENSOR_KEYS = (
+    *((key + "_i" if key in ("d_fc", "d_eve") else key, column, kind)
+      for key, column, kind in _DESIGN_KEYS),
+    ("index", "index", int),
+    ("k_i", "quality", float),
+    ("active", "active", bool),
+    *((name, name, float)
+      for name in ("alpha_i", "d_fc_star", "d_eve_star", "rho_fc", "rho_e")),
+)
 
 
-def _design_fields(design: QuantizerDesign, suffix: str) -> dict[str, Any]:
+def _columns_of(designs: DesignTable, sites: Sequence[SensorSite] = ()) -> dict:
+    """A design table's columns, its tails by name, lane indices and sites'."""
+    return {**vars(designs), **dict(zip(_TAILS, designs.tails)),
+            "index": np.arange(designs.threshold.size),
+            **dict(zip(_SITE_FIELDS, _site_columns(sites)))}
+
+
+def _encoded(columns: dict[str, np.ndarray], keys: tuple) -> list[dict[str, Any]]:
+    """One record of ``keys`` per lane, of ``tolist``'s Python values."""
+    names = [key for key, _, _ in keys]
+    return [dict(zip(names, lane))
+            for lane in zip(*(columns[column].tolist() for _, column, _ in keys))]
+
+
+def _decoded(entries: list[dict[str, Any]], keys: tuple) -> dict[str, np.ndarray]:
+    """Each column that ``keys`` declare, from every entry's typed key; an
+    entry without ``pfa_c`` or ``pd_c`` is read with 1 - pfa or 1 - pd."""
     return {
-        "lambda": design.threshold,
-        "pfa": design.op.pfa,
-        "pd": design.op.pd,
-        "pfa_c": design.op.pfa_c,
-        "pd_c": design.op.pd_c,
-        "d_sensor": design.d_sensor,
-        f"d_fc{suffix}": design.d_fc,
-        f"d_eve{suffix}": design.d_eve,
-        "binding": design.binding,
+        column: np.array([
+            _field(entry, key, kind) if key in entry or key not in _TAILS[2:]
+            else 1.0 - _field(entry, key[:-2], float) for entry in entries
+        ], dtype=kind)
+        for key, column, kind in keys
     }
 
 
-def _design_from(fields: dict[str, Any], suffix: str, budget: float) -> QuantizerDesign:
-    op = OperatingPoint(_field(fields, "pfa", float), _field(fields, "pd", float), *(
-        _field(fields, k, float) if k in fields else None for k in ("pfa_c", "pd_c")))
-    return QuantizerDesign(
-        threshold=_field(fields, "lambda", float),
-        op=op,
-        d_sensor=_field(fields, "d_sensor", float),
-        d_fc=_field(fields, f"d_fc{suffix}", float),
-        d_eve=_field(fields, f"d_eve{suffix}", float),
-        binding=_field(fields, "binding", bool),
-        budget=budget,
-    )
+def _design_artifact(designs: DesignTable, site: SensorSite) -> dict[str, Any]:
+    columns = _columns_of(designs, [site])
+    (record,) = _encoded(columns, _ARTIFACT_KEYS)
+    return {**record, "site": {name: columns[name].item() for name in _SITE_FIELDS},
+            "units": "nats"}
 
 
-def _design_artifact(design: QuantizerDesign, site: SensorSite) -> dict[str, Any]:
-    return {
-        **_design_fields(design, ""),
-        "alpha_tilde": design.budget,
-        "site": {"theta": site.model.theta, "sigma": site.model.sigma,
-                 "rho_fc": site.fc_channel.crossover,
-                 "rho_e": site.eve_channel.crossover},
-        "units": "nats",
-    }
-
-
-def _sensor_record(rec: SensorAllocation, site: SensorSite) -> dict[str, Any]:
-    return {
-        "index": rec.index,
-        "k_i": rec.quality,
-        "alpha_i": rec.alpha_i,
-        "active": rec.active,
-        **_design_fields(rec.design, "_i"),
-        "d_fc_star": rec.d_fc_star,
-        "d_eve_star": rec.d_eve_star,
-        "rho_fc": site.fc_channel.crossover,
-        "rho_e": site.eve_channel.crossover,
-    }
+def _sensor_records(sites: Sequence[SensorSite], result: AllocationResult) -> list:
+    return _encoded({**_columns_of(result.designs, sites), **vars(result)}, _SENSOR_KEYS)
 
 
 def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationResult]:
-    """The network and allocation an artifact stores.  A design artifact
-    decodes as a network of one active sensor, funded at its own leakage.
-
-    Every stored index, divergence, total and count must match its recomputation
-    from the stored operating points and channels, and no stored Eve
-    divergence may top its budget by more than 1e-10 * max(1, budget).
-    """
+    """The network and allocation an artifact stores, once
+    :func:`_check_consistent` passes them.  A design artifact decodes as a
+    network of one active sensor, sensor 0, funded at its own leakage."""
     try:
         if "per_sensor" in payload:
+            entries = payload["per_sensor"]
+            columns = _decoded(entries, _SENSOR_KEYS)
             # greedy networks share one unit-noise model at the stored snr
             model = {"theta": payload.get("snr", 1.0), "sigma": 1.0}
-            entries = payload["per_sensor"]
             sites = tuple(_site_from({**entry, **model}) for entry in entries)
-            records = tuple(
-                SensorAllocation(
-                    index=_field(entry, "index", int),
-                    alpha_i=_field(entry, "alpha_i", float),
-                    design=_design_from(entry, "_i", _field(entry, "alpha_i", float)),
-                    active=_field(entry, "active", bool),
-                    quality=_field(entry, "k_i", float),
-                    d_fc_star=_field(entry, "d_fc_star", float),
-                    d_eve_star=_field(entry, "d_eve_star", float),
-                )
-                for entry in entries
-            )
-            result = AllocationResult(
-                per_sensor=records,
-                total_d_fc=_field(payload, "total_d_fc", float),
-                total_d_eve=_field(payload, "total_d_eve", float),
-                active_count=_field(payload, "active_count", int),
-            )
-            alpha_total = _field(payload, "alpha_total", float)
+            budget_field, columns["budget"] = "alpha_i", columns["alpha_i"]
+            totals = [_field(payload, name, kind) for name, kind in (
+                ("total_d_fc", float), ("total_d_eve", float), ("active_count", int),
+                ("alpha_total", float))]
+            stored = [name for name in ("benchmark_d_fc", "benchmark_d_eve")
+                      if payload.get(name) is not None]
+            if len(stored) == 1:
+                raise ValueError("benchmark_d_fc and benchmark_d_eve must both be null "
+                                 "or both be numbers")
+            benchmark = [_field(payload, name, float) for name in stored] or [None, None]
         else:
+            columns = _decoded([payload], _ARTIFACT_KEYS)
             sites = (_site_from(payload["site"]),)
-            design = _design_from(payload, "", _field(payload, "alpha_tilde", float))
-            record = SensorAllocation(
-                index=0,
-                alpha_i=design.d_eve,
-                design=design,
-                active=True,
-                quality=_quality(design),
-                d_fc_star=design.d_fc,
-                d_eve_star=design.d_eve,
-            )
-            result = AllocationResult(
-                per_sensor=(record,),
-                total_d_fc=design.d_fc,
-                total_d_eve=design.d_eve,
-                active_count=1,
-            )
-            alpha_total = design.budget
-        config = NetworkConfig(sites=sites, alpha_total=alpha_total)
-    except (KeyError, TypeError, ValueError) as exc:
+            d_fc, d_eve = columns["d_fc"], columns["d_eve"]
+            columns.update(alpha_i=d_eve, d_fc_star=d_fc, d_eve_star=d_eve,
+                           active=np.ones(1, dtype=bool), quality=_quality(d_fc, d_eve))
+            budget_field, benchmark = "alpha_tilde", [None, None]
+            totals = [d_fc.item(), d_eve.item(), 1, columns["budget"].item()]
+        tails = np.array([columns[name] for name in _TAILS])
+        designs = DesignTable(columns["threshold"], tails, *(columns[name] for name in (
+            "d_sensor", "d_fc", "d_eve", "binding", "budget")))
+        result = AllocationResult(designs, *(columns[name] for name in (
+            "alpha_i", "active", "quality", "d_fc_star", "d_eve_star")),
+            *totals[:3], benchmark[0])
+        config = NetworkConfig(sites=sites, alpha_total=totals[3])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"artifact is missing or corrupts fields: {exc}") from exc
-    budget_field = "alpha_i" if "per_sensor" in payload else "alpha_tilde"
-    _check_consistent(config, result, budget_field)
+    index = columns.get("index", 0)
+    _check_consistent(config, result, budget_field, index, benchmark[1])
     return config, result
 
 
 def _check_consistent(
-    config: NetworkConfig, result: AllocationResult, budget_field: str
+    config: NetworkConfig, result: AllocationResult, budget_field: str,
+    index: Any, benchmark_d_eve: float | None,
 ) -> None:
-    """Raise unless each stored sensor's index is its position, its
-    divergences recompute from the :func:`_network_arrays` table, and the
-    totals add up over every stored sensor, asleep or not (a blind one adds
-    0); no sensor's ``d_eve`` and no ``total_d_eve`` may top its budget."""
+    """Raise unless each sensor's ``index`` is its position, its divergences
+    recompute from the :func:`_network_arrays` table and the totals, benchmark
+    ones too, add up over every sensor, asleep or not, to 1e-12 * max(1,
+    |stored|); one asleep stores ``alpha_i`` and ``d_sensor`` 0, and no
+    ``d_eve`` tops its budget by more than 1e-10 * max(1, budget)."""
+    designs = result.designs
     tails, fc_rho, eve_rho = _network_arrays(config, result)
-    designs = [rec.design for rec in result.per_sensor]
     checks = [
-        ("total_d_fc", result.total_d_fc, math.fsum(d.d_fc for d in designs)),
-        ("total_d_eve", result.total_d_eve, math.fsum(d.d_eve for d in designs)),
-        ("active_count", result.active_count, sum(r.active for r in result.per_sensor)),
-        *((f"sensor {i} index", r.index, i) for i, r in enumerate(result.per_sensor)),
+        ("total_d_fc", result.total_d_fc, math.fsum(designs.d_fc.tolist())),
+        ("total_d_eve", result.total_d_eve, math.fsum(designs.d_eve.tolist())),
+        ("active_count", result.active_count, int(np.count_nonzero(result.active))),
+        ("index", index, np.arange(len(config.sites))),
+        *((name, getattr(designs, name), received_divergence(tails, rho))
+          for name, rho in (("d_sensor", 0.0), ("d_fc", fc_rho), ("d_eve", eve_rho))),
     ]
-    for name, rho in (("d_sensor", 0.0), ("d_fc", fc_rho), ("d_eve", eve_rho)):
-        values = received_divergence(tails, rho).tolist()
-        checks += [(f"sensor {i} {name}", getattr(d, name), value)
-                   for i, (d, value) in enumerate(zip(designs, values))]
-    for name, stored, value in checks:
-        if not abs(stored - value) <= 1e-12 * max(1.0, abs(stored)):
-            raise ArtifactError(
-                f"artifact is inconsistent: {name} is {stored!r} but "
-                f"recomputes to {value!r}"
-            )
-    limits = [(f"sensor {i} d_eve", d.d_eve, budget_field, d.budget)
-              for i, d in enumerate(designs)]
-    limits.append(("total_d_eve", result.total_d_eve, "alpha_total", config.alpha_total))
-    for name, value, field, budget in limits:
-        if not value - budget <= 1e-10 * max(1.0, budget):
-            raise ArtifactError(f"artifact is inconsistent: {name} is {value!r}, "
-                                f"over its budget {field} {budget!r}")
+    if result.benchmark_d_fc is not None:
+        # the benchmark runs the same designs through noiseless FC channels
+        checks += [("benchmark_d_fc", result.benchmark_d_fc,
+                    math.fsum(designs.d_sensor.tolist())),
+                   ("benchmark_d_eve", benchmark_d_eve, result.total_d_eve)]
+    for name, value, recomputed in checks:
+        _require(np.abs(value - recomputed) <= 1e-12 * np.maximum(1.0, np.abs(value)),
+                 name + " is {0!r} but recomputes to {1!r}", value, recomputed)
+    _require(result.active | ((result.alpha_i == 0.0) & (designs.d_sensor == 0.0)),
+             "is asleep but stores alpha_i {0!r} and d_sensor {1!r}",
+             result.alpha_i, designs.d_sensor)
+    for name, value, field, budget in (
+        ("d_eve", designs.d_eve, budget_field, designs.budget),
+        ("total_d_eve", result.total_d_eve, "alpha_total", config.alpha_total),
+    ):
+        _require(value - budget <= 1e-10 * np.maximum(1.0, budget),
+                 name + " is {0!r}, over its budget " + field + " {1!r}", value, budget)
+
+
+def _require(ok: Any, message: str, *values: Any) -> None:
+    """Raise unless ``ok`` holds everywhere, with ``message`` formatted by
+    ``values`` at the first sensor that fails, named if ``ok`` is an array."""
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        where = f"sensor {i} " if np.ndim(ok) else ""
+        raise ArtifactError("artifact is inconsistent: " + where + message.format(
+            *(np.ravel(v)[i].item() for v in values)))
 
 
 def _sibling(out: Path, suffix: str) -> Path:
@@ -358,11 +345,11 @@ def cmd_design(cfg: dict[str, Any]) -> int:
     if n_points < 2:
         raise ValueError("h_trace_points must be at least 2")
 
-    design = design_quantizer(site, budget)
+    designs = design_table([site], [budget])
     if budget == 0.0:
         print("warning: alpha_tilde = 0 forces a blind design (zero divergence "
               "everywhere)", file=sys.stderr)
-    files = [(out, json_text(_design_artifact(design, site)))]
+    files = [(out, json_text(_design_artifact(designs, site)))]
     if cfg["h_trace_out"] is not None:
         rows = design_search_curve(site, budget, n_points)
         files.append((cfg["h_trace_out"], csv_text(["lambda", "h"], rows)))
@@ -393,11 +380,9 @@ def cmd_tradeoff(cfg: dict[str, Any]) -> int:
         raise ValueError("alphas grid must be sorted ascending")
 
     header = ["alpha_tilde", "d_fc_max", "lambda", "pfa", "pd", "d_eve", "binding"]
-    records = [
-        {"alpha_tilde": d.budget, "d_fc_max": d.d_fc, **_design_fields(d, "")}
-        for d in tradeoff_curve(site, alphas)
-    ]
-    rows = _columns(records, header)
+    designs = design_table([site] * len(alphas), alphas)
+    keys = (*_ARTIFACT_KEYS, ("d_fc_max", "d_fc", float))
+    rows = _columns(_encoded(_columns_of(designs), keys), header)
     write_all([(cfg["out"], _table_text(cfg["format"], header, rows))])
     return 0
 
@@ -408,7 +393,7 @@ def cmd_greedy(cfg: dict[str, Any]) -> int:
                 ("n_sensors", "seed", "snr", "fc_crossover_high", "eve_crossover_high")}
     sites = sample_sites(**sampling)
     result, points = _network(sites, cfg["alpha_total"], benchmark, n_grid or [])
-    records = [_sensor_record(rec, site) for rec, site in zip(result.per_sensor, sites)]
+    records = _sensor_records(sites, result)
     header = ["index", "k_i", "alpha_i", "active", "lambda", "d_fc_i", "d_eve_i"]
     summary = {
         **sampling,
@@ -474,11 +459,11 @@ def _stein_report(
     sleeping sensors' bits weigh 0.  Any other network reports its additive
     target with ``passed`` null.
     """
-    active = [(rec.design.op, site.fc_channel)
-              for rec, site in zip(result.per_sensor, config.sites) if rec.active]
+    active = np.flatnonzero(result.active).tolist()
     target, fc_op = result.total_d_fc, None
     if len(active) == 1:
-        fc_op = bsc_transform(*active[0])
+        op = OperatingPoint(*result.designs.tails[:, active[0]].tolist())
+        fc_op = bsc_transform(op, config.sites[active[0]].fc_channel)
     no_information = target < 1e-9 or (fc_op is not None and fc_op.on_diagonal)
     report: dict[str, Any] = {
         "target_kld": target,

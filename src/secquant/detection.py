@@ -36,6 +36,7 @@ import numpy as np
 from .allocation import AllocationResult, NetworkConfig
 from .gaussian import _LN_SQRT_2PI, q_inverse
 from .roc import OperatingPoint, _llr_weights, _received, kl_divergence
+from .solver import _site_columns
 
 #: Default false-alarm level for the exact miss computations: small enough
 #: for the exponent to dominate, large enough to keep the randomized
@@ -329,21 +330,19 @@ def _block_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _network_arrays(
-    config: NetworkConfig, designs: AllocationResult
+    config: NetworkConfig, result: AllocationResult
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one reader of a designed network: every sensor's design tails
-    [pfa, pd, 1 - pfa, 1 - pd] as the rows of a (4, n) array, and its FC
-    and Eve crossovers, in site order.  Raises unless each site has one
-    design."""
-    if len(designs.per_sensor) != len(config.sites):
+    """The one reader of a designed network: its design table's tails
+    [pfa, pd, 1 - pfa, 1 - pd] as the rows of a (4, n) array, and every
+    sensor's FC and Eve crossovers, in site order.  Raises unless each site
+    has one design."""
+    tails = result.designs.tails
+    if tails.shape[1] != len(config.sites):
         raise ValueError(
-            f"designs cover {len(designs.per_sensor)} sensors but the config "
+            f"designs cover {tails.shape[1]} sensors but the config "
             f"has {len(config.sites)}"
         )
-    tails = np.array([rec.design.op.tails for rec in designs.per_sensor]).T
-    fc_rho, eve_rho = np.array(
-        [(site.fc_channel.crossover, site.eve_channel.crossover) for site in config.sites]
-    ).T
+    _, _, fc_rho, eve_rho = _site_columns(config.sites)
     return tails, fc_rho, eve_rho
 
 

@@ -60,14 +60,7 @@ class OperatingPoint:
             object.__setattr__(self, "pfa_c", 1.0 - self.pfa)
         if self.pd_c is None:
             object.__setattr__(self, "pd_c", 1.0 - self.pd)
-        pfa, pd, pfa_c, pd_c = self.pfa, self.pd, self.pfa_c, self.pd_c
-        if not (0.0 <= pfa <= 1.0 and 0.0 <= pd <= 1.0 and 0.0 <= pfa_c <= 1.0
-                and 0.0 <= pd_c <= 1.0 and abs(pfa + pfa_c - 1.0) <= COMPLEMENT_TOL
-                and abs(pd + pd_c - 1.0) <= COMPLEMENT_TOL):  # also rejects NaN
-            raise ValueError(
-                f"inconsistent operating point: pfa, pd, pfa_c and pd_c must be "
-                f"probabilities with pfa + pfa_c = pd + pd_c = 1, got {self!r}"
-            )
+        _check_tails(self.pfa, self.pd, self.pfa_c, self.pd_c)
 
     @property
     def tails(self) -> np.ndarray:
@@ -81,6 +74,22 @@ class OperatingPoint:
     @property
     def on_diagonal(self) -> bool:
         return abs(self.pd - self.pfa) < DIAGONAL_TOL
+
+
+def _check_tails(pfa, pd, pfa_c, pd_c) -> None:
+    """The one check of operating points, floats or arrays over lanes: raise,
+    naming the first lane that fails, unless all four are probabilities with
+    pfa + pfa_c = pd + pd_c = 1 within COMPLEMENT_TOL (NaN is not)."""
+    ok = ((0.0 <= pfa) & (pfa <= 1.0) & (0.0 <= pd) & (pd <= 1.0)
+          & (0.0 <= pfa_c) & (pfa_c <= 1.0) & (0.0 <= pd_c) & (pd_c <= 1.0)
+          & (abs(pfa + pfa_c - 1.0) <= COMPLEMENT_TOL)
+          & (abs(pd + pd_c - 1.0) <= COMPLEMENT_TOL))
+    if not (ok is True or np.all(ok)):  # one point of floats gives a bool
+        lane = int(np.argmin(ok))
+        raise ValueError(
+            f"inconsistent operating point in lane {lane}: pfa, pd, pfa_c and pd_c "
+            f"must be probabilities with pfa + pfa_c = pd + pd_c = 1, got "
+            f"{[np.ravel(v)[lane].item() for v in (pfa, pd, pfa_c, pd_c)]}")
 
 
 @dataclass(frozen=True)

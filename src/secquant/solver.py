@@ -20,7 +20,7 @@ import numpy as np
 
 from .gaussian import (_channel_divergence, _max_channel_divergences, _tails,
                        _threshold_brackets, max_channel_divergence)
-from .roc import OperatingPoint, SensorSite, received_divergence
+from .roc import OperatingPoint, SensorSite, _check_tails, received_divergence
 from .search import bisect_root
 
 #: A root r of the budget equation is accepted when |gap(r)| <= ROOT_F_TOL
@@ -46,6 +46,30 @@ class QuantizerDesign:
     d_eve: float
     binding: bool
     budget: float
+
+
+@dataclass(frozen=True, eq=False)
+class DesignTable:
+    """Designs as columns, one lane each: :class:`QuantizerDesign`'s fields,
+    with the tails ``[pfa, pd, 1 - pfa, 1 - pd]`` as the rows of a (4, n)
+    array in place of the operating point, checked once on the arrays."""
+
+    threshold: np.ndarray
+    tails: np.ndarray
+    d_sensor: np.ndarray
+    d_fc: np.ndarray
+    d_eve: np.ndarray
+    binding: np.ndarray
+    budget: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_tails(*self.tails)
+
+    def rows(self) -> list[QuantizerDesign]:
+        """One :class:`QuantizerDesign` per lane, in lane order."""
+        lanes = zip(*(column.T.tolist() for column in vars(self).values()))
+        return [QuantizerDesign(t, OperatingPoint(*tails), *rest)
+                for t, tails, *rest in lanes]
 
 
 def _site_columns(sites: Sequence[SensorSite]) -> np.ndarray:
@@ -142,8 +166,8 @@ def _designs_at(
     thresholds: Sequence[float],
     budgets: Sequence[float],
     binding: bool | Sequence[bool],
-) -> list[QuantizerDesign]:
-    """The design at each lane's threshold, each quantity computed for all
+) -> DesignTable:
+    """The designs at each lane's threshold, each quantity computed for all
     lanes in one kernel call; the sensor's own divergence is the one seen
     through a noiseless channel.  ``binding`` is one flag for every lane or
     one per lane.  At threshold +inf the quantizer never fires: every tail
@@ -151,26 +175,21 @@ def _designs_at(
     t = np.array(thresholds, dtype=float)
     theta, sigma, rho_fc, rho_e = columns
     tails = _tails(theta, sigma, t)
-    fields = (
-        t, *tails, *(received_divergence(tails, rho) for rho in (0.0, rho_fc, rho_e)),
-        np.broadcast_to(binding, t.shape),
+    return DesignTable(
+        t, tails, *(received_divergence(tails, rho) for rho in (0.0, rho_fc, rho_e)),
+        np.broadcast_to(binding, t.shape), np.array(budgets, dtype=float),
     )
-    lanes = zip(*(f.tolist() for f in fields), budgets)
-    return [
-        QuantizerDesign(t, OperatingPoint(x, y, xc, yc), *fields)
-        for t, x, y, xc, yc, *fields in lanes
-    ]
 
 
 def blind_design(site: SensorSite, budget: float = 0.0) -> QuantizerDesign:
     """The all-zeros corner quantizer, the design at threshold +inf: perfect
     secrecy, zero information."""
-    return _designs_at(_site_columns([site]), [math.inf], [budget], True)[0]
+    return _designs_at(_site_columns([site]), [math.inf], [budget], True).rows()[0]
 
 
 def unconstrained_design(site: SensorSite) -> QuantizerDesign:
     """Divergence-maximizing design ignoring the eavesdropper."""
-    return _designs(_site_columns([site]), [math.inf])[0]
+    return design_table([site], [math.inf]).rows()[0]
 
 
 def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
@@ -185,17 +204,18 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
       bracket, ties broken toward the larger threshold (smaller false
       alarm), or the blind design when no crossing lies inside.
     """
-    return _designs(_site_columns([site]), [budget])[0]
+    return design_table([site], [budget]).rows()[0]
 
 
-def _designs(columns: np.ndarray, budgets: Sequence[float]) -> list[QuantizerDesign]:
-    """:func:`design_quantizer` at every lane ``(columns[:, i], budgets[i])``:
-    each lane's threshold is settled on arrays, each search batched over the
-    lanes that need it, and each design built once; an infinite budget gives
-    the unconstrained design."""
+def design_table(sites: Sequence[SensorSite], budgets: Sequence[float]) -> DesignTable:
+    """:func:`design_quantizer` at every lane ``(sites[i], budgets[i])``, as
+    one table: each lane's threshold is settled on arrays, each search
+    batched over the lanes that need it, and each design computed once; an
+    infinite budget gives the unconstrained design."""
     for budget in budgets:
         if not budget >= 0.0:
             raise ValueError(f"budget must be nonnegative, got {budget!r}")
+    columns = _site_columns(sites)
     theta, sigma, rho_fc, rho_e = columns
     alpha = np.array(budgets, dtype=float)
     # every lane starts blind; a live one takes its FC peak where Eve's
@@ -209,7 +229,7 @@ def _designs(columns: np.ndarray, budgets: Sequence[float]) -> list[QuantizerDes
     bound = live[~free]
     if bound.size:
         thresholds[bound] = _bound_thresholds(columns[:, bound], alpha[bound])
-    return _designs_at(columns, thresholds, budgets, binding)
+    return _designs_at(columns, thresholds, alpha, binding)
 
 
 def _bound_thresholds(columns: np.ndarray, budgets: np.ndarray) -> np.ndarray:
@@ -233,7 +253,7 @@ def tradeoff_curve(
     every budget's bisections in one batch."""
     if any(b2 < b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be sorted ascending")
-    return _designs(_site_columns([site] * len(budgets)), budgets)
+    return design_table([site] * len(budgets), budgets).rows()
 
 
 def design_search_curve(

@@ -23,6 +23,8 @@ from secquant import (
     unconstrained_design,
 )
 
+from secquant.solver import blind_design
+
 import oracles
 
 
@@ -141,6 +143,25 @@ class TestAllocate:
             if not rec.active:
                 assert rec.design.d_fc == 0.0
                 assert rec.design.d_eve == 0.0
+
+    @pytest.mark.parametrize(
+        "n, seed, alpha", [(40, 1, 1.0), (40, 2, 0.3), (200, 3, 10.0), (500, 20248, 50.0)]
+    )
+    def test_batch_designs_equal_the_per_site_api(self, n, seed, alpha):
+        # the allocator designs every sensor in batches; each record must be
+        # exactly the design the per-site API gives that sensor
+        sites = sample_sites(n, seed=seed)
+        result = allocate(NetworkConfig(sites=sites, alpha_total=alpha))
+        for rec, site in zip(result.per_sensor, sites):
+            free = unconstrained_design(site)
+            assert (rec.quality, rec.d_fc_star, rec.d_eve_star) == (
+                quality_ratio(site), free.d_fc, free.d_eve)
+            if not rec.active:
+                assert rec.design == blind_design(site)
+            elif rec.alpha_i < free.d_eve:
+                assert rec.design == design_quantizer(site, rec.alpha_i)
+            else:
+                assert rec.design == free
 
     def test_benchmark_dominates_with_ideal_channels(self):
         result = allocate(

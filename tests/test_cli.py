@@ -48,6 +48,11 @@ def relabel_asleep(summary):
     summary["active_count"] -= 1
 
 
+def sensor_sum(summary):
+    """The benchmark total ``benchmark_d_fc`` of a summary's stored designs."""
+    return math.fsum(r["d_sensor"] for r in summary["per_sensor"])
+
+
 class TestDesignCommand:
     def test_binding_design_artifact(self, tmp_path):
         argv, out = design_args(tmp_path)
@@ -680,12 +685,21 @@ class TestVerifyCommand:
             lambda s: s["per_sensor"][0].update(alpha_i=0.5 * s["total_d_eve"]),
             lambda s: s.update(alpha_total=0.5 * s["total_d_eve"]),
             relabel_asleep,
+            lambda s: (s["per_sensor"][0].update(active=False),
+                       s.update(active_count=s["active_count"] - 1)),
             lambda s: s["per_sensor"][0].update(index=99),
+            lambda s: s.update(benchmark_d_fc=123.0, benchmark_d_eve=s["total_d_eve"]),
+            lambda s: s.update(benchmark_d_fc=sensor_sum(s), benchmark_d_eve=-7.0),
+            lambda s: s.update(benchmark_d_fc=sensor_sum(s)),
+            lambda s: s.update(alpha_total=10**400),
         ],
         ids=["no_alpha_total", "no_sensors", "negative_alpha_total",
              "wrong_total", "wrong_active_count", "wrong_sensor_d_fc",
              "sensor_over_alpha_i", "total_over_alpha_total",
-             "funded_sensor_relabelled_asleep", "index_not_its_position"],
+             "funded_sensor_relabelled_asleep",
+             "funded_sensor_asleep_with_its_totals", "index_not_its_position",
+             "wrong_benchmark_d_fc", "wrong_benchmark_d_eve",
+             "benchmark_d_eve_null", "alpha_total_beyond_float"],
     )
     def test_malformed_network_artifact_exits_4(self, tmp_path, corrupt):
         out = tmp_path / "greedy.csv"
@@ -853,8 +867,7 @@ class TestArtifactCodec:
             assert run(*argv) == 0
             payload = json.loads(out.read_text())
             config, result = cli._network_from(payload)
-            (record,) = result.per_sensor
-            assert cli._design_artifact(record.design, config.sites[0]) == payload
+            assert cli._design_artifact(result.designs, config.sites[0]) == payload
             assert result.total_d_fc == payload["d_fc"]
             assert result.active_count == 1
 
@@ -868,10 +881,7 @@ class TestArtifactCodec:
         config, result = cli._network_from(summary)
         assert config.alpha_total == summary["alpha_total"]
         assert {rec.active for rec in result.per_sensor} == {True, False}
-        encoded = [
-            cli._sensor_record(rec, site)
-            for rec, site in zip(result.per_sensor, config.sites)
-        ]
+        encoded = cli._sensor_records(config.sites, result)
         assert encoded == summary["per_sensor"]
         assert all(site.model.theta == 1.5 for site in config.sites)
         for name in ("total_d_fc", "total_d_eve", "active_count"):

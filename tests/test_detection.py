@@ -19,7 +19,6 @@ from secquant import (
     GaussianSensorModel,
     NetworkConfig,
     OperatingPoint,
-    SensorAllocation,
     SensorSite,
     allocate,
     bsc_transform,
@@ -353,13 +352,11 @@ class TestMonteCarlo:
         )
         config = NetworkConfig(sites=sites, alpha_total=10.0)
         designs = designs_at(config, np.array([0.5, 0.5]))
-        separating = dataclasses.replace(
-            designs.per_sensor[0].design, op=OperatingPoint(0.0, 0.6)
+        tails = designs.designs.tails.copy()
+        tails[:, 0] = OperatingPoint(0.0, 0.6).tails
+        designs = dataclasses.replace(
+            designs, designs=dataclasses.replace(designs.designs, tails=tails)
         )
-        designs = dataclasses.replace(designs, per_sensor=(
-            dataclasses.replace(designs.per_sensor[0], design=separating),
-            designs.per_sensor[1],
-        ))
         mc = simulate_monte_carlo(config, designs, window=5, trials=2000, seed=1)
         assert all(math.isfinite(v) for v in vars(mc).values())
         assert abs(mc.fc_fa_estimate - mc.delta) <= 5.0 * mc.fc_fa_se
@@ -488,20 +485,14 @@ def received_ones(config, thresholds, hypothesis, receiver):
 
 
 def designs_at(config, thresholds):
-    """Allocation records whose designs sit at the given thresholds."""
-    designs = _designs_at(
-        _site_columns(config.sites), thresholds, [0.0] * len(config.sites), binding=False
-    )
-    records = tuple(
-        SensorAllocation(
-            index=i, alpha_i=0.0, design=design, active=True, quality=0.0,
-            d_fc_star=0.0, d_eve_star=0.0,
-        )
-        for i, design in enumerate(designs)
-    )
+    """An allocation whose designs sit at the given thresholds."""
+    n = len(config.sites)
+    designs = _designs_at(_site_columns(config.sites), thresholds, [0.0] * n, binding=False)
+    zeros = np.zeros(n)
     return AllocationResult(
-        per_sensor=records, total_d_fc=0.0, total_d_eve=0.0,
-        active_count=len(records),
+        designs=designs, alpha_i=zeros, active=np.ones(n, dtype=bool), quality=zeros,
+        d_fc_star=zeros, d_eve_star=zeros, total_d_fc=0.0, total_d_eve=0.0,
+        active_count=n,
     )
 
 

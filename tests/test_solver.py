@@ -14,7 +14,6 @@ from secquant import (
     OperatingPoint,
     QuantizerDesign,
     SensorSite,
-    blind_design,
     bsc_transform,
     design_quantizer,
     eve_divergence_gap,
@@ -26,6 +25,7 @@ from secquant import (
 )
 import secquant.solver
 from secquant.search import count_direction_changes
+from secquant.solver import blind_design
 
 import oracles
 
