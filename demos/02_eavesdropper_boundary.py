@@ -9,41 +9,51 @@ boundary's intersection with the LRT curve.
 
 from secquant import (
     BscChannel,
+    OperatingPoint,
     convexity_certificate,
     kl_divergence,
     trace_constraint_curve,
 )
 
+
+def point(tails, k):
+    """The operating point in lane ``k`` of a (4, n) tails column."""
+    return OperatingPoint(*tails[:, k].tolist())
+
+
 eve = BscChannel(0.1)
 budget = 0.15
 
-points = trace_constraint_curve(budget, eve, n_points=241)
+trace = trace_constraint_curve(budget, eve, n_points=241)
+n = trace.slope.size
+x, y = trace.tails[:2]
+x_e, y_e = trace.eve_tails[:2]
 print(
     f"boundary of {{D_eve = {budget}}} for crossover 0.1: "
-    f"{len(points)} traced points\n"
+    f"{n} traced points\n"
 )
 
 print("   x       y      eve point        slope    curvature   d_eve")
-for p in points[:: len(points) // 10]:
-    d_eve = kl_divergence(p.eve_op)
+for k in range(0, n, n // 10):
+    d_eve = kl_divergence(point(trace.eve_tails, k))
     print(
-        f" {p.op.pfa:.3f}  {p.op.pd:.4f}  ({p.eve_op.pfa:.3f}, {p.eve_op.pd:.3f})"
-        f"  {p.slope:8.4f}  {p.curvature:9.4f}  {d_eve:.10f}"
+        f" {x[k]:.3f}  {y[k]:.4f}  ({x_e[k]:.3f}, {y_e[k]:.3f})"
+        f"  {trace.slope[k]:8.4f}  {trace.curvature[k]:9.4f}  {d_eve:.10f}"
     )
 
 print("\nconvexity certificate along the same boundary")
 print("(t2 vanishes identically; t4 >= 0 makes the sensor divergence convex,")
 print("so the best feasible design sits at a boundary endpoint):")
 print("   x      t1          t2          t3         t4        d2D/dx2")
-for p in points[20 :: len(points) // 6]:
-    cert = convexity_certificate(p.op, eve)
+for k in range(20, n, n // 6):
+    cert = convexity_certificate(point(trace.tails, k), eve)
     print(
-        f" {p.op.pfa:.3f}  {cert.t1:9.4f}  {cert.t2:.2e}  {cert.t3:9.4f}"
+        f" {x[k]:.3f}  {cert.t1:9.4f}  {cert.t2:.2e}  {cert.t3:9.4f}"
         f"  {cert.t4:9.4f}  {cert.second_derivative:9.4f}"
     )
 
 print("\nsensor divergence sampled along the boundary (convex in x):")
-ds = [(p.op.pfa, kl_divergence(p.op)) for p in points]
-for x, d in ds[:: len(ds) // 10]:
+for k in range(0, n, n // 10):
+    d = kl_divergence(point(trace.tails, k))
     bar = "#" * int(120 * d)
-    print(f"  x={x:.3f}  D={d:.4f}  {bar}")
+    print(f"  x={x[k]:.3f}  D={d:.4f}  {bar}")

@@ -21,7 +21,7 @@ from .allocation import (
     sample_sites,
 )
 from .boundary import (
-    BoundaryPoint,
+    BoundaryTrace,
     ConvexityCertificate,
     constraint_curvature,
     constraint_slope,
@@ -69,7 +69,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationResult",
     "ArtifactError",
-    "BoundaryPoint",
+    "BoundaryTrace",
     "BscChannel",
     "ConvexityCertificate",
     "ExponentCurvePoint",

@@ -25,6 +25,7 @@ from .roc import (
     DIAGONAL_TOL,
     BscChannel,
     OperatingPoint,
+    _check_tails,
     _kl_partials,
     _received,
     received_divergence,
@@ -35,19 +36,22 @@ from .search import bisect_root
 TRACE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """One traced point of the constraint boundary.
+@dataclass(frozen=True, eq=False)
+class BoundaryTrace:
+    """The traced constraint boundary as columns, one lane per point: the
+    sensor tails ``[x, y, 1 - x, 1 - y]`` and their image through Eve's
+    channel as the rows of two (4, n) arrays, each checked once on the
+    arrays by ``roc._check_tails``; ``slope`` and ``curvature`` are dy/dx
+    and d2y/dx2 of the boundary at each point."""
 
-    ``op`` is the sensor-side point, ``eve_op`` its image through Eve's
-    channel; ``slope`` and ``curvature`` are dy/dx and d2y/dx2 of the
-    boundary at that point.
-    """
+    tails: np.ndarray
+    eve_tails: np.ndarray
+    slope: np.ndarray
+    curvature: np.ndarray
 
-    op: OperatingPoint
-    eve_op: OperatingPoint
-    slope: float
-    curvature: float
+    def __post_init__(self) -> None:
+        _check_tails(*self.tails)
+        _check_tails(*self.eve_tails)
 
 
 @dataclass(frozen=True)
@@ -140,15 +144,15 @@ def slope_bounds(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
 
 def trace_constraint_curve(
     budget: float, eve: BscChannel, n_points: int
-) -> list[BoundaryPoint]:
+) -> BoundaryTrace:
     """Numerically trace the upper branch of ``D_eve = budget``.
 
     Lays an ``n_points`` grid over the false-alarm axis, discards abscissae
     where the budget is unreachable, and bisects all the rest in one batch
     for the detection coordinate, unique on ``[x, 1]`` where the divergence
     rises.  Every returned point carries the closed-form slope and
-    curvature and satisfies ``|D_eve - budget| <= TRACE_TOL``.  Returns an
-    empty list when the budget exceeds Eve's best achievable divergence
+    curvature and satisfies ``|D_eve - budget| <= TRACE_TOL``.  The trace
+    has no points when the budget exceeds Eve's best achievable divergence
     everywhere.
     """
     if not budget > 0.0:
@@ -175,11 +179,8 @@ def trace_constraint_curve(
     on = np.abs(gap(y[:, None], np.arange(x.size))[:, 0]) <= TRACE_TOL
     tails = np.array([x[on], y[on], 1.0 - x[on], 1.0 - y[on]])
     slope = _slope(tails, rho)
-    columns = (*tails, *_received(tails, rho), slope, _curvature(tails, rho, slope))
-    return [
-        BoundaryPoint(OperatingPoint(*p[:4]), OperatingPoint(*p[4:8]), *p[8:])
-        for p in zip(*(col.tolist() for col in columns))
-    ]
+    return BoundaryTrace(tails, _received(tails, rho), slope,
+                         _curvature(tails, rho, slope))
 
 
 def convexity_certificate(

@@ -340,7 +340,7 @@ def _table_text(fmt: str, header: list[str], rows: list) -> str:
 def cmd_design(cfg: dict[str, Any]) -> int:
     site = _site_from(cfg)
     budget, out, n_points = cfg["alpha_tilde"], cfg["out"], cfg["h_trace_points"]
-    if budget < 0.0:
+    if not budget >= 0.0:  # also refuses NaN
         raise ValueError("alpha_tilde must be nonnegative")
     if n_points < 2:
         raise ValueError("h_trace_points must be at least 2")
@@ -428,18 +428,15 @@ def cmd_greedy(cfg: dict[str, Any]) -> int:
 
 def cmd_trace_boundary(cfg: dict[str, Any]) -> int:
     budget = cfg["alpha_tilde"]
-    if budget <= 0.0:
+    if not budget > 0.0:  # also refuses NaN
         raise ValueError("alpha_tilde must be positive for a boundary trace")
     eve = BscChannel(cfg["rho_e"])
 
-    points = trace_constraint_curve(budget, eve, cfg["n_points"])
-    tails = np.array([p.op.tails for p in points]).reshape(-1, 4).T
-    d_e = received_divergence(tails, eve.crossover).tolist()
+    trace = trace_constraint_curve(budget, eve, cfg["n_points"])
+    d_e = received_divergence(trace.tails, eve.crossover)
     header = ["x", "y", "x_e", "y_e", "slope", "curvature", "d_e"]
-    rows = [
-        (p.op.pfa, p.op.pd, p.eve_op.pfa, p.eve_op.pd, p.slope, p.curvature, d)
-        for p, d in zip(points, d_e)
-    ]
+    columns = (*trace.tails[:2], *trace.eve_tails[:2], trace.slope, trace.curvature, d_e)
+    rows = list(zip(*(column.tolist() for column in columns)))
     write_all([(cfg["out"], _table_text(cfg["format"], header, rows))])
     return 0
 

@@ -181,12 +181,6 @@ def _designs_at(
     )
 
 
-def blind_design(site: SensorSite, budget: float = 0.0) -> QuantizerDesign:
-    """The all-zeros corner quantizer, the design at threshold +inf: perfect
-    secrecy, zero information."""
-    return _designs_at(_site_columns([site]), [math.inf], [budget], True).rows()[0]
-
-
 def unconstrained_design(site: SensorSite) -> QuantizerDesign:
     """Divergence-maximizing design ignoring the eavesdropper."""
     return design_table([site], [math.inf]).rows()[0]

@@ -23,8 +23,6 @@ from secquant import (
     unconstrained_design,
 )
 
-from secquant.solver import blind_design
-
 import oracles
 
 
@@ -157,7 +155,7 @@ class TestAllocate:
             assert (rec.quality, rec.d_fc_star, rec.d_eve_star) == (
                 quality_ratio(site), free.d_fc, free.d_eve)
             if not rec.active:
-                assert rec.design == blind_design(site)
+                assert rec.design == design_quantizer(site, 0.0)
             elif rec.alpha_i < free.d_eve:
                 assert rec.design == design_quantizer(site, rec.alpha_i)
             else:

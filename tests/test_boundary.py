@@ -128,31 +128,42 @@ class TestConstraintCurvature:
         assert c == pytest.approx(fd_curv, rel=1e-4)
 
 
+def divergences(tails, channel=BscChannel(0.0)):
+    """``kl_divergence`` of each point of a (4, n) tails array, seen through
+    ``channel``, one point at a time through the public functions."""
+    return np.array([kl_divergence(bsc_transform(OperatingPoint(*t), channel))
+                     for t in tails.T.tolist()])
+
+
+def point(trace, k):
+    """The sensor operating point of lane ``k`` of a trace."""
+    return OperatingPoint(*trace.tails[:, k].tolist())
+
+
 class TestTrace:
     def test_passes_through_defining_point(self):
         eve = BscChannel(0.1)
         budget = kl_divergence(bsc_transform(OperatingPoint(0.25, 0.75), eve))
-        points = trace_constraint_curve(budget, eve, n_points=101)
+        trace = trace_constraint_curve(budget, eve, n_points=101)
         # 0.25 is on the 101-point grid
-        match = [p for p in points if abs(p.op.pfa - 0.25) < 1e-12]
-        assert len(match) == 1
-        assert match[0].op.pd == pytest.approx(0.75, abs=1e-8)
+        x, y = trace.tails[:2]
+        match = np.flatnonzero(np.abs(x - 0.25) < 1e-12)
+        assert match.size == 1
+        assert y[match[0]] == pytest.approx(0.75, abs=1e-8)
 
     def test_level_accuracy_everywhere(self):
         eve = BscChannel(0.1)
-        points = trace_constraint_curve(0.2, eve, n_points=301)
-        assert len(points) > 100
-        for p in points:
-            assert abs(kl_divergence(p.eve_op) - 0.2) <= TRACE_TOL
+        trace = trace_constraint_curve(0.2, eve, n_points=301)
+        assert trace.slope.size > 100
+        assert np.all(np.abs(divergences(trace.eve_tails) - 0.2) <= TRACE_TOL)
 
     def test_noiseless_channel_keeps_only_points_on_the_level_set(self):
         # near x = 1 the root lies nearer to y = 1 than a float resolves;
         # those abscissae are dropped, not returned off the level set
-        points = trace_constraint_curve(5.0, BscChannel(0.0), n_points=600)
-        assert 300 < len(points) < 600
-        for p in points:
-            assert abs(kl_divergence(p.eve_op) - 5.0) <= TRACE_TOL
-        assert points[0].op.pfa == 0.0 and points[0].slope == math.inf
+        trace = trace_constraint_curve(5.0, BscChannel(0.0), n_points=600)
+        assert 300 < trace.slope.size < 600
+        assert np.all(np.abs(divergences(trace.eve_tails) - 5.0) <= TRACE_TOL)
+        assert trace.tails[0, 0] == 0.0 and trace.slope[0] == math.inf
 
     def test_lanes_nearer_to_y_1_than_a_float_stop_early(self, monkeypatch):
         # such a lane ends once its bracket holds no float, not after every
@@ -164,36 +175,38 @@ class TestTrace:
                                *args, **kwargs)
 
         monkeypatch.setattr(boundary, "bisect_root", counted)
-        points = trace_constraint_curve(1.0, BscChannel(0.0), n_points=512)
+        trace = trace_constraint_curve(1.0, BscChannel(0.0), n_points=512)
         assert len(calls) <= 60
-        assert len(points) == 475
-        assert (points[-1].op.pfa, points[-1].op.pd) == (
+        assert trace.slope.size == 475
+        assert tuple(trace.tails[:2, -1].tolist()) == (
             0.9275929549902152, 0.9999999722256175)
-        for p in points:
-            assert abs(kl_divergence(p.eve_op) - 1.0) <= TRACE_TOL
+        assert np.all(np.abs(divergences(trace.eve_tails) - 1.0) <= TRACE_TOL)
 
     def test_small_budget_hugs_diagonal(self):
         eve = BscChannel(0.1)
-        points = trace_constraint_curve(1e-4, eve, n_points=51)
-        gaps = [p.op.pd - p.op.pfa for p in points]
+        x, y = trace_constraint_curve(1e-4, eve, n_points=51).tails[:2]
+        gaps = y - x
         assert max(gaps) < 0.06
         assert min(gaps) > 0.0
 
     def test_slopes_within_bounds_along_trace(self):
         eve = BscChannel(0.1)
-        for p in trace_constraint_curve(0.2, eve, n_points=200):
-            lo, hi = slope_bounds(p.op, eve)
-            assert lo - 1e-12 <= p.slope <= hi + 1e-12
+        trace = trace_constraint_curve(0.2, eve, n_points=200)
+        for k, slope in enumerate(trace.slope.tolist()):
+            lo, hi = slope_bounds(point(trace, k), eve)
+            assert lo - 1e-12 <= slope <= hi + 1e-12
 
     def test_budget_beyond_reach_gives_empty(self):
         eve = BscChannel(0.1)
         ceiling = kl_divergence(OperatingPoint(0.1, 0.9))  # best possible at rho=0.1
-        assert trace_constraint_curve(ceiling + 0.1, eve, n_points=64) == []
+        trace = trace_constraint_curve(ceiling + 0.1, eve, n_points=64)
+        assert trace.slope.size == 0
+        assert trace.tails.shape == trace.eve_tails.shape == (4, 0)
 
     def test_partial_feasibility_prunes_grid(self):
         eve = BscChannel(0.05)
-        points = trace_constraint_curve(0.8, eve, n_points=200)
-        assert 0 < len(points) < 200
+        trace = trace_constraint_curve(0.8, eve, n_points=200)
+        assert 0 < trace.slope.size < 200
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -205,33 +218,29 @@ class TestTrace:
         # discrete second differences of the sensor and FC divergences
         # stay nonnegative along the boundary
         eve = BscChannel(0.1)
-        points = trace_constraint_curve(0.25, eve, n_points=400)
-        xs = np.array([p.op.pfa for p in points])
+        trace = trace_constraint_curve(0.25, eve, n_points=400)
+        xs = trace.tails[0]
         step = xs[1] - xs[0]
         # use only the uniformly spaced interior part of the grid
         uniform = np.abs(np.diff(xs) - step) < 1e-9
         for rho_fc in (0.0, 0.07):
-            ch = BscChannel(rho_fc)
-            d = np.array(
-                [kl_divergence(bsc_transform(p.op, ch)) for p in points]
-            )
+            d = divergences(trace.tails, BscChannel(rho_fc))
             second = d[:-2] - 2 * d[1:-1] + d[2:]
             mask = uniform[:-1] & uniform[1:]
             assert np.all(second[mask] >= -1e-7)
 
     def test_closed_form_slope_matches_trace_differences(self):
         eve = BscChannel(0.12)
-        points = trace_constraint_curve(0.18, eve, n_points=500)
-        xs = np.array([p.op.pfa for p in points])
-        ys = np.array([p.op.pd for p in points])
+        trace = trace_constraint_curve(0.18, eve, n_points=500)
+        xs, ys = trace.tails[:2]
         step = xs[1] - xs[0]
-        for k in range(5, len(points) - 5, 25):
+        for k in range(5, trace.slope.size - 5, 25):
             if abs(xs[k + 1] - xs[k] - step) > 1e-9 or abs(
                 xs[k] - xs[k - 1] - step
             ) > 1e-9:
                 continue
             fd = (ys[k + 1] - ys[k - 1]) / (xs[k + 1] - xs[k - 1])
-            assert points[k].slope == pytest.approx(fd, rel=1e-5)
+            assert trace.slope[k] == pytest.approx(fd, rel=1e-5)
 
 
 class TestOnePointCase:
@@ -246,23 +255,24 @@ class TestOnePointCase:
     )
     def test_traced_points_equal_the_one_point_functions(self, budget, rho, n_points):
         eve = BscChannel(rho)
-        for p in trace_constraint_curve(budget, eve, n_points):
-            slope = constraint_slope(p.op, eve)
-            assert p.slope == slope
-            assert p.curvature == constraint_curvature(p.op, eve, slope)
-            assert p.eve_op == bsc_transform(p.op, eve)
+        trace = trace_constraint_curve(budget, eve, n_points)
+        lanes = zip(trace.eve_tails.T.tolist(), trace.slope.tolist(),
+                    trace.curvature.tolist())
+        for k, (eve_tails, traced_slope, curvature) in enumerate(lanes):
+            op = point(trace, k)
+            slope = constraint_slope(op, eve)
+            assert traced_slope == slope
+            assert curvature == constraint_curvature(op, eve, slope)
+            assert OperatingPoint(*eve_tails) == bsc_transform(op, eve)
 
     def test_python_float_returns(self):
         op, eve = OperatingPoint(0.2, 0.7), BscChannel(0.1)
-        point = trace_constraint_curve(0.2, eve, n_points=5)[0]
         cert = convexity_certificate(op, eve)
         values = [
             constraint_slope(op, eve),
             constraint_curvature(op, eve, 1.0),
             *slope_bounds(op, eve),
             *vars(cert).values(),
-            point.slope,
-            point.curvature,
             kl_divergence_grad_pd(op),
         ]
         assert all(type(v) is float for v in values)

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSite,
-                      bsc_transform, cli, kl_divergence, stein_curve,
-                      unconstrained_design)
+                      bsc_transform, cli, constraint_curvature, constraint_slope,
+                      kl_divergence, stein_curve, unconstrained_design)
 from secquant.cli import main
 
 
@@ -344,15 +344,33 @@ class TestTraceBoundaryCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,x_e,y_e,slope,curvature,d_e"
         assert len(lines) > 10
+        eve = BscChannel(0.1)
         for line in lines[1:]:
-            d_e = float(line.split(",")[6])
+            x, y, x_e, y_e, slope, curvature, d_e = map(float, line.split(","))
             assert d_e == pytest.approx(0.2, abs=1e-9)
+            op = OperatingPoint(x, y)
+            eve_op = bsc_transform(op, eve)
+            assert (x_e, y_e) == (eve_op.pfa, eve_op.pd)
+            assert slope == constraint_slope(op, eve)
+            assert curvature == constraint_curvature(op, eve, slope)
 
     def test_zero_budget_exits_2(self, tmp_path):
         assert run(
             "trace-boundary", "--alpha-tilde", "0.0", "--rho-e", "0.1",
             "--out", str(tmp_path / "b.csv"),
         ) == 2
+
+    @pytest.mark.parametrize(
+        "fmt, text", [("csv", "x,y,x_e,y_e,slope,curvature,d_e\n"), ("json", "[]\n")]
+    )
+    def test_unreachable_budget_writes_an_empty_table(self, tmp_path, fmt, text):
+        # Eve's best divergence at crossover 0.1 is about 1.76 nats
+        out = tmp_path / f"b.{fmt}"
+        assert run(
+            "trace-boundary", "--alpha-tilde", "5", "--rho-e", "0.1",
+            "--format", fmt, "--out", str(out),
+        ) == 0
+        assert out.read_text() == text
 
 
 class TestVerifyCommand:
@@ -922,6 +940,21 @@ class TestConfigTypes:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, flags", [("trace-boundary", ("--rho-e", "0.1")), ("design", SITE)]
+    )
+    def test_nan_budget_names_its_field(self, tmp_path, capsys, command, flags, source):
+        # NaN fails every comparison, so a range test must be written to
+        # refuse what is not inside the range
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"alpha_tilde": math.nan}))
+        budget = {"flag": ("--alpha-tilde", "nan"), "config": ("--config", str(config))}
+        out = tmp_path / "out.csv"
+        assert run(command, *budget[source], *flags, "--out", str(out)) == 2
+        assert "alpha_tilde" in capsys.readouterr().err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "command, config, flags",
@@ -961,6 +994,30 @@ class TestConfigTypes:
         assert unread in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["c.json", artifact.name])
+
+
+def test_bulk_commands_build_no_operating_points(tmp_path, monkeypatch):
+    # designs, networks and boundary traces travel as column tables from the
+    # solver to the artifact, checked once on the arrays, not point by point
+    built = []
+    check = OperatingPoint.__post_init__
+    monkeypatch.setattr(OperatingPoint, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text(json.dumps({"alphas": [0.01, 0.05, 0.2]}))
+    site = ("--theta", "1.0", "--sigma", "1.0", "--rho-fc", "0.01", "--rho-e", "0.1")
+    commands = {
+        "greedy": ("greedy", "--n-sensors", "50", "--alpha-total", "5", "--seed", "1"),
+        "design": ("design", *site, "--alpha-tilde", "0.05"),
+        "tradeoff": ("tradeoff", *site, "--config", str(alphas)),
+        "trace-boundary": ("trace-boundary", "--alpha-tilde", "0.2", "--rho-e", "0.1"),
+    }
+    counts = {}
+    for name, argv in commands.items():
+        built.clear()
+        assert run(*argv, "--out", str(tmp_path / name)) == 0
+        counts[name] = len(built)
+    assert counts == dict.fromkeys(commands, 0)
 
 
 def command_parsers():

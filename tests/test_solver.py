@@ -25,7 +25,6 @@ from secquant import (
 )
 import secquant.solver
 from secquant.search import count_direction_changes
-from secquant.solver import blind_design
 
 import oracles
 
@@ -208,6 +207,11 @@ class TestDesignQuantizer:
             design_quantizer(make_site(), -0.1)
 
 
+def blind_corner(budget):
+    """The design at threshold +inf: the all-zeros corner, every divergence 0."""
+    return QuantizerDesign(math.inf, OperatingPoint(0.0, 0.0), 0.0, 0.0, 0.0, True, budget)
+
+
 crossover = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.499))
 
 
@@ -216,11 +220,8 @@ class TestBlindDesign:
     @pytest.mark.parametrize("rho", [0.0, 0.2, 0.49])
     @pytest.mark.parametrize("budget", [0.0, -0.0])
     def test_is_the_corner_at_plus_infinity(self, snr, rho, budget):
-        design = blind_design(make_site(theta=snr, rho_fc=rho, rho_e=rho), budget)
-        corner = QuantizerDesign(
-            math.inf, OperatingPoint(0.0, 0.0), 0.0, 0.0, 0.0, True, budget
-        )
-        assert repr(design) == repr(corner)
+        design = design_quantizer(make_site(theta=snr, rho_fc=rho, rho_e=rho), budget)
+        assert repr(design) == repr(blind_corner(budget))
 
 
 class TestBudgetIsKept:
@@ -364,7 +365,7 @@ class TestTradeoffCurve:
         site = make_site()
         points = tradeoff_curve(site, [-0.0, 0.0, 0.05])
         assert [repr(p.budget) for p in points] == ["-0.0", "0.0", "0.05"]
-        assert repr(points[:2]) == repr([blind_design(site, b) for b in (-0.0, 0.0)])
+        assert repr(points[:2]) == repr([blind_corner(b) for b in (-0.0, 0.0)])
         assert repr(points[2]) == repr(design_quantizer(site, 0.05))
 
     def test_monotone_nondecreasing_sweep(self):
