@@ -20,7 +20,7 @@ import numpy as np
 from .gaussian import GaussianSensorModel
 from .roc import BscChannel, SensorSite
 from .solver import (DesignTable, QuantizerDesign, _bound_thresholds, _designs_at,
-                     _site_columns, design_table, unconstrained_design)
+                     _site_columns, design_lanes, unconstrained_design)
 
 #: Leftover budgets below this are treated as exhausted; designs produced
 #: from them would be numerically blind anyway.
@@ -130,11 +130,11 @@ def _network(
     site is solved once and each partly funded sensor designed once."""
     n = len(sites)
     _check_network(alpha_total, n_grid, n)
-    free = design_table(sites, [math.inf] * n)
+    columns = _site_columns(sites)
+    free = design_lanes(columns, np.full(n, math.inf))
     quality = _quality(free.d_fc, free.d_eve)
     # nonincreasing quality, ties by ascending index
     order = np.argsort(-quality, kind="stable")
-    columns = _site_columns(sites)
     splits, partials = _splits(columns, alpha_total, free.d_eve, order, {*n_grid, n})
     ranked, shares, partial = splits[n]
     active = np.isin(np.arange(n), ranked)
@@ -217,6 +217,8 @@ def sample_sites(
         raise ValueError(f"n_sensors must be positive, got {n_sensors!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    if not 0.0 < snr < math.inf:  # also refuses NaN
+        raise ValueError(f"snr must be finite and positive, got {snr!r}")
     for name, high in (("fc_crossover_high", fc_crossover_high),
                        ("eve_crossover_high", eve_crossover_high)):
         if not 0.0 <= high <= 0.5:

@@ -360,6 +360,9 @@ def cmd_design(cfg: dict[str, Any]) -> int:
 def cmd_tradeoff(cfg: dict[str, Any]) -> int:
     site = _site_from(cfg)
     alphas = cfg["alphas"]
+    for alpha in alphas or []:
+        if not alpha >= 0.0:  # also refuses NaN
+            raise ValueError(f"alphas entries must be nonnegative, got {alpha!r}")
     if alphas is None:
         for name in ("alpha_min", "alpha_max", "alpha_count"):
             if cfg[name] is None:
@@ -370,6 +373,8 @@ def cmd_tradeoff(cfg: dict[str, Any]) -> int:
             if not math.isfinite(cfg[name]):
                 raise ValueError(
                     f"{name} must be finite to build a grid, got {cfg[name]!r}")
+        if lo < 0.0:
+            raise ValueError(f"alpha_min must be nonnegative, got {lo!r}")
         if count < 1:
             raise ValueError("alpha_count must be positive")
         if hi < lo:
@@ -540,9 +545,10 @@ def cmd_verify(cfg: dict[str, Any]) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``secquant`` parser: per command, ``--config`` and a flag for
-    each of its fields but the arrays, which only a config document sets."""
+def build_parser(commands: Sequence[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The ``secquant`` parser, with a subparser for each of ``commands``
+    (every command by default): ``--config`` and a flag for each of the
+    command's fields but the arrays, which only a config document sets."""
     parser = argparse.ArgumentParser(
         prog="secquant",
         description=(
@@ -550,8 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
             "them against exact detection-theoretic baselines."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help, fields) in _COMMANDS.items():
+    # a parser of fewer commands names them all in its usage line, so its
+    # messages read as the full parser's
+    every = None if len(commands) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for command in commands:
+        help, fields = _COMMANDS[command]
         p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON config document; flags override fields")
         for name, (kind, _) in fields.items():
@@ -567,7 +577,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names a command is parsed by that command's subparser
+    # alone; any other (help, no command, a typo) by the full parser
+    named = argv[:1] if argv[:1] and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    args = build_parser(named).parse_args(argv)
     # looked up by name on each run, so a wrapped handler is the one called
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

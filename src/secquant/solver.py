@@ -21,7 +21,7 @@ import numpy as np
 from .gaussian import (_channel_divergence, _max_channel_divergences, _tails,
                        _threshold_brackets, max_channel_divergence)
 from .roc import OperatingPoint, SensorSite, _check_tails, received_divergence
-from .search import bisect_root
+from .search import PRESCAN_LANES, PRESCAN_POINTS, bisect_root
 
 #: A root r of the budget equation is accepted when |gap(r)| <= ROOT_F_TOL
 #: or its bracket has shrunk below ROOT_X_TOL.  The width stop is tight
@@ -29,6 +29,15 @@ from .search import bisect_root
 #: at the returned root.
 ROOT_F_TOL = 1e-13
 ROOT_X_TOL = 1e-12
+
+#: Each side of Eve's peak is tabulated on this many cells of equal width
+#: from the bracket edge to the peak, and each crossing's root steps start
+#: from its cell.
+CROSSING_CELLS = 64
+
+#: Lanes tabulated, or searched for their cells, per array pass: about as
+#: many points as a pre-scan call.
+_TABLE_LANES = PRESCAN_LANES * PRESCAN_POINTS // (2 * CROSSING_CELLS + 2)
 
 
 @dataclass(frozen=True)
@@ -94,17 +103,18 @@ def eve_divergence_gap(site: SensorSite, threshold: float, budget: float) -> flo
     return float(gap) if np.ndim(gap) == 0 else gap
 
 
-def _peaks(theta, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
-    """Each lane's threshold and divergence maximizing its divergence through
-    crossover ``rho``; the distinct ``(theta, sigma, rho)`` lanes are searched
-    in one batch, each once, in first-seen order."""
+def _peaks(theta, sigma, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The distinct ``(theta, sigma, rho)`` lanes, as three rows in first-seen
+    order; the threshold and the divergence maximizing each one's divergence
+    through crossover ``rho``, all searched in one batch; and each lane's
+    index among them."""
     lanes = list(zip(theta.tolist(), sigma.tolist(), rho.tolist()))
-    if not lanes:
-        return np.empty(0), np.empty(0)
     distinct = {lane: k for k, lane in enumerate(dict.fromkeys(lanes))}
-    thresholds, values = _max_channel_divergences(*np.reshape(list(distinct), (-1, 3)).T)
+    models = np.reshape(list(distinct), (-1, 3)).T
     at = [distinct[lane] for lane in lanes]
-    return thresholds[at], values[at]
+    if not lanes:
+        return models, np.empty(0), np.empty(0), at
+    return models, *_max_channel_divergences(*models), at
 
 
 def max_eve_divergence(site: SensorSite) -> tuple[float, float]:
@@ -134,30 +144,53 @@ def _budget_thresholds(columns: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     budgets[i])``, as two rows: the crossing below Eve's peak and the one
     above it, both the peak at tangency, NaN on a side with no crossing
     inside the bracket.  Eve's peak is searched once per distinct lane, and
-    every crossing of every lane is bisected in one batch."""
+    her divergence tabulated there from each bracket edge to the peak; each
+    crossing is bisected from the first cell, counted from the edge, whose
+    gap changes sign, all of them in one batch."""
     theta, sigma, _, rho = columns
-    peaks, d_max = _peaks(theta, sigma, rho)
-    gaps = d_max - budgets
+    (th, s, r), peaks, d_max, at = _peaks(theta, sigma, rho)
+    gaps = d_max[at] - budgets
     roots = np.full((2, gaps.size), math.nan)
     tangent = np.abs(gaps) <= ROOT_F_TOL
-    roots[:, tangent] = peaks[tangent]
-    # two intervals per crossing lane, (lo, peak) and (peak, hi)
+    roots[:, tangent] = peaks[at][tangent]
+    # Eve's divergence at CROSSING_CELLS + 1 points from each bracket edge
+    # (first axis: below the peak, above it) to the peak, whose value is the
+    # one searched; a few lanes per kernel call bound the temporaries
+    edges = np.stack(_threshold_brackets(th, s))
+    steps = np.arange(CROSSING_CELLS + 1) / CROSSING_CELLS
+    table = np.empty((2, peaks.size, steps.size))
+    for i in range(0, peaks.size, _TABLE_LANES):
+        part = slice(i, i + _TABLE_LANES)
+        grid = edges[:, part, None] * (1.0 - steps) + peaks[part, None] * steps
+        table[:, part] = _channel_divergence(th[part, None], s[part, None],
+                                             r[part, None], grid)
+    table[..., -1] = d_max
+    # two sides per crossing lane, each bisected from its first cell, from
+    # the edge, whose far end leaks: none where the edge itself leaks, as
+    # the side's crossing lies beyond the edge
     lanes = np.repeat(np.flatnonzero(gaps > ROOT_F_TOL), 2)
-    th, s, r, budget = (v[lanes, None] for v in (theta, sigma, rho, budgets))
+    sides = np.arange(lanes.size) % 2
+    model = np.array(at, dtype=int)[lanes]
+    k = np.empty(lanes.size, dtype=int)
+    for i in range(0, lanes.size, 2 * _TABLE_LANES):
+        part = slice(i, i + 2 * _TABLE_LANES)
+        leaks = table[sides[part], model[part]] > budgets[lanes[part], None]
+        k[part] = np.argmax(leaks, axis=1)
+    inside = k > 0
+    lanes, sides, model, k = (v[inside] for v in (lanes, sides, model, k))
+    th, s, r, budget = th[model, None], s[model, None], r[model, None], budgets[lanes, None]
 
     def gap(t: np.ndarray, sub: np.ndarray) -> np.ndarray:
         return _channel_divergence(th[sub], s[sub], r[sub], t) - budget[sub]
 
-    edges = np.stack(_threshold_brackets(th[::2, 0], s[::2, 0]), axis=1).ravel()
-    a, b = np.minimum(edges, peaks[lanes]), np.maximum(edges, peaks[lanes])
-    f_a, f_b = gap(np.stack([a, b], axis=1), np.arange(lanes.size)).T
-    # a side whose bracket edge still leaks has its crossing beyond the edge
-    inside = np.flatnonzero(~((f_a > 0.0) & (f_b > 0.0)))
-    roots[inside % 2, lanes[inside]] = bisect_root(
-        lambda x, sub: gap(x, inside[sub]),
-        a[inside], b[inside], f_a[inside], f_b[inside],
-        f_tol=ROOT_F_TOL, x_tol=ROOT_X_TOL,
-    )
+    def cell(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each crossing's grid point ``j`` and its gap there."""
+        t = edges[sides, model] * (1.0 - steps[j]) + peaks[model] * steps[j]
+        return t, table[sides, model, j] - budget[:, 0]
+
+    # the grid ascends below the peak and descends above it
+    (a, f_a), (b, f_b) = cell(k - 1 + sides), cell(k - sides)
+    roots[sides, lanes] = bisect_root(gap, a, b, f_a, f_b, f_tol=ROOT_F_TOL, x_tol=ROOT_X_TOL)
     return roots
 
 
@@ -203,21 +236,27 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
 
 def design_table(sites: Sequence[SensorSite], budgets: Sequence[float]) -> DesignTable:
     """:func:`design_quantizer` at every lane ``(sites[i], budgets[i])``, as
-    one table: each lane's threshold is settled on arrays, each search
-    batched over the lanes that need it, and each design computed once; an
-    infinite budget gives the unconstrained design."""
-    for budget in budgets:
-        if not budget >= 0.0:
-            raise ValueError(f"budget must be nonnegative, got {budget!r}")
-    columns = _site_columns(sites)
-    theta, sigma, rho_fc, rho_e = columns
+    one table: :func:`design_lanes` on the sites' columns."""
+    return design_lanes(_site_columns(sites), budgets)
+
+
+def design_lanes(columns: np.ndarray, budgets: Sequence[float]) -> DesignTable:
+    """:func:`design_table` on sites already turned into the (4, n) columns
+    theta, sigma, FC and Eve crossover: each lane's threshold is settled on
+    arrays, each search batched over the lanes that need it, and each design
+    computed once; an infinite budget gives the unconstrained design."""
     alpha = np.array(budgets, dtype=float)
+    negative = alpha[~(alpha >= 0.0)].tolist()
+    if negative:
+        raise ValueError(f"budget must be nonnegative, got {negative[0]!r}")
+    theta, sigma, rho_fc, rho_e = columns
     # every lane starts blind; a live one takes its FC peak where Eve's
     # leakage there fits the budget, and its better crossing otherwise
     thresholds = np.full(alpha.size, math.inf)
     binding = np.ones(alpha.size, dtype=bool)
     live = np.flatnonzero(alpha > 0.0)
-    peaks, _ = _peaks(theta[live], sigma[live], rho_fc[live])
+    _, peaks, _, at = _peaks(theta[live], sigma[live], rho_fc[live])
+    peaks = peaks[at]
     free = _channel_divergence(theta[live], sigma[live], rho_e[live], peaks) <= alpha[live]
     thresholds[live[free]], binding[live[free]] = peaks[free], False
     bound = live[~free]

@@ -199,6 +199,25 @@ class TestTradeoffCommand:
         assert f"{field} must be finite to build a grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"alphas": [math.nan]}, "alphas entries must be nonnegative, got nan"),
+        ({"alphas": [0.1, -1.0]}, "alphas entries must be nonnegative, got -1.0"),
+        ({"alpha_min": -1.0, "alpha_max": 1.0, "alpha_count": 3},
+         "alpha_min must be nonnegative, got -1.0"),
+    ])
+    def test_negative_or_nan_budget_exits_2_naming_its_field(
+        self, tmp_path, capsys, fields, message
+    ):
+        config = tmp_path / "c.json"
+        out = tmp_path / "t.csv"
+        config.write_text(json.dumps({
+            "theta": 1.0, "sigma": 1.0, "rho_fc": 0.0, "rho_e": 0.1,
+            "out": str(out), **fields,
+        }))
+        assert run("tradeoff", "--config", str(config)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_budget_in_alphas_is_the_unconstrained_design(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({
@@ -236,7 +255,17 @@ class TestGreedyCommand:
             "greedy", "--n-sensors", "3", "--alpha-total", "1.0", "--seed", "1",
             "--snr", "inf", "--out", str(out),
         ) == 2
-        assert "theta must be finite and positive, got inf" in capsys.readouterr().err
+        assert "snr must be finite and positive, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["nan", "-1", "0"])
+    def test_snr_not_positive_exits_2_naming_it(self, tmp_path, capsys, snr):
+        out = tmp_path / "greedy.csv"
+        assert run(
+            "greedy", "--n-sensors", "3", "--alpha-total", "1.0", "--seed", "1",
+            "--snr", snr, "--out", str(out),
+        ) == 2
+        assert "snr must be finite and positive, got " in capsys.readouterr().err
         assert not out.exists()
 
     def test_outputs_and_feasibility(self, tmp_path):
@@ -1064,6 +1093,36 @@ class TestParser:
         missing = [f"{module}.{name}" for module, name in sorted(named)
                    if not hasattr(importlib.import_module(f"secquant.{module}"), name)]
         assert missing == []
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_a_call_builds_one_subparser_and_reads_as_the_full_parser(
+        self, command, capsys, monkeypatch
+    ):
+        # help and errors are printed as the full parser prints them
+        printed = []
+        for parse in (cli.build_parser().parse_args, main):
+            for argv in ([command, "--help"], [command, "--no-such-flag", "1"]):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                printed.append((exc.value.code, *capsys.readouterr()))
+        assert printed[:2] == printed[2:]
+        assert "usage: secquant " in printed[0][1]
+        assert "unrecognized arguments: --no-such-flag 1" in printed[1][2]
+        # main builds only the named command's subparser
+        built = []
+        build_parser = cli.build_parser
+
+        def counted(*args):
+            parser = build_parser(*args)
+            (sub,) = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+            built.append(sorted(sub.choices))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert built == [[command]]
 
     @pytest.mark.parametrize(
         "command, flag, value",

@@ -81,7 +81,7 @@ class TestFalseAlarmExactness:
             # gammaln(20 001) ~ 1.8e5 leaves the log pmf ~2e-11 off
             pmf = binom.pmf(np.arange(window + 1), window, x)
             for delta in (0.01, 0.05, 0.3, 1e-30):
-                _, t, gamma = _np_components(OperatingPoint(x, y), window, delta)
+                _, (t,), (gamma,) = _np_components(OperatingPoint(x, y), [window], delta)
                 fa = float(pmf[t + 1 :].sum() + gamma * pmf[t])
                 assert math.log(fa) == pytest.approx(math.log(delta), abs=1e-12)
 
@@ -124,7 +124,7 @@ class TestBandedKernel:
     @example((0.3, 0.7, 1, 0.15))
     def test_matches_full_support_and_oracle(self, case):
         x, y, window, delta = case
-        log_miss, t, gamma = _np_components(OperatingPoint(x, y), window, delta)
+        (log_miss,), (t,), (gamma,) = _np_components(OperatingPoint(x, y), [window], delta)
         assert (t, gamma) == full_support_threshold(x, y, window, delta)
         # 1e-12 relative wherever |log_miss| >= 0.01; a miss within 1e-2 of
         # 1 is a sum near 1 whose log float64 resolves only to ~1e-16 per
@@ -163,6 +163,20 @@ class TestLargeWindowLogPmf:
             # an end, n ln p, is a float of size ~n whose ulp passes 1e-12
             # from window 1e5 on
             assert abs(value - exact) <= max(1e-12, 2.0 * math.ulp(exact))
+
+
+class TestCurveEqualsItsWindows:
+    @pytest.mark.parametrize("x, y", [(0.3, 0.7), (1e-3, 0.2), (0.999, 0.9999)])
+    def test_each_point_is_its_own_exact_miss(self, x, y):
+        # a curve sums every window's band in one pass per hypothesis; each
+        # point equals the window summed alone, for windows 1 and 2 (no
+        # interior count), 20 000 (a band clipped at 0 for x = 1e-3 and at
+        # the window for x = 0.999) and 10**6
+        op = OperatingPoint(x, y)
+        windows = [1, 2, 20_000, 10**6]
+        for delta in (0.01, 1e-30):
+            curve = stein_curve(op, windows, delta)
+            assert curve == [exact_np_miss(op, w, delta) for w in windows]
 
 
 class TestMissNeverExceedsOne:

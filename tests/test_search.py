@@ -295,6 +295,19 @@ class TestLaneIndependence:
         lone = _budget_thresholds(columns[:, one], budgets[one])
         assert together[:, i].tobytes() == lone[:, 0].tobytes()
 
+    def test_crossings_past_one_table_pass_equal_the_lanes_alone(self):
+        # more distinct lanes than one pass of the crossing table holds, and
+        # more crossings than one pass of the cell search
+        n = 2 * solver._TABLE_LANES + 5
+        sites = [SensorSite(GaussianSensorModel(1.0, 1.0), BscChannel(0.0), BscChannel(r))
+                 for r in np.linspace(0.0, 0.3, n).tolist()]
+        columns, budgets = _site_columns(sites), np.full(n, 0.01)
+        together = _budget_thresholds(columns, budgets)
+        assert not np.isnan(together).any()
+        for i in (0, solver._TABLE_LANES - 1, solver._TABLE_LANES, n - 1):
+            lone = _budget_thresholds(columns[:, i:i + 1], budgets[i:i + 1])
+            assert together[:, i].tobytes() == lone[:, 0].tobytes()
+
     def test_lane_among_interleaved_models_equals_the_lane_alone(self):
         # 25 crossovers from 0 to 0.49 cycle through three models, two of
         # them at SNR 2 with different sigma; then through two models, at SNR

@@ -361,6 +361,30 @@ class TestTradeoffCurve:
         points = tradeoff_curve(make_site(rho_fc=0.01), np.geomspace(1e-3, 3.0, 300))
         assert len(points) == len(built) == 300
 
+    def test_crossings_start_from_one_cell(self, monkeypatch):
+        # each crossing's root steps start from its cell of Eve's tabulated
+        # divergence, not from a whole side of her peak: the objective calls
+        # of the crossings' one batch, for design-session's site 0
+        calls = []
+        bisect_root = secquant.solver.bisect_root
+
+        def counted(f, *args, **kwargs):
+            def f_counted(x, lanes):
+                calls[-1] += 1
+                return f(x, lanes)
+
+            calls.append(0)
+            return bisect_root(f_counted, *args, **kwargs)
+
+        monkeypatch.setattr(secquant.solver, "bisect_root", counted)
+        site = make_site(rho_fc=0.02, rho_e=0.1)
+        points = tradeoff_curve(site, np.geomspace(1e-3, 3.0, 300))
+        assert any(p.binding for p in points)
+        design = design_quantizer(site, 0.05)
+        assert design.binding
+        assert len(calls) == 2
+        assert max(calls) <= 8, calls
+
     def test_keeps_each_budget_and_its_sign(self):
         site = make_site()
         points = tradeoff_curve(site, [-0.0, 0.0, 0.05])
