@@ -6,6 +6,8 @@ thresholds, designs the sensor at several budgets, and sweeps the budget to
 expose the secrecy-versus-detection tradeoff with its saturation point.
 """
 
+import math
+
 import numpy as np
 
 from secquant import (
@@ -15,9 +17,8 @@ from secquant import (
     design_quantizer,
     eve_divergence_gap,
     find_budget_thresholds,
-    max_eve_divergence,
+    max_channel_divergence,
     tradeoff_curve,
-    unconstrained_design,
 )
 
 site = SensorSite(
@@ -26,8 +27,8 @@ site = SensorSite(
     eve_channel=BscChannel(0.1),
 )
 
-peak_threshold, ceiling = max_eve_divergence(site)
-free = unconstrained_design(site)
+peak_threshold, ceiling = max_channel_divergence(site.model, site.eve_channel)
+free = design_quantizer(site, math.inf)
 print(f"unconstrained design: threshold {free.threshold:.4f}, "
       f"d_fc {free.d_fc:.4f}, leaks d_eve {free.d_eve:.4f}")
 print(f"Eve's reachable ceiling on the LRT curve: {ceiling:.4f} "

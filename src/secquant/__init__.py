@@ -59,9 +59,7 @@ from .solver import (
     design_quantizer,
     eve_divergence_gap,
     find_budget_thresholds,
-    max_eve_divergence,
     tradeoff_curve,
-    unconstrained_design,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +94,6 @@ __all__ = [
     "kl_divergence",
     "kl_divergence_grad_pd",
     "max_channel_divergence",
-    "max_eve_divergence",
     "mix_quantizers",
     "q_function",
     "q_inverse",
@@ -109,5 +106,4 @@ __all__ = [
     "stein_curve",
     "tradeoff_curve",
     "trace_constraint_curve",
-    "unconstrained_design",
 ]

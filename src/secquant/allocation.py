@@ -20,7 +20,7 @@ import numpy as np
 from .gaussian import GaussianSensorModel
 from .roc import BscChannel, SensorSite
 from .solver import (DesignTable, QuantizerDesign, _bound_thresholds, _designs_at,
-                     _site_columns, design_lanes, unconstrained_design)
+                     _site_columns, design_quantizer, design_table)
 
 #: Leftover budgets below this are treated as exhausted; designs produced
 #: from them would be numerically blind anyway.
@@ -95,7 +95,7 @@ def quality_ratio(site: SensorSite) -> float:
     Sensors whose unconstrained design leaks nothing to Eve get an
     infinite quality: they are funded first and cost no budget.
     """
-    free = unconstrained_design(site)
+    free = design_quantizer(site, math.inf)
     return float(_quality(free.d_fc, free.d_eve))
 
 
@@ -130,11 +130,11 @@ def _network(
     site is solved once and each partly funded sensor designed once."""
     n = len(sites)
     _check_network(alpha_total, n_grid, n)
-    columns = _site_columns(sites)
-    free = design_lanes(columns, np.full(n, math.inf))
+    free = design_table(sites, np.full(n, math.inf))
     quality = _quality(free.d_fc, free.d_eve)
     # nonincreasing quality, ties by ascending index
     order = np.argsort(-quality, kind="stable")
+    columns = _site_columns(sites)
     splits, partials = _splits(columns, alpha_total, free.d_eve, order, {*n_grid, n})
     ranked, shares, partial = splits[n]
     active = np.isin(np.arange(n), ranked)

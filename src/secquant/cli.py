@@ -26,7 +26,7 @@ from .export import csv_text, json_text, rows_as_json, write_all
 from .gaussian import GaussianSensorModel
 from .roc import (BscChannel, OperatingPoint, SensorSite, bsc_transform,
                   received_divergence)
-from .solver import DesignTable, _site_columns, design_search_curve, design_table
+from .solver import DesignTable, _site_columns, design_table, eve_divergence_gap
 from .detection import (_check_windows, _network_arrays, second_order_slope,
                         simulate_monte_carlo, stein_curve)
 
@@ -351,7 +351,9 @@ def cmd_design(cfg: dict[str, Any]) -> int:
               "everywhere)", file=sys.stderr)
     files = [(out, json_text(_design_artifact(designs, site)))]
     if cfg["h_trace_out"] is not None:
-        rows = design_search_curve(site, budget, n_points)
+        lo, hi = site.model.threshold_bracket()
+        thresholds = lo + np.arange(n_points) * ((hi - lo) / (n_points - 1))
+        rows = zip(thresholds.tolist(), eve_divergence_gap(site, thresholds, budget).tolist())
         files.append((cfg["h_trace_out"], csv_text(["lambda", "h"], rows)))
     write_all(files)
     return 0

@@ -27,6 +27,7 @@ point play no further part.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,8 +106,11 @@ class MonteCarloResult:
 
 
 def _check_windows(windows: Sequence[int], delta: float) -> None:
-    """Raise unless the windows ascend strictly from at least 1 and ``delta``
-    lies in (0, 0.5)."""
+    """Raise unless the windows are integers (not bools) ascending strictly
+    from at least 1 and ``delta`` lies in (0, 0.5)."""
+    for w in windows:
+        if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+            raise ValueError(f"window must be an integer, got {w!r}")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError("windows must be strictly ascending")
     if windows and windows[0] < 1:
@@ -187,48 +191,33 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(terms.sum() / m) + np.log(m) + top)
 
 
-def _binom_logpmf(ks: np.ndarray, windows, p: float, p_c: float) -> np.ndarray:
-    """Binomial(n, ``p``) log pmf at each count of ``ks``, n its entry of
-    ``windows`` (one window for all, or one per count), 1 - p read as
-    ``p_c``, in Loader's (2000) form (R's ``dbinom``): at 0 < k < n it is
-    f(n, n) - f(k, n p) - f(n - k, n p_c) - ln sqrt(2 pi), where f(m, mean)
-    = s(m) + bd0(m, mean) + ln(m)/2 is ln sqrt(2 pi) less than -ln
-    Poisson(m; mean).  No term grows with n.  The ends are n ln(1 - p) and
-    n ln p, each log taken through the smaller of p and ``p_c``.  Each count
-    is computed on its own, so its value does not depend on the others."""
+def _binom_logpmf(ks: np.ndarray, window: int, p: float, p_c: float) -> np.ndarray:
+    """Binomial(``window``, ``p``) log pmf at the counts ``ks``, 1 - p read
+    as ``p_c``, in Loader's (2000) form (R's ``dbinom``): at 0 < k < n =
+    ``window`` it is f(n, n) - f(k, n p) - f(n - k, n p_c) - ln sqrt(2 pi),
+    where f(m, mean) = s(m) + bd0(m, mean) + ln(m)/2 is ln sqrt(2 pi) less
+    than -ln Poisson(m; mean).  No term grows with n.  The ends are n ln(1 -
+    p) and n ln p, each log taken through the smaller of p and ``p_c``."""
     log_p = math.log1p(-p_c) if p_c < p else math.log(p)
     log_q = math.log1p(-p) if p <= p_c else math.log(p_c)
-    n = np.broadcast_to(windows, ks.shape)
-    out = np.where(ks == 0, n * log_q, n * log_p)
-    inner = (ks > 0) & (ks < n)
-    k, n = ks[inner].astype(float), n[inner].astype(float)
-    # f at k and n - k in one pass, in place; f(n, n) = s(n) + ln(n)/2, as
-    # bd0(n, n) = 0
-    m = np.concatenate((k, n - k))
+    out = np.where(ks == 0, window * log_q, window * log_p)
+    inner = (ks > 0) & (ks < window)
+    k = ks[inner].astype(float)
+    # f at n, k and n - k in one pass, in place; bd0(n, n) = 0
+    m = np.concatenate(([window], k, window - k))
     f = _stirling_error(m)
-    f += _bd0(m, np.concatenate((n * p, n * p_c)))
+    f += _bd0(m, np.repeat((window, window * p, window * p_c), (1, k.size, k.size)))
     f += 0.5 * np.log(m)
-    f_n = _stirling_error(n) + 0.5 * np.log(n)
-    out[inner] = (f_n - _LN_SQRT_2PI) - f[:k.size] - f[k.size:]
+    out[inner] = (f[0] - _LN_SQRT_2PI) - f[1 : 1 + k.size] - f[1 + k.size :]
     return out
 
 
-def _band_logpmfs(windows: list[int], bands: list[tuple[int, int]], p: float,
-                  p_c: float) -> list[np.ndarray]:
-    """Each window's Binomial(window, ``p``) log pmf on its band of counts
-    ``range(*band)``, all in one :func:`_binom_logpmf` call."""
-    sizes = [stop - start for start, stop in bands]
-    ks = np.concatenate([np.arange(start, stop) for start, stop in bands])
-    log_pmf = _binom_logpmf(ks, np.repeat(windows, sizes), p, p_c)
-    return np.split(log_pmf, np.cumsum(sizes)[:-1])
-
-
 def _np_components(
-    op: OperatingPoint, windows: Sequence[int], delta: float
-) -> tuple[list[float], list[int], list[float]]:
+    op: OperatingPoint, window: int, delta: float
+) -> tuple[float, int, float]:
     """Log miss, count threshold, and randomization weight of the optimal
-    ones-count test with false alarm exactly ``delta`` on bits of law ``op``,
-    one of each per window of ``windows``.
+    ones-count test with false alarm exactly ``delta`` on ``window`` bits of
+    law ``op``.
 
     The test rejects H0 when the ones-count exceeds ``t`` and with
     probability ``gamma`` when it equals ``t``.  The log miss is capped at
@@ -250,44 +239,32 @@ def _np_components(
       terms beyond ``reach`` sum to at most exp(-2 reach**2 /
       (window + 2)) * (window + 4)/2 of it, which ``reach`` holds to
       2**-60.
-
-    Every window's H0 band is summed in one pass, and then, as they start
-    from the thresholds, every H1 band in a second; each window's sums run
-    over its own band, in the same order whatever the other windows.
     """
     x, y, xc, yc = op.tails.tolist()
-    windows = list(windows)
-    h0_bands = []
-    for window in windows:
-        s = math.sqrt(0.5 * window * (_DROP_LOG + math.log(2.0 / delta)))
-        h0_bands.append((max(0, math.floor(window * x - s)),
-                         min(window, math.ceil(window * x + s)) + 1))
-    thresholds, gammas, h1_bands = [], [], []
-    for window, (lo, _), lp0 in zip(windows, h0_bands,
-                                    _band_logpmfs(windows, h0_bands, x, xc)):
-        # tail[i] = ln P(lo + i <= K <= band top | H0); tail[-1] = -inf
-        tail = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -np.inf)
-        # smallest t with P(K > t | H0) <= delta; tail is nonincreasing
-        i = int(np.argmax(tail <= math.log(delta))) - 1
-        t = lo + i
-        p_gt = math.exp(tail[i + 1])
-        p_eq = math.exp(lp0[i])
-        thresholds.append(t)
-        gammas.append(min(max((delta - p_gt) / p_eq, 0.0), 1.0))
-        # the H1 pmf rises up to its mode floor((window + 1) * y)
-        peak = min(t - 1, math.floor((window + 1) * y))
-        reach = math.ceil(
-            math.sqrt(0.5 * (window + 2) * (_DROP_LOG + math.log(0.5 * (window + 4))))
-        )
-        h1_bands.append((max(0, peak - reach), t + 1))
-    log_misses = []
-    for t, gamma, lp1 in zip(thresholds, gammas, _band_logpmfs(windows, h1_bands, y, yc)):
-        # the H1 mass accepted below t, then (1 - gamma) of that at t
-        log_miss = _logsumexp(lp1[:-1]) if t > 0 else -math.inf
-        if gamma < 1.0:
-            log_miss = np.logaddexp(log_miss, math.log1p(-gamma) + lp1[-1])
-        log_misses.append(min(float(log_miss), 0.0))
-    return log_misses, thresholds, gammas
+    s = math.sqrt(0.5 * window * (_DROP_LOG + math.log(2.0 / delta)))
+    lo = max(0, math.floor(window * x - s))
+    lp0 = _binom_logpmf(
+        np.arange(lo, min(window, math.ceil(window * x + s)) + 1), window, x, xc
+    )
+    # tail[i] = ln P(lo + i <= K <= band top | H0); tail[-1] = -inf
+    tail = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -np.inf)
+    # smallest t with P(K > t | H0) <= delta; tail is nonincreasing
+    i = int(np.argmax(tail <= math.log(delta))) - 1
+    t = lo + i
+    p_gt = math.exp(tail[i + 1])
+    p_eq = math.exp(lp0[i])
+    gamma = min(max((delta - p_gt) / p_eq, 0.0), 1.0)
+    # the H1 pmf rises up to its mode floor((window + 1) * y)
+    peak = min(t - 1, math.floor((window + 1) * y))
+    reach = math.ceil(
+        math.sqrt(0.5 * (window + 2) * (_DROP_LOG + math.log(0.5 * (window + 4))))
+    )
+    lp1 = _binom_logpmf(np.arange(max(0, peak - reach), t + 1), window, y, yc)
+    # the H1 mass accepted below t, then (1 - gamma) of that at t
+    log_miss = _logsumexp(lp1[:-1]) if t > 0 else -math.inf
+    if gamma < 1.0:
+        log_miss = np.logaddexp(log_miss, math.log1p(-gamma) + lp1[-1])
+    return min(float(log_miss), 0.0), t, gamma
 
 
 def exact_np_miss(
@@ -317,17 +294,17 @@ def stein_curve(
 ) -> list[ExponentCurvePoint]:
     """:func:`exact_np_miss` over an ascending sequence of windows.
 
-    Each distinct window, given or doubled, is summed once, so a window
-    that is twice another costs nothing extra; all of them are summed
-    together, in one pass per hypothesis (see :func:`_np_components`).
+    Each distinct window, given or doubled, is summed once, by its own
+    :func:`_np_components` call, so a window that is twice another costs
+    nothing extra.
     """
     windows = list(windows)
     _check_windows(windows, delta)
     if not windows:
         return []
     _validate_interior_op(fc_op)
-    distinct = sorted({*windows, *(2 * w for w in windows)})
-    log_miss = dict(zip(distinct, _np_components(fc_op, distinct, delta)[0]))
+    distinct = {*windows, *(2 * w for w in windows)}
+    log_miss = {w: _np_components(fc_op, w, delta)[0] for w in distinct}
     return [
         ExponentCurvePoint(
             w, log_miss[w], -log_miss[w] / w, (log_miss[w] - log_miss[2 * w]) / w

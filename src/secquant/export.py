@@ -40,8 +40,14 @@ def write_all(files: Sequence[tuple[str | Path, str]]) -> None:
 
     Each temp gets a unique name in its target's directory, so concurrent
     writers to the same path never rename each other's temp; the last
-    rename wins with one writer's whole file.
+    rename wins with one writer's whole file.  A set that names one path
+    twice is refused before anything is written, as one file would
+    silently replace the other.
     """
+    resolved = [Path(path).resolve() for path, _ in files]
+    for i, path in enumerate(resolved):
+        if path in resolved[:i]:
+            raise ValueError(f"artifact path named twice: {path}")
     staged = []
     try:
         for path, text in files:

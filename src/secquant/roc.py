@@ -209,10 +209,11 @@ def mix_quantizers(
         raise ValueError(
             f"got {len(points)} points but {len(weights)} weights"
         )
-    if any(w < 0.0 for w in weights):
+    # negated, so that a NaN weight or sum is refused too
+    if any(not w >= 0.0 for w in weights):
         raise ValueError("mixture weights must be nonnegative")
     total = math.fsum(weights)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {total!r}")
     return OperatingPoint(*(
         min(max(math.fsum(w * t for t, w in zip(tails, weights)) / total, 0.0), 1.0)

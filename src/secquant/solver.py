@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import (_channel_divergence, _max_channel_divergences, _tails,
-                       _threshold_brackets, max_channel_divergence)
+                       _threshold_brackets)
 from .roc import OperatingPoint, SensorSite, _check_tails, received_divergence
 from .search import PRESCAN_LANES, PRESCAN_POINTS, bisect_root
 
@@ -117,12 +117,6 @@ def _peaks(theta, sigma, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
     return models, *_max_channel_divergences(*models), at
 
 
-def max_eve_divergence(site: SensorSite) -> tuple[float, float]:
-    """Largest Eve divergence reachable on the LRT curve: the budget level
-    beyond which the secrecy constraint stops binding."""
-    return max_channel_divergence(site.model, site.eve_channel)
-
-
 def find_budget_thresholds(site: SensorSite, budget: float) -> list[float]:
     """Thresholds at which Eve's divergence exactly meets the budget.
 
@@ -214,11 +208,6 @@ def _designs_at(
     )
 
 
-def unconstrained_design(site: SensorSite) -> QuantizerDesign:
-    """Divergence-maximizing design ignoring the eavesdropper."""
-    return design_table([site], [math.inf]).rows()[0]
-
-
 def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
     """Best fusion-center divergence subject to Eve's divergence budget.
 
@@ -236,19 +225,16 @@ def design_quantizer(site: SensorSite, budget: float) -> QuantizerDesign:
 
 def design_table(sites: Sequence[SensorSite], budgets: Sequence[float]) -> DesignTable:
     """:func:`design_quantizer` at every lane ``(sites[i], budgets[i])``, as
-    one table: :func:`design_lanes` on the sites' columns."""
-    return design_lanes(_site_columns(sites), budgets)
-
-
-def design_lanes(columns: np.ndarray, budgets: Sequence[float]) -> DesignTable:
-    """:func:`design_table` on sites already turned into the (4, n) columns
-    theta, sigma, FC and Eve crossover: each lane's threshold is settled on
-    arrays, each search batched over the lanes that need it, and each design
-    computed once; an infinite budget gives the unconstrained design."""
+    one table: each lane's threshold is settled on arrays, each search
+    batched over the lanes that need it, and each design computed once; an
+    infinite budget gives the unconstrained design."""
     alpha = np.array(budgets, dtype=float)
+    if len(sites) != alpha.size:
+        raise ValueError(f"got {len(sites)} sites but {alpha.size} budgets")
     negative = alpha[~(alpha >= 0.0)].tolist()
     if negative:
         raise ValueError(f"budget must be nonnegative, got {negative[0]!r}")
+    columns = _site_columns(sites)
     theta, sigma, rho_fc, rho_e = columns
     # every lane starts blind; a live one takes its FC peak where Eve's
     # leakage there fits the budget, and its better crossing otherwise
@@ -288,14 +274,3 @@ def tradeoff_curve(
         raise ValueError("budgets must be sorted ascending")
     return design_table([site] * len(budgets), budgets).rows()
 
-
-def design_search_curve(
-    site: SensorSite, budget: float, n_points: int
-) -> list[tuple[float, float]]:
-    """Sampled budget-gap curve, for diagnostic export and plotting."""
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
-    lo, hi = _threshold_brackets(site.model.theta, site.model.sigma)
-    thresholds = lo + np.arange(n_points) * ((hi - lo) / (n_points - 1))
-    gaps = eve_divergence_gap(site, thresholds, budget)
-    return list(zip(thresholds.tolist(), gaps.tolist()))

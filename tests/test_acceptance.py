@@ -24,13 +24,12 @@ from secquant import (
     growth_curve,
     kl_divergence,
     kl_divergence_grad_pd,
-    max_eve_divergence,
+    max_channel_divergence,
     quality_ratio,
     sample_sites,
     simulate_monte_carlo,
     stein_curve,
     tradeoff_curve,
-    unconstrained_design,
 )
 from secquant.cli import main as cli_main
 
@@ -60,7 +59,7 @@ def test_criterion_01_constrained_design_matches_brute_force():
         rho_fc = rng.uniform(0.0, 0.3)
         rho_e = rng.uniform(rho_fc + 1e-6, 0.45)
         site = make_site(theta, 1.0, rho_fc, rho_e)
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         budget = rng.uniform(0.1, 0.9) * ceiling
         design = design_quantizer(site, budget)
         brute = oracles.brute_force_constrained_max(
@@ -196,7 +195,7 @@ def test_criterion_04_two_root_structure():
         theta = rng.uniform(0.5, 3.0)
         rho_e = rng.uniform(0.01, 0.45)
         site = make_site(theta, 1.0, 0.0, rho_e)
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         budget = rng.uniform(0.1, 0.9) * ceiling
         lo, hi = site.model.threshold_bracket()
         lams = np.linspace(lo, hi, 10_000)
@@ -223,12 +222,12 @@ def test_criterion_04_two_root_structure():
 
 def test_criterion_05_tradeoff_curve_shape():
     site = make_site(1.0, 1.0, 0.0, 0.1)
-    _, ceiling = max_eve_divergence(site)
+    _, ceiling = max_channel_divergence(site.model, site.eve_channel)
     budgets = list(np.linspace(0.0, 1.4 * ceiling, 50))
     points = tradeoff_curve(site, budgets)
     values = [p.d_fc for p in points]
     monotone = all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-    free_value = unconstrained_design(site).d_fc
+    free_value = design_quantizer(site, math.inf).d_fc
     saturated = [
         p.d_fc for p in points if p.budget >= ceiling
     ]
@@ -250,7 +249,7 @@ def test_criterion_06_stein_lemma_desk_scale():
     start = time.monotonic()
     delta = 0.01
     site = make_site(1.0, 1.0, 0.0, 0.1)
-    design = unconstrained_design(site)
+    design = design_quantizer(site, math.inf)
     fc_op = bsc_transform(design.op, site.fc_channel)
     points = stein_curve(fc_op, [50, 100, 200, 400], delta=delta)
     exps = [p.exponent for p in points]
@@ -343,7 +342,7 @@ def test_criterion_09_greedy_small_network_oracle():
         make_site(0.8, 1.0, 0.0, 0.15),
         make_site(1.1, 1.0, 0.005, 0.05),
     )
-    alpha = 0.5 * sum(unconstrained_design(s).d_eve for s in sites)
+    alpha = 0.5 * sum(design_quantizer(s, math.inf).d_eve for s in sites)
     result = allocate(NetworkConfig(sites=sites, alpha_total=alpha))
     feasible = result.total_d_eve <= alpha + 1e-9
 
@@ -354,7 +353,7 @@ def test_criterion_09_greedy_small_network_oracle():
         for i in order:
             if remaining <= 1e-9:
                 continue
-            design = unconstrained_design(sites[i])
+            design = design_quantizer(sites[i], math.inf)
             if remaining < design.d_eve:
                 design = design_quantizer(sites[i], remaining)
                 remaining = 0.0

@@ -20,7 +20,6 @@ from secquant import (
     kl_divergence,
     quality_ratio,
     sample_sites,
-    unconstrained_design,
 )
 
 import oracles
@@ -44,14 +43,14 @@ HETERO_SITES = (
 
 class TestUnconstrainedOptimum:
     def test_identical_channels_leak_everything(self):
-        design = unconstrained_design(site_of(0.1, 0.1))
+        design = design_quantizer(site_of(0.1, 0.1), math.inf)
         assert design.d_fc == pytest.approx(design.d_eve, abs=1e-12)
 
     def test_blinded_eve_leaks_nothing(self):
-        assert unconstrained_design(site_of(0.0, 0.499)).d_eve < 1e-4
+        assert design_quantizer(site_of(0.0, 0.499), math.inf).d_eve < 1e-4
 
     def test_matches_grid_oracle(self):
-        design = unconstrained_design(site_of(0.0, 0.1))
+        design = design_quantizer(site_of(0.0, 0.1), math.inf)
         _, grid_fc = oracles.grid_max_channel_divergence(1.0, 1.0, 0.0)
         assert design.d_fc == pytest.approx(grid_fc, abs=1e-8)
         x, y = oracles.lrt_ops(1.0, 1.0, design.threshold)
@@ -87,7 +86,7 @@ class TestAllocate:
         assert all(rec.alpha_i == 0.0 for rec in result.per_sensor)
 
     def test_loose_budget_funds_everyone_fully(self):
-        stars = [unconstrained_design(s) for s in HETERO_SITES]
+        stars = [design_quantizer(s, math.inf) for s in HETERO_SITES]
         total_star_eve = sum(s.d_eve for s in stars)
         result = allocate(
             NetworkConfig(sites=HETERO_SITES, alpha_total=total_star_eve + 1.0)
@@ -151,7 +150,7 @@ class TestAllocate:
         sites = sample_sites(n, seed=seed)
         result = allocate(NetworkConfig(sites=sites, alpha_total=alpha))
         for rec, site in zip(result.per_sensor, sites):
-            free = unconstrained_design(site)
+            free = design_quantizer(site, math.inf)
             assert (rec.quality, rec.d_fc_star, rec.d_eve_star) == (
                 quality_ratio(site), free.d_fc, free.d_eve)
             if not rec.active:
@@ -189,7 +188,7 @@ def same_policy_allocation(sites, order, alpha):
     for i in order:
         if remaining <= 1e-9:
             continue
-        design = unconstrained_design(sites[i])
+        design = design_quantizer(sites[i], math.inf)
         if remaining >= design.d_eve:
             shares[i] = design.d_eve
         else:
@@ -205,7 +204,7 @@ def same_policy_allocation(sites, order, alpha):
 class TestExhaustiveSmallNetworkOracle:
     def test_greedy_matches_its_ordering_branch_exactly(self):
         alpha = 0.5 * sum(
-            unconstrained_design(s).d_eve for s in HETERO_SITES
+            design_quantizer(s, math.inf).d_eve for s in HETERO_SITES
         )
         result = allocate(NetworkConfig(sites=HETERO_SITES, alpha_total=alpha))
 
@@ -357,7 +356,7 @@ class TestSolveOnce:
         # a budget spent to the last bit at the seventh funded sensor
         spent = 0.0
         for i in ranked[:7]:
-            spent += unconstrained_design(sites[i]).d_eve
+            spent += design_quantizer(sites[i], math.inf).d_eve
         for alpha in (0.0, 0.7, 3.0, spent, 100.0, math.inf):
             points = growth_curve(sites, alpha, n_grid, benchmark_ideal_fc=True)
             for n, point in zip(n_grid, points):

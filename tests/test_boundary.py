@@ -214,6 +214,12 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace_constraint_curve(0.1, BscChannel(0.1), 1)
 
+    def test_non_integral_point_count_rejected(self):
+        # 2.5 points once laid a 3-point grid spaced 1/1.5, its last point
+        # clipped to 1
+        with pytest.raises(ValueError, match="n_points must be an integer, got 2.5"):
+            trace_constraint_curve(0.1, BscChannel(0.1), 2.5)
+
     def test_sensor_divergence_convex_along_trace(self):
         # discrete second differences of the sensor and FC divergences
         # stay nonnegative along the boundary

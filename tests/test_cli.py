@@ -14,7 +14,7 @@ import pytest
 
 from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSite,
                       bsc_transform, cli, constraint_curvature, constraint_slope,
-                      kl_divergence, stein_curve, unconstrained_design)
+                      design_quantizer, kl_divergence, stein_curve)
 from secquant.cli import main
 
 
@@ -127,6 +127,13 @@ class TestDesignCommand:
         assert "h_trace_points must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_h_trace_out_onto_out_exits_2_without_files(self, tmp_path, capsys):
+        # the gap CSV once replaced the design artifact it was named over
+        argv, out = design_args(tmp_path, h_trace_out=tmp_path / "design.json")
+        assert run(*argv) == 2
+        assert "artifact path named twice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_document_with_flag_override(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
@@ -227,8 +234,8 @@ class TestTradeoffCommand:
         }))
         assert run("tradeoff", "--config", str(config)) == 0
         last = json.loads((tmp_path / "t.json").read_text())[-1]
-        free = unconstrained_design(SensorSite(
-            GaussianSensorModel(1.0, 1.0), BscChannel(0.0), BscChannel(0.1)))
+        free = design_quantizer(SensorSite(
+            GaussianSensorModel(1.0, 1.0), BscChannel(0.0), BscChannel(0.1)), math.inf)
         assert math.isinf(last["alpha_tilde"])
         assert (last["d_fc_max"], last["binding"]) == (free.d_fc, False)
 

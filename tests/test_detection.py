@@ -28,7 +28,6 @@ from secquant import (
     second_order_slope,
     simulate_monte_carlo,
     stein_curve,
-    unconstrained_design,
 )
 from secquant import detection
 from secquant.detection import (
@@ -81,7 +80,7 @@ class TestFalseAlarmExactness:
             # gammaln(20 001) ~ 1.8e5 leaves the log pmf ~2e-11 off
             pmf = binom.pmf(np.arange(window + 1), window, x)
             for delta in (0.01, 0.05, 0.3, 1e-30):
-                _, (t,), (gamma,) = _np_components(OperatingPoint(x, y), [window], delta)
+                _, t, gamma = _np_components(OperatingPoint(x, y), window, delta)
                 fa = float(pmf[t + 1 :].sum() + gamma * pmf[t])
                 assert math.log(fa) == pytest.approx(math.log(delta), abs=1e-12)
 
@@ -124,7 +123,7 @@ class TestBandedKernel:
     @example((0.3, 0.7, 1, 0.15))
     def test_matches_full_support_and_oracle(self, case):
         x, y, window, delta = case
-        (log_miss,), (t,), (gamma,) = _np_components(OperatingPoint(x, y), [window], delta)
+        log_miss, t, gamma = _np_components(OperatingPoint(x, y), window, delta)
         assert (t, gamma) == full_support_threshold(x, y, window, delta)
         # 1e-12 relative wherever |log_miss| >= 0.01; a miss within 1e-2 of
         # 1 is a sum near 1 whose log float64 resolves only to ~1e-16 per
@@ -168,10 +167,9 @@ class TestLargeWindowLogPmf:
 class TestCurveEqualsItsWindows:
     @pytest.mark.parametrize("x, y", [(0.3, 0.7), (1e-3, 0.2), (0.999, 0.9999)])
     def test_each_point_is_its_own_exact_miss(self, x, y):
-        # a curve sums every window's band in one pass per hypothesis; each
-        # point equals the window summed alone, for windows 1 and 2 (no
-        # interior count), 20 000 (a band clipped at 0 for x = 1e-3 and at
-        # the window for x = 0.999) and 10**6
+        # each point of a curve equals its window's own exact miss, for
+        # windows 1 and 2 (no interior count), 20 000 (a band clipped at 0
+        # for x = 1e-3 and at the window for x = 0.999) and 10**6
         op = OperatingPoint(x, y)
         windows = [1, 2, 20_000, 10**6]
         for delta in (0.01, 1e-30):
@@ -230,6 +228,18 @@ class TestSecondOrderSlope:
         for call in (second_order_slope, lambda *a: stein_curve(a[0], [a[1]], a[2])):
             with pytest.raises(ValueError, match=message):
                 call(op, window, delta)
+
+    @pytest.mark.parametrize("window", [20.5, 20.0, True])
+    def test_refuses_a_window_that_is_not_an_integer(self, window):
+        op = OperatingPoint(0.3, 0.7)
+        for call in (second_order_slope, lambda *a: stein_curve(a[0], [a[1]], a[2]),
+                     exact_np_miss):
+            with pytest.raises(ValueError, match="window must be an integer, got"):
+                call(op, window, 0.01)
+
+    def test_numpy_integer_windows_are_windows(self):
+        op = OperatingPoint(0.3, 0.7)
+        assert stein_curve(op, np.array([50, 100]), 0.01) == stein_curve(op, [50, 100], 0.01)
 
     def test_deep_window_slope_meets_the_prediction(self):
         # windows 4e6 and 8e6: the full support would be 12e6 counts

@@ -19,6 +19,15 @@ def test_error_leaves_no_artifact_and_no_temp(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
 
+def test_one_path_named_twice_is_refused_before_any_write(tmp_path):
+    (tmp_path / "sub").mkdir()
+    files = [(tmp_path / "b.csv", "b\n"), (tmp_path / "a.csv", "a\n"),
+             (tmp_path / "sub" / ".." / "a.csv", "again\n")]
+    with pytest.raises(ValueError, match="artifact path named twice: .*a.csv"):
+        write_all(files)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def test_mode_is_that_of_a_plain_open(tmp_path):
     write_all([(tmp_path / "artifact.csv", "x\n")])
     with open(tmp_path / "reference.csv", "w") as fh:

@@ -161,6 +161,10 @@ class TestMixQuantizers:
         with pytest.raises(ValueError):
             mix_quantizers([op(0.1, 0.5), op(0.3, 0.9)], [-0.5, 1.5])
 
+    def test_nan_weight_rejected_as_a_weight(self):
+        with pytest.raises(ValueError, match="mixture weights must be nonnegative"):
+            mix_quantizers([op(0.1, 0.5), op(0.3, 0.9)], [math.nan, 1.0])
+
     def test_mixture_divergence_bounded_by_max_component(self):
         # convexity: through any fixed channel, the mixed point never beats
         # the best of its components

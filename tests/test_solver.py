@@ -19,9 +19,8 @@ from secquant import (
     eve_divergence_gap,
     find_budget_thresholds,
     kl_divergence,
-    max_eve_divergence,
+    max_channel_divergence,
     tradeoff_curve,
-    unconstrained_design,
 )
 import secquant.solver
 from secquant.search import count_direction_changes
@@ -77,7 +76,7 @@ class TestGapPeak:
 
     def test_peak_matches_dense_grid(self):
         site = make_site()
-        lam, d_eve_max = max_eve_divergence(site)
+        lam, d_eve_max = max_channel_divergence(site.model, site.eve_channel)
         grid_lam, grid_val = oracles.grid_max_channel_divergence(1.0, 1.0, 0.1)
         # the grid argmax itself is only located to one grid step
         step = (site.model.threshold_bracket()[1] - site.model.threshold_bracket()[0]) / 1e6
@@ -86,7 +85,7 @@ class TestGapPeak:
 
     def test_blinded_eve_peak_sinks_to_minus_budget(self):
         site = make_site(rho_e=0.499)
-        lam, d_eve_max = max_eve_divergence(site)
+        lam, d_eve_max = max_channel_divergence(site.model, site.eve_channel)
         assert eve_divergence_gap(site, lam, 0.2) == pytest.approx(-0.2, abs=1e-5)
         assert d_eve_max - 0.2 == pytest.approx(-0.2, abs=1e-5)
 
@@ -94,18 +93,18 @@ class TestGapPeak:
 class TestBudgetThresholds:
     def test_budget_beyond_reach_gives_no_roots(self):
         site = make_site()
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         assert find_budget_thresholds(site, ceiling + 0.01) == []
 
     def test_tangency_returns_single_root(self):
         site = make_site()
-        peak, ceiling = max_eve_divergence(site)
+        peak, ceiling = max_channel_divergence(site.model, site.eve_channel)
         roots = find_budget_thresholds(site, ceiling)
         assert roots == [peak]
 
     def test_two_roots_match_grid_sign_changes(self):
         site = make_site()
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         budget = 0.5 * ceiling
         roots = find_budget_thresholds(site, budget)
         assert len(roots) == 2
@@ -120,7 +119,7 @@ class TestBudgetThresholds:
 
     def test_roots_sit_on_the_constraint(self):
         site = make_site(theta=1.5, rho_fc=0.02, rho_e=0.12)
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         for frac in (0.2, 0.5, 0.8):
             for root in find_budget_thresholds(site, frac * ceiling):
                 assert abs(
@@ -133,7 +132,7 @@ class TestBudgetThresholds:
             theta = rng.uniform(0.5, 3.0)
             rho_e = rng.uniform(0.01, 0.45)
             site = make_site(theta=theta, rho_e=rho_e)
-            _, ceiling = max_eve_divergence(site)
+            _, ceiling = max_channel_divergence(site.model, site.eve_channel)
             budget = rng.uniform(0.1, 0.9) * ceiling
             lo, hi = site.model.threshold_bracket()
             lams = np.linspace(lo, hi, 10_000)
@@ -163,8 +162,8 @@ class TestDesignQuantizer:
 
     def test_loose_budget_reduces_to_unconstrained(self):
         site = make_site()
-        _, ceiling = max_eve_divergence(site)
-        free = unconstrained_design(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
+        free = design_quantizer(site, math.inf)
         capped = design_quantizer(site, ceiling + 1.0)
         assert capped.threshold == free.threshold
         assert capped.d_fc == free.d_fc
@@ -172,7 +171,7 @@ class TestDesignQuantizer:
 
     def test_binding_design_sits_on_constraint(self):
         site = make_site()
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         design = design_quantizer(site, 0.5 * ceiling)
         assert design.binding
         assert design.d_eve == pytest.approx(0.5 * ceiling, abs=1e-8)
@@ -180,7 +179,7 @@ class TestDesignQuantizer:
 
     def test_design_point_stays_on_lrt_curve(self):
         site = make_site(theta=2.0, rho_fc=0.05, rho_e=0.2)
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         for frac in (0.3, 0.6, 2.0):
             design = design_quantizer(site, frac * ceiling)
             assert site.model.lrt_curve(design.op.pfa) == pytest.approx(
@@ -189,7 +188,7 @@ class TestDesignQuantizer:
 
     def test_matches_brute_force_oracle(self):
         site = make_site()
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         budget = 0.5 * ceiling
         design = design_quantizer(site, budget)
         brute = oracles.brute_force_constrained_max(1.0, 1.0, 0.0, 0.1, budget)
@@ -197,7 +196,7 @@ class TestDesignQuantizer:
 
     def test_monotone_in_budget(self):
         site = make_site(theta=1.2, rho_fc=0.01, rho_e=0.15)
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         budgets = np.linspace(0.0, 1.2 * ceiling, 25)
         values = [design_quantizer(site, b).d_fc for b in budgets]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
@@ -205,6 +204,11 @@ class TestDesignQuantizer:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             design_quantizer(make_site(), -0.1)
+
+    @pytest.mark.parametrize("n_sites, n_budgets", [(2, 1), (1, 2), (0, 1)])
+    def test_table_refuses_sites_and_budgets_of_different_lengths(self, n_sites, n_budgets):
+        with pytest.raises(ValueError, match=f"got {n_sites} sites but {n_budgets} budgets"):
+            secquant.solver.design_table([make_site()] * n_sites, [0.05] * n_budgets)
 
 
 def blind_corner(budget):
@@ -275,8 +279,8 @@ class TestLogSpaceOracle:
         site = make_site(snr * sigma, sigma, rho_fc, rho_e)
         theta = site.model.theta
         # a refused prescan raises UnimodalityError and fails the test
-        free = unconstrained_design(site)
-        eve_peak, _ = max_eve_divergence(site)
+        free = design_quantizer(site, math.inf)
+        eve_peak, _ = max_channel_divergence(site.model, site.eve_channel)
         bound = design_quantizer(site, math.exp(log_budget))
         for design in (free, bound):
             if math.isinf(design.threshold):
@@ -294,7 +298,7 @@ class TestLogSpaceOracle:
                 assert not lo <= wide[np.argmax(values)] <= hi
 
     def test_high_snr_free_design(self):
-        design = unconstrained_design(make_site(10.0, 1.0, 0.0, 0.1))
+        design = design_quantizer(make_site(10.0, 1.0, 0.0, 0.1), math.inf)
         assert design.threshold == pytest.approx(1.2519, abs=1e-4)
         assert design.d_fc == pytest.approx(36.6726, abs=1e-4)
         assert design.op.pd == 1.0 and 0.0 < design.op.pd_c < 1e-17
@@ -326,8 +330,8 @@ class TestTradeoffCurve:
 
     def test_saturates_at_unconstrained_value(self):
         site = make_site()
-        _, ceiling = max_eve_divergence(site)
-        free = unconstrained_design(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
+        free = design_quantizer(site, math.inf)
         points = tradeoff_curve(
             site, [0.5 * ceiling, ceiling + 0.1, ceiling + 0.5, ceiling + 2.0]
         )
@@ -394,7 +398,7 @@ class TestTradeoffCurve:
 
     def test_monotone_nondecreasing_sweep(self):
         site = make_site()
-        _, ceiling = max_eve_divergence(site)
+        _, ceiling = max_channel_divergence(site.model, site.eve_channel)
         budgets = list(np.linspace(0.0, 1.5 * ceiling, 50))
         points = tradeoff_curve(site, budgets)
         values = [p.d_fc for p in points]
@@ -412,10 +416,3 @@ class TestGapShape:
         lams = np.linspace(lo, hi, 10_000)
         vals = [eve_divergence_gap(site, lam, 0.1) for lam in lams]
         assert count_direction_changes(vals, noise_floor=1e-13) <= 1
-
-
-class TestDesignSearchCurve:
-    @pytest.mark.parametrize("n_points", [0, 1])
-    def test_refuses_fewer_than_two_points(self, n_points):
-        with pytest.raises(ValueError, match="n_points must be at least 2"):
-            secquant.solver.design_search_curve(make_site(), 0.1, n_points)
