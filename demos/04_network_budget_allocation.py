@@ -26,18 +26,17 @@ print(
 )
 
 print("first sensors in funding order (quality = d_fc*/d_eve* ratio):")
-funded = sorted(
-    (r for r in result.per_sensor),
-    key=lambda r: (-r.quality, r.index),
-)
+# each sensor's budget share is the budget its design was made against
+designs = result.designs
+funded = sorted(range(len(sites)), key=lambda i: (-result.quality[i], i))
 print(" rank  index  quality  budget share  d_fc      status")
-for rank, rec in enumerate(funded[:12], 1):
-    status = "active" if rec.active else "asleep"
-    if rec.active and rec.design.binding:
+for rank, i in enumerate(funded[:12], 1):
+    status = "active" if result.active[i] else "asleep"
+    if result.active[i] and designs.binding[i]:
         status = "active (partial, constraint binding)"
     print(
-        f"  {rank:3d}   {rec.index:3d}   {rec.quality:6.3f}   "
-        f"{rec.alpha_i:10.4f}  {rec.design.d_fc:8.4f}  {status}"
+        f"  {rank:3d}   {i:3d}   {result.quality[i]:6.3f}   "
+        f"{designs.budget[i]:10.4f}  {designs.d_fc[i]:8.4f}  {status}"
     )
 
 print("\ngrowing the network under the same budget:")

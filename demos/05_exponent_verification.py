@@ -27,7 +27,7 @@ site = SensorSite(
 )
 config = NetworkConfig(sites=(site,), alpha_total=10.0)
 result = allocate(config)
-design = result.per_sensor[0].design
+(design,) = result.designs.rows()
 fc_op = bsc_transform(design.op, site.fc_channel)
 eve_op = bsc_transform(design.op, site.eve_channel)
 

@@ -14,7 +14,6 @@ from .allocation import (
     AllocationResult,
     GrowthPoint,
     NetworkConfig,
-    SensorAllocation,
     allocate,
     growth_curve,
     quality_ratio,
@@ -77,7 +76,6 @@ __all__ = [
     "NetworkConfig",
     "OperatingPoint",
     "QuantizerDesign",
-    "SensorAllocation",
     "SensorSite",
     "SingularPointError",
     "UnimodalityError",

@@ -17,10 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import _check_integer
 from .gaussian import GaussianSensorModel
 from .roc import BscChannel, SensorSite
-from .solver import (DesignTable, QuantizerDesign, _bound_thresholds, _designs_at,
-                     _site_columns, design_quantizer, design_table)
+from .solver import (DesignTable, _bound_thresholds, _designs_at, _site_columns,
+                     design_quantizer, design_table)
 
 #: Leftover budgets below this are treated as exhausted; designs produced
 #: from them would be numerically blind anyway.
@@ -46,23 +47,11 @@ class NetworkConfig:
         _check_network(self.alpha_total, [], len(self.sites))
 
 
-@dataclass(frozen=True)
-class SensorAllocation:
-    """Outcome at one sensor: its budget share, design, and quality."""
-
-    index: int
-    alpha_i: float
-    design: QuantizerDesign
-    active: bool
-    quality: float
-    d_fc_star: float
-    d_eve_star: float
-
-
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """Full network design: one column per :class:`SensorAllocation` field,
-    one lane per site in site order, plus totals.
+    """Full network design, one lane per site in site order, plus totals:
+    each design at its sensor's budget share, whether the sensor is
+    funded, and its quality and unconstrained divergences.
 
     ``benchmark_d_fc`` re-evaluates the same designs as if the fusion
     center's channels were noiseless; populated only when the config asks
@@ -71,7 +60,6 @@ class AllocationResult:
     """
 
     designs: DesignTable
-    alpha_i: np.ndarray
     active: np.ndarray
     quality: np.ndarray
     d_fc_star: np.ndarray
@@ -80,13 +68,6 @@ class AllocationResult:
     total_d_eve: float
     active_count: int
     benchmark_d_fc: float | None = None
-
-    @property
-    def per_sensor(self) -> tuple[SensorAllocation, ...]:
-        """One record per sensor, built from the columns on each access."""
-        lanes = zip(self.alpha_i.tolist(), self.designs.rows(), *(c.tolist() for c in (
-            self.active, self.quality, self.d_fc_star, self.d_eve_star)))
-        return tuple(SensorAllocation(i, *lane) for i, lane in enumerate(lanes))
 
 
 def quality_ratio(site: SensorSite) -> float:
@@ -138,16 +119,15 @@ def _network(
     splits, partials = _splits(columns, alpha_total, free.d_eve, order, {*n_grid, n})
     ranked, shares, partial = splits[n]
     active = np.isin(np.arange(n), ranked)
-    alpha_i = np.zeros(n)
-    alpha_i[ranked] = shares
-    # funded sensors keep their free design, a partly funded one takes its
-    # bound design, and sleeping ones are blind, at threshold +inf
+    budgets = np.zeros(n)
+    budgets[ranked] = shares
+    # funded sensors keep their free design at their full leakage, a partly
+    # funded one takes its bound design at the remainder, and sleeping ones
+    # are blind, at threshold +inf and budget 0
     thresholds = np.where(active, free.threshold, math.inf)
-    budgets, binding = np.where(active, math.inf, 0.0), ~active
+    binding = ~active
     if partial is not None:
-        last = ranked[-1]
-        thresholds[last], budgets[last] = partials.threshold[partial], shares[-1]
-        binding[last] = True
+        thresholds[ranked[-1]], binding[ranked[-1]] = partials.threshold[partial], True
     designs = _designs_at(columns, thresholds, budgets, binding)
     # rows d_fc, d_eve and d_sensor of the free and the partly funded designs
     divergences = [np.stack([t.d_fc, t.d_eve, t.d_sensor]) for t in (free, partials)]
@@ -162,8 +142,7 @@ def _network(
         d_fc, d_eve, d_sensor = np.add.accumulate(terms, axis=1)[:, -1].tolist()
         totals[size] = d_fc, d_eve, funded.size, d_sensor if benchmark_ideal_fc else None
     points = [GrowthPoint(size, *totals[size]) for size in n_grid]
-    result = AllocationResult(designs, alpha_i, active, quality, free.d_fc, free.d_eve,
-                              *totals[n])
+    result = AllocationResult(designs, active, quality, free.d_fc, free.d_eve, *totals[n])
     return result, points
 
 
@@ -213,6 +192,8 @@ def sample_sites(
     Fully determined by the seed; sweeping the network size with the same
     seed reuses prefixes of the same draw.
     """
+    _check_integer("n_sensors", n_sensors)
+    _check_integer("seed", seed)
     if n_sensors < 1:
         raise ValueError(f"n_sensors must be positive, got {n_sensors!r}")
     if seed < 0:

@@ -16,12 +16,11 @@ whole proof in numeric form.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import SingularPointError, _check_integer
 from .roc import (
     DIAGONAL_TOL,
     BscChannel,
@@ -158,8 +157,7 @@ def trace_constraint_curve(
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
-    if not isinstance(n_points, numbers.Integral):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
+    _check_integer("n_points", n_points)
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")
     rho = eve.crossover

@@ -191,8 +191,8 @@ _SENSOR_KEYS = (
     ("index", "index", int),
     ("k_i", "quality", float),
     ("active", "active", bool),
-    *((name, name, float)
-      for name in ("alpha_i", "d_fc_star", "d_eve_star", "rho_fc", "rho_e")),
+    ("alpha_i", "budget", float),
+    *((name, name, float) for name in ("d_fc_star", "d_eve_star", "rho_fc", "rho_e")),
 )
 
 
@@ -244,7 +244,7 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
             # greedy networks share one unit-noise model at the stored snr
             model = {"theta": payload.get("snr", 1.0), "sigma": 1.0}
             sites = tuple(_site_from({**entry, **model}) for entry in entries)
-            budget_field, columns["budget"] = "alpha_i", columns["alpha_i"]
+            budget_field = "alpha_i"
             totals = [_field(payload, name, kind) for name, kind in (
                 ("total_d_fc", float), ("total_d_eve", float), ("active_count", int),
                 ("alpha_total", float))]
@@ -258,16 +258,15 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
             columns = _decoded([payload], _ARTIFACT_KEYS)
             sites = (_site_from(payload["site"]),)
             d_fc, d_eve = columns["d_fc"], columns["d_eve"]
-            columns.update(alpha_i=d_eve, d_fc_star=d_fc, d_eve_star=d_eve,
-                           active=np.ones(1, dtype=bool), quality=_quality(d_fc, d_eve))
+            columns.update(d_fc_star=d_fc, d_eve_star=d_eve, active=np.ones(1, dtype=bool),
+                           quality=_quality(d_fc, d_eve))
             budget_field, benchmark = "alpha_tilde", [None, None]
             totals = [d_fc.item(), d_eve.item(), 1, columns["budget"].item()]
         tails = np.array([columns[name] for name in _TAILS])
         designs = DesignTable(columns["threshold"], tails, *(columns[name] for name in (
             "d_sensor", "d_fc", "d_eve", "binding", "budget")))
         result = AllocationResult(designs, *(columns[name] for name in (
-            "alpha_i", "active", "quality", "d_fc_star", "d_eve_star")),
-            *totals[:3], benchmark[0])
+            "active", "quality", "d_fc_star", "d_eve_star")), *totals[:3], benchmark[0])
         config = NetworkConfig(sites=sites, alpha_total=totals[3])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"artifact is missing or corrupts fields: {exc}") from exc
@@ -281,10 +280,12 @@ def _check_consistent(
     index: Any, benchmark_d_eve: float | None,
 ) -> None:
     """Raise unless each sensor's ``index`` is its position, its divergences
-    recompute from the :func:`_network_arrays` table and the totals, benchmark
-    ones too, add up over every sensor, asleep or not, to 1e-12 * max(1,
-    |stored|); one asleep stores ``alpha_i`` and ``d_sensor`` 0, and no
-    ``d_eve`` tops its budget by more than 1e-10 * max(1, budget)."""
+    recompute from the :func:`_network_arrays` table, its ``k_i`` from its
+    unconstrained divergences, and the totals, benchmark ones too, add up
+    over every sensor, asleep or not, to 1e-12 * max(1, |stored|), equal
+    infinities passing; one asleep stores ``alpha_i`` and ``d_sensor`` 0,
+    and neither a ``d_eve`` nor the sum of the shares tops its budget by
+    more than 1e-10 * max(1, budget)."""
     designs = result.designs
     tails, fc_rho, eve_rho = _network_arrays(config, result)
     checks = [
@@ -292,6 +293,7 @@ def _check_consistent(
         ("total_d_eve", result.total_d_eve, math.fsum(designs.d_eve.tolist())),
         ("active_count", result.active_count, int(np.count_nonzero(result.active))),
         ("index", index, np.arange(len(config.sites))),
+        ("k_i", result.quality, _quality(result.d_fc_star, result.d_eve_star)),
         *((name, getattr(designs, name), received_divergence(tails, rho))
           for name, rho in (("d_sensor", 0.0), ("d_fc", fc_rho), ("d_eve", eve_rho))),
     ]
@@ -301,16 +303,20 @@ def _check_consistent(
                     math.fsum(designs.d_sensor.tolist())),
                    ("benchmark_d_eve", benchmark_d_eve, result.total_d_eve)]
     for name, value, recomputed in checks:
-        _require(np.abs(value - recomputed) <= 1e-12 * np.maximum(1.0, np.abs(value)),
+        with np.errstate(invalid="ignore"):  # inf - inf
+            close = np.abs(value - recomputed) <= 1e-12 * np.maximum(1.0, np.abs(value))
+        _require(close | (value == recomputed),
                  name + " is {0!r} but recomputes to {1!r}", value, recomputed)
-    _require(result.active | ((result.alpha_i == 0.0) & (designs.d_sensor == 0.0)),
-             "is asleep but stores alpha_i {0!r} and d_sensor {1!r}",
-             result.alpha_i, designs.d_sensor)
+    _require(result.active | ((designs.budget == 0.0) & (designs.d_sensor == 0.0)),
+             "is asleep but stores " + budget_field + " {0!r} and d_sensor {1!r}",
+             designs.budget, designs.d_sensor)
     for name, value, field, budget in (
         ("d_eve", designs.d_eve, budget_field, designs.budget),
         ("total_d_eve", result.total_d_eve, "alpha_total", config.alpha_total),
+        ("the sum of " + budget_field, math.fsum(designs.budget.tolist()), "alpha_total",
+         config.alpha_total),
     ):
-        _require(value - budget <= 1e-10 * np.maximum(1.0, budget),
+        _require(value <= budget + 1e-10 * np.maximum(1.0, budget),
                  name + " is {0!r}, over its budget " + field + " {1!r}", value, budget)
 
 

@@ -27,7 +27,6 @@ point play no further part.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import AllocationResult, NetworkConfig
+from .errors import _check_integer
 from .gaussian import _LN_SQRT_2PI, q_inverse
 from .roc import OperatingPoint, _llr_weights, _received, kl_divergence
 from .solver import _site_columns
@@ -109,8 +109,7 @@ def _check_windows(windows: Sequence[int], delta: float) -> None:
     """Raise unless the windows are integers (not bools) ascending strictly
     from at least 1 and ``delta`` lies in (0, 0.5)."""
     for w in windows:
-        if isinstance(w, bool) or not isinstance(w, numbers.Integral):
-            raise ValueError(f"window must be an integer, got {w!r}")
+        _check_integer("window", w)
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError("windows must be strictly ascending")
     if windows and windows[0] < 1:
@@ -496,12 +495,15 @@ def simulate_monte_carlo(
     writes disjoint rows of its stream's statistics, so identical ``(seed,
     config)`` give bit-identical results for any worker count or schedule.
     """
+    _check_integer("trials", trials)
+    _check_integer("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
     if calibration_trials is None:
         calibration_trials = 4 * trials
+    _check_integer("calibration_trials", calibration_trials)
     if calibration_trials < 1:
         raise ValueError(
             f"calibration_trials must be positive, got {calibration_trials!r}"

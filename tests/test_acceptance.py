@@ -287,7 +287,7 @@ def test_criterion_07_monte_carlo_cross_check():
     site = make_site(1.0, 1.0, 0.0, 0.1)
     config = NetworkConfig(sites=(site,), alpha_total=10.0)
     result = allocate(config)
-    design = result.per_sensor[0].design
+    (design,) = result.designs.rows()
     exact = exact_np_miss(
         bsc_transform(design.op, site.fc_channel), window=20, delta=0.01
     )

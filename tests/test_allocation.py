@@ -21,6 +21,7 @@ from secquant import (
     quality_ratio,
     sample_sites,
 )
+from secquant.solver import design_table
 
 import oracles
 
@@ -82,8 +83,8 @@ class TestAllocate:
         assert result.active_count == 0
         assert result.total_d_fc == 0.0
         assert result.total_d_eve == 0.0
-        assert all(not rec.active for rec in result.per_sensor)
-        assert all(rec.alpha_i == 0.0 for rec in result.per_sensor)
+        assert not result.active.any()
+        assert (result.designs.budget == 0.0).all()
 
     def test_loose_budget_funds_everyone_fully(self):
         stars = [design_quantizer(s, math.inf) for s in HETERO_SITES]
@@ -95,7 +96,7 @@ class TestAllocate:
         assert result.total_d_fc == pytest.approx(
             sum(s.d_fc for s in stars), abs=1e-9
         )
-        assert all(not rec.design.binding for rec in result.per_sensor)
+        assert not result.designs.binding.any()
 
     def test_feasibility_and_ordering(self):
         rng = np.random.default_rng(31)
@@ -108,57 +109,51 @@ class TestAllocate:
             alpha = float(rng.uniform(0.0, 0.4))
             result = allocate(NetworkConfig(sites=sites, alpha_total=alpha))
             assert result.total_d_eve <= alpha + 1e-9
-            assert math.fsum(r.alpha_i for r in result.per_sensor) <= alpha + 1e-9
-            processed = sorted(
-                result.per_sensor, key=lambda r: (-r.quality, r.index)
-            )
-            quals = [r.quality for r in processed]
+            assert math.fsum(result.designs.budget.tolist()) <= alpha + 1e-9
+            processed = sorted(range(n), key=lambda i: (-result.quality[i], i))
+            quals = [result.quality[i] for i in processed]
             assert all(a >= b for a, b in zip(quals, quals[1:]))
 
     def test_at_most_one_partial_sensor(self):
         result = allocate(NetworkConfig(sites=HETERO_SITES, alpha_total=0.2))
-        partial = [
-            rec
-            for rec in result.per_sensor
-            if rec.active and rec.alpha_i < rec.d_eve_star - 1e-12
-        ]
-        assert len(partial) <= 1
-        if partial:
-            assert partial[0].design.binding
+        designs = result.designs
+        partial = result.active & (designs.budget < result.d_eve_star - 1e-12)
+        assert np.count_nonzero(partial) <= 1
+        assert designs.binding[partial].all()
 
     def test_linear_separability_of_totals(self):
         result = allocate(NetworkConfig(sites=HETERO_SITES, alpha_total=0.25))
         running = 0.0
-        for rec in result.per_sensor:
-            if rec.active:
-                running += rec.design.d_fc
+        for active, d_fc in zip(result.active, result.designs.d_fc):
+            if active:
+                running += d_fc
         assert result.total_d_fc == pytest.approx(running, abs=1e-12)
 
     def test_inactive_sensors_contribute_nothing(self):
         result = allocate(NetworkConfig(sites=HETERO_SITES, alpha_total=0.05))
-        for rec in result.per_sensor:
-            if not rec.active:
-                assert rec.design.d_fc == 0.0
-                assert rec.design.d_eve == 0.0
+        asleep = ~result.active
+        assert (result.designs.d_fc[asleep] == 0.0).all()
+        assert (result.designs.d_eve[asleep] == 0.0).all()
 
     @pytest.mark.parametrize(
         "n, seed, alpha", [(40, 1, 1.0), (40, 2, 0.3), (200, 3, 10.0), (500, 20248, 50.0)]
     )
     def test_batch_designs_equal_the_per_site_api(self, n, seed, alpha):
-        # the allocator designs every sensor in batches; each record must be
-        # exactly the design the per-site API gives that sensor
+        # the allocator designs every sensor in batches; its table must be
+        # exactly the one the solver designs at each sensor's share, and
+        # each lane the design the per-site API gives that sensor
         sites = sample_sites(n, seed=seed)
         result = allocate(NetworkConfig(sites=sites, alpha_total=alpha))
-        for rec, site in zip(result.per_sensor, sites):
+        budgets = result.designs.budget
+        for name, column in vars(design_table(sites, budgets)).items():
+            np.testing.assert_array_equal(getattr(result.designs, name), column, name)
+        lanes = zip(result.quality, result.d_fc_star, result.d_eve_star,
+                    result.designs.rows(), sites, budgets)
+        for quality, d_fc_star, d_eve_star, design, site, budget in lanes:
             free = design_quantizer(site, math.inf)
-            assert (rec.quality, rec.d_fc_star, rec.d_eve_star) == (
+            assert (quality, d_fc_star, d_eve_star) == (
                 quality_ratio(site), free.d_fc, free.d_eve)
-            if not rec.active:
-                assert rec.design == design_quantizer(site, 0.0)
-            elif rec.alpha_i < free.d_eve:
-                assert rec.design == design_quantizer(site, rec.alpha_i)
-            else:
-                assert rec.design == free
+            assert design == design_quantizer(site, budget)
 
     def test_benchmark_dominates_with_ideal_channels(self):
         result = allocate(
@@ -170,9 +165,9 @@ class TestAllocate:
         assert result.benchmark_d_fc >= result.total_d_fc - 1e-12
         # same designs re-evaluated: benchmark equals the sensor divergences
         expected = math.fsum(
-            kl_divergence(rec.design.op)
-            for rec in result.per_sensor
-            if rec.active
+            kl_divergence(design.op)
+            for design, active in zip(result.designs.rows(), result.active)
+            if active
         )
         assert result.benchmark_d_fc == pytest.approx(expected, abs=1e-12)
 
@@ -267,6 +262,16 @@ class TestSampledNetworks:
         for seed in (0, 4):
             with pytest.raises(ValueError, match=f"{field} must lie in \\[0, 0.5\\]"):
                 sample_sites(1, seed, **{field: high})
+
+    @pytest.mark.parametrize("field, n_sensors, seed", [
+        ("n_sensors", 2.5, 1), ("n_sensors", 3.0, 1), ("n_sensors", True, 1),
+        ("seed", 3, 1.5), ("seed", 3, False)])
+    def test_non_integer_size_or_seed_raises_naming_it(self, field, n_sensors, seed):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            sample_sites(n_sensors, seed=seed)
+
+    def test_numpy_integer_size_and_seed_are_integers(self):
+        assert sample_sites(np.int64(3), seed=np.int32(1)) == sample_sites(3, seed=1)
 
     def test_crossover_high_of_half_draws_valid_channels(self):
         sites = sample_sites(200, 4, fc_crossover_high=0.5, eve_crossover_high=0.5)
@@ -376,5 +381,5 @@ class TestSolveOnce:
                 assert point.total_d_eve == total_eve
                 assert point.benchmark_d_fc == total_sensor
                 assert point.active_count == len(shares)
-                assert [rec.alpha_i for rec in result.per_sensor if rec.active] == [
+                assert result.designs.budget[result.active].tolist() == [
                     shares[i] for i in sorted(shares)]

@@ -10,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSite,
                       bsc_transform, cli, constraint_curvature, constraint_slope,
-                      design_quantizer, kl_divergence, stein_curve)
+                      design_quantizer, kl_divergence, sample_sites, stein_curve)
+from secquant import allocation
 from secquant.cli import main
 
 
@@ -746,6 +748,8 @@ class TestVerifyCommand:
             lambda s: s.update(benchmark_d_fc=sensor_sum(s), benchmark_d_eve=-7.0),
             lambda s: s.update(benchmark_d_fc=sensor_sum(s)),
             lambda s: s.update(alpha_total=10**400),
+            lambda s: s["per_sensor"][0].update(k_i=123.0),
+            lambda s: s["per_sensor"][0].update(alpha_i=50.0),
         ],
         ids=["no_alpha_total", "no_sensors", "negative_alpha_total",
              "wrong_total", "wrong_active_count", "wrong_sensor_d_fc",
@@ -753,7 +757,8 @@ class TestVerifyCommand:
              "funded_sensor_relabelled_asleep",
              "funded_sensor_asleep_with_its_totals", "index_not_its_position",
              "wrong_benchmark_d_fc", "wrong_benchmark_d_eve",
-             "benchmark_d_eve_null", "alpha_total_beyond_float"],
+             "benchmark_d_eve_null", "alpha_total_beyond_float",
+             "k_i_not_its_quality", "shares_over_alpha_total"],
     )
     def test_malformed_network_artifact_exits_4(self, tmp_path, corrupt):
         out = tmp_path / "greedy.csv"
@@ -850,8 +855,8 @@ class TestVerifyCommand:
         assert not report_out.exists()
 
     def test_infinite_numbers_stay_valid(self, tmp_path, capsys):
-        # a blind design stores lambda as +inf, a deaf-Eve sensor k_i: JSON
-        # Infinity, a float
+        # a blind design stores lambda as +inf, a deaf-Eve sensor (d_eve_star
+        # 0) k_i: JSON Infinity, a float
         argv, blind = design_args(tmp_path, budget="0.0")
         assert run(*argv) == 0
         assert "Infinity" in blind.read_text()
@@ -860,7 +865,7 @@ class TestVerifyCommand:
                    "--seed", "4", "--out", str(out)) == 0
         summary = tmp_path / "greedy.summary.json"
         payload = json.loads(summary.read_text())
-        payload["per_sensor"][0]["k_i"] = math.inf
+        payload["per_sensor"][0].update(k_i=math.inf, d_eve_star=0.0)
         summary.write_text(json.dumps(payload))
         capsys.readouterr()
         for artifact, status in ((blind, "pass"), (summary, "unchecked")):
@@ -934,12 +939,35 @@ class TestArtifactCodec:
         summary = json.loads((tmp_path / "greedy.summary.json").read_text())
         config, result = cli._network_from(summary)
         assert config.alpha_total == summary["alpha_total"]
-        assert {rec.active for rec in result.per_sensor} == {True, False}
+        assert set(result.active.tolist()) == {True, False}
         encoded = cli._sensor_records(config.sites, result)
         assert encoded == summary["per_sensor"]
         assert all(site.model.theta == 1.5 for site in config.sites)
         for name in ("total_d_fc", "total_d_eve", "active_count"):
             assert getattr(result, name) == summary[name]
+
+    def test_decoded_summary_is_the_allocation(self, tmp_path):
+        # alpha_total 0.3 over seed 2's 40 sensors funds some in full, one
+        # in part and puts the rest to sleep
+        config = tmp_path / "growth.json"
+        config.write_text(json.dumps({"n_grid": [10, 20, 40]}))
+        assert run(
+            "greedy", "--n-sensors", "40", "--alpha-total", "0.3", "--seed", "2",
+            "--benchmark", "--config", str(config), "--out", str(tmp_path / "g.csv"),
+        ) == 0
+        summary = json.loads((tmp_path / "g.summary.json").read_text())
+        stored, decoded = cli._network_from(summary)
+        sites = sample_sites(40, seed=2)
+        assert stored.sites == sites
+        result, _ = allocation._network(sites, 0.3, True, [10, 20, 40])
+        assert 0 < result.active_count < 40 and result.designs.binding[result.active].any()
+        for name, column in vars(result.designs).items():
+            np.testing.assert_array_equal(getattr(decoded.designs, name), column, name)
+        for name in ("active", "quality", "d_fc_star", "d_eve_star"):
+            np.testing.assert_array_equal(getattr(decoded, name), getattr(result, name),
+                                          name)
+        for name in ("total_d_fc", "total_d_eve", "active_count", "benchmark_d_fc"):
+            assert getattr(decoded, name) == getattr(result, name), name
 
 
 class TestConfigTypes:

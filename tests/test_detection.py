@@ -299,7 +299,7 @@ def fc_z_scores(seeds, trials):
     """(FC miss z-score against the exact miss, FC false-alarm z-score
     against delta) of one-sensor runs at window 20, one row per seed."""
     site, config, result = single_sensor_setup()
-    fc_op = bsc_transform(result.per_sensor[0].design.op, site.fc_channel)
+    fc_op = bsc_transform(result.designs.rows()[0].op, site.fc_channel)
     exact = exact_np_miss(fc_op, window=20, delta=0.01)
     return np.array([
         [(mc.fc_miss_estimate - exact.miss) / mc.fc_miss_se,
@@ -420,7 +420,7 @@ class TestMonteCarlo:
 
     def test_miss_z_scores_center_on_the_exact_miss(self):
         site, config, result = single_sensor_setup()
-        op = result.per_sensor[0].design.op
+        op = result.designs.rows()[0].op
         exact = [
             exact_np_miss(bsc_transform(op, channel), window=20).miss
             for channel in (site.fc_channel, site.eve_channel)
@@ -461,6 +461,23 @@ class TestMonteCarlo:
                 simulate_monte_carlo(
                     config, result, window=5, trials=10, seed=1, delta=delta
                 )
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("trials", 10.0), ("trials", True), ("seed", 1.5),
+        ("seed", True), ("calibration_trials", 2.5), ("calibration_trials", 40.0)])
+    def test_non_integer_counts_raise_naming_them(self, field, value):
+        _, config, result = single_sensor_setup()
+        fields = {"window": 5, "trials": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            simulate_monte_carlo(config, result, **fields)
+
+    def test_numpy_integer_counts_are_integers(self):
+        _, config, result = single_sensor_setup()
+        numpy_ints = simulate_monte_carlo(config, result, window=np.int64(5),
+                                          trials=np.int64(10), seed=np.int32(1),
+                                          calibration_trials=np.int16(40))
+        assert numpy_ints == simulate_monte_carlo(config, result, window=5, trials=10,
+                                                  seed=1, calibration_trials=40)
 
 
 def assert_within_5se(observed, pmf, n):
@@ -514,7 +531,7 @@ def designs_at(config, thresholds):
     designs = _designs_at(_site_columns(config.sites), thresholds, [0.0] * n, binding=False)
     zeros = np.zeros(n)
     return AllocationResult(
-        designs=designs, alpha_i=zeros, active=np.ones(n, dtype=bool), quality=zeros,
+        designs=designs, active=np.ones(n, dtype=bool), quality=zeros,
         d_fc_star=zeros, d_eve_star=zeros, total_d_fc=0.0, total_d_eve=0.0,
         active_count=n,
     )
