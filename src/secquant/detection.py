@@ -16,8 +16,10 @@ against the exact numbers.  A receiver's fusion statistic depends on the
 bits only through each sensor's ones-count at that receiver, so the
 simulation draws, for each sensor and block of trials, the histogram of
 those counts from its multinomial law and shuffles it, instead of
-individual bits; every estimate reads one receiver only, so the FC's and
-Eve's counts are drawn independently of each other.
+individual bits; a sensor whose two weights at a receiver are 0 has
+statistics 0 at every count and is not drawn there.  Every estimate
+reads one receiver only, so the FC's and Eve's counts are drawn
+independently of each other.
 
 Both checks read only each design's operating point and the two channel
 crossovers: the observation model and the threshold that reached the
@@ -411,13 +413,14 @@ def _fuse_block(
     to ``out``, the block's zeroed row of them, from each sensor's count law
     ``pmf`` and statistics ``table`` (see :func:`_count_laws`).
 
-    One multinomial call draws, for every sensor, how many trials take
-    each count; sensor by sensor, that histogram, expanded into statistics
-    and shuffled, is added to ``out``.  That is exact in law: given the
-    histogram of i.i.d. counts, every order is equally likely.  Sensor 0 is
-    not shuffled, as the rest are shuffled against it and every estimate
-    is symmetric in the trials.  Calls only private helpers, so that it can
-    run on a worker thread.
+    One multinomial call draws, for every sensor given, how many trials
+    take each count; sensor by sensor, that histogram, expanded into
+    statistics and shuffled, is added to ``out``.  That is exact in law:
+    given the histogram of i.i.d. counts, every order is equally likely.
+    The first sensor stays in count order, as the rest are shuffled
+    against it and every estimate is symmetric in the trials.  The caller
+    gives only sensors with a weight other than 0.  Calls only private
+    helpers, so that it can run on a worker thread.
     """
     rng = _block_rng(seed, stream, block, receiver)
     for i, (histogram, values) in enumerate(zip(rng.multinomial(len(out), pmf), table)):
@@ -491,9 +494,12 @@ def simulate_monte_carlo(
     receiver) units, each with its own counter-derived generator, run on
     a thread pool with one worker per usable CPU: NumPy's ``multinomial``
     and ``shuffle`` do the work, and ``shuffle`` releases the GIL.  A unit
-    expands one sensor at a time, at most one block of cells.  Each unit
-    writes disjoint rows of its stream's statistics, so identical ``(seed,
-    config)`` give bit-identical results for any worker count or schedule.
+    expands one sensor at a time, at most one block of cells, of the
+    sensors with a weight other than 0 at its receiver (a sleeping or
+    blind sensor has statistics 0 at every count); a receiver with none
+    has no units, and its statistics stay 0.  Each unit writes disjoint
+    rows of its stream's statistics, so identical ``(seed, config)`` give
+    bit-identical results for any worker count or schedule.
     """
     _check_integer("trials", trials)
     _check_integer("seed", seed)
@@ -510,10 +516,12 @@ def simulate_monte_carlo(
         )
     _check_windows([window], delta)
     tails, fc_rho, eve_rho = _network_arrays(config, designs)
-    laws = [
-        _count_laws(points, _llr_weights(points), window)[1:]
-        for points in (_received(tails, rho) for rho in (fc_rho, eve_rho))
-    ]
+    laws = []
+    for points in (_received(tails, rho) for rho in (fc_rho, eve_rho)):
+        weights = _llr_weights(points)
+        # a sensor of weights 0 has statistics 0 at every count: it is not drawn
+        weighs = np.any(weights != 0.0, axis=0)
+        laws.append(_count_laws(points[:, weighs], weights[:, weighs], window)[1:])
     # (stream, hypothesis, count): calibration, H0 and H1 estimation
     streams = (
         (_CAL_STREAM, 0, calibration_trials),
@@ -527,8 +535,9 @@ def simulate_monte_carlo(
         for (stream, hypothesis, count), out in zip(streams, stats)
         for block, start in enumerate(range(0, count, _BLOCK_TRIALS))
         for receiver in (0, 1)
+        if laws[receiver][0].shape[1]
     ]
-    workers = min(_usable_cpus(), len(units))
+    workers = min(_usable_cpus(), len(units)) or 1
 
     def run(unit: tuple) -> None:
         _fuse_block(seed, *unit)

@@ -572,7 +572,7 @@ def unit_draws(seed, stream, block, receiver, lo, pmf, n_trials):
     """Counts drawn from the unit's own generator, keyed (stream, block,
     receiver) under the seed: one multinomial histogram per sensor over its
     band of counts, then sensor by sensor that histogram expanded in count
-    order and, after sensor 0, shuffled."""
+    order and, after the first sensor, shuffled."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(stream, block, receiver))
     )
@@ -600,13 +600,19 @@ class TestCountSampler:
                 observed = np.bincount(row, minlength=window + 1)
                 assert_within_5se(observed, binom.pmf(ks, window, p_one), count)
 
-    @pytest.mark.parametrize("hypothesis", [0, 1])
+    # five funded sensors; and eight of which the greedy split leaves the
+    # first four and the sixth asleep
+    @pytest.mark.parametrize("hypothesis, n, alpha_total, weighing", [
+        pytest.param(hypothesis, *network, id=f"{hypothesis}{name}")
+        for name, network in (("", (5, 10.0, 5)), ("-sleepers", (8, 0.05, 3)))
+        for hypothesis in (0, 1)
+    ])
     def test_fused_statistics_are_those_of_the_block_counts(
-        self, hypothesis, monkeypatch
+        self, hypothesis, n, alpha_total, weighing, monkeypatch
     ):
         config = NetworkConfig(
-            sites=sample_sites(5, seed=5, fc_crossover_high=0.2, eve_crossover_high=0.4),
-            alpha_total=10.0,
+            sites=sample_sites(n, seed=5, fc_crossover_high=0.2, eve_crossover_high=0.4),
+            alpha_total=alpha_total,
         )
         result = allocate(config)
         window, seed, trials = 9, 21, 3000
@@ -642,14 +648,17 @@ class TestCountSampler:
         for receiver, (stats, rho) in enumerate(zip(receivers, (fc_rho, eve_rho))):
             received = _received(tails, rho)
             w_one, w_zero = _llr_weights(received)
-            lo, pmf, _ = _count_laws(received, np.array([w_one, w_zero]), window)
+            lo, pmf, table = _count_laws(received, np.array([w_one, w_zero]), window)
+            # a sensor whose statistics are 0 at every count is not drawn
+            weighs = np.any(table != 0.0, axis=(0, 2))
+            assert np.count_nonzero(weighs) == weighing
             for stream in streams:
                 for block, start in enumerate(range(0, len(stats[stream]), _BLOCK_TRIALS)):
                     rows = stats[stream][start : start + _BLOCK_TRIALS]
-                    counts = unit_draws(seed, stream, block, receiver,
-                                        lo[hypothesis], pmf[hypothesis], len(rows))
+                    counts = unit_draws(seed, stream, block, receiver, lo[hypothesis, weighs],
+                                        pmf[hypothesis, weighs], len(rows))
                     expected = np.zeros(len(rows))
-                    for ones, one, zero in zip(counts, w_one, w_zero):
+                    for ones, one, zero in zip(counts, w_one[weighs], w_zero[weighs]):
                         expected += ones * one + (window - ones) * zero
                     assert np.array_equal(rows, expected)
 
@@ -735,6 +744,28 @@ def one_sensor_network():
     return config, result
 
 
+def sleeper_network():
+    """A greedy split that leaves 10 of its 20 sensors asleep."""
+    config = NetworkConfig(sites=sample_sites(20, seed=1), alpha_total=2.0)
+    return config, allocate(config)
+
+
+def blind_network():
+    """The edge sites, whose design 1 is blind (threshold +inf) and flagged
+    active."""
+    config, thresholds = edge_network()
+    return config, designs_at(config, thresholds)
+
+
+def restricted(config, result, keep):
+    """The network of the sensors that ``keep`` marks, with their designs
+    (all that the Monte Carlo reads of the allocation)."""
+    columns = {name: column[..., keep] for name, column in vars(result.designs).items()}
+    sites = tuple(site for site, kept in zip(config.sites, keep) if kept)
+    return (NetworkConfig(sites=sites, alpha_total=config.alpha_total),
+            dataclasses.replace(result, designs=dataclasses.replace(result.designs, **columns)))
+
+
 class TestWorkerPool:
     """The Monte Carlo's (stream, block, receiver) units on a thread pool."""
 
@@ -757,7 +788,15 @@ class TestWorkerPool:
             sys.setswitchinterval(interval)
 
     def test_no_draw_holds_more_than_one_block_of_cells(self, monkeypatch):
-        config, result = small_network()
+        self.check_draws(small_network, 3, monkeypatch)
+
+    def test_a_sleeping_sensor_is_not_drawn(self, monkeypatch):
+        self.check_draws(sleeper_network, 10, monkeypatch)
+
+    def check_draws(self, network, weighing, monkeypatch):
+        """Every multinomial and shuffle of a run on the network, which has
+        ``weighing`` sensors whose statistics are not 0 at every count."""
+        config, result = network()
         kwargs = dict(window=5, trials=20_000, seed=4)
         whole = simulate_monte_carlo(config, result, **kwargs)
         drawn = []
@@ -782,10 +821,24 @@ class TestWorkerPool:
         # a whole calibration block of the three sensors would be 3x this
         assert max(drawn + shuffled) <= _BLOCK_TRIALS
         # two receivers over the calibration (4x) and two estimation
-        # streams; every sensor but the first is shuffled
+        # streams; a sleeping sensor is not drawn, and every weighing sensor
+        # but the first is shuffled
         cells = 2 * 6 * kwargs["trials"]
-        assert sum(drawn) == cells * len(config.sites)
-        assert sum(shuffled) == cells * (len(config.sites) - 1)
+        assert sum(drawn) == cells * weighing
+        assert sum(shuffled) == cells * (weighing - 1)
+
+    def test_a_network_asleep_throughout_draws_nothing(self, monkeypatch):
+        config = NetworkConfig(sites=small_network()[0].sites, alpha_total=0.0)
+        result = allocate(config)
+        assert not result.active.any()
+        units = []
+        monkeypatch.setattr(detection, "_fuse_block", lambda *unit: units.append(unit))
+        mc = simulate_monte_carlo(config, result, window=5, trials=20_000, seed=4)
+        assert units == []
+        # every statistic is 0, so the test rejects at random at rate delta
+        delta = mc.delta
+        assert (mc.fc_fa_estimate, mc.fc_miss_estimate) == (delta, 1.0 - delta)
+        assert (mc.eve_fa_estimate, mc.eve_miss_estimate) == (delta, 1.0 - delta)
 
     def test_a_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
         config, result = small_network()
@@ -802,6 +855,53 @@ class TestWorkerPool:
             # 80 000 calibration trials: two calibration blocks
             simulate_monte_carlo(config, result, window=5, trials=20_000, seed=1)
         assert threading.active_count() == threads
+
+
+class TestWeightlessSensors:
+    """A sensor whose statistics are 0 at every count adds 0 to every
+    trial, and the Monte Carlo does not draw it at that receiver."""
+
+    @pytest.mark.parametrize("network", [sleeper_network, blind_network])
+    def test_a_network_runs_as_its_weighing_sensors(self, network):
+        config, result = network()
+        # sleeping and blind designs sit at threshold +inf
+        keep = np.isfinite(result.designs.threshold)
+        assert 0 < np.count_nonzero(keep) < len(keep)
+        kwargs = dict(window=12, trials=3000, seed=9)
+        assert (simulate_monte_carlo(config, result, **kwargs)
+                == simulate_monte_carlo(*restricted(config, result, keep), **kwargs))
+
+    def test_a_sensor_weightless_at_eve_only_is_drawn_at_the_fc(self, monkeypatch):
+        # P(one) of 1e-20 under H0 and 2e-20 under H1 weighs behind the
+        # noiseless FC channel, but behind Eve's crossover 0.1 both round
+        # to 0.1
+        sites = tuple(
+            SensorSite(GaussianSensorModel(theta, sigma), BscChannel(rho_fc), BscChannel(rho_e))
+            for theta, sigma, rho_fc, rho_e in ((2.0, 1.5, 0.3, 0.01), (1.0, 1.0, 0.0, 0.1))
+        )
+        config = NetworkConfig(sites=sites, alpha_total=1.0)
+        result = designs_at(config, np.array([1.2, 0.5]))
+        tails = result.designs.tails.copy()
+        tails[:, 1] = OperatingPoint(1e-20, 2e-20).tails
+        result = dataclasses.replace(
+            result, designs=dataclasses.replace(result.designs, tails=tails)
+        )
+        _, fc_rho, eve_rho = _network_arrays(config, result)
+        at_fc, at_eve = (_received(tails[:, 1], rho[1]) for rho in (fc_rho, eve_rho))
+        assert at_fc[0] < at_fc[1] and at_eve[0] == at_eve[1]
+        drawn = {0: set(), 1: set()}
+
+        def recording(seed, stream, block, receiver, pmf, *rest):
+            drawn[receiver].add(len(pmf))
+            _fuse_block(seed, stream, block, receiver, pmf, *rest)
+
+        monkeypatch.setattr(detection, "_fuse_block", recording)
+        kwargs = dict(window=20, trials=3000, seed=12)
+        mc = simulate_monte_carlo(config, result, **kwargs)
+        assert drawn == {0: {2}, 1: {1}}
+        alone = simulate_monte_carlo(*restricted(config, result, [True, False]), **kwargs)
+        eve = [name for name in vars(mc) if name.startswith("eve_")]
+        assert [getattr(mc, name) for name in eve] == [getattr(alone, name) for name in eve]
 
 
 class TestLlrWeights:
