@@ -22,11 +22,7 @@ from .allocation import (
 from .boundary import (
     BoundaryTrace,
     ConvexityCertificate,
-    constraint_curvature,
-    constraint_slope,
     convexity_certificate,
-    roc_region,
-    slope_bounds,
     trace_constraint_curve,
 )
 from .detection import (
@@ -50,7 +46,6 @@ from .roc import (
     SensorSite,
     bsc_transform,
     kl_divergence,
-    kl_divergence_grad_pd,
     mix_quantizers,
 )
 from .solver import (
@@ -81,8 +76,6 @@ __all__ = [
     "UnimodalityError",
     "allocate",
     "bsc_transform",
-    "constraint_curvature",
-    "constraint_slope",
     "convexity_certificate",
     "design_quantizer",
     "eve_divergence_gap",
@@ -90,17 +83,14 @@ __all__ = [
     "find_budget_thresholds",
     "growth_curve",
     "kl_divergence",
-    "kl_divergence_grad_pd",
     "max_channel_divergence",
     "mix_quantizers",
     "q_function",
     "q_inverse",
     "quality_ratio",
-    "roc_region",
     "sample_sites",
     "second_order_slope",
     "simulate_monte_carlo",
-    "slope_bounds",
     "stein_curve",
     "tradeoff_curve",
     "trace_constraint_curve",

@@ -3,15 +3,16 @@
 The set of sensor operating points at which Eve's per-symbol divergence
 equals a fixed budget is a smooth curve.  Implicit differentiation of
 ``D_eve(x, y) = budget`` gives closed forms for its slope and curvature in
-terms of the Eve-side coordinates, and a short algebraic identity shows the
-sensor divergence is convex along the curve.  That convexity is what pushes
-optimal designs to the intersection of this boundary with the LRT curve, so
-everything downstream leans on the functions in this module.
+terms of the Eve-side coordinates.  A short algebraic identity shows that
+the FC divergence is convex along the curve wherever Eve's channel is the
+FC's channel followed by a BSC, that is, wherever rho_e >= rho_fc.  There
+designs are optimal among all binary quantizers; where Eve hears better
+than the FC they are optimal among LRT thresholds only.
 
-The convexity certificate decomposes the second derivative of the sensor
-divergence along the curve into four terms; the second term vanishes
-identically and the fourth is nonnegative above the diagonal, which is the
-whole proof in numeric form.
+The convexity certificate decomposes the second derivative of the FC
+divergence along the curve, in FC coordinates, into four terms; the
+second term vanishes identically and the fourth is nonnegative above the
+diagonal, which is the whole proof in numeric form.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .roc import (
     _check_tails,
     _kl_partials,
     _received,
+    bsc_transform,
     received_divergence,
 )
 from .search import bisect_root
@@ -58,9 +60,9 @@ class BoundaryTrace:
 class ConvexityCertificate:
     """Term-by-term evaluation of the boundary-convexity identity.
 
-    ``second_derivative`` is d2D/dx2 of the sensor divergence along the
-    constraint curve; ``t2`` must vanish and ``t4`` must be nonnegative
-    for the identity to certify convexity.
+    ``second_derivative`` is d2D/dx2 of the FC divergence along the
+    constraint curve, in FC coordinates; ``t2`` must vanish and ``t4``
+    must be nonnegative for the identity to certify convexity.
     """
 
     t1: float
@@ -84,15 +86,19 @@ def _eve_tails(tails, rho):
 
 
 def _slope(tails, rho):
-    """:func:`constraint_slope` for an array of sensor tails:
-    -(dD/dX) / (dD/dY) at the Eve-side point."""
+    """Slope dy/dx of the constant-Eve-divergence curve through each of an
+    array of sensor tails behind crossovers ``rho``: -(dD/dX) / (dD/dY) at
+    the Eve-side point.  Raises :class:`SingularPointError` on the
+    diagonal."""
     d_x, d_y = _kl_partials(_eve_tails(tails, rho))
     return -d_x / d_y
 
 
 def _curvature(tails, rho, slope):
-    """:func:`constraint_curvature` for an array of sensor tails and
-    slopes; -inf where the slope is infinite (a tail at 0)."""
+    """Curvature d2y/dx2 of that curve at an array of sensor tails, given
+    its slopes there: the level-set condition differentiated twice, the
+    ``1 - 2*rho`` factor carrying the chain rule through the channel's
+    affine map; -inf where the slope is infinite (a tail at 0)."""
     x, y, xc, yc = eve = _eve_tails(tails, rho)
     with np.errstate(all="ignore"):
         # second partials of D: a = D_YY, b = -D_XY, c = D_XX
@@ -101,45 +107,6 @@ def _curvature(tails, rho, slope):
         c = 1.0 / x + 1.0 / xc
         scale = 1.0 - 2.0 * rho
         return scale * -(slope * (a * slope - 2.0 * b) + c) / _kl_partials(eve)[1]
-
-
-def constraint_slope(op: OperatingPoint, eve: BscChannel) -> float:
-    """Slope dy/dx of the constant-Eve-divergence curve through ``op``.
-
-    With ``(xe, ye)`` the Eve-side image of ``op``,
-
-        slope = [ln((1-xe)/(1-ye)) - ln(xe/ye)]
-                / [(1-xe)/(1-ye) - xe/ye].
-
-    Raises :class:`SingularPointError` on the diagonal.
-    """
-    return float(_slope(op.tails, eve.crossover))
-
-
-def constraint_curvature(
-    op: OperatingPoint, eve: BscChannel, slope: float
-) -> float:
-    """Curvature d2y/dx2 of the constraint curve, given its slope there.
-
-    Obtained by differentiating the level-set condition twice; the
-    ``1 - 2*rho`` factor carries the chain rule through the channel's
-    affine map.
-    """
-    return float(_curvature(op.tails, eve.crossover, slope))
-
-
-def slope_bounds(op: OperatingPoint, eve: BscChannel) -> tuple[float, float]:
-    """Sandwich ``(1-ye)/(1-xe) <= dy/dx <= ye/xe`` on the boundary slope.
-
-    The slope is the divided difference of the (concave) logarithm between
-    the abscissae ``xe/ye`` and ``(1-xe)/(1-ye)``, so by the mean value
-    theorem it lies between the log's derivatives there, i.e. between the
-    reciprocals of those two ratios, whenever ``pd >= pfa``.  At symmetric
-    points (``pfa + pd = 1``) the reciprocals equal the ratios themselves.
-    """
-    x, y, xc, yc = _received(op.tails, eve.crossover)
-    with np.errstate(all="ignore"):
-        return float(yc / xc), float(y / x)
 
 
 def trace_constraint_curve(
@@ -185,29 +152,41 @@ def trace_constraint_curve(
 
 
 def convexity_certificate(
-    op: OperatingPoint, eve: BscChannel
+    op: OperatingPoint, fc: BscChannel, eve: BscChannel
 ) -> ConvexityCertificate:
-    """Evaluate the convexity identity for the sensor divergence.
+    """Evaluate the convexity identity for the FC divergence.
 
-    Along the constraint curve through ``op``,
+    Where ``rho_e >= rho_fc``, Eve's channel is the FC's followed by
+    BSC(rho'), rho' = (rho_e - rho_fc) / (1 - 2 rho_fc).  So in FC
+    coordinates, at ``(x, y)`` = ``bsc_transform(op, fc)``, the FC
+    divergence D is the noiseless one and Eve's level curve is that of
+    BSC(rho'); along it,
 
         d2D/dx2 = t1 * slope^2 - 2 * t2 * slope + t3
-                = rho*(1-rho)*(y-x)/(y*(1-y)) * t4,
+                = rho'*(1-rho')*(y-x)/(y*(1-y)) * t4,
 
     with ``t2 = 0`` identically and ``t4 >= 0`` wherever ``pd > pfa`` and
-    ``0 < rho < 1/2``.  The terms read the point's stored complements, and
-    a term is infinite where a tail it divides by is 0.
+    ``0 < rho' < 1/2``.  The terms read the point's stored complements,
+    and a term is infinite where a tail it divides by is 0.
 
-    Requires ``pd > pfa`` and a strictly noisy channel.
+    Requires ``pd > pfa`` and ``rho_e > rho_fc``: where Eve hears better
+    than the FC the LRT claim is not certified, and this raises.
     """
+    if eve.crossover < fc.crossover:
+        raise ValueError(
+            f"Eve's crossover {eve.crossover!r} is below the FC's "
+            f"{fc.crossover!r}: her channel is not the FC's followed by a "
+            f"BSC, so the LRT claim is not certified there"
+        )
+    op = bsc_transform(op, fc)
     if not op.pd > op.pfa:
         raise SingularPointError(
             "convexity certificate requires pd > pfa (point above the diagonal)"
         )
-    rho = eve.crossover
+    rho = (eve.crossover - fc.crossover) / (1.0 - 2.0 * fc.crossover)
     if not 0.0 < rho < 0.5:
         raise ValueError(
-            f"convexity certificate requires 0 < crossover < 0.5, got {rho!r}"
+            f"convexity certificate requires 0 < rho' < 0.5, got {rho!r}"
         )
     x, y, xc, yc = op.tails
     xh, yh, xhc, yhc = _eve_tails(op.tails, rho)
@@ -222,19 +201,3 @@ def convexity_certificate(
               + (xc - y) / (x * xh * xc * xhc))
         second = rho * (1.0 - rho) * (y - x) / (y * yc) * t4
     return ConvexityCertificate(*map(float, (t1, t2, t3, t4, second)))
-
-
-def roc_region(op: OperatingPoint) -> str:
-    """Which of the three upper-triangle regions the point falls in.
-
-    ``R1``: pd <= 1/2 and pfa + pd <= 1; ``R2``: pd >= 1/2 and
-    pfa + pd <= 1; ``R3``: pd >= 1/2 and pfa + pd >= 1.  Boundaries are
-    shared; the first matching label is returned.
-    """
-    if not op.above_diagonal:
-        raise ValueError("region classification applies above the diagonal")
-    if op.pd <= 0.5 and op.pfa + op.pd <= 1.0:
-        return "R1"
-    if op.pd >= 0.5 and op.pfa + op.pd <= 1.0:
-        return "R2"
-    return "R3"

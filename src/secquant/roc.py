@@ -68,10 +68,6 @@ class OperatingPoint:
         return np.array((self.pfa, self.pd, self.pfa_c, self.pd_c))
 
     @property
-    def above_diagonal(self) -> bool:
-        return self.pd >= self.pfa
-
-    @property
     def on_diagonal(self) -> bool:
         return abs(self.pd - self.pfa) < DIAGONAL_TOL
 
@@ -162,16 +158,6 @@ def _llr_weights(tails):
     x, y = tails[0::2], tails[1::2]
     with np.errstate(all="ignore"):
         return np.where(x == y, 0.0, np.log(y / x))
-
-
-def kl_divergence_grad_pd(op: OperatingPoint) -> float:
-    """Partial derivative of the divergence in the detection coordinate.
-
-    Equals ``(1-x)/(1-y) - x/y``; nonnegative above the diagonal, which is
-    why optimal designs always sit on the upper boundary of the feasible
-    region.
-    """
-    return float(_kl_partials(op.tails)[1])
 
 
 def bsc_transform(op: OperatingPoint, channel: BscChannel) -> OperatingPoint:

@@ -4,10 +4,16 @@ The designable quantity is the LRT threshold.  Eve's divergence along the
 LRT curve, minus the tolerated budget, is a single-peaked function of the
 threshold whose tails sink to minus the budget; its at most two zeros
 bracket the thresholds at which the secrecy constraint is exactly met.
-The optimal design is the better crossing inside the threshold bracket
+The best threshold is the better crossing inside the threshold bracket
 when the constraint binds (the blind design, at threshold +inf, without
 one), and the unconstrained divergence maximizer otherwise.  A zero
 budget forces the blind design.
+
+Where rho_e >= rho_fc, Eve's channel is the FC's followed by a BSC, and
+this design is optimal among all binary quantizers
+(``boundary.convexity_certificate``).  Where Eve hears better than the
+FC, it is optimal among LRT thresholds only: an interval quantizer can
+then reach a larger FC divergence at the same leakage.
 """
 
 from __future__ import annotations

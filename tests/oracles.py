@@ -44,6 +44,63 @@ def log_space_divergence(theta, sigma, rho, thresholds):
     return np.maximum(np.exp(lx) * (lx - ly) + np.exp(lxc) * (lxc - lyc), 0.0)
 
 
+def _log1mexp(d):
+    """ln(1 - e^d) for d <= 0, accurate on both sides of -ln 2."""
+    with np.errstate(divide="ignore"):
+        return np.where(d > -np.log(2.0), np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
+
+
+def _interval_divergences(theta, sigma, rho, edges, lo, hi):
+    """Post-channel divergence of ``1{edges[lo] <= r <= edges[hi]}`` for index
+    arrays ``lo`` and ``hi``, in log space: each probability inside and
+    outside the interval is a difference or sum of Gaussian tails taken on
+    the side where both are small (``log_ndtr`` once per edge), so neither
+    is read as 1 minus the other; 0 ln 0 = 0."""
+    rho = np.asarray(rho, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_rho = np.log(rho)
+    log_scale = np.log1p(-2.0 * rho)
+    tails = []
+    for mean in (0.0, theta):
+        z = (edges - mean) / sigma
+        below, above = log_ndtr(z), log_ndtr(-z)
+        upper = z[lo] >= 0.0
+        big = np.where(upper, above[lo], below[hi])
+        small = np.where(upper, above[hi], below[lo])
+        tails += [big + _log1mexp(small - big), np.logaddexp(below[lo], above[hi])]
+    lx, lxc, ly, lyc = (np.logaddexp(log_rho, log_scale + v) for v in tails)
+    with np.errstate(invalid="ignore"):
+        terms = [np.where(a == -np.inf, 0.0, np.exp(a) * (a - b))
+                 for a, b in ((lx, ly), (lxc, lyc))]
+    return np.maximum(terms[0] + terms[1], 0.0)
+
+
+def log_space_interval_divergence(theta, sigma, rho, lo, hi):
+    """Post-channel divergence of the quantizer ``1{lo <= r <= hi}`` in log
+    space, as ``log_space_divergence`` takes it for ``1{r >= t}``: ``lo`` may
+    be -inf and ``hi`` +inf, so ``hi = inf`` is that threshold quantizer and
+    ``lo = -inf`` its bit flip, which has the same divergence."""
+    edges = np.array([lo, hi], dtype=float)
+    return float(_interval_divergences(theta, sigma, rho, edges, [0], [1])[0])
+
+
+def best_interval(theta, sigma, rho_fc, rho_e, budget, n=400):
+    """Best FC divergence among the interval quantizers ``1{lo <= r <= hi}``
+    whose Eve divergence is at most ``budget``, over every pair lo < hi of an
+    ``n``-point edge grid on [min(0, theta) - 8 sigma, max(0, theta) + 8 sigma]
+    with -inf and +inf added, so the grid's threshold quantizers (and the
+    blind one, lo = -inf and hi = +inf) are among them."""
+    edges = np.concatenate((
+        [-np.inf],
+        np.linspace(min(0.0, theta) - 8.0 * sigma, max(0.0, theta) + 8.0 * sigma, n),
+        [np.inf],
+    ))
+    lo, hi = np.triu_indices(edges.size, k=1)
+    d_fc = _interval_divergences(theta, sigma, rho_fc, edges, lo, hi)
+    d_eve = _interval_divergences(theta, sigma, rho_e, edges, lo, hi)
+    return float(np.max(d_fc[d_eve <= budget]))
+
+
 def count_direction_changes(values, noise_floor):
     """Loop reference for the library's array-based direction count."""
     changes = 0

@@ -23,7 +23,6 @@ from secquant import (
     find_budget_thresholds,
     growth_curve,
     kl_divergence,
-    kl_divergence_grad_pd,
     max_channel_divergence,
     quality_ratio,
     sample_sites,
@@ -31,6 +30,7 @@ from secquant import (
     stein_curve,
     tradeoff_curve,
 )
+from secquant import roc
 from secquant.cli import main as cli_main
 
 import oracles
@@ -83,7 +83,7 @@ def test_criterion_02_convexity_certificate():
         x = rng.uniform(0.01, 0.97)
         y = rng.uniform(x + 0.005, 0.995)
         rho = rng.uniform(0.005, 0.49)
-        cert = convexity_certificate(OperatingPoint(x, y), BscChannel(rho))
+        cert = convexity_certificate(OperatingPoint(x, y), BscChannel(0.0), BscChannel(rho))
         worst_t2 = max(worst_t2, abs(cert.t2))
         worst_t4 = min(worst_t4, cert.t4)
 
@@ -98,7 +98,7 @@ def test_criterion_02_convexity_certificate():
         if any(y is None or y >= 1.0 - 1e-6 for y in ys):
             continue
         cert = convexity_certificate(
-            OperatingPoint(x0, ys[2]), BscChannel(rho)
+            OperatingPoint(x0, ys[2]), BscChannel(0.0), BscChannel(rho)
         )
         if abs(cert.second_derivative) < 0.05:
             continue  # relative comparison needs a usable scale
@@ -169,7 +169,7 @@ def test_criterion_03_transform_lemma_property_suites():
     for _ in range(200):
         x = rng.uniform(0.05, 0.9)
         y = rng.uniform(x + 0.02, 0.98)
-        grad = kl_divergence_grad_pd(OperatingPoint(x, y))
+        grad = roc._kl_partials(OperatingPoint(x, y).tails)[1]
         fd = (
             kl_divergence(OperatingPoint(x, y + step))
             - kl_divergence(OperatingPoint(x, y - step))

@@ -13,17 +13,12 @@ from secquant import (
     OperatingPoint,
     SingularPointError,
     bsc_transform,
-    constraint_curvature,
-    constraint_slope,
     convexity_certificate,
     kl_divergence,
-    kl_divergence_grad_pd,
-    roc_region,
-    slope_bounds,
     trace_constraint_curve,
 )
 from secquant import boundary
-from secquant.boundary import TRACE_TOL
+from secquant.boundary import TRACE_TOL, _curvature, _slope
 from secquant.search import bisect_root
 
 import oracles
@@ -37,42 +32,37 @@ def frozen_slope(xe, ye):
 
 class TestConstraintSlope:
     def test_ideal_channel_closed_form(self):
-        got = constraint_slope(OperatingPoint(0.3, 0.7), BscChannel(0.0))
+        got = _slope(OperatingPoint(0.3, 0.7).tails, 0.0)
         assert got == pytest.approx(frozen_slope(0.3, 0.7), abs=1e-12)
         assert got == pytest.approx(0.889663, abs=1e-6)
 
     def test_channel_then_slope(self):
         # a 0.1 channel maps (0.25, 0.75) onto (0.3, 0.7)
-        got = constraint_slope(OperatingPoint(0.25, 0.75), BscChannel(0.1))
+        got = _slope(OperatingPoint(0.25, 0.75).tails, 0.1)
         assert got == pytest.approx(0.889663, abs=1e-6)
 
     def test_near_diagonal_limit_is_one(self):
-        got = constraint_slope(OperatingPoint(0.4, 0.4 + 1e-6), BscChannel(0.1))
+        got = _slope(OperatingPoint(0.4, 0.4 + 1e-6).tails, 0.1)
         assert got == pytest.approx(1.0, abs=1e-4)
 
     def test_singular_on_diagonal(self):
+        tails = OperatingPoint(0.4, 0.4).tails
         with pytest.raises(SingularPointError):
-            constraint_slope(OperatingPoint(0.4, 0.4), BscChannel(0.1))
+            _slope(tails, 0.1)
         with pytest.raises(SingularPointError):
-            constraint_curvature(OperatingPoint(0.4, 0.4), BscChannel(0.1), 1.0)
+            _curvature(tails, 0.1, 1.0)
+
+
+def sandwich(eve_tails):
+    """``(1 - Y)/(1 - X) <= slope <= Y/X`` at Eve-side tails: the slope is the
+    divided difference of the concave logarithm between X/Y and
+    (1 - X)/(1 - Y), so by the mean value theorem it lies between the
+    reciprocals of those ratios whenever pd >= pfa."""
+    x, y, xc, yc = eve_tails
+    return yc / xc, y / x
 
 
 class TestSlopeBounds:
-    def test_ideal_channel(self):
-        lo, hi = slope_bounds(OperatingPoint(0.3, 0.7), BscChannel(0.0))
-        assert lo == pytest.approx(3.0 / 7.0, abs=1e-12)
-        assert hi == pytest.approx(7.0 / 3.0, abs=1e-12)
-
-    def test_diagonal_point(self):
-        lo, hi = slope_bounds(OperatingPoint(0.5, 0.5), BscChannel(0.2))
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
-
-    def test_after_transform(self):
-        lo, hi = slope_bounds(OperatingPoint(0.25, 0.75), BscChannel(0.1))
-        assert lo == pytest.approx(0.3 / 0.7, abs=1e-12)
-        assert hi == pytest.approx(0.7 / 0.3, abs=1e-12)
-
     def test_sandwich_at_random_points(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
@@ -80,9 +70,8 @@ class TestSlopeBounds:
             y = rng.uniform(x + 0.001, 0.999)
             rho = rng.uniform(0.0, 0.45)
             op = OperatingPoint(x, y)
-            ch = BscChannel(rho)
-            lo, hi = slope_bounds(op, ch)
-            s = constraint_slope(op, ch)
+            lo, hi = sandwich(bsc_transform(op, BscChannel(rho)).tails)
+            s = _slope(op.tails, rho)
             assert lo - 1e-12 <= s <= hi + 1e-12
 
 
@@ -100,16 +89,15 @@ class TestConstraintCurvature:
         budget, rho = 0.2, 0.1
         for x0 in (0.1, 0.2, 0.35):
             y0, fd_slope, fd_curv = _fd_trace(x0, budget, rho, 1e-4)
-            op = OperatingPoint(x0, y0)
-            s = constraint_slope(op, BscChannel(rho))
-            c = constraint_curvature(op, BscChannel(rho), s)
+            tails = OperatingPoint(x0, y0).tails
+            s = _slope(tails, rho)
+            c = _curvature(tails, rho, s)
             assert s == pytest.approx(fd_slope, rel=1e-5)
             assert c == pytest.approx(fd_curv, rel=1e-4)
 
     def test_symmetric_point_finite_and_matches(self):
         # pick the abscissa whose boundary point is symmetric (x + y = 1)
         budget, rho = 0.15, 0.08
-        eve = BscChannel(rho)
         lo, hi = 0.01, 0.49
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -121,9 +109,8 @@ class TestConstraintCurvature:
         x0 = 0.5 * (lo + hi)
         y0, fd_slope, fd_curv = _fd_trace(x0, budget, rho, 1e-4)
         assert x0 + y0 == pytest.approx(1.0, abs=1e-3)
-        c = constraint_curvature(
-            OperatingPoint(x0, y0), eve, constraint_slope(OperatingPoint(x0, y0), eve)
-        )
+        tails = OperatingPoint(x0, y0).tails
+        c = _curvature(tails, rho, _slope(tails, rho))
         assert math.isfinite(c)
         assert c == pytest.approx(fd_curv, rel=1e-4)
 
@@ -192,9 +179,9 @@ class TestTrace:
     def test_slopes_within_bounds_along_trace(self):
         eve = BscChannel(0.1)
         trace = trace_constraint_curve(0.2, eve, n_points=200)
-        for k, slope in enumerate(trace.slope.tolist()):
-            lo, hi = slope_bounds(point(trace, k), eve)
-            assert lo - 1e-12 <= slope <= hi + 1e-12
+        lo, hi = sandwich(trace.eve_tails)
+        assert np.all(lo - 1e-12 <= trace.slope)
+        assert np.all(trace.slope <= hi + 1e-12)
 
     def test_budget_beyond_reach_gives_empty(self):
         eve = BscChannel(0.1)
@@ -250,8 +237,8 @@ class TestTrace:
 
 
 class TestOnePointCase:
-    """The public functions are the one-point case of the array kernels
-    that trace whole curves, bit for bit, and return Python floats."""
+    """Each lane of a trace is the one-point case of the array kernels that
+    trace whole curves, bit for bit; the certificate returns Python floats."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -266,22 +253,30 @@ class TestOnePointCase:
                     trace.curvature.tolist())
         for k, (eve_tails, traced_slope, curvature) in enumerate(lanes):
             op = point(trace, k)
-            slope = constraint_slope(op, eve)
+            slope = _slope(op.tails, rho)
             assert traced_slope == slope
-            assert curvature == constraint_curvature(op, eve, slope)
+            assert curvature == _curvature(op.tails, rho, slope)
             assert OperatingPoint(*eve_tails) == bsc_transform(op, eve)
 
     def test_python_float_returns(self):
-        op, eve = OperatingPoint(0.2, 0.7), BscChannel(0.1)
-        cert = convexity_certificate(op, eve)
-        values = [
-            constraint_slope(op, eve),
-            constraint_curvature(op, eve, 1.0),
-            *slope_bounds(op, eve),
-            *vars(cert).values(),
-            kl_divergence_grad_pd(op),
-        ]
-        assert all(type(v) is float for v in values)
+        op = OperatingPoint(0.2, 0.7)
+        cert = convexity_certificate(op, BscChannel(0.05), BscChannel(0.1))
+        assert all(type(v) is float for v in vars(cert).values())
+
+
+#: The sensor-divergence certificate at three (x, y, rho_e) points, as
+#: (t1, t2, t3, t4, second_derivative), recorded before the FC channel was
+#: an argument: behind a noiseless FC channel it must come out bit for bit.
+NOISELESS_FC_CERTIFICATES = {
+    (0.2, 0.7, 0.1): (1.8189093819345912, 8.881784197001252e-16,
+                      0.6960944460944464, 11.05323096586062, 2.368549492684418),
+    (0.05, 0.3, 0.02): (-0.2085262200869138, 8.881784197001252e-16,
+                        5.038157119635746, 192.8729426750335, 4.500368662417449),
+    (0.4, 0.95, 0.3): (211.72804301776068, 3.552713678800501e-15,
+                       -14.275574201203474, 65.31001007293455, 158.806445545767),
+}
+
+NOISELESS = BscChannel(0.0)
 
 
 class TestConvexityCertificate:
@@ -291,7 +286,7 @@ class TestConvexityCertificate:
             x = rng.uniform(0.01, 0.97)
             y = rng.uniform(x + 0.005, 0.995)
             rho = rng.uniform(0.005, 0.49)
-            cert = convexity_certificate(OperatingPoint(x, y), BscChannel(rho))
+            cert = convexity_certificate(OperatingPoint(x, y), NOISELESS, BscChannel(rho))
             assert abs(cert.t2) <= 1e-10
 
     def test_t4_nonnegative_above_diagonal(self):
@@ -300,9 +295,37 @@ class TestConvexityCertificate:
             x = rng.uniform(0.01, 0.97)
             y = rng.uniform(x + 0.005, 0.995)
             rho = rng.uniform(0.005, 0.49)
-            cert = convexity_certificate(OperatingPoint(x, y), BscChannel(rho))
+            cert = convexity_certificate(OperatingPoint(x, y), NOISELESS, BscChannel(rho))
             assert cert.t4 >= -1e-10
             assert cert.second_derivative >= -1e-10
+
+    def test_t4_nonnegative_wherever_eve_hears_worse(self):
+        # rho_e > rho_fc: Eve's channel is the FC's followed by BSC(rho')
+        rng = np.random.default_rng(25)
+        for _ in range(2000):
+            x = rng.uniform(0.01, 0.97)
+            y = rng.uniform(x + 0.005, 0.995)
+            rho_fc = rng.uniform(0.0, 0.45)
+            rho_e = rng.uniform(rho_fc + 0.005, 0.49)
+            cert = convexity_certificate(
+                OperatingPoint(x, y), BscChannel(rho_fc), BscChannel(rho_e))
+            assert abs(cert.t2) <= 1e-10
+            assert cert.t4 >= -1e-10
+            assert cert.second_derivative >= -1e-10
+
+    def test_noiseless_fc_gives_the_sensor_certificate_bit_for_bit(self):
+        for (x, y, rho), terms in NOISELESS_FC_CERTIFICATES.items():
+            cert = convexity_certificate(OperatingPoint(x, y), NOISELESS, BscChannel(rho))
+            assert tuple(vars(cert).values()) == terms
+
+    def test_noisy_fc_is_the_noiseless_case_at_the_fc_image(self):
+        # the cascade identity: BSC(rho_fc) then BSC(rho') is BSC(rho_e)
+        op, fc, eve = OperatingPoint(0.2, 0.7), BscChannel(0.05), BscChannel(0.1)
+        rho = (0.1 - 0.05) / (1.0 - 2.0 * 0.05)
+        assert convexity_certificate(op, fc, eve) == convexity_certificate(
+            bsc_transform(op, fc), NOISELESS, BscChannel(rho))
+        assert bsc_transform(bsc_transform(op, fc), BscChannel(rho)).tails == (
+            pytest.approx(bsc_transform(op, eve).tails, abs=1e-15))
 
     def test_middle_region_is_the_easy_case(self):
         # pd >= 1/2 and pfa + pd <= 1: both certificate pieces are
@@ -311,9 +334,7 @@ class TestConvexityCertificate:
         for _ in range(300):
             y = rng.uniform(0.5, 0.99)
             x = rng.uniform(0.0, min(1.0 - y, y - 1e-6))
-            op = OperatingPoint(x, y)
-            assert roc_region(op) == "R2"
-            cert = convexity_certificate(op, BscChannel(0.1))
+            cert = convexity_certificate(OperatingPoint(x, y), NOISELESS, BscChannel(0.1))
             assert cert.t4 >= 0.0
 
     def test_second_derivative_matches_trace(self):
@@ -326,32 +347,18 @@ class TestConvexityCertificate:
                 oracles.kld(x0 + k * h, yk) for k, yk in zip((-1, 0, 1), ys)
             ]
             fd_second = (ds[2] - 2 * ds[1] + ds[0]) / (h * h)
-            cert = convexity_certificate(OperatingPoint(x0, ys[1]), eve)
+            cert = convexity_certificate(OperatingPoint(x0, ys[1]), NOISELESS, eve)
             assert cert.second_derivative == pytest.approx(fd_second, rel=1e-3)
 
     def test_preconditions(self):
         with pytest.raises(SingularPointError):
-            convexity_certificate(OperatingPoint(0.5, 0.4), BscChannel(0.1))
+            convexity_certificate(OperatingPoint(0.5, 0.4), NOISELESS, BscChannel(0.1))
         with pytest.raises(ValueError):
-            convexity_certificate(OperatingPoint(0.2, 0.8), BscChannel(0.0))
+            convexity_certificate(OperatingPoint(0.2, 0.8), NOISELESS, NOISELESS)
+        # rho_e = rho_fc leaves rho' = 0, refused as a noiseless Eve is
+        with pytest.raises(ValueError, match="rho'"):
+            convexity_certificate(OperatingPoint(0.2, 0.8), BscChannel(0.1), BscChannel(0.1))
 
-
-class TestRegions:
-    def test_every_upper_point_classified(self):
-        rng = np.random.default_rng(24)
-        for _ in range(500):
-            x = rng.uniform(0.0, 1.0)
-            y = rng.uniform(x, 1.0)
-            region = roc_region(OperatingPoint(x, y))
-            assert region in {"R1", "R2", "R3"}
-            if region == "R1":
-                assert y <= 0.5 and x + y <= 1.0
-            elif region == "R2":
-                assert y >= 0.5 and x + y <= 1.0
-            else:
-                assert y >= 0.5 and x + y >= 1.0
-
-    def test_below_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            roc_region(OperatingPoint(0.8, 0.2))
-
+    def test_eve_hearing_better_is_not_certified(self):
+        with pytest.raises(ValueError, match=r"0\.02.*0\.05.*not certified"):
+            convexity_certificate(OperatingPoint(0.2, 0.8), BscChannel(0.05), BscChannel(0.02))

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSite,
-                      bsc_transform, cli, constraint_curvature, constraint_slope,
-                      design_quantizer, kl_divergence, sample_sites, stein_curve)
+                      bsc_transform, cli, design_quantizer, kl_divergence, sample_sites,
+                      stein_curve)
 from secquant import allocation
+from secquant.boundary import _curvature, _slope
 from secquant.cli import main
 
 
@@ -389,8 +390,8 @@ class TestTraceBoundaryCommand:
             op = OperatingPoint(x, y)
             eve_op = bsc_transform(op, eve)
             assert (x_e, y_e) == (eve_op.pfa, eve_op.pd)
-            assert slope == constraint_slope(op, eve)
-            assert curvature == constraint_curvature(op, eve, slope)
+            assert slope == _slope(op.tails, 0.1)
+            assert curvature == _curvature(op.tails, 0.1, slope)
 
     def test_zero_budget_exits_2(self, tmp_path):
         assert run(

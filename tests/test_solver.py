@@ -321,6 +321,43 @@ class TestLogSpaceOracle:
         assert np.all(d_fc >= best - 1e-9 * (1.0 + best))
 
 
+class TestLrtClaim:
+    """Designs against the best interval quantizer 1{lo <= r <= hi}: never
+    beaten where rho_e >= rho_fc, and beaten at two sites where Eve hears
+    better, which a design over the whole ROC region must then meet."""
+
+    @given(
+        theta=st.floats(min_value=0.3, max_value=4.0),
+        sigma=st.floats(min_value=0.5, max_value=2.0),
+        crossovers=st.lists(crossover, min_size=2, max_size=2),
+        log_budget=st.floats(min_value=math.log(1e-3), max_value=0.0),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_no_interval_beats_the_design_where_eve_hears_worse(
+        self, theta, sigma, crossovers, log_budget
+    ):
+        rho_fc, rho_e = sorted(crossovers)
+        budget = math.exp(log_budget)
+        design = design_quantizer(make_site(theta, sigma, rho_fc, rho_e), budget)
+        best = oracles.best_interval(theta, sigma, rho_fc, rho_e, budget)
+        assert design.d_fc >= best - 1e-9
+
+    @pytest.mark.parametrize("theta, sigma, rho_fc, rho_e, budget, lo, hi, margin", [
+        (3.734, 1.0, 0.1993, 0.04819, 0.3, 0.9, 4.0, 0.02),
+        (2.0, 1.5, 0.05, 0.02, 0.05, -0.775, 1.825, 0.01),
+    ])
+    def test_an_interval_beats_the_design_where_eve_hears_better(
+        self, theta, sigma, rho_fc, rho_e, budget, lo, hi, margin
+    ):
+        design = design_quantizer(make_site(theta, sigma, rho_fc, rho_e), budget)
+        d_fc, d_eve = (
+            oracles.log_space_interval_divergence(theta, sigma, rho, lo, hi)
+            for rho in (rho_fc, rho_e)
+        )
+        assert d_eve <= budget
+        assert d_fc > design.d_fc + margin
+
+
 class TestTradeoffCurve:
     def test_single_zero_budget(self):
         points = tradeoff_curve(make_site(), [0.0])
