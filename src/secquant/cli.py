@@ -27,8 +27,8 @@ from .gaussian import GaussianSensorModel
 from .roc import (BscChannel, OperatingPoint, SensorSite, bsc_transform,
                   received_divergence)
 from .solver import DesignTable, _site_columns, design_table, eve_divergence_gap
-from .detection import (_check_windows, _network_arrays, second_order_slope,
-                        simulate_monte_carlo, stein_curve)
+from .detection import (_check_windows, second_order_slope, simulate_monte_carlo,
+                        stein_curve)
 
 #: Exit code of each handled error, first match wins: 2 validation failure,
 #: 3 solver structural error, 4 artifact I/O failure or malformed artifact.
@@ -233,91 +233,85 @@ def _sensor_records(sites: Sequence[SensorSite], result: AllocationResult) -> li
     return _encoded({**_columns_of(result.designs, sites), **vars(result)}, _SENSOR_KEYS)
 
 
+#: The fields of a greedy summary that draw its sites (:func:`sample_sites`).
+_SAMPLING = ("n_sensors", "seed", "snr", "fc_crossover_high", "eve_crossover_high")
+
+
+def _totals(result: AllocationResult) -> dict[str, Any]:
+    """A greedy summary's totals, the benchmark's null unless it ran."""
+    # Eve's channels are the same in the benchmark
+    benchmark_d_eve = None if result.benchmark_d_fc is None else result.total_d_eve
+    return {"total_d_fc": result.total_d_fc, "total_d_eve": result.total_d_eve,
+            "active_count": result.active_count, "benchmark_d_fc": result.benchmark_d_fc,
+            "benchmark_d_eve": benchmark_d_eve}
+
+
 def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationResult]:
-    """The network and allocation an artifact stores, once
-    :func:`_check_consistent` passes them.  A design artifact decodes as a
-    network of one active sensor, sensor 0, funded at its own leakage."""
+    """The network and allocation an artifact stores, replayed: the command
+    that wrote it runs again on its stored inputs, and every stored key and
+    total must match the replay (:func:`_require_replayed`).  A greedy
+    summary replays ``greedy`` on its sampling fields and ``alpha_total``
+    without a growth grid, which leaves the split as it is; a design
+    artifact replays ``design`` as a network of one active sensor, sensor
+    0, funded at its own leakage.  A stored input the replay refuses makes
+    the artifact malformed."""
     try:
         if "per_sensor" in payload:
+            fields = _COMMANDS["greedy"][1]
+            sampling = {name: _field(payload, name, fields[name][0]) for name in _SAMPLING}
+            given, budget_field = "alpha_total", "alpha_i"
+            alpha = _field(payload, given, float)
             entries = payload["per_sensor"]
-            columns = _decoded(entries, _SENSOR_KEYS)
-            # greedy networks share one unit-noise model at the stored snr
-            model = {"theta": payload.get("snr", 1.0), "sigma": 1.0}
-            sites = tuple(_site_from({**entry, **model}) for entry in entries)
-            budget_field = "alpha_i"
-            totals = [_field(payload, name, kind) for name, kind in (
-                ("total_d_fc", float), ("total_d_eve", float), ("active_count", int),
-                ("alpha_total", float))]
-            stored = [name for name in ("benchmark_d_fc", "benchmark_d_eve")
-                      if payload.get(name) is not None]
-            if len(stored) == 1:
-                raise ValueError("benchmark_d_fc and benchmark_d_eve must both be null "
-                                 "or both be numbers")
-            benchmark = [_field(payload, name, float) for name in stored] or [None, None]
+            _require(len(entries) == sampling["n_sensors"],
+                     "per_sensor holds {0!r} sensors, but n_sensors is {1!r}",
+                     len(entries), sampling["n_sensors"])
+            stored = _decoded(entries, _SENSOR_KEYS)
+            sites = sample_sites(**sampling)
+            benchmark = payload.get("benchmark_d_fc") is not None
+            result, _ = _network(sites, alpha, benchmark, [])
+            replayed = {**_columns_of(result.designs, sites), **vars(result)}
+            keys, totals = _SENSOR_KEYS, _totals(result)
         else:
-            columns = _decoded([payload], _ARTIFACT_KEYS)
             sites = (_site_from(payload["site"]),)
-            d_fc, d_eve = columns["d_fc"], columns["d_eve"]
-            columns.update(d_fc_star=d_fc, d_eve_star=d_eve, active=np.ones(1, dtype=bool),
-                           quality=_quality(d_fc, d_eve))
-            budget_field, benchmark = "alpha_tilde", [None, None]
-            totals = [d_fc.item(), d_eve.item(), 1, columns["budget"].item()]
-        tails = np.array([columns[name] for name in _TAILS])
-        designs = DesignTable(columns["threshold"], tails, *(columns[name] for name in (
-            "d_sensor", "d_fc", "d_eve", "binding", "budget")))
-        result = AllocationResult(designs, *(columns[name] for name in (
-            "active", "quality", "d_fc_star", "d_eve_star")), *totals[:3], benchmark[0])
-        config = NetworkConfig(sites=sites, alpha_total=totals[3])
+            given, budget_field = "alpha_tilde", "alpha_tilde"
+            alpha = _field(payload, given, float)
+            stored = _decoded([payload], _ARTIFACT_KEYS)
+            designs = design_table(sites, [alpha])
+            d_fc, d_eve = designs.d_fc, designs.d_eve
+            result = AllocationResult(designs, np.ones(1, dtype=bool), _quality(d_fc, d_eve),
+                                      d_fc, d_eve, d_fc.item(), d_eve.item(), 1)
+            replayed, keys, totals = _columns_of(designs, sites), _ARTIFACT_KEYS, {}
+        replay = f"replaying it at {given} {alpha!r}"
+        for key, column, _ in keys:
+            _require_replayed(key, stored[column], replayed[column], replay)
+        for name, value in totals.items():
+            # typed as the replay's value, so a null where it has a number is refused
+            value_stored = payload.get(name) if value is None else _field(
+                payload, name, type(value))
+            _require_replayed(name, value_stored, value, replay)
+        config = NetworkConfig(sites=sites, alpha_total=alpha)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"artifact is missing or corrupts fields: {exc}") from exc
-    index = columns.get("index", 0)
-    _check_consistent(config, result, budget_field, index, benchmark[1])
-    return config, result
-
-
-def _check_consistent(
-    config: NetworkConfig, result: AllocationResult, budget_field: str,
-    index: Any, benchmark_d_eve: float | None,
-) -> None:
-    """Raise unless each sensor's ``index`` is its position, its divergences
-    recompute from the :func:`_network_arrays` table, its ``k_i`` from its
-    unconstrained divergences, and the totals, benchmark ones too, add up
-    over every sensor, asleep or not, to 1e-12 * max(1, |stored|), equal
-    infinities passing; one asleep stores ``alpha_i`` and ``d_sensor`` 0,
-    and neither a ``d_eve`` nor the sum of the shares tops its budget by
-    more than 1e-10 * max(1, budget)."""
+    # the design's own feasibility, which no replay checks
     designs = result.designs
-    tails, fc_rho, eve_rho = _network_arrays(config, result)
-    checks = [
-        ("total_d_fc", result.total_d_fc, math.fsum(designs.d_fc.tolist())),
-        ("total_d_eve", result.total_d_eve, math.fsum(designs.d_eve.tolist())),
-        ("active_count", result.active_count, int(np.count_nonzero(result.active))),
-        ("index", index, np.arange(len(config.sites))),
-        ("k_i", result.quality, _quality(result.d_fc_star, result.d_eve_star)),
-        *((name, getattr(designs, name), received_divergence(tails, rho))
-          for name, rho in (("d_sensor", 0.0), ("d_fc", fc_rho), ("d_eve", eve_rho))),
-    ]
-    if result.benchmark_d_fc is not None:
-        # the benchmark runs the same designs through noiseless FC channels
-        checks += [("benchmark_d_fc", result.benchmark_d_fc,
-                    math.fsum(designs.d_sensor.tolist())),
-                   ("benchmark_d_eve", benchmark_d_eve, result.total_d_eve)]
-    for name, value, recomputed in checks:
-        with np.errstate(invalid="ignore"):  # inf - inf
-            close = np.abs(value - recomputed) <= 1e-12 * np.maximum(1.0, np.abs(value))
-        _require(close | (value == recomputed),
-                 name + " is {0!r} but recomputes to {1!r}", value, recomputed)
-    _require(result.active | ((designs.budget == 0.0) & (designs.d_sensor == 0.0)),
-             "is asleep but stores " + budget_field + " {0!r} and d_sensor {1!r}",
-             designs.budget, designs.d_sensor)
     for name, value, field, budget in (
         ("d_eve", designs.d_eve, budget_field, designs.budget),
         ("total_d_eve", result.total_d_eve, "alpha_total", config.alpha_total),
-        ("the sum of " + budget_field, math.fsum(designs.budget.tolist()), "alpha_total",
-         config.alpha_total),
     ):
         _require(value <= budget + 1e-10 * np.maximum(1.0, budget),
                  name + " is {0!r}, over its budget " + field + " {1!r}", value, budget)
+    return config, result
+
+
+def _require_replayed(name: str, stored: Any, replayed: Any, replay: str) -> None:
+    """Raise unless each stored value equals its replay's or lies within
+    1e-12 of it relative to the replay's: one rule for every key and total,
+    with no absolute floor, so a zero never passes for a tiny value, and
+    under which a null or an infinity only equals itself."""
+    ok = stored is None if replayed is None else np.isclose(
+        stored, replayed, rtol=1e-12, atol=0.0)
+    _require(ok, name + " is {0!r}, but " + replay + " gives {1!r}: the artifact "
+             "does not match this version's design", stored, replayed)
 
 
 def _require(ok: Any, message: str, *values: Any) -> None:
@@ -327,7 +321,7 @@ def _require(ok: Any, message: str, *values: Any) -> None:
         i = int(np.argmin(ok))
         where = f"sensor {i} " if np.ndim(ok) else ""
         raise ArtifactError("artifact is inconsistent: " + where + message.format(
-            *(np.ravel(v)[i].item() for v in values)))
+            *(np.ravel(v).tolist()[i] for v in values)))
 
 
 def _sibling(out: Path, suffix: str) -> Path:
@@ -402,8 +396,7 @@ def cmd_tradeoff(cfg: dict[str, Any]) -> int:
 
 def cmd_greedy(cfg: dict[str, Any]) -> int:
     benchmark, out, n_grid = cfg["benchmark"], cfg["out"], cfg["n_grid"]
-    sampling = {name: cfg[name] for name in
-                ("n_sensors", "seed", "snr", "fc_crossover_high", "eve_crossover_high")}
+    sampling = {name: cfg[name] for name in _SAMPLING}
     sites = sample_sites(**sampling)
     result, points = _network(sites, cfg["alpha_total"], benchmark, n_grid or [])
     records = _sensor_records(sites, result)
@@ -411,12 +404,7 @@ def cmd_greedy(cfg: dict[str, Any]) -> int:
     summary = {
         **sampling,
         "alpha_total": cfg["alpha_total"],
-        "total_d_fc": result.total_d_fc,
-        "total_d_eve": result.total_d_eve,
-        "active_count": result.active_count,
-        "benchmark_d_fc": result.benchmark_d_fc,
-        # Eve's channels are the same in the benchmark
-        "benchmark_d_eve": result.total_d_eve if benchmark else None,
+        **_totals(result),
         "per_sensor": records,
         "units": "nats",
     }

@@ -581,9 +581,11 @@ class TestVerifyCommand:
         assert "config_hash" in mc
         assert 0.0 < mc["fc_miss_estimate"] < 1.0
 
-    def test_monte_carlo_on_a_separating_sensor(self, tmp_path):
-        # sensor 0 never sends a one under H0 and reaches the FC without
-        # flips, so the FC's weight of a received one is +inf
+    def test_monte_carlo_on_a_separating_sensor(self, tmp_path, capsys):
+        # sensor 0 edited to never send a one under H0 and to reach the FC
+        # without flips, with every divergence, budget and total recomputed
+        # to match: no greedy run writes it, so verify refuses it before any
+        # trial; the Monte Carlo on such a sensor is held in test_detection
         assert run(
             "greedy", "--n-sensors", "2", "--alpha-total", "1.0",
             "--seed", "3", "--out", str(tmp_path / "greedy.csv"),
@@ -595,7 +597,7 @@ class TestVerifyCommand:
             rec["d_sensor"] = kl_divergence(op)
             rec["d_fc_i"] = kl_divergence(bsc_transform(op, BscChannel(rec["rho_fc"])))
             rec["d_eve_i"] = kl_divergence(bsc_transform(op, BscChannel(rec["rho_e"])))
-            # budgets that cover the new leakage keep the artifact consistent
+            # budgets that cover the new leakage keep every budget check passing
             rec["alpha_i"] = max(rec["alpha_i"], rec["d_eve_i"])
         summary["total_d_fc"] = math.fsum(r["d_fc_i"] for r in summary["per_sensor"])
         summary["total_d_eve"] = math.fsum(r["d_eve_i"] for r in summary["per_sensor"])
@@ -606,9 +608,9 @@ class TestVerifyCommand:
         assert run(
             "verify", "--artifact", str(artifact), "--out", str(report_out),
             "--trials", "2000", "--seed", "1", "--window", "5",
-        ) == 0
-        mc = json.loads(report_out.read_text())["monte_carlo"]
-        assert abs(mc["fc_fa_estimate"] - 0.01) <= 5.0 * mc["fc_fa_se"]
+        ) == 4
+        assert "does not match this version's design" in capsys.readouterr().err
+        assert not report_out.exists()
 
     def test_trials_without_seed_exits_2(self, tmp_path):
         argv, design_out = design_args(tmp_path, budget="5.0")
@@ -751,6 +753,14 @@ class TestVerifyCommand:
             lambda s: s.update(alpha_total=10**400),
             lambda s: s["per_sensor"][0].update(k_i=123.0),
             lambda s: s["per_sensor"][0].update(alpha_i=50.0),
+            lambda s: s["per_sensor"][0].update(
+                d_fc_star=2.0 * s["per_sensor"][0]["d_fc_star"],
+                d_eve_star=2.0 * s["per_sensor"][0]["d_eve_star"]),
+            lambda s: s.update(n_sensors=99),
+            lambda s: s.update(seed=5),
+            lambda s: s.update(eve_crossover_high=0.2),
+            lambda s: s.update(snr=0.0),
+            lambda s: s.update(fc_crossover_high=0.6),
         ],
         ids=["no_alpha_total", "no_sensors", "negative_alpha_total",
              "wrong_total", "wrong_active_count", "wrong_sensor_d_fc",
@@ -759,7 +769,9 @@ class TestVerifyCommand:
              "funded_sensor_asleep_with_its_totals", "index_not_its_position",
              "wrong_benchmark_d_fc", "wrong_benchmark_d_eve",
              "benchmark_d_eve_null", "alpha_total_beyond_float",
-             "k_i_not_its_quality", "shares_over_alpha_total"],
+             "k_i_not_its_quality", "shares_over_alpha_total",
+             "free_divergences_doubled", "n_sensors_not_its_count", "seed_changed",
+             "eve_crossover_high_changed", "snr_zero", "crossover_high_over_half"],
     )
     def test_malformed_network_artifact_exits_4(self, tmp_path, corrupt):
         out = tmp_path / "greedy.csv"
@@ -776,6 +788,36 @@ class TestVerifyCommand:
             "--out", str(tmp_path / "r.json"),
         ) == 4
 
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda s: s["per_sensor"][0].update(alpha_i=10.0),
+             "sensor 0 alpha_i is 10.0, but replaying it at alpha_total 100.0 gives "),
+            (lambda s: s.update(n_sensors=99),
+             "per_sensor holds 6 sensors, but n_sensors is 99"),
+        ],
+        ids=["share_over_free_leakage", "n_sensors_not_its_count"],
+    )
+    def test_edit_of_a_fully_funded_network_is_refused(self, tmp_path, capsys, corrupt,
+                                                       message):
+        # all six sensors are funded in full, so sensor 0's share is its
+        # d_eve_star, and the edited share stays under alpha_total
+        summary_path = tmp_path / "greedy.summary.json"
+        assert run(
+            "greedy", "--n-sensors", "6", "--alpha-total", "100.0",
+            "--seed", "3", "--out", str(tmp_path / "greedy.csv"),
+        ) == 0
+        summary = json.loads(summary_path.read_text())
+        assert summary["active_count"] == 6
+        corrupt(summary)
+        summary_path.write_text(json.dumps(summary))
+        report_out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("verify", "--artifact", str(summary_path), "--out", str(report_out)) == 4
+        err = capsys.readouterr().err
+        assert "inconsistent" in err and message in err
+        assert not report_out.exists()
 
     @pytest.mark.parametrize(
         "alpha_total, field", [(2.0, "alpha_total"), (0.3, "alpha_i")]
@@ -856,20 +898,21 @@ class TestVerifyCommand:
         assert not report_out.exists()
 
     def test_infinite_numbers_stay_valid(self, tmp_path, capsys):
-        # a blind design stores lambda as +inf, a deaf-Eve sensor (d_eve_star
-        # 0) k_i: JSON Infinity, a float
+        # a blind design stores lambda as +inf, and a sensor Eve all but
+        # cannot hear (d_eve_star about 3e-15 at SNR 1e-7) k_i: JSON
+        # Infinity, a float
         argv, blind = design_args(tmp_path, budget="0.0")
         assert run(*argv) == 0
         assert "Infinity" in blind.read_text()
         out = tmp_path / "greedy.csv"
         assert run("greedy", "--n-sensors", "3", "--alpha-total", "1.0",
-                   "--seed", "4", "--out", str(out)) == 0
+                   "--seed", "4", "--snr", "1e-7", "--out", str(out)) == 0
         summary = tmp_path / "greedy.summary.json"
         payload = json.loads(summary.read_text())
-        payload["per_sensor"][0].update(k_i=math.inf, d_eve_star=0.0)
-        summary.write_text(json.dumps(payload))
+        assert all(math.isinf(rec["k_i"]) for rec in payload["per_sensor"])
+        assert "Infinity" in summary.read_text()
         capsys.readouterr()
-        for artifact, status in ((blind, "pass"), (summary, "unchecked")):
+        for artifact, status in ((blind, "pass"), (summary, "pass")):
             report_out = tmp_path / f"{artifact.stem}.report.json"
             argv = ("verify", "--artifact", str(artifact), "--out", str(report_out))
             assert run(*argv) == 0
@@ -901,7 +944,8 @@ class TestHighSnrDesign:
 
     def test_artifact_without_complements_reads_one_minus_p(self, tmp_path, capsys):
         # an artifact written before the complements were stored: at SNR
-        # 10 its d_fc no longer recomputes from 1 - pd, at SNR 1 it does
+        # 10 its 1 - pd, 0, is not the replay's pd_c of about 1e-18, at SNR
+        # 1 each 1 - p is the replay's complement to 1e-12
         out, payload = self.high_snr_design(tmp_path)
         for key in ("pfa_c", "pd_c"):
             del payload[key]
