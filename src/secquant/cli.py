@@ -76,11 +76,6 @@ def _typed(name: str, value: Any, kind: Any) -> Any:
     return kind(value)
 
 
-def _field(fields: dict[str, Any], name: str, kind: Any) -> Any:
-    """The stored field ``name`` as ``kind``; JSON Infinity is a float."""
-    return _typed(name, fields[name], kind)
-
-
 #: The tabular output formats, ``--format`` or the config field ``format``.
 _FORMATS = ("csv", "json")
 
@@ -167,32 +162,32 @@ def _config(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _site_from(fields: dict[str, Any]) -> SensorSite:
-    theta, sigma, rho_fc, rho_e = (_field(fields, name, float) for name in _SITE_FIELDS)
+    theta, sigma, rho_fc, rho_e = (_typed(name, fields[name], float) for name in _SITE_FIELDS)
     return SensorSite(GaussianSensorModel(theta, sigma), BscChannel(rho_fc),
                       BscChannel(rho_e))
 
 
 # The artifact codec.  A design artifact holds one design's keys plus its
 # budget and site; a greedy summary holds them per sensor, with ``_i`` on the
-# receivers' divergences, next to its allocation keys and the totals.  Each
-# key is declared once, with the column it is read from and into, and its kind.
+# receivers' divergences, next to its inputs and the totals.  Each key is
+# declared once, with the column it is written from.
 
 #: The columns of a design table's tails, in row order.
 _TAILS = ("pfa", "pd", "pfa_c", "pd_c")
 _DESIGN_KEYS = (
-    ("lambda", "threshold", float),
-    *((name, name, float) for name in (*_TAILS, "d_sensor", "d_fc", "d_eve")),
-    ("binding", "binding", bool),
+    ("lambda", "threshold"),
+    *((name, name) for name in (*_TAILS, "d_sensor", "d_fc", "d_eve")),
+    ("binding", "binding"),
 )
-_ARTIFACT_KEYS = (*_DESIGN_KEYS, ("alpha_tilde", "budget", float))
+_ARTIFACT_KEYS = (*_DESIGN_KEYS, ("alpha_tilde", "budget"))
 _SENSOR_KEYS = (
-    *((key + "_i" if key in ("d_fc", "d_eve") else key, column, kind)
-      for key, column, kind in _DESIGN_KEYS),
-    ("index", "index", int),
-    ("k_i", "quality", float),
-    ("active", "active", bool),
-    ("alpha_i", "budget", float),
-    *((name, name, float) for name in ("d_fc_star", "d_eve_star", "rho_fc", "rho_e")),
+    *((key + "_i" if key in ("d_fc", "d_eve") else key, column)
+      for key, column in _DESIGN_KEYS),
+    ("index", "index"),
+    ("k_i", "quality"),
+    ("active", "active"),
+    ("alpha_i", "budget"),
+    *((name, name) for name in ("d_fc_star", "d_eve_star", "rho_fc", "rho_e")),
 )
 
 
@@ -205,21 +200,9 @@ def _columns_of(designs: DesignTable, sites: Sequence[SensorSite] = ()) -> dict:
 
 def _encoded(columns: dict[str, np.ndarray], keys: tuple) -> list[dict[str, Any]]:
     """One record of ``keys`` per lane, of ``tolist``'s Python values."""
-    names = [key for key, _, _ in keys]
+    names = [key for key, _ in keys]
     return [dict(zip(names, lane))
-            for lane in zip(*(columns[column].tolist() for _, column, _ in keys))]
-
-
-def _decoded(entries: list[dict[str, Any]], keys: tuple) -> dict[str, np.ndarray]:
-    """Each column that ``keys`` declare, from every entry's typed key; an
-    entry without ``pfa_c`` or ``pd_c`` is read with 1 - pfa or 1 - pd."""
-    return {
-        column: np.array([
-            _field(entry, key, kind) if key in entry or key not in _TAILS[2:]
-            else 1.0 - _field(entry, key[:-2], float) for entry in entries
-        ], dtype=kind)
-        for key, column, kind in keys
-    }
+            for lane in zip(*(columns[column].tolist() for _, column in keys))]
 
 
 def _design_artifact(designs: DesignTable, site: SensorSite) -> dict[str, Any]:
@@ -229,66 +212,55 @@ def _design_artifact(designs: DesignTable, site: SensorSite) -> dict[str, Any]:
             "units": "nats"}
 
 
-def _sensor_records(sites: Sequence[SensorSite], result: AllocationResult) -> list:
-    return _encoded({**_columns_of(result.designs, sites), **vars(result)}, _SENSOR_KEYS)
-
-
 #: The fields of a greedy summary that draw its sites (:func:`sample_sites`).
 _SAMPLING = ("n_sensors", "seed", "snr", "fc_crossover_high", "eve_crossover_high")
 
 
-def _totals(result: AllocationResult) -> dict[str, Any]:
-    """A greedy summary's totals, the benchmark's null unless it ran."""
+def _summary(sampling: dict[str, Any], alpha_total: float,
+             sites: Sequence[SensorSite], result: AllocationResult) -> dict[str, Any]:
+    """The greedy summary of a split: the fields that drew its sites and its
+    budget, its totals, the benchmark's null unless it ran, and one record
+    per sensor."""
     # Eve's channels are the same in the benchmark
     benchmark_d_eve = None if result.benchmark_d_fc is None else result.total_d_eve
-    return {"total_d_fc": result.total_d_fc, "total_d_eve": result.total_d_eve,
-            "active_count": result.active_count, "benchmark_d_fc": result.benchmark_d_fc,
-            "benchmark_d_eve": benchmark_d_eve}
+    records = _encoded({**_columns_of(result.designs, sites), **vars(result)}, _SENSOR_KEYS)
+    return {**sampling, "alpha_total": alpha_total, "total_d_fc": result.total_d_fc,
+            "total_d_eve": result.total_d_eve, "active_count": result.active_count,
+            "benchmark_d_fc": result.benchmark_d_fc, "benchmark_d_eve": benchmark_d_eve,
+            "per_sensor": records, "units": "nats"}
 
 
 def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationResult]:
     """The network and allocation an artifact stores, replayed: the command
-    that wrote it runs again on its stored inputs, and every stored key and
-    total must match the replay (:func:`_require_replayed`).  A greedy
+    that wrote it runs again on its stored inputs, and the artifact must be
+    the document that run writes (:func:`_require_written`).  A greedy
     summary replays ``greedy`` on its sampling fields and ``alpha_total``
     without a growth grid, which leaves the split as it is; a design
     artifact replays ``design`` as a network of one active sensor, sensor
     0, funded at its own leakage.  A stored input the replay refuses makes
     the artifact malformed."""
+    network = "per_sensor" in payload
+    given, budget_field = ("alpha_total", "alpha_i") if network else ("alpha_tilde",) * 2
     try:
-        if "per_sensor" in payload:
+        alpha = _typed(given, payload[given], float)
+        if network:
             fields = _COMMANDS["greedy"][1]
-            sampling = {name: _field(payload, name, fields[name][0]) for name in _SAMPLING}
-            given, budget_field = "alpha_total", "alpha_i"
-            alpha = _field(payload, given, float)
-            entries = payload["per_sensor"]
-            _require(len(entries) == sampling["n_sensors"],
+            sampling = {name: _typed(name, payload[name], fields[name][0])
+                        for name in _SAMPLING}
+            _require(len(payload["per_sensor"]) == sampling["n_sensors"],
                      "per_sensor holds {0!r} sensors, but n_sensors is {1!r}",
-                     len(entries), sampling["n_sensors"])
-            stored = _decoded(entries, _SENSOR_KEYS)
+                     len(payload["per_sensor"]), sampling["n_sensors"])
             sites = sample_sites(**sampling)
-            benchmark = payload.get("benchmark_d_fc") is not None
-            result, _ = _network(sites, alpha, benchmark, [])
-            replayed = {**_columns_of(result.designs, sites), **vars(result)}
-            keys, totals = _SENSOR_KEYS, _totals(result)
+            result, _ = _network(sites, alpha, payload.get("benchmark_d_fc") is not None, [])
+            written = _summary(sampling, alpha, sites, result)
         else:
             sites = (_site_from(payload["site"]),)
-            given, budget_field = "alpha_tilde", "alpha_tilde"
-            alpha = _field(payload, given, float)
-            stored = _decoded([payload], _ARTIFACT_KEYS)
             designs = design_table(sites, [alpha])
             d_fc, d_eve = designs.d_fc, designs.d_eve
             result = AllocationResult(designs, np.ones(1, dtype=bool), _quality(d_fc, d_eve),
                                       d_fc, d_eve, d_fc.item(), d_eve.item(), 1)
-            replayed, keys, totals = _columns_of(designs, sites), _ARTIFACT_KEYS, {}
-        replay = f"replaying it at {given} {alpha!r}"
-        for key, column, _ in keys:
-            _require_replayed(key, stored[column], replayed[column], replay)
-        for name, value in totals.items():
-            # typed as the replay's value, so a null where it has a number is refused
-            value_stored = payload.get(name) if value is None else _field(
-                payload, name, type(value))
-            _require_replayed(name, value_stored, value, replay)
+            written = _design_artifact(designs, sites[0])
+        _require_written(payload, written, f"replaying it at {given} {alpha!r}")
         config = NetworkConfig(sites=sites, alpha_total=alpha)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"artifact is missing or corrupts fields: {exc}") from exc
@@ -303,15 +275,41 @@ def _network_from(payload: dict[str, Any]) -> tuple[NetworkConfig, AllocationRes
     return config, result
 
 
-def _require_replayed(name: str, stored: Any, replayed: Any, replay: str) -> None:
-    """Raise unless each stored value equals its replay's or lies within
-    1e-12 of it relative to the replay's: one rule for every key and total,
-    with no absolute floor, so a zero never passes for a tiny value, and
-    under which a null or an infinity only equals itself."""
-    ok = stored is None if replayed is None else np.isclose(
-        stored, replayed, rtol=1e-12, atol=0.0)
-    _require(ok, name + " is {0!r}, but " + replay + " gives {1!r}: the artifact "
-             "does not match this version's design", stored, replayed)
+def _require_written(stored: Any, written: dict[str, Any], replay: str,
+                     where: str = "") -> None:
+    """Raise unless the stored object is the one the replay writes: the same
+    keys, arrays of as many entries, and at each leaf a value of the written
+    value's JSON type that equals it or, for a float, lies within 1e-12 of
+    it, relative to the written value.  The rule has no absolute floor, so a
+    zero never passes for a tiny value, and a null or an infinity equals
+    only itself.  A design record without ``pfa_c`` or ``pd_c``, written
+    before the complements were stored, is read with 1 - pfa or 1 - pd."""
+    # ``**`` raises TypeError where the stored value is not an object
+    stored = {**{key: 1.0 - _typed(key[:-2], stored[key[:-2]], float)
+                 for key in _TAILS[2:] if key in written and key not in stored}, **stored}
+    extra, missing = (", ".join(map(repr, sorted(keys))) for keys in (
+        stored.keys() - written.keys(), written.keys() - stored.keys()))
+    place = where or "its top level "
+    _require(not extra, place + "holds {0}, which this version does not write", extra)
+    _require(not missing, place + "lacks {0}", missing)
+    for key, value in written.items():
+        found = stored[key]
+        if isinstance(value, dict):
+            _require_written(found, value, replay, f"{where}{key} ")
+        elif isinstance(value, list):
+            if not isinstance(found, list) or len(found) != len(value):
+                raise ValueError(f"field {key} must be an array of {len(value)} entries")
+            # an artifact's one array holds its sensors' records
+            for i, (entry, record) in enumerate(zip(found, value)):
+                _require_written(entry, record, replay, f"sensor {i} ")
+        else:
+            typed = found if value is None else _typed(key, found, type(value))
+            # np.isclose's rule at atol 0: no finite value is close to an infinity
+            if typed != value and not (isinstance(value, float) and math.isfinite(value)
+                                       and abs(typed - value) <= 1e-12 * abs(value)):
+                raise ArtifactError(
+                    f"artifact is inconsistent: {where}{key} is {typed!r}, but {replay} "
+                    f"gives {value!r}: the artifact does not match this version's design")
 
 
 def _require(ok: Any, message: str, *values: Any) -> None:
@@ -388,7 +386,7 @@ def cmd_tradeoff(cfg: dict[str, Any]) -> int:
 
     header = ["alpha_tilde", "d_fc_max", "lambda", "pfa", "pd", "d_eve", "binding"]
     designs = design_table([site] * len(alphas), alphas)
-    keys = (*_ARTIFACT_KEYS, ("d_fc_max", "d_fc", float))
+    keys = (*_ARTIFACT_KEYS, ("d_fc_max", "d_fc"))
     rows = _columns(_encoded(_columns_of(designs), keys), header)
     write_all([(cfg["out"], _table_text(cfg["format"], header, rows))])
     return 0
@@ -399,17 +397,10 @@ def cmd_greedy(cfg: dict[str, Any]) -> int:
     sampling = {name: cfg[name] for name in _SAMPLING}
     sites = sample_sites(**sampling)
     result, points = _network(sites, cfg["alpha_total"], benchmark, n_grid or [])
-    records = _sensor_records(sites, result)
+    summary = _summary(sampling, cfg["alpha_total"], sites, result)
     header = ["index", "k_i", "alpha_i", "active", "lambda", "d_fc_i", "d_eve_i"]
-    summary = {
-        **sampling,
-        "alpha_total": cfg["alpha_total"],
-        **_totals(result),
-        "per_sensor": records,
-        "units": "nats",
-    }
     files = [
-        (out, csv_text(header, _columns(records, header))),
+        (out, csv_text(header, _columns(summary["per_sensor"], header))),
         (_sibling(out, ".summary.json"), json_text(summary)),
     ]
     if n_grid is not None:
@@ -450,7 +441,8 @@ def _stein_report(
 
     The last window's local slope must meet Strassen's second-order value
     (:func:`second_order_slope`, which tends to ``d_fc``) to within
-    ``tolerance`` times ``d_fc``.
+    ``tolerance`` times ``d_fc``.  An exact slope is never negative, so
+    where that value is not positive it is no reference: ``passed`` is null.
 
     Only a network of one active sensor is checked, against the total
     ``d_fc``: the exact ones-count test applies per i.i.d. stream, and the
@@ -491,9 +483,12 @@ def _stein_report(
             "final_local_slope": final.local_slope,
             "predicted_slope": predicted,
             "relative_gap": rel_gap,
-            "passed": rel_gap <= tolerance,
+            "passed": rel_gap <= tolerance if predicted > 0.0 else None,
         }
     )
+    if report["passed"] is None:
+        report["note"] = (f"not checked: the second-order slope at window {final.window} "
+                          f"is {predicted!r}, not positive, so it is no reference")
     curve = [(p.window, p.log_miss, p.exponent, p.local_slope, target) for p in points]
     return report, curve
 

@@ -453,6 +453,32 @@ class TestVerifyCommand:
         assert capsys.readouterr().out.startswith("verify: fail")
         assert json.loads(report_out.read_text())["passed"] is False
 
+    def test_second_order_slope_not_positive_is_unchecked(self, tmp_path, capsys):
+        # behind a noisy FC channel the second-order value at window 400 is
+        # negative, while every exact slope is positive: no reference there
+        out = tmp_path / "design.json"
+        assert run("design", "--theta", "1", "--sigma", "1", "--rho-fc", "0.3",
+                   "--rho-e", "0", "--alpha-tilde", "0.05", "--out", str(out)) == 0
+        report_out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("verify", "--artifact", str(out), "--out", str(report_out)) == 0
+        assert capsys.readouterr().out.startswith("verify: unchecked")
+        report = json.loads(report_out.read_text())
+        assert report["passed"] is None
+        assert report["predicted_slope"] < 0.0 < min(report["local_slopes"])
+        assert report["note"].startswith(
+            f"not checked: the second-order slope at window 400 is "
+            f"{report['predicted_slope']!r}")
+        # from window 400 to 51 200 the value at the last window is positive
+        config = tmp_path / "windows.json"
+        config.write_text(json.dumps({"windows": [400 * 2**k for k in range(8)]}))
+        assert run("verify", "--artifact", str(out), "--config", str(config),
+                   "--out", str(report_out)) == 0
+        assert capsys.readouterr().out.startswith("verify: pass")
+        report = json.loads(report_out.read_text())
+        assert report["predicted_slope"] > 0.0 and "note" not in report
+        assert report["relative_gap"] < 0.01
+
     def test_blind_design_reports_no_information(self, tmp_path):
         argv, design_out = design_args(tmp_path, budget="0.0")
         assert run(*argv) == 0
@@ -919,6 +945,102 @@ class TestVerifyCommand:
             assert capsys.readouterr().out.startswith(f"verify: {status}")
 
 
+#: The inputs a replay reads: no edit of them is an edit of its output.
+REPLAY_INPUTS = {"site", "alpha_tilde", "n_sensors", "seed", "snr", "fc_crossover_high",
+                 "eve_crossover_high", "alpha_total"}
+
+
+def leaf_paths(node, path=()):
+    """The path of each leaf of a JSON document, as keys and indices."""
+    for key, value in (enumerate(node) if isinstance(node, list) else node.items()):
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+def edited(value):
+    """A value of ``value``'s JSON type that differs from it by more than
+    verify's 1e-12 relative rule allows."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "s"
+    if math.isinf(value):
+        return 1e300
+    return 1e-300 if value == 0.0 else value * (1.0 + 1e-9)
+
+
+class TestWholeDocument:
+    """``verify`` accepts exactly the document its replay writes."""
+
+    @staticmethod
+    def artifacts(tmp_path):
+        """A binding design, and a benchmark summary whose split funds some
+        sensors in full, one in part and puts the rest to sleep."""
+        design = tmp_path / "design.json"
+        assert run("design", "--theta", "1", "--sigma", "1", "--rho-fc", "0.02",
+                   "--rho-e", "0.1", "--alpha-tilde", "0.05", "--out", str(design)) == 0
+        assert run("greedy", "--n-sensors", "8", "--alpha-total", "0.3", "--seed", "2",
+                   "--benchmark", "--out", str(tmp_path / "greedy.csv")) == 0
+        return design, tmp_path / "greedy.summary.json"
+
+    @staticmethod
+    def verify(tmp_path, payload):
+        artifact = tmp_path / "edited.json"
+        artifact.write_text(json.dumps(payload))
+        return run("verify", "--artifact", str(artifact),
+                   "--out", str(tmp_path / "report.json"))
+
+    def test_every_output_leaf_is_held(self, tmp_path):
+        design, summary = self.artifacts(tmp_path)
+        records = json.loads(summary.read_text())["per_sensor"]
+        shares = [(r["active"], r["alpha_i"] < r["d_eve_star"]) for r in records]
+        assert {(True, False), (True, True), (False, True)} <= set(shares)
+        accepted, edits = [], 0
+        for path in (design, summary):
+            document = json.loads(path.read_text())
+            assert self.verify(tmp_path, document) == 0
+            for leaf in leaf_paths(document):
+                if leaf[0] in REPLAY_INPUTS:
+                    continue
+                payload = json.loads(path.read_text())
+                *parents, key = leaf
+                node = payload
+                for step in parents:
+                    node = node[step]
+                node[key] = edited(node[key])
+                edits += 1
+                if self.verify(tmp_path, payload) != 4:
+                    accepted.append((path.name, leaf))
+        assert edits == 152
+        assert accepted == []
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [("design", lambda p: p.update(extra=1.0), "its top level holds 'extra'"),
+         ("summary", lambda p: p.update(extra=1.0), "its top level holds 'extra'"),
+         ("design", lambda p: p["site"].update(extra=1.0), "site holds 'extra'"),
+         ("summary", lambda p: p["per_sensor"][3].update(extra=1.0),
+          "sensor 3 holds 'extra'"),
+         ("summary", lambda p: p["per_sensor"][3].pop("pfa"), "sensor 3 lacks 'pfa'")],
+        ids=["design_top_level", "summary_top_level", "design_site", "sensor_record",
+             "sensor_record_without_a_key"],
+    )
+    def test_key_off_the_written_document_is_refused_where_it_is(
+        self, tmp_path, capsys, kind, edit, message
+    ):
+        design, summary = self.artifacts(tmp_path)
+        payload = json.loads((design if kind == "design" else summary).read_text())
+        edit(payload)
+        capsys.readouterr()
+        assert self.verify(tmp_path, payload) == 4
+        assert f"inconsistent: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestHighSnrDesign:
     """SNR 10 behind a noiseless FC channel: 1 - pd is about 1e-18, which
     only the stored complement ``pd_c`` holds."""
@@ -963,7 +1085,7 @@ class TestHighSnrDesign:
 
 
 class TestArtifactCodec:
-    """Decoding an artifact and encoding it again gives back its records."""
+    """Replaying an artifact and encoding it again gives back its records."""
 
     def test_design_artifact_round_trip(self, tmp_path):
         for budget in ("0.0", "0.1", "5.0"):
@@ -985,8 +1107,9 @@ class TestArtifactCodec:
         config, result = cli._network_from(summary)
         assert config.alpha_total == summary["alpha_total"]
         assert set(result.active.tolist()) == {True, False}
-        encoded = cli._sensor_records(config.sites, result)
-        assert encoded == summary["per_sensor"]
+        sampling = {name: summary[name] for name in cli._SAMPLING}
+        encoded = cli._summary(sampling, config.alpha_total, config.sites, result)
+        assert encoded["per_sensor"] == summary["per_sensor"]
         assert all(site.model.theta == 1.5 for site in config.sites)
         for name in ("total_d_fc", "total_d_eve", "active_count"):
             assert getattr(result, name) == summary[name]
