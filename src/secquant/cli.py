@@ -24,11 +24,10 @@ from .boundary import trace_constraint_curve
 from .errors import ArtifactError, UnimodalityError
 from .export import csv_text, json_text, rows_as_json, write_all
 from .gaussian import GaussianSensorModel
-from .roc import (BscChannel, OperatingPoint, SensorSite, bsc_transform,
-                  received_divergence)
+from .roc import BscChannel, OperatingPoint, SensorSite, received_divergence
 from .solver import DesignTable, _site_columns, design_table, eve_divergence_gap
-from .detection import (_check_windows, second_order_slope, simulate_monte_carlo,
-                        stein_curve)
+from .detection import (_check_windows, _network_arrays, second_order_slope,
+                        simulate_monte_carlo, stein_curve)
 
 #: Exit code of each handled error, first match wins: 2 validation failure,
 #: 3 solver structural error, 4 artifact I/O failure or malformed artifact.
@@ -444,34 +443,33 @@ def _stein_report(
     ``tolerance`` times ``d_fc``.  An exact slope is never negative, so
     where that value is not positive it is no reference: ``passed`` is null.
 
-    Only a network of one active sensor is checked, against the total
-    ``d_fc``: the exact ones-count test applies per i.i.d. stream, and the
-    sleeping sensors' bits weigh 0.  Any other network reports its additive
-    target with ``passed`` null.
+    The check sees the sensors that inform the FC
+    (:func:`_network_arrays`).  With none, the divergence is exactly 0 and
+    ``passed`` is true with no exponent computed.  With one, its received
+    point is checked, against the total ``d_fc``: the exact ones-count test
+    applies per i.i.d. stream, and every other sensor's bits weigh 0.  With
+    more, the additive target is reported with ``passed`` null.
     """
-    active = np.flatnonzero(result.active).tolist()
-    target, fc_op = result.total_d_fc, None
-    if len(active) == 1:
-        op = OperatingPoint(*result.designs.tails[:, active[0]].tolist())
-        fc_op = bsc_transform(op, config.sites[active[0]].fc_channel)
-    no_information = target < 1e-9 or (fc_op is not None and fc_op.on_diagonal)
+    (received, _), _ = _network_arrays(config, result)
+    target, informing = result.total_d_fc, received.shape[1]
     report: dict[str, Any] = {
         "target_kld": target,
         "delta": delta,
         "tolerance": tolerance,
         "windows": windows,
-        "no_information": no_information,
+        "no_information": informing == 0,
     }
-    if no_information:
+    if informing == 0:
         report["passed"] = True
         report["note"] = "no information: divergence is zero, exponents stay at zero"
         return report, []
-    if fc_op is None:
+    if informing > 1:
         report["passed"] = None
         report["note"] = ("not checked: multi-sensor artifact, additive divergence "
                           "target reported; per-stream exponent checks apply to "
                           "single-sensor artifacts")
         return report, []
+    fc_op = OperatingPoint(*received[:, 0].tolist())
     points = stein_curve(fc_op, windows, delta)
     final = points[-1]
     predicted = second_order_slope(fc_op, final.window, delta)

@@ -340,19 +340,26 @@ def _block_rng(seed: int, *key: int) -> np.random.Generator:
 
 def _network_arrays(
     config: NetworkConfig, result: AllocationResult
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one reader of a designed network: its design table's tails
-    [pfa, pd, 1 - pfa, 1 - pd] as the rows of a (4, n) array, and every
-    sensor's FC and Eve crossovers, in site order.  Raises unless each site
-    has one design."""
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The one reader of a designed network: for the FC and then for Eve,
+    the (4, m) received tails (:func:`roc._received`) and (2, m) LLR weights
+    (:func:`roc._llr_weights`) of the m sensors that inform that receiver,
+    those whose two weights there are not both 0, in site order: the bits
+    of any other sensor (asleep, blind, or on the diagonal there) weigh 0
+    at every count.  Raises unless each site has one design."""
     tails = result.designs.tails
     if tails.shape[1] != len(config.sites):
         raise ValueError(
             f"designs cover {tails.shape[1]} sensors but the config "
             f"has {len(config.sites)}"
         )
-    _, _, fc_rho, eve_rho = _site_columns(config.sites)
-    return tails, fc_rho, eve_rho
+    informing = []
+    for rho in _site_columns(config.sites)[2:]:
+        received = _received(tails, rho)
+        weights = _llr_weights(received)
+        informs = np.any(weights != 0.0, axis=0)
+        informing.append((received[:, informs], weights[:, informs]))
+    return tuple(informing)
 
 
 def _usable_cpus() -> int:
@@ -515,13 +522,8 @@ def simulate_monte_carlo(
             f"calibration_trials must be positive, got {calibration_trials!r}"
         )
     _check_windows([window], delta)
-    tails, fc_rho, eve_rho = _network_arrays(config, designs)
-    laws = []
-    for points in (_received(tails, rho) for rho in (fc_rho, eve_rho)):
-        weights = _llr_weights(points)
-        # a sensor of weights 0 has statistics 0 at every count: it is not drawn
-        weighs = np.any(weights != 0.0, axis=0)
-        laws.append(_count_laws(points[:, weighs], weights[:, weighs], window)[1:])
+    laws = [_count_laws(received, weights, window)[1:]
+            for received, weights in _network_arrays(config, designs)]
     # (stream, hypothesis, count): calibration, H0 and H1 estimation
     streams = (
         (_CAL_STREAM, 0, calibration_trials),

@@ -67,10 +67,6 @@ class OperatingPoint:
         """``[pfa, pd, 1 - pfa, 1 - pd]``, as the tail kernels take them."""
         return np.array((self.pfa, self.pd, self.pfa_c, self.pd_c))
 
-    @property
-    def on_diagonal(self) -> bool:
-        return abs(self.pd - self.pfa) < DIAGONAL_TOL
-
 
 def _check_tails(pfa, pd, pfa_c, pd_c) -> None:
     """The one check of operating points, floats or arrays over lanes: raise,

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSite,
                       bsc_transform, cli, design_quantizer, kl_divergence, sample_sites,
@@ -19,6 +21,7 @@ from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSit
 from secquant import allocation
 from secquant.boundary import _curvature, _slope
 from secquant.cli import main
+from secquant.solver import design_table
 
 
 def run(*argv):
@@ -479,6 +482,24 @@ class TestVerifyCommand:
         assert report["predicted_slope"] > 0.0 and "note" not in report
         assert report["relative_gap"] < 0.01
 
+    def test_design_of_little_information_is_computed(self, tmp_path, capsys):
+        # d_fc 3.2e-11 nats: the received point is off the diagonal, so its
+        # exponents are computed, and its second-order value is no reference
+        out = tmp_path / "design.json"
+        assert run("design", "--theta", "1e-5", "--sigma", "1", "--rho-fc", "0",
+                   "--rho-e", "0.1", "--alpha-tilde", "1", "--out", str(out)) == 0
+        report_out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("verify", "--artifact", str(out), "--out", str(report_out)) == 0
+        assert capsys.readouterr().out.startswith("verify: unchecked")
+        report = json.loads(report_out.read_text())
+        assert 0.0 < report["target_kld"] < 1e-9
+        assert report["no_information"] is False
+        assert report["passed"] is None
+        assert len(report["exponents"]) == len(report["windows"])
+        assert re.match(r"not checked: the second-order slope at window 400 is .*, "
+                        r"not positive", report["note"])
+
     def test_blind_design_reports_no_information(self, tmp_path):
         argv, design_out = design_args(tmp_path, budget="0.0")
         assert run(*argv) == 0
@@ -551,6 +572,32 @@ class TestVerifyCommand:
         assert report["no_information"] is True
         assert report["passed"] is True
         assert report["note"].startswith("no information")
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**16),
+           snr=st.floats(1e-7, 10.0), fc_high=st.floats(0.0, 0.45),
+           eve_high=st.floats(0.0, 0.45), spend=st.floats(0.0, 2.0))
+    # three sensors funded in full at SNR 1e-7, 9.7e-15 nats in all
+    @example(n=3, seed=4, snr=1e-7, fc_high=0.01, eve_high=0.1, spend=1.5)
+    def test_pass_means_something_was_checked(self, n, seed, snr, fc_high, eve_high,
+                                              spend):
+        # a budget of ``spend`` times the network's free total Eve leakage,
+        # or past it by ``spend - 1`` nats
+        sites = sample_sites(n, seed, snr, fc_high, eve_high)
+        free_total = float(np.sum(design_table(sites, [math.inf] * n).d_eve))
+        alpha_total = spend * free_total if spend <= 1.0 else free_total + spend - 1.0
+        config = allocation.NetworkConfig(sites=sites, alpha_total=alpha_total)
+        result = allocation.allocate(config)
+        # a sensor informs the FC where its received point has a bit value
+        # of unequal probabilities under the two hypotheses
+        received = [bsc_transform(OperatingPoint(*tails), site.fc_channel)
+                    for site, tails in zip(sites, result.designs.tails.T.tolist())]
+        informing = sum(p.pfa != p.pd or p.pfa_c != p.pd_c for p in received)
+        report, _ = cli._stein_report(config, result, [50, 100, 200, 400], 0.01, 0.15)
+        assert report["no_information"] is (informing == 0)
+        assert ("exponents" in report) is (informing == 1)
+        if report["passed"] is True:
+            assert report["no_information"] or "exponents" in report
 
     @pytest.mark.parametrize(
         "windows, message",
@@ -926,7 +973,8 @@ class TestVerifyCommand:
     def test_infinite_numbers_stay_valid(self, tmp_path, capsys):
         # a blind design stores lambda as +inf, and a sensor Eve all but
         # cannot hear (d_eve_star about 3e-15 at SNR 1e-7) k_i: JSON
-        # Infinity, a float
+        # Infinity, a float.  The three funded sensors inform the FC, of
+        # 9.7e-15 nats in all, so that summary is unchecked
         argv, blind = design_args(tmp_path, budget="0.0")
         assert run(*argv) == 0
         assert "Infinity" in blind.read_text()
@@ -938,7 +986,7 @@ class TestVerifyCommand:
         assert all(math.isinf(rec["k_i"]) for rec in payload["per_sensor"])
         assert "Infinity" in summary.read_text()
         capsys.readouterr()
-        for artifact, status in ((blind, "pass"), (summary, "pass")):
+        for artifact, status in ((blind, "pass"), (summary, "unchecked")):
             report_out = tmp_path / f"{artifact.stem}.report.json"
             argv = ("verify", "--artifact", str(artifact), "--out", str(report_out))
             assert run(*argv) == 0

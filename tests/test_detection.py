@@ -39,7 +39,6 @@ from secquant.detection import (
     _count_laws,
     _fuse_block,
     _llr_weights,
-    _network_arrays,
     _np_components,
 )
 from secquant.roc import _received
@@ -537,6 +536,13 @@ def designs_at(config, thresholds):
     )
 
 
+def network_columns(config, result):
+    """A designed network's stored (4, n) tails and every sensor's FC and Eve
+    crossovers, in site order."""
+    _, _, fc_rho, eve_rho = _site_columns(config.sites)
+    return result.designs.tails, fc_rho, eve_rho
+
+
 def count_laws(network, receiver, window):
     """One receiver's count laws (first counts, pmfs, statistics), indexed
     by hypothesis."""
@@ -559,7 +565,7 @@ def unit_counts(seed, stream, block, receiver, lo, pmf, n_trials):
 
 
 def stream_counts(config, thresholds, hypothesis, receiver, window, count, seed):
-    network = _network_arrays(config, designs_at(config, thresholds))
+    network = network_columns(config, designs_at(config, thresholds))
     lo, pmf, _ = (law[hypothesis] for law in count_laws(network, receiver, window))
     return np.concatenate([
         unit_counts(seed, _H1_STREAM, block, receiver, lo, pmf,
@@ -641,7 +647,7 @@ class TestCountSampler:
                                   (_H0_STREAM, 0), (_H1_STREAM, 0))
             for receiver in (0, 1)
         ]
-        tails, fc_rho, eve_rho = _network_arrays(config, result)
+        tails, fc_rho, eve_rho = network_columns(config, result)
         # the FC's statistics are estimated first, Eve's second; the
         # calibration and H0 streams are drawn under H0, H1 under H1
         streams = (_H1_STREAM,) if hypothesis else (_CAL_STREAM, _H0_STREAM)
@@ -664,7 +670,7 @@ class TestCountSampler:
 
     def test_sensors_of_a_unit_are_independent(self):
         config, result = small_network()
-        network = _network_arrays(config, result)
+        network = network_columns(config, result)
         window, n_trials = 4, 60_000
         ks = np.arange(window + 1)
         for hypothesis in (0, 1):
@@ -688,7 +694,7 @@ class TestCountSampler:
         config, thresholds = edge_network()
         two = NetworkConfig(sites=config.sites[0:3:2], alpha_total=1.0)
         designs = designs_at(two, thresholds[0:3:2])
-        network = _network_arrays(two, designs)
+        network = network_columns(two, designs)
         p_ones = _received(network[0], network[1])[:2]
         window, n_trials = 20_000, 200
         s = math.sqrt(0.5 * window * 61.0 * math.log(2.0))
@@ -886,7 +892,7 @@ class TestWeightlessSensors:
         result = dataclasses.replace(
             result, designs=dataclasses.replace(result.designs, tails=tails)
         )
-        _, fc_rho, eve_rho = _network_arrays(config, result)
+        _, fc_rho, eve_rho = network_columns(config, result)
         at_fc, at_eve = (_received(tails[:, 1], rho[1]) for rho in (fc_rho, eve_rho))
         assert at_fc[0] < at_fc[1] and at_eve[0] == at_eve[1]
         drawn = {0: set(), 1: set()}
