@@ -72,41 +72,30 @@ class ConvexityCertificate:
     second_derivative: float
 
 
-def _eve_tails(tails, rho):
-    """Eve-side tails ``[X, Y, 1 - X, 1 - Y]`` of sensor tails behind
-    crossovers ``rho``.  Raises :class:`SingularPointError` where any
+def _level_set(tails, rho):
+    """``(eve_tails, slope, curvature)`` of the constant-Eve-divergence curve
+    through each of an array of sensor tails behind crossovers ``rho``: the
+    Eve-side tails ``[X, Y, 1 - X, 1 - Y]``, the slope dy/dx =
+    -(dD/dX) / (dD/dY) there, and the curvature d2y/dx2, the level-set
+    condition differentiated twice, the ``1 - 2*rho`` factor carrying the
+    chain rule through the channel's affine map (-inf where the slope is
+    infinite, a tail at 0).  Raises :class:`SingularPointError` where any
     image is on the diagonal."""
-    eve = _received(tails, rho)
-    if np.any(np.abs(eve[1] - eve[0]) < DIAGONAL_TOL):
+    x, y, xc, yc = eve = _received(tails, rho)
+    if np.any(np.abs(y - x) < DIAGONAL_TOL):
         raise SingularPointError(
             "operating point maps onto the diagonal through Eve's channel; "
             "the constraint boundary has no defined slope there"
         )
-    return eve
-
-
-def _slope(tails, rho):
-    """Slope dy/dx of the constant-Eve-divergence curve through each of an
-    array of sensor tails behind crossovers ``rho``: -(dD/dX) / (dD/dY) at
-    the Eve-side point.  Raises :class:`SingularPointError` on the
-    diagonal."""
-    d_x, d_y = _kl_partials(_eve_tails(tails, rho))
-    return -d_x / d_y
-
-
-def _curvature(tails, rho, slope):
-    """Curvature d2y/dx2 of that curve at an array of sensor tails, given
-    its slopes there: the level-set condition differentiated twice, the
-    ``1 - 2*rho`` factor carrying the chain rule through the channel's
-    affine map; -inf where the slope is infinite (a tail at 0)."""
-    x, y, xc, yc = eve = _eve_tails(tails, rho)
+    d_x, d_y = _kl_partials(eve)
+    slope = -d_x / d_y
     with np.errstate(all="ignore"):
         # second partials of D: a = D_YY, b = -D_XY, c = D_XX
         a = xc / (yc * yc) + x / (y * y)
         b = 1.0 / y + 1.0 / yc
         c = 1.0 / x + 1.0 / xc
         scale = 1.0 - 2.0 * rho
-        return scale * -(slope * (a * slope - 2.0 * b) + c) / _kl_partials(eve)[1]
+        return eve, slope, scale * -(slope * (a * slope - 2.0 * b) + c) / d_y
 
 
 def trace_constraint_curve(
@@ -146,9 +135,7 @@ def trace_constraint_curve(
     # its lane ends once no float lies inside its bracket
     on = np.abs(gap(y[:, None], np.arange(x.size))[:, 0]) <= TRACE_TOL
     tails = np.array([x[on], y[on], 1.0 - x[on], 1.0 - y[on]])
-    slope = _slope(tails, rho)
-    return BoundaryTrace(tails, _received(tails, rho), slope,
-                         _curvature(tails, rho, slope))
+    return BoundaryTrace(tails, *_level_set(tails, rho))
 
 
 def convexity_certificate(
@@ -189,8 +176,7 @@ def convexity_certificate(
             f"convexity certificate requires 0 < rho' < 0.5, got {rho!r}"
         )
     x, y, xc, yc = op.tails
-    xh, yh, xhc, yhc = _eve_tails(op.tails, rho)
-    slope = _slope(op.tails, rho)
+    (xh, yh, xhc, yhc), slope, _ = _level_set(op.tails, rho)
 
     with np.errstate(all="ignore"):
         hat_over = yh * yhc / (y * yc)

@@ -442,6 +442,8 @@ def _stein_report(
     (:func:`second_order_slope`, which tends to ``d_fc``) to within
     ``tolerance`` times ``d_fc``.  An exact slope is never negative, so
     where that value is not positive it is no reference: ``passed`` is null.
+    So it is where ``d_fc`` is stored as 0.0 at a point that informs the
+    FC (the KL kernel's cancellation): there is no ``relative_gap``.
 
     The check sees the sensors that inform the FC
     (:func:`_network_arrays`).  With none, the divergence is exactly 0 and
@@ -473,7 +475,7 @@ def _stein_report(
     points = stein_curve(fc_op, windows, delta)
     final = points[-1]
     predicted = second_order_slope(fc_op, final.window, delta)
-    rel_gap = abs(final.local_slope - predicted) / target
+    rel_gap = abs(final.local_slope - predicted) / target if target > 0.0 else None
     report.update(
         {
             "exponents": [p.exponent for p in points],
@@ -481,7 +483,7 @@ def _stein_report(
             "final_local_slope": final.local_slope,
             "predicted_slope": predicted,
             "relative_gap": rel_gap,
-            "passed": rel_gap <= tolerance if predicted > 0.0 else None,
+            "passed": None if rel_gap is None or not predicted > 0.0 else rel_gap <= tolerance,
         }
     )
     if report["passed"] is None:

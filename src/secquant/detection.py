@@ -120,17 +120,17 @@ def _check_windows(windows: Sequence[int], delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
 
 
-def _validate_interior_op(op: OperatingPoint) -> None:
+def _validate_counting_op(op: OperatingPoint) -> None:
+    """Raise unless the one-sided ones-count test applies: pd >= pfa, and
+    neither is exactly 1 (its stored complement 0), where the divergence is
+    infinite (pd = 1 > pfa) or 0 with no information (pfa = pd = 1)."""
     x, y = op.pfa, op.pd
-    if not min(op.tails) > 0.0:
-        raise ValueError(
-            f"exact test needs an operating point strictly inside the unit "
-            f"square, got ({x!r}, {y!r})"
-        )
     if not y >= x:
         raise ValueError(
             f"counting test is one-sided; needs pd >= pfa, got ({x!r}, {y!r})"
         )
+    if not min(op.pfa_c, op.pd_c) > 0.0:
+        raise ValueError(f"exact test needs pfa and pd below 1, got ({x!r}, {y!r})")
 
 
 #: Stirling's error s(m) = ln m! - ln(sqrt(2 pi m) (m/e)**m), m = 0 .. 15
@@ -198,16 +198,20 @@ def _binom_logpmf(ks: np.ndarray, window: int, p: float, p_c: float) -> np.ndarr
     ``window`` it is f(n, n) - f(k, n p) - f(n - k, n p_c) - ln sqrt(2 pi),
     where f(m, mean) = s(m) + bd0(m, mean) + ln(m)/2 is ln sqrt(2 pi) less
     than -ln Poisson(m; mean).  No term grows with n.  The ends are n ln(1 -
-    p) and n ln p, each log taken through the smaller of p and ``p_c``."""
-    log_p = math.log1p(-p_c) if p_c < p else math.log(p)
-    log_q = math.log1p(-p) if p <= p_c else math.log(p_c)
+    p) and n ln p, each log taken through the smaller of p and ``p_c``.  A
+    law with p or ``p_c`` at 0 reads ln 0 as -inf: every count it cannot
+    reach gets -inf, its one certain count 0."""
+    log_p = math.log1p(-p_c) if p_c < p else (math.log(p) if p > 0.0 else -math.inf)
+    log_q = math.log1p(-p) if p <= p_c else (math.log(p_c) if p_c > 0.0 else -math.inf)
     out = np.where(ks == 0, window * log_q, window * log_p)
     inner = (ks > 0) & (ks < window)
     k = ks[inner].astype(float)
     # f at n, k and n - k in one pass, in place; bd0(n, n) = 0
     m = np.concatenate(([window], k, window - k))
     f = _stirling_error(m)
-    f += _bd0(m, np.repeat((window, window * p, window * p_c), (1, k.size, k.size)))
+    # bd0 is +inf at a mean of 0, and at a subnormal one (a term < e**-700)
+    with np.errstate(divide="ignore", over="ignore"):
+        f += _bd0(m, np.repeat((window, window * p, window * p_c), (1, k.size, k.size)))
     f += 0.5 * np.log(m)
     out[inner] = (f[0] - _LN_SQRT_2PI) - f[1 : 1 + k.size] - f[1 + k.size :]
     return out
@@ -303,7 +307,7 @@ def stein_curve(
     _check_windows(windows, delta)
     if not windows:
         return []
-    _validate_interior_op(fc_op)
+    _validate_counting_op(fc_op)
     distinct = {*windows, *(2 * w for w in windows)}
     log_miss = {w: _np_components(fc_op, w, delta)[0] for w in distinct}
     return [
@@ -322,12 +326,13 @@ def second_order_slope(
     That is ``D - sqrt(V) * Q^-1(delta) * (sqrt(2) - 1) / sqrt(window)``,
     with D the divergence of the received point ``fc_op`` and V the H0
     variance of its per-bit log-likelihood ratio; the exact slope of
-    :func:`stein_curve` differs from it by O(1/window).
+    :func:`stein_curve` differs from it by O(1/window).  At pfa = 0 the H0
+    sum of those ratios is constant: V = 0, and the value is D, exactly.
     """
     _check_windows([window], delta)
-    _validate_interior_op(fc_op)
+    _validate_counting_op(fc_op)
     w_one, w_zero = _llr_weights(fc_op.tails)
-    sd = math.sqrt(fc_op.pfa * fc_op.pfa_c) * abs(w_one - w_zero)
+    sd = math.sqrt(fc_op.pfa * fc_op.pfa_c) * abs(w_one - w_zero) if fc_op.pfa else 0.0
     backoff = sd * q_inverse(delta) * (math.sqrt(2.0) - 1.0)
     return kl_divergence(fc_op) - float(backoff) / math.sqrt(window)
 

@@ -18,7 +18,7 @@ from secquant import (
     trace_constraint_curve,
 )
 from secquant import boundary
-from secquant.boundary import TRACE_TOL, _curvature, _slope
+from secquant.boundary import TRACE_TOL, _level_set
 from secquant.search import bisect_root
 
 import oracles
@@ -32,25 +32,23 @@ def frozen_slope(xe, ye):
 
 class TestConstraintSlope:
     def test_ideal_channel_closed_form(self):
-        got = _slope(OperatingPoint(0.3, 0.7).tails, 0.0)
+        got = _level_set(OperatingPoint(0.3, 0.7).tails, 0.0)[1]
         assert got == pytest.approx(frozen_slope(0.3, 0.7), abs=1e-12)
         assert got == pytest.approx(0.889663, abs=1e-6)
 
     def test_channel_then_slope(self):
         # a 0.1 channel maps (0.25, 0.75) onto (0.3, 0.7)
-        got = _slope(OperatingPoint(0.25, 0.75).tails, 0.1)
+        got = _level_set(OperatingPoint(0.25, 0.75).tails, 0.1)[1]
         assert got == pytest.approx(0.889663, abs=1e-6)
 
     def test_near_diagonal_limit_is_one(self):
-        got = _slope(OperatingPoint(0.4, 0.4 + 1e-6).tails, 0.1)
+        got = _level_set(OperatingPoint(0.4, 0.4 + 1e-6).tails, 0.1)[1]
         assert got == pytest.approx(1.0, abs=1e-4)
 
     def test_singular_on_diagonal(self):
         tails = OperatingPoint(0.4, 0.4).tails
-        with pytest.raises(SingularPointError):
-            _slope(tails, 0.1)
-        with pytest.raises(SingularPointError):
-            _curvature(tails, 0.1, 1.0)
+        with pytest.raises(SingularPointError, match="onto the diagonal"):
+            _level_set(tails, 0.1)
 
 
 def sandwich(eve_tails):
@@ -71,7 +69,7 @@ class TestSlopeBounds:
             rho = rng.uniform(0.0, 0.45)
             op = OperatingPoint(x, y)
             lo, hi = sandwich(bsc_transform(op, BscChannel(rho)).tails)
-            s = _slope(op.tails, rho)
+            s = _level_set(op.tails, rho)[1]
             assert lo - 1e-12 <= s <= hi + 1e-12
 
 
@@ -90,8 +88,7 @@ class TestConstraintCurvature:
         for x0 in (0.1, 0.2, 0.35):
             y0, fd_slope, fd_curv = _fd_trace(x0, budget, rho, 1e-4)
             tails = OperatingPoint(x0, y0).tails
-            s = _slope(tails, rho)
-            c = _curvature(tails, rho, s)
+            _, s, c = _level_set(tails, rho)
             assert s == pytest.approx(fd_slope, rel=1e-5)
             assert c == pytest.approx(fd_curv, rel=1e-4)
 
@@ -110,7 +107,7 @@ class TestConstraintCurvature:
         y0, fd_slope, fd_curv = _fd_trace(x0, budget, rho, 1e-4)
         assert x0 + y0 == pytest.approx(1.0, abs=1e-3)
         tails = OperatingPoint(x0, y0).tails
-        c = _curvature(tails, rho, _slope(tails, rho))
+        c = _level_set(tails, rho)[2]
         assert math.isfinite(c)
         assert c == pytest.approx(fd_curv, rel=1e-4)
 
@@ -253,9 +250,9 @@ class TestOnePointCase:
                     trace.curvature.tolist())
         for k, (eve_tails, traced_slope, curvature) in enumerate(lanes):
             op = point(trace, k)
-            slope = _slope(op.tails, rho)
+            _, slope, curv = _level_set(op.tails, rho)
             assert traced_slope == slope
-            assert curvature == _curvature(op.tails, rho, slope)
+            assert curvature == curv
             assert OperatingPoint(*eve_tails) == bsc_transform(op, eve)
 
     def test_python_float_returns(self):

@@ -2,6 +2,7 @@
 
 import argparse
 import importlib
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from secquant import (BscChannel, GaussianSensorModel, OperatingPoint, SensorSit
                       bsc_transform, cli, design_quantizer, kl_divergence, sample_sites,
                       stein_curve)
 from secquant import allocation
-from secquant.boundary import _curvature, _slope
+from secquant.boundary import _level_set
 from secquant.cli import main
 from secquant.solver import design_table
 
@@ -393,8 +394,8 @@ class TestTraceBoundaryCommand:
             op = OperatingPoint(x, y)
             eve_op = bsc_transform(op, eve)
             assert (x_e, y_e) == (eve_op.pfa, eve_op.pd)
-            assert slope == _slope(op.tails, 0.1)
-            assert curvature == _curvature(op.tails, 0.1, slope)
+            _, s, c = _level_set(op.tails, 0.1)
+            assert (slope, curvature) == (s, c)
 
     def test_zero_budget_exits_2(self, tmp_path):
         assert run(
@@ -499,6 +500,34 @@ class TestVerifyCommand:
         assert len(report["exponents"]) == len(report["windows"])
         assert re.match(r"not checked: the second-order slope at window 400 is .*, "
                         r"not positive", report["note"])
+
+    def test_designs_of_the_edge_box_are_judged(self, tmp_path, capsys):
+        # every design written on the box is judged: none ends in a
+        # traceback or an exit 2
+        out, report_out = tmp_path / "design.json", tmp_path / "report.json"
+        verdicts = {}
+        for theta, rho_fc, rho_e, budget in itertools.product(
+                ("1e-05", "1", "39"), ("0", "0.01"), ("0", "0.1", "0.4999"),
+                ("1e-46", "1e-12", "0.3")):
+            assert run("design", "--theta", theta, "--sigma", "1", "--rho-fc", rho_fc,
+                       "--rho-e", rho_e, "--alpha-tilde", budget, "--out", str(out)) == 0
+            capsys.readouterr()
+            assert run("verify", "--artifact", str(out), "--out", str(report_out)) == 0
+            verdict = capsys.readouterr().out.split()[1]
+            assert verdict in ("pass", "unchecked", "fail")
+            verdicts[theta, rho_fc, rho_e, budget] = verdict, json.loads(
+                report_out.read_text())
+        assert len(verdicts) == 54
+        # d_fc stored as 0.0 at a received point that informs the FC
+        verdict, report = verdicts["1e-05", "0.01", "0", "1e-46"]
+        assert (verdict, report["target_kld"], report["relative_gap"]) == (
+            "unchecked", 0.0, None)
+        assert report["no_information"] is False and report["passed"] is None
+        # a received false alarm of 0: Strassen's value is exact there
+        verdict, report = verdicts["39", "0", "0.1", "1e-46"]
+        assert verdict == "pass"
+        assert report["predicted_slope"] == report["target_kld"] > 0.0
+        assert report["relative_gap"] < 1e-7
 
     def test_blind_design_reports_no_information(self, tmp_path):
         argv, design_out = design_args(tmp_path, budget="0.0")

@@ -57,10 +57,16 @@ class TestExactMissSingleSymbol:
         assert point.miss == pytest.approx(0.65, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs pd >= pfa"):
             exact_np_miss(OperatingPoint(0.7, 0.3), 10, 0.1)
-        with pytest.raises(ValueError):
-            exact_np_miss(OperatingPoint(0.0, 0.7), 10, 0.1)
+        # a false alarm of 0 is no refusal: the H0 count is always 0, so the
+        # test randomises there and misses with (1 - delta) (1 - pd)**window
+        point = exact_np_miss(OperatingPoint(0.0, 0.7), 10, 0.1)
+        assert point.log_miss == pytest.approx(math.log(0.9) + 10 * math.log(0.3),
+                                               abs=1e-12)
+        for op in (OperatingPoint(0.3, 1.0), OperatingPoint(1.0, 1.0)):
+            with pytest.raises(ValueError, match="needs pfa and pd below 1"):
+                exact_np_miss(op, 10, 0.1)
         with pytest.raises(ValueError):
             exact_np_miss(OperatingPoint(0.3, 0.7), 0, 0.1)
         with pytest.raises(ValueError):
@@ -162,6 +168,17 @@ class TestLargeWindowLogPmf:
             # from window 1e5 on
             assert abs(value - exact) <= max(1e-12, 2.0 * math.ulp(exact))
 
+    @pytest.mark.parametrize("p", [0.0, 1e-312])
+    def test_counts_a_law_cannot_reach_are_minus_inf(self, p):
+        # at p = 0 and at a subnormal 400 p, where x / mean overflows in bd0,
+        # each count above 0 has ln pmf -inf or below ln(400 p) + 1
+        got = _binom_logpmf(np.arange(4), 400, p, 1.0 - p)
+        assert got[0] == pytest.approx(0.0, abs=1e-300)
+        assert np.all(got[1:] < -700.0)
+        mirrored = _binom_logpmf(np.arange(397, 401), 400, 1.0 - p, p)
+        assert mirrored[-1] == pytest.approx(0.0, abs=1e-300)
+        assert np.all(mirrored[:-1] < -700.0)
+
 
 class TestCurveEqualsItsWindows:
     @pytest.mark.parametrize("x, y", [(0.3, 0.7), (1e-3, 0.2), (0.999, 0.9999)])
@@ -215,6 +232,16 @@ class TestSecondOrderSlope:
         got = second_order_slope(OperatingPoint(x, y), window, 0.01)
         want = oracles.stein_second_order_slope(x, y, window, 0.01)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("y", [1e-3, 0.3, 0.7, 0.999])
+    @pytest.mark.parametrize("window", [1, 400])
+    def test_zero_false_alarm_gives_the_divergence(self, y, window):
+        # the H0 sum of LLRs is constant, so V = 0; the exact slope is D too
+        op = OperatingPoint(0.0, y)
+        got = second_order_slope(op, window, 0.01)
+        assert got == kl_divergence(op)
+        assert got == pytest.approx(-math.log1p(-y), rel=1e-12)
+        assert exact_np_miss(op, window, 0.01).local_slope == pytest.approx(got, rel=1e-12)
 
     @pytest.mark.parametrize(
         "window, delta, message",
