@@ -422,23 +422,24 @@ def _fuse_block(
     out: np.ndarray,
 ) -> None:
     """Draw one receiver's block of a stream and write its fused statistics
-    to ``out``, the block's zeroed row of them, from each sensor's count law
+    to ``out``, the block's row of them, from each sensor's count law
     ``pmf`` and statistics ``table`` (see :func:`_count_laws`).
 
     One multinomial call draws, for every sensor given, how many trials
-    take each count; sensor by sensor, that histogram, expanded into
-    statistics and shuffled, is added to ``out``.  That is exact in law:
-    given the histogram of i.i.d. counts, every order is equally likely.
-    The first sensor stays in count order, as the rest are shuffled
-    against it and every estimate is symmetric in the trials.  The caller
-    gives only sensors with a weight other than 0.  Calls only private
-    helpers, so that it can run on a worker thread.
+    take each count; that histogram, expanded into statistics, is written
+    to ``out`` for the first sensor and, shuffled, added to it for the rest.
+    That is exact in law: given the histogram of i.i.d. counts, every order
+    is equally likely.  The first sensor stays in count order, as the rest
+    are shuffled against it and every estimate is symmetric in the trials.
+    The caller gives only sensors with a weight other than 0.  Calls only
+    private helpers, so that it can run on a worker thread.
     """
     rng = _block_rng(seed, stream, block, receiver)
-    for i, (histogram, values) in enumerate(zip(rng.multinomial(len(out), pmf), table)):
+    histograms = rng.multinomial(len(out), pmf)
+    out[:] = np.repeat(table[0], histograms[0])
+    for histogram, values in zip(histograms[1:], table[1:]):
         drawn = np.repeat(values, histogram)
-        if i:
-            rng.shuffle(drawn)
+        rng.shuffle(drawn)
         out += drawn
 
 
@@ -448,15 +449,18 @@ def _receiver_estimates(
     """False alarm, miss and their standard errors of one receiver's fused
     test on its H0 and H1 statistics ``h0`` and ``h1``.
 
-    The test rejects when the statistic exceeds ``tau``, and with
-    probability ``gamma`` at ``tau`` itself; ``(tau, gamma)`` give false
-    alarm exactly ``delta`` on the calibration statistics ``cal``.
+    The test rejects above ``tau``, and with probability ``gamma`` at it;
+    ``(tau, gamma)`` give false alarm exactly ``delta`` on the calibration
+    statistics ``cal``, sorted in place.  No statistic is NaN: -inf needs H0
+    (a received pd of 1) and +inf H1 (a received pfa of 0), one per stream;
+    so ``searchsorted`` counts on the sorted row as ``>`` and ``==`` would.
     """
-    ordered = np.sort(cal)[::-1]
+    cal.sort()
+    ordered = cal[::-1]
     target = delta * len(cal)
     tau = float(ordered[int(target)])
-    count_gt = float(np.count_nonzero(cal > tau))
-    count_eq = float(np.count_nonzero(cal == tau))
+    below, above = (np.searchsorted(cal, tau, side) for side in ("left", "right"))
+    count_gt, count_eq = float(len(cal) - above), float(above - below)
     gamma = min(max((target - count_gt) / count_eq, 0.0), 1.0)
 
     def rejection_rate(values: np.ndarray) -> float:
@@ -509,9 +513,9 @@ def simulate_monte_carlo(
     expands one sensor at a time, at most one block of cells, of the
     sensors with a weight other than 0 at its receiver (a sleeping or
     blind sensor has statistics 0 at every count); a receiver with none
-    has no units, and its statistics stay 0.  Each unit writes disjoint
-    rows of its stream's statistics, so identical ``(seed, config)`` give
-    bit-identical results for any worker count or schedule.
+    has no units, and only its rows are zeroed.  Units write disjoint rows
+    whole, so identical ``(seed, config)`` give bit-identical results for
+    any worker count or schedule.
     """
     _check_integer("trials", trials)
     _check_integer("seed", seed)
@@ -535,7 +539,9 @@ def simulate_monte_carlo(
         (_H0_STREAM, 0, trials),
         (_H1_STREAM, 1, trials),
     )
-    stats = [np.zeros((2, count)) for _, _, count in streams]
+    stats = [np.empty((2, count)) for _, _, count in streams]
+    for out in stats:
+        out[[not law[0].shape[1] for law in laws]] = 0.0
     units = [
         (stream, block, receiver, *(law[hypothesis] for law in laws[receiver]),
          out[receiver, start : start + _BLOCK_TRIALS])

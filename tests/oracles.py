@@ -5,6 +5,8 @@ library under test, so grid scans and brute-force maxima computed from
 these functions are independent checks of the package's scalar paths.
 """
 
+import math
+
 import numpy as np
 from scipy.special import erfc, log_ndtr, logsumexp, ndtri
 from scipy.stats import binom, norm
@@ -251,3 +253,31 @@ def stein_second_order_slope(x, y, window, delta):
     v = float(law @ (llr - d) ** 2)
     z = norm.isf(delta)
     return d - np.sqrt(v) * z * (np.sqrt(2.0) - 1.0) / np.sqrt(window)
+
+
+def receiver_estimates_by_copy(cal, h0, h1, delta):
+    """One receiver's (false alarm, miss, false-alarm SE, miss SE) of the
+    randomized test at false alarm ``delta`` on the calibration statistics
+    ``cal``, found on a sorted copy and counted by comparison, so that no
+    row is changed.  The test rejects above ``tau`` and with probability
+    ``gamma`` at it; the miss SE adds the calibration error, scaled by the
+    likelihood ratio at the steepest threshold within 3 of those errors."""
+    ordered = np.sort(cal)[::-1]
+    target = delta * len(cal)
+    tau = float(ordered[int(target)])
+    count_gt = float(np.count_nonzero(cal > tau))
+    count_eq = float(np.count_nonzero(cal == tau))
+    gamma = min(max((target - count_gt) / count_eq, 0.0), 1.0)
+
+    def rejection_rate(values):
+        return float(np.mean(values > tau)) + gamma * float(np.mean(values == tau))
+
+    fa, miss = rejection_rate(h0), 1.0 - rejection_rate(h1)
+    cal_se = math.sqrt(delta * (1.0 - delta) / len(cal))
+    steep = float(ordered[max(0, math.floor((delta - 3.0 * cal_se) * len(cal)))])
+
+    def se(p, calibration_se):
+        estimate_se = math.sqrt(max(p * (1.0 - p), 0.0) / len(h0))
+        return math.sqrt(estimate_se**2 + calibration_se**2)
+
+    return fa, miss, se(fa, cal_se), se(miss, math.exp(min(steep, 50.0)) * cal_se)

@@ -5,6 +5,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from secquant.detection import (
     _fuse_block,
     _llr_weights,
     _np_components,
+    _receiver_estimates,
 )
 from secquant.roc import _received
 from secquant.solver import _designs_at, _site_columns
@@ -310,13 +312,13 @@ class TestExponentConvergence:
             stein_curve(OperatingPoint(0.3, 0.7), [100, 50], 0.01)
 
 
-def single_sensor_setup(rho_fc=0.0, rho_e=0.1, budget=math.inf):
+def single_sensor_setup(rho_fc=0.0, rho_e=0.1, budget=10.0):
     site = SensorSite(
         model=GaussianSensorModel(1.0, 1.0),
         fc_channel=BscChannel(rho_fc),
         eve_channel=BscChannel(rho_e),
     )
-    config = NetworkConfig(sites=(site,), alpha_total=10.0)
+    config = NetworkConfig(sites=(site,), alpha_total=budget)
     result = allocate(config)
     return site, config, result
 
@@ -657,7 +659,8 @@ class TestCountSampler:
             _fuse_block(seed, stream, block, receiver, *rest)
 
         def estimates(cal, h0, h1, delta):
-            receivers.append({_CAL_STREAM: cal, _H0_STREAM: h0, _H1_STREAM: h1})
+            # a copy: the estimates sort the calibration row in place
+            receivers.append({_CAL_STREAM: cal.copy(), _H0_STREAM: h0, _H1_STREAM: h1})
             return receiver_estimates(cal, h0, h1, delta)
 
         receiver_estimates = detection._receiver_estimates
@@ -764,6 +767,38 @@ class TestCountSampler:
             for stream in (_CAL_STREAM, _H0_STREAM, _H1_STREAM)
             for receiver in (0, 1)
         ]
+
+
+@st.composite
+def receiver_streams(draw):
+    """A receiver's calibration, H0 and H1 statistics and a false alarm
+    delta.  Each row of 1 to 5 000 trials takes a few values (one sensor at
+    window 20 gives 21), so that tau sits in a run of ties, or many; zeros
+    of both signs join them, and -inf (a received pd of 1) the H0 rows or
+    +inf (a received pfa of 0) the H1 row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.sampled_from([1, 2, 21]) | st.integers(1, 5_000)
+    levels = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 30.0])), size=draw(sizes))
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=2))
+    infinite = draw(st.booleans())
+
+    def row(infinity, length):
+        return rng.choice(np.concatenate([levels, zeros, [infinity] * infinite]), length)
+
+    cal_trials, trials = draw(sizes), draw(sizes)
+    delta = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    return row(-math.inf, cal_trials), row(-math.inf, trials), row(math.inf, trials), delta
+
+
+class TestReceiverEstimates:
+    @settings(max_examples=300, deadline=None)
+    @given(receiver_streams())
+    def test_sorting_in_place_gives_the_copy_and_compare_estimates(self, streams):
+        cal, h0, h1, delta = streams
+        expected = oracles.receiver_estimates_by_copy(cal, h0, h1, delta)
+        kept = h0.tobytes(), h1.tobytes()
+        assert _receiver_estimates(cal.copy(), h0, h1, delta) == expected
+        assert (h0.tobytes(), h1.tobytes()) == kept
 
 
 def small_network():
@@ -888,6 +923,27 @@ class TestWorkerPool:
             # 80 000 calibration trials: two calibration blocks
             simulate_monte_carlo(config, result, window=5, trials=20_000, seed=1)
         assert threading.active_count() == threads
+
+
+class TestStatisticsMemory:
+    def test_the_simulation_holds_its_statistics_and_a_few_blocks(self, monkeypatch):
+        # verify-mc's single design
+        _, config, result = single_sensor_setup(rho_fc=0.02, rho_e=0.1, budget=0.05)
+        monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+        trials = 200_000
+        # the first call's lazy import of the thread pool stays off the peak
+        simulate_monte_carlo(config, result, window=20, trials=1, seed=11)
+        tracemalloc.start()
+        try:
+            simulate_monte_carlo(config, result, window=20, trials=trials, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two receivers over the calibration (4x) and two estimation streams;
+        # the rest is about one block, so a copy of any stream's row (3 blocks
+        # at least) goes over
+        excess = peak - 2 * 6 * trials * 8
+        assert excess <= 4 * _BLOCK_TRIALS * 8, excess / (_BLOCK_TRIALS * 8)
 
 
 class TestWeightlessSensors:
